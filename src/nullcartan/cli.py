@@ -36,7 +36,14 @@ from .constructions import (
     pseudo_spherical_test,
     synthesize,
 )
-from .curve import Curve, chebyshev_grid, classify, pseudo_arc_reparam
+from .curve import (
+    Curve,
+    chebyshev_grid,
+    classify,
+    points_on,
+    pointwise_order,
+    pseudo_arc_reparam,
+)
 from .errors import (
     DegenerateBasisError,
     ExprEvaluationError,
@@ -48,7 +55,7 @@ from .errors import (
     SingularRecursionError,
     StepSizeError,
 )
-from .frame import cartan_frame_at, frame_jets, frenet_residuals
+from .frame import cartan_frames, frame_jets, frenet_residuals
 
 _INPUT_ERRORS = (InputError, ExprSyntaxError)
 _HYPOTHESIS_ERRORS = (HypothesisError,)
@@ -177,41 +184,76 @@ def _require(data, key, path):
     return data[key]
 
 
+def _integer(data, key, path):
+    value = _require(data, key, path)
+    try:
+        return int(value)
+    except (TypeError, ValueError):
+        raise InputError(f"{path}: field {key!r} must be an integer, got {value!r}") from None
+
+
+def _number(value, key, path):
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise InputError(f"{path}: field {key!r} must be a number, got {value!r}") from None
+
+
+def _interval(data, key, path):
+    value = _require(data, key, path)
+    try:
+        a, b = (float(v) for v in value)
+    except (TypeError, ValueError):
+        raise InputError(
+            f"{path}: field {key!r} must be a pair of numbers [a, b], got {value!r}") from None
+    return a, b
+
+
 def load_curve(path):
     """Curve-like object from a curve spec file (symbolic or synthesized)."""
     data, digest = _read_json(path)
-    n = int(_require(data, "dimension", path))
+    n = _integer(data, "dimension", path)
     parameter = data.get("parameter", "s")
     if data.get("kind") == "synthesized" or "curvatures" in data:
         profile = CurvatureProfile.from_strings(
             n, [str(k) for k in _require(data, "curvatures", path)], parameter)
-        interval = _require(data, "interval", path)
-        step = float(data.get("step", 1e-3))
-        curve = synthesize(profile, (float(interval[0]), float(interval[1])), step)
+        interval = _interval(data, "interval", path)
+        step = _number(data.get("step", 1e-3), "step", path)
+        curve = synthesize(profile, interval, step)
         return curve, data, digest
     components = _require(data, "components", path)
     if len(components) != n:
         raise InputError(
             f"{path}: {len(components)} components for dimension {n}")
-    domain = _require(data, "domain", path)
-    curve = Curve.from_strings([str(c) for c in components], parameter,
-                               (float(domain[0]), float(domain[1])))
+    domain = _interval(data, "domain", path)
+    curve = Curve.from_strings([str(c) for c in components], parameter, domain)
     return curve, data, digest
 
 
 def load_profile(path):
     data, digest = _read_json(path)
-    n = int(_require(data, "dimension", path))
+    n = _integer(data, "dimension", path)
     profile = CurvatureProfile.from_strings(
         n, [str(k) for k in _require(data, "curvatures", path)],
         data.get("parameter", "t"))
     return profile, data, digest
 
 
-def _grid_for(args, curve, data, default_points, uniform=False):
-    points = args.grid or data.get("grid_density") or default_points
+def _grid_size(args, data, default_points):
+    """--grid, else the file's grid_density, else the command default."""
+    if args.grid is not None:
+        points = args.grid
+    elif data.get("grid_density") is not None:
+        points = _integer(data, "grid_density", args.file)
+    else:
+        points = default_points
     if points < 1:
         raise InputError(f"grid size must be positive, got {points}")
+    return points
+
+
+def _grid_for(args, curve, data, default_points, uniform=False):
+    points = _grid_size(args, data, default_points)
     a, b = curve.domain
     if uniform:
         return np.linspace(a, b, points)
@@ -265,17 +307,14 @@ def cmd_frame(args):
     curve, data, digest = load_curve(args.file)
     grid = _grid_for(args, curve, data, 61, uniform=True)
     n = curve.dimension
-    rows = []
-    max_closure = 0.0
-    for t in grid:
-        f = cartan_frame_at(curve, float(t), tol=args.tol)
-        point = np.asarray(curve.point(float(t)), dtype=float)
-        row = [t, *point, *f.L1, *f.L2, *f.W[0], *f.N2, *f.N1]
-        for w in f.W[1:]:
-            row.extend(w)
-        row.extend(f.curvatures)
-        rows.append(row)
-        max_closure = max(max_closure, f.closure_residual)
+    frames, points = pointwise_order(
+        lambda ts: (cartan_frames(curve, ts, tol=args.tol), points_on(curve, ts)), grid)
+    columns = [grid, points, frames.L1.value, frames.L2.value, frames.W[0].value,
+               frames.N2.value, frames.N1.value]
+    columns += [w.value for w in frames.W[1:]]
+    columns += [k.value for k in frames.curvatures]
+    rows = np.column_stack(columns).tolist()
+    max_closure = max(0.0, float(np.max(frames.closure_residual)))
     body = _base_body("frame", args, digest)
     body["tolerances"] = {"frame": args.tol}
     body["summary"] = {"dimension": n, "samples": len(rows),
@@ -366,9 +405,7 @@ def cmd_evolute(args):
         fj = frame_jets(curve, float(grid[0]), extra_order=1)
         offset = 1.0 / fj.curvatures[2].value
         inv = involute(result.curve, float(grid[0]), grid, arc_offset=offset)
-        sup = max(float(np.max(np.abs(inv.sampled.points[i] -
-                                      np.asarray(curve.point(float(t))))))
-                  for i, t in enumerate(grid))
+        sup = float(np.max(np.abs(inv.sampled.points - points_on(curve, grid))))
         body["summary"]["roundtrip_arc_offset"] = offset
         body["summary"]["roundtrip_sup_distance"] = sup
     body["table"] = {
@@ -396,11 +433,11 @@ def cmd_involute(args):
 
 def cmd_synthesize(args):
     profile, data, digest = load_profile(args.file)
-    interval = _require(data, "interval", args.file)
-    step = args.step or float(data.get("step", 1e-3))
-    curve = synthesize(profile, (float(interval[0]), float(interval[1])), step)
-    points = args.grid or data.get("grid_density") or 129
-    grid = np.linspace(curve.domain[0], curve.domain[1], points)
+    interval = _interval(data, "interval", args.file)
+    step = args.step if args.step is not None else _number(data.get("step", 1e-3),
+                                                           "step", args.file)
+    curve = synthesize(profile, interval, step)
+    grid = np.linspace(curve.domain[0], curve.domain[1], _grid_size(args, data, 129))
     table = curve.frame_table(grid)
     n = curve.dimension
     body = _base_body("synthesize", args, digest)
@@ -412,14 +449,10 @@ def cmd_synthesize(args):
     body["step"] = step
     body["max_gram_defect"] = curve.max_gram_defect
     columns = _frame_columns(n)
-    rows = []
-    for i, t in enumerate(grid):
-        row = [t, *table["points"][i], *table["L1"][i], *table["L2"][i],
-               *table["W3"][i], *table["N2"][i], *table["N1"][i]]
-        for name in [f"W{j}" for j in range(4, n - 1)]:
-            row.extend(table[name][i])
-        row.extend(table["curvatures"][i])
-        rows.append(row)
+    rows = np.column_stack(
+        [grid, table["points"], table["L1"], table["L2"], table["W3"], table["N2"],
+         table["N1"]] + [table[f"W{j}"] for j in range(4, n - 1)]
+        + [table["curvatures"]]).tolist()
     body["table"] = {"columns": columns, "rows": rows}
     write_report(body, args)
     return 0
@@ -427,7 +460,8 @@ def cmd_synthesize(args):
 
 def cmd_reparam(args):
     curve, data, digest = load_curve(args.file)
-    result = pseudo_arc_reparam(curve, grid_density=args.grid or 129, tol=args.tol)
+    result = pseudo_arc_reparam(curve, grid_density=_grid_size(args, {}, 129),
+                                tol=args.tol)
     body = _base_body("reparam", args, digest)
     body["summary"] = {"unit_speed_defect": result.unit_speed_defect,
                        "pseudo_arc_span": [result.sampled.grid[0],

@@ -14,18 +14,21 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 from .curve import (
+    TABLE_BLOCK,
     CumulativeIntegral,
     ReparametrizedCurve,
     SampledCurve,
     SplineCurve,
     _check_in_domain,
-    as_vec_jet,
+    as_vec_jets,
     chebyshev_grid,
+    points_on,
+    pointwise_order,
     require_family,
 )
 from .errors import (
@@ -35,8 +38,8 @@ from .errors import (
     SingularRecursionError,
     StepSizeError,
 )
-from .expr import Expr, Jet, VecJet, jet_eval, parse
-from .frame import frame_jets
+from .expr import Expr, Jet, Program, VecJet, _toeplitz, _weighted, parse
+from .frame import frame_grid
 from .metric import PseudoMetric
 
 __all__ = [
@@ -91,11 +94,19 @@ class CurvatureProfile:
     def from_strings(cls, dimension, texts, parameter="t"):
         return cls(dimension, tuple(parse(t, parameter) for t in texts), parameter)
 
+    @cached_property
+    def _program(self):
+        return Program(self.curvatures)
+
     def jets(self, t, order):
-        return [jet_eval(k, t, order) for k in self.curvatures]
+        """Curvature jets at t, a float or an array of points (batched jets)."""
+        param = Jet.variable(t, order)
+        return [Jet(param.base, c) for c in self._program.run(param.coeffs)]
 
     def values(self, t):
-        return np.array([jet_eval(k, t, 0).value for k in self.curvatures])
+        """Curvature values, shape (n-3,) at a float t or (m, n-3) on a grid."""
+        param = Jet.variable(t, 0)
+        return np.stack(self._program.run(param.coeffs), axis=-1)[0]
 
 
 @dataclass(frozen=True)
@@ -151,12 +162,40 @@ def standard_initial_frame(n, alpha=None):
 # Frenet-system synthesis
 # ---------------------------------------------------------------------------
 
+def _frenet_couplings(n):
+    """Frame-row derivatives as (row, target, curvature, sign): F_row' is the
+    sum of sign * k_curvature * F_target, curvature 0 standing for 1.
+
+    Rows follow the state layout L1, L2, N1, N2, W3, W4, ...
+    """
+    rows = [(0, 1, 0, 1), (1, 4, 0, 1), (2, 1, 2, 1),
+            (3, 0, 2, 1), (3, 2, 0, 1), (3, 4, 1, -1), (4, 1, 1, -1), (4, 3, 0, 1)]
+    if n >= 6:
+        rows.append((2, 5, 3, 1))
+    for row in range(5, n):
+        i = row - 1  # row holds W_i
+        if i == 4:
+            rows.append((row, 0, 3, -1))
+            if n >= 7:
+                rows.append((row, 6, 4, 1))
+        else:
+            rows.append((row, row - 1, i - 1, -1))
+            if i + 1 <= n - 2:
+                rows.append((row, row + 1, i, 1))
+    P = np.zeros((n - 2, n, n))
+    for row, target, k, sign in rows:
+        P[k, row, target] = sign
+    return P
+
+
 class FrenetCurve:
     """Curve produced by integrating the Frenet system with prescribed curvatures.
 
     Derivatives of any order are exact given the stored frame: the coefficient
     vector of alpha^(k) in the frame basis evolves by the Frenet rules with
     curvature jets, so only the RK4 error of the frame samples enters.
+    States served to callers are read-only; the integration table cannot be
+    changed through them.
     """
 
     def __init__(self, profile, interval, step=1e-3, initial=None,
@@ -178,19 +217,30 @@ class FrenetCurve:
                 f"initial state must be ({n + 1}, {n}), got {state.shape}")
         steps = int(math.ceil((b - a) / step - 1e-12))
         ts = [a]
-        states = [state.copy()]
-        defect = _gram_defect(state, self._metric.signs)
-        t = a
+        hs = []
         for _ in range(steps):
-            h = min(step, b - t)
-            state = self._rk4_step(t, state, h)
-            t = t + h
-            ts.append(t)
-            states.append(state.copy())
-            defect = max(defect, _gram_defect(state, self._metric.signs))
-        self._ts = np.array(ts)
-        self._states = np.stack(states)
-        self.max_gram_defect = float(defect)
+            hs.append(min(step, b - ts[-1]))
+            ts.append(ts[-1] + hs[-1])
+        ts, hs = np.array(ts), np.array(hs)
+        # curvatures at every RK4 stage time (step starts and midpoints), in
+        # time order and in one pass before the loop
+        stage_t = np.empty(2 * steps + 1)
+        stage_t[0::2] = ts
+        stage_t[1::2] = ts[:-1] + hs / 2
+        k = pointwise_order(profile.values, stage_t)
+        states = np.empty((steps + 1, n + 1, n))
+        states[0] = state
+        for i in range(steps):
+            state = self._rk4_step(ts[i], state, hs[i], (k[2 * i], k[2 * i + 1], k[2 * i + 2]))
+            states[i + 1] = state
+        states.flags.writeable = False
+        self._ts = ts
+        self._states = states
+        self._couplings = _frenet_couplings(n)
+        F = states[:, 1:]
+        gram = np.einsum("sid,d,sjd->sij", F, self._metric.signs, F)
+        defect = float(np.max(np.abs(gram - _expected_frame_gram(n))))
+        self.max_gram_defect = defect
         if defect > defect_limit:
             raise StepSizeError(
                 f"frame Gram defect {defect:.3e} exceeds {defect_limit:.1e}; "
@@ -198,47 +248,67 @@ class FrenetCurve:
 
     # -- integration ---------------------------------------------------------
 
-    def _rhs(self, t, state):
+    def _rhs(self, k, F):
+        """Frenet right-hand side of the state rows F = (alpha, L1, L2, N1, N2,
+        W3, ...); ``k[i - 1]`` is k_i, broadcasting against a row ``F[r]``."""
         n = self.dimension
-        k = np.concatenate(([0.0], self.profile.values(t)))  # 1-based
-        L1, L2, N1, N2 = state[1], state[2], state[3], state[4]
-        W = state[5:]
-        d = np.zeros_like(state)
-        d[0] = L1
-        d[1] = L2
-        d[2] = W[0]
-        d[3] = k[2] * L2 + (k[3] * W[1] if n >= 6 else 0.0)
-        d[4] = k[2] * L1 + N1 - k[1] * W[0]
-        d[5] = -k[1] * L2 + N2
-        for i in range(4, n - 1):  # W_i rows, i = 4..n-2
-            j = i - 3
+        d = np.empty_like(F)
+        d[0] = F[1]
+        d[1] = F[2]
+        d[2] = F[5]
+        d[3] = k[1] * F[2] + (k[2] * F[6] if n >= 6 else 0.0)
+        d[4] = k[1] * F[1] + F[3] - k[0] * F[5]
+        d[5] = -k[0] * F[2] + F[4]
+        for i in range(4, n - 1):  # W_i, i = 4..n-2, sits in row i + 2
+            row = i + 2
             if i == 4:
-                dW = -k[3] * L1
+                dW = -k[2] * F[1]
                 if n >= 7:
-                    dW = dW + k[4] * W[2]
+                    dW = dW + k[3] * F[7]
             else:
-                dW = -k[i - 1] * W[j - 1]
+                dW = -k[i - 2] * F[row - 1]
                 if i + 1 <= n - 2:
-                    dW = dW + k[i] * W[j + 1]
-            d[5 + j] = dW
+                    dW = dW + k[i - 1] * F[row + 1]
+            d[row] = dW
         return d
 
-    def _rk4_step(self, t, state, h):
-        k1 = self._rhs(t, state)
-        k2 = self._rhs(t + h / 2, state + h / 2 * k1)
-        k3 = self._rhs(t + h / 2, state + h / 2 * k2)
-        k4 = self._rhs(t + h, state + h * k3)
-        return state + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+    def _rk4_step(self, t, state, h, k=None):
+        """Classical RK4 step of length h from t (floats, or arrays over a
+        stack of states).  ``k`` holds the curvature values at t, t + h/2 and
+        t + h; they are evaluated here, in one call, when not given."""
+        if k is None:
+            stage = np.stack(np.broadcast_arrays(t, t + h / 2, t + h), axis=-1)
+            k = np.moveaxis(self.profile.values(stage.ravel()).reshape(
+                stage.shape + (-1,)), -2, 0)
+        F = state
+        if state.ndim == 3:  # rows first; curvatures broadcast over the vectors
+            F = state.swapaxes(0, 1)
+            h = np.asarray(h)[:, None]
+            k = np.moveaxis(k, -1, 1)[..., None]
+        k1 = self._rhs(k[0], F)
+        k2 = self._rhs(k[1], F + h / 2 * k1)
+        k3 = self._rhs(k[1], F + h / 2 * k2)
+        k4 = self._rhs(k[2], F + h * k3)
+        out = F + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+        return out if state.ndim == 2 else out.swapaxes(0, 1)
+
+    def _states_at(self, ts):
+        """States (m, n+1, n) on a grid: table rows, or one RK4 step from the
+        nearest node below, all off-node points in one batched step."""
+        i = np.clip(np.searchsorted(self._ts, ts, side="right") - 1,
+                    0, len(self._ts) - 1)
+        t0 = self._ts[i]
+        states = self._states[i]
+        off = np.flatnonzero(ts != t0)
+        if len(off):
+            states[off] = self._rk4_step(t0[off], states[off], ts[off] - t0[off])
+        return states
 
     @lru_cache(maxsize=65536)
     def _state_at(self, t):
-        i = int(np.clip(np.searchsorted(self._ts, t, side="right") - 1,
-                        0, len(self._ts) - 1))
-        t0 = self._ts[i]
-        state = self._states[i]
-        if t == t0:
-            return state
-        return self._rk4_step(t0, state, t - t0)
+        state = self._states_at(np.array([t]))[0]
+        state.flags.writeable = False
+        return state
 
     def frame_state(self, t):
         _check_in_domain(t, self.domain)
@@ -248,62 +318,50 @@ class FrenetCurve:
 
     def point(self, t):
         _check_in_domain(t, self.domain)
-        return self._state_at(float(t))[0].copy()
+        return self._states_at(np.array([float(t)]))[0, 0]
 
     def curvature_values(self, t):
         return self.profile.values(t)
 
-    def _derivation_rows(self, kj, order):
-        """Frenet derivative of frame row r as {target_row: Jet} couplings."""
-        n = self.dimension
-        t = kj[0].base
-        one = Jet.constant(1.0, t, order)
-        k = [None] + list(kj)  # 1-based
-        D = [dict() for _ in range(n)]
-        D[0] = {1: one}
-        D[1] = {4: one}
-        D[2] = {1: k[2]} | ({5: k[3]} if n >= 6 else {})
-        D[3] = {0: k[2], 2: one, 4: -k[1]}
-        D[4] = {1: -k[1], 3: one}
-        for row in range(5, n):
-            i = row - 1  # row holds W_i
-            if i == 4:
-                D[row] = {0: -k[3]}
-                if n >= 7:
-                    D[row][6] = k[4]
-            else:
-                D[row] = {row - 1: -k[i - 1]}
-                if i + 1 <= n - 2:
-                    D[row][row + 1] = k[i]
-        return D
+    def _chain_jets(self, ts, states, order):
+        """Vector jets from frame states through the Frenet chain.
+
+        alpha^(m) = sum_r X_m[r] F_r with X_1 = e_0 and X_{m+1} = X_m' + X_m C,
+        where C is the coupling matrix of the frame rows, a series in the
+        curvature jets.  Only the value of X_m is read, so X_1 needs m - 1
+        orders.
+        """
+        coeffs = np.empty((order + 1,) + states.shape[:1] + states.shape[2:])
+        coeffs[0] = states[:, 0]
+        if order == 0:
+            return VecJet(ts, coeffs)
+        frame_rows = states[:, 1:]
+        depth = order - 1
+        ones = np.zeros((depth + 1, len(ts)))
+        ones[0] = 1.0
+        k = np.stack([ones] + [j.coeffs for j in self.profile.jets(ts, depth)], axis=-1)
+        X = np.zeros((depth + 1,) + frame_rows.shape[:2])
+        X[0, :, 0] = 1.0
+        fact = 1.0
+        for m in range(1, order + 1):
+            fact *= m
+            coeffs[m] = np.einsum("mr,mrd->md", X[0], frame_rows) / fact
+            if m == order:
+                break
+            size = len(X) - 1
+            XC = np.einsum("jmr,crt->jmct", X[:size], self._couplings)
+            X = _weighted(X)[1:] + np.einsum("kjmc,jmct->kmt", _toeplitz(k[:size]), XC)
+        return VecJet(ts, coeffs)
+
+    def vec_jets(self, ts, order):
+        ts = np.asarray(ts, dtype=float)
+        _check_in_domain(ts, self.domain)
+        return self._chain_jets(ts, self._states_at(ts), order)
 
     def vec_jet(self, t, order):
         _check_in_domain(t, self.domain)
         t = float(t)
-        n = self.dimension
-        state = self._state_at(t)
-        frame_rows = state[1:]
-        jet_order = order + 2
-        kj = self.profile.jets(t, jet_order)
-        D = self._derivation_rows(kj, jet_order)
-        zero = Jet.constant(0.0, t, jet_order)
-        X = [zero] * n
-        X[0] = Jet.constant(1.0, t, jet_order)
-        coeffs = np.zeros((order + 1, n))
-        coeffs[0] = state[0]
-        fact = 1.0
-        for m in range(1, order + 1):
-            fact *= m
-            values = np.array([x.value for x in X])
-            coeffs[m] = (values @ frame_rows) / fact
-            if m == order:
-                break
-            Xn = [x.differentiate() for x in X]
-            for r in range(n):
-                for target, coupling in D[r].items():
-                    Xn[target] = Xn[target] + X[r] * coupling
-            X = Xn
-        return VecJet(t, coeffs)
+        return self._chain_jets(np.array([t]), self._state_at(t)[None], order).at(0)
 
     def derivatives(self, t, m):
         vj = self.vec_jet(t, m)
@@ -319,24 +377,17 @@ class FrenetCurve:
         return SampledCurve(self._ts[idx], self._states[idx, 0, :])
 
     def frame_table(self, grid):
-        rows = {"L1": [], "L2": [], "N1": [], "N2": []}
+        def sample(ts):
+            _check_in_domain(ts, self.domain)
+            return self._states_at(ts), self.curvature_values(ts)
+
+        states, curvatures = pointwise_order(sample, grid)
+        table = {"L1": states[:, 1], "L2": states[:, 2],
+                 "N1": states[:, 3], "N2": states[:, 4]}
         for j in range(self.dimension - 4):
-            rows[f"W{j + 3}"] = []
-        curvature_rows = []
-        points = []
-        for t in grid:
-            st = self.frame_state(t)
-            points.append(st.alpha)
-            rows["L1"].append(st.L1)
-            rows["L2"].append(st.L2)
-            rows["N1"].append(st.N1)
-            rows["N2"].append(st.N2)
-            for j, w in enumerate(st.W):
-                rows[f"W{j + 3}"].append(w)
-            curvature_rows.append(self.curvature_values(t))
-        table = {name: np.stack(v) for name, v in rows.items()}
-        table["points"] = np.stack(points)
-        table["curvatures"] = np.stack(curvature_rows)
+            table[f"W{j + 3}"] = states[:, 5 + j]
+        table["points"] = states[:, 0]
+        table["curvatures"] = curvatures
         return table
 
 
@@ -358,10 +409,13 @@ class OffsetCurve:
         self.dimension = base.dimension
         self.domain = base.domain
 
-    def vec_jet(self, t, order):
-        A = as_vec_jet(self.base, t, order + 3)
+    def vec_jets(self, ts, order):
+        A = as_vec_jets(self.base, ts, order + 3)
         a3 = A.differentiate().differentiate().differentiate()
         return A.truncate(order) + a3.scale(self.mu)
+
+    def vec_jet(self, t, order):
+        return self.vec_jets(np.array([float(t)]), order).at(0)
 
     def point(self, t):
         return self.vec_jet(t, 0).value
@@ -400,21 +454,23 @@ class BertrandMateResult:
     report: PairReport
 
 
-def bertrand_check(curve, grid=None, tol=1e-8):
-    """True iff the curvature maxima over the grid stay below ``tol``."""
+def _bertrand_frames(curve, grid, tol):
+    """Verdict of :func:`bertrand_check` plus the frames it was read from."""
     if curve.dimension != 5:
         raise HypothesisError("Bertrand theory here lives in dimension 5",
                               condition="dimension == 5")
-    report = require_family(curve, grid)
-    grid = report.grid
-    k1s, k2s = [], []
-    for t in grid:
-        fj = frame_jets(curve, t)
-        k1s.append(abs(fj.curvatures[0].value))
-        k2s.append(abs(fj.curvatures[1].value))
-    max_k1, max_k2 = max(k1s), max(k2s)
-    return BertrandVerdict(max_k1 < tol and max_k2 < tol, max_k1, max_k2,
-                           tuple(grid), tol)
+    grid = require_family(curve, grid).grid
+    frames = pointwise_order(lambda ts: frame_grid(curve, ts), grid)
+    max_k1 = float(np.max(np.abs(frames.curvatures[0].value)))
+    max_k2 = float(np.max(np.abs(frames.curvatures[1].value)))
+    verdict = BertrandVerdict(max_k1 < tol and max_k2 < tol, max_k1, max_k2,
+                              tuple(grid), tol)
+    return verdict, frames
+
+
+def bertrand_check(curve, grid=None, tol=1e-8):
+    """True iff the curvature maxima over the grid stay below ``tol``."""
+    return _bertrand_frames(curve, grid, tol)[0]
 
 
 def bertrand_mate(curve, mu, grid=None, tol=1e-8, force=False):
@@ -428,7 +484,7 @@ def bertrand_mate(curve, mu, grid=None, tol=1e-8, force=False):
     """
     if mu == 0.0:
         raise InputError("mu must be nonzero (the mate must be distinct)")
-    check = bertrand_check(curve, grid, tol)
+    check, frames = _bertrand_frames(curve, grid, tol)
     grid = check.grid
     if not check.verdict and not force:
         raise HypothesisError(
@@ -436,27 +492,26 @@ def bertrand_mate(curve, mu, grid=None, tol=1e-8, force=False):
             f"max|k2| = {check.max_k2:.3e} exceed tol {tol:.1e}",
             condition="k1 = k2 = 0")
     mate = OffsetCurve(curve, mu)
-    defects = []
-    sbars = []
+    w3 = frames.W[0].value
     if check.verdict:
-        for t in grid:
-            w3 = frame_jets(curve, t).W[0].value
-            w3bar = frame_jets(mate, t).W[0].value
-            defects.append(min(np.linalg.norm(w3bar - w3), np.linalg.norm(w3bar + w3)))
-            sbars.append(t)
+        w3bar = pointwise_order(lambda ts: frame_grid(mate, ts).W[0].value, grid)
+        sbars = grid
         offset = 0.0
     else:
         rep = ReparametrizedCurve(mate)
-        for t in grid:
-            w3 = frame_jets(curve, t).W[0].value
-            sbar = rep.pseudo_arc_of(t)
-            w3bar = rep.derivatives(sbar, 3)[2]
-            defects.append(min(np.linalg.norm(w3bar - w3), np.linalg.norm(w3bar + w3)))
-            sbars.append(sbar)
+
+        def matched(ts):
+            sbar = rep.pseudo_arc_of(ts)
+            return np.column_stack((sbar, rep.vec_jets(sbar, 3).derivative_value(3)))
+
+        both = pointwise_order(matched, grid)
+        sbars, w3bar = tuple(both[:, 0]), both[:, 1:]
         offset = None
-    points = np.stack([mate.point(t) for t in grid])
+    defects = np.minimum(np.linalg.norm(w3bar - w3, axis=1),
+                         np.linalg.norm(w3bar + w3, axis=1))
+    points = pointwise_order(lambda ts: points_on(mate, ts), grid)
     sampled = SampledCurve(np.asarray(grid), points)
-    report = PairReport(tuple(grid), tuple(sbars), offset, float(max(defects)),
+    report = PairReport(tuple(grid), tuple(sbars), offset, float(np.max(defects)),
                         check.verdict, check.max_k1, check.max_k2)
     return BertrandMateResult(mate, sampled, report)
 
@@ -477,16 +532,20 @@ def _sphere_coefficient_jets(kjets, n, min_curvature=MIN_CURVATURE):
     base = kjets[0].base
     order = kjets[0].order
     zero = Jet.constant(0.0, base, order)
-    k3 = kjets[2]
-    if abs(k3.value) < min_curvature:
-        raise SingularRecursionError(
-            f"k3 = {k3.value:.3e} vanishes at t={base}", index=3)
-    a = [zero, 1.0 / k3]
-    for i in range(4, n - 2):
-        ki = kjets[i - 1]
-        if abs(ki.value) < min_curvature:
+
+    def guard(i):
+        values = np.atleast_1d(kjets[i - 1].value)
+        small = np.abs(values) < min_curvature
+        if np.any(small):
+            j = int(np.argmax(small))
             raise SingularRecursionError(
-                f"k{i} = {ki.value:.3e} vanishes at t={base}", index=i)
+                f"k{i} = {values[j]:.3e} vanishes at t={np.atleast_1d(base)[j]}",
+                index=i)
+        return kjets[i - 1]
+
+    a = [zero, 1.0 / guard(3)]
+    for i in range(4, n - 2):
+        ki = guard(i)
         a.append((a[i - 3].differentiate() + a[i - 4] * kjets[i - 2]) / ki)
     return a
 
@@ -533,28 +592,26 @@ def pseudo_spherical_test(curve, grid=None, tol=1e-5, min_curvature=MIN_CURVATUR
         grid = chebyshev_grid(curve.domain[0], curve.domain[1], 17)
     grid = [float(t) for t in grid]
     metric = PseudoMetric(n)
-    a_rows, radii, centers, points = [], [], [], []
-    for t in grid:
-        fj = frame_jets(curve, t, extra_order=n)
+
+    def sample(ts):
+        fj = frame_grid(curve, ts, extra_order=n)
         k_last = fj.curvatures[-1].value
-        if abs(k_last) < min_curvature:
+        small = np.abs(k_last) < min_curvature
+        if np.any(small):
+            j = int(np.argmax(small))
             raise HypothesisError(
-                f"k_{n - 3} = {k_last:.3e} at t={t}: pseudo-sphere theorem "
-                "hypothesis fails", condition=f"k_{n - 3} != 0", location=t)
+                f"k_{n - 3} = {k_last[j]:.3e} at t={ts[j]}: pseudo-sphere theorem "
+                "hypothesis fails", condition=f"k_{n - 3} != 0", location=float(ts[j]))
         a_jets = _sphere_coefficient_jets(list(fj.curvatures), n, min_curvature)
-        a_vals = np.array([a.value for a in a_jets])
-        point = np.asarray(curve.point(t), dtype=float)
+        a_vals = np.stack([a.value for a in a_jets], axis=1)
+        point = points_on(curve, ts)
         center = point.copy()
         for i in range(2, n - 3):
-            center = center + a_vals[i - 1] * fj.W[i - 1].value
-        a_rows.append(a_vals)
-        radii.append(float(np.sum(a_vals[1:] ** 2)))
-        centers.append(center)
-        points.append(point)
-    a_values = np.stack(a_rows)
-    radius_sq = np.array(radii)
-    centers = np.stack(centers)
-    points = np.stack(points)
+            center = center + a_vals[:, i - 1, None] * fj.W[i - 1].value
+        return a_vals, point, center
+
+    a_values, points, centers = pointwise_order(sample, grid)
+    radius_sq = np.sum(a_values[:, 1:] ** 2, axis=1)
     max_radius_spread = float(radius_sq.max() - radius_sq.min())
     center_mean = centers.mean(axis=0)
     max_center_spread = float(np.max(np.abs(centers - center_mean)))
@@ -589,13 +646,17 @@ class EvoluteCurve:
         self.dimension = 6
         self.domain = base.domain
 
-    @lru_cache(maxsize=4096)
-    def vec_jet(self, t, order):
+    def vec_jets(self, ts, order):
+        ts = np.asarray(ts, dtype=float)
         extra = max(0, order + 6 - (self.dimension + 2)) + 1
-        fj = frame_jets(self.base, t, extra_order=extra)
-        A = as_vec_jet(self.base, t, order)
+        fj = frame_grid(self.base, ts, extra_order=extra)
+        A = as_vec_jets(self.base, ts, order)
         recip = 1.0 / fj.curvatures[2]
         return A.truncate(order) + fj.W[1].scale(recip).truncate(order)
+
+    @lru_cache(maxsize=4096)
+    def vec_jet(self, t, order):
+        return self.vec_jets(np.array([float(t)]), order).at(0)
 
     def point(self, t):
         return self.vec_jet(float(t), 0).value
@@ -614,6 +675,13 @@ class EvoluteResult:
     min_abs_slope: float       # min |(1/k3)'| seen on the grid
 
 
+def _first_hypothesis_failure(bad, values, ts, message, condition):
+    if np.any(bad):
+        j = int(np.argmax(bad))
+        raise HypothesisError(message.format(value=values[j], t=ts[j]),
+                              condition=condition, location=float(ts[j]))
+
+
 def evolute(curve, grid=None, min_slope=1e-8, min_curvature=MIN_CURVATURE):
     """Evolute of a family curve in dimension six, certified spacelike.
 
@@ -628,29 +696,26 @@ def evolute(curve, grid=None, min_slope=1e-8, min_curvature=MIN_CURVATURE):
     grid = [float(t) for t in grid]
     metric = PseudoMetric(6)
     E = EvoluteCurve(curve)
-    speed_defect = 0.0
-    min_abs_slope = math.inf
-    points = []
-    for t in grid:
-        fj = frame_jets(curve, t, extra_order=2)
+
+    def sample(ts):
+        fj = frame_grid(curve, ts, extra_order=2)
         k3 = fj.curvatures[2]
-        if abs(k3.value) < min_curvature:
-            raise HypothesisError(f"k3 = {k3.value:.3e} at t={t}",
-                                  condition="k3 != 0", location=t)
+        _first_hypothesis_failure(np.abs(k3.value) < min_curvature, k3.value, ts,
+                                  "k3 = {value:.3e} at t={t}", "k3 != 0")
         slope = (1.0 / k3).derivative(1)
-        if abs(slope) < min_slope:
-            raise HypothesisError(
-                f"(1/k3)' = {slope:.3e} at t={t}: evolute not regular there",
-                condition="(1/k3)' != 0", location=t)
-        min_abs_slope = min(min_abs_slope, abs(slope))
-        vj = E.vec_jet(t, 1)
+        _first_hypothesis_failure(
+            np.abs(slope) < min_slope, slope, ts,
+            "(1/k3)' = {value:.3e} at t={t}: evolute not regular there",
+            "(1/k3)' != 0")
+        vj = E.vec_jets(ts, 1)
         Ep = vj.derivative_value(1)
-        speed_defect = max(speed_defect,
-                           abs(metric.inner(Ep, Ep) - slope * slope))
-        points.append(vj.value)
-    sampled = SampledCurve(np.asarray(grid), np.stack(points))
-    return EvoluteResult(E, sampled, tuple(grid), float(speed_defect),
-                         float(min_abs_slope))
+        speed_sq = metric.inner_jet(VecJet(ts, Ep[None]), VecJet(ts, Ep[None])).value
+        return np.column_stack((slope, np.abs(speed_sq - slope * slope), vj.value))
+
+    table = pointwise_order(sample, grid)
+    sampled = SampledCurve(np.asarray(grid), table[:, 2:])
+    return EvoluteResult(E, sampled, tuple(grid), float(max(0.0, np.max(table[:, 1]))),
+                         float(np.min(np.abs(table[:, 0]))))
 
 
 class InvoluteCurve:
@@ -677,33 +742,38 @@ class InvoluteCurve:
             self._table = None
             self._s0 = 0.0
             return
-
-        def speed(t):
-            d1 = np.asarray(base.derivatives(t, 1)[0], dtype=float)
-            sq = self._metric.inner(d1, d1)
-            if sq <= 0.0:
-                raise HypothesisError(
-                    f"<c',c'> = {sq:.3e} at t={t}: curve is not spacelike",
-                    condition="<c',c'> > 0", location=t)
-            return math.sqrt(sq)
-
-        self._table = CumulativeIntegral(speed, base.domain[0], base.domain[1],
+        self._table = CumulativeIntegral(self._speed, base.domain[0], base.domain[1],
                                          intervals)
         self._s0 = self._table(self.t0)
 
+    def _speed(self, ts):
+        return pointwise_order(self._speed_block, ts, TABLE_BLOCK)
+
+    def _speed_block(self, ts):
+        d1 = as_vec_jets(self.base, ts, 1).differentiate().truncate(0)
+        sq = self._metric.inner_jet(d1, d1).value
+        _first_hypothesis_failure(sq <= 0.0, sq, ts,
+                                  "<c',c'> = {value:.3e} at t={t}: curve is not spacelike",
+                                  "<c',c'> > 0")
+        return np.sqrt(sq)
+
     def arc_length(self, t):
         if self._unit_speed:
-            return self.arc_offset + float(t) - self.t0
-        return self.arc_offset + self._table(float(t)) - self._s0
+            return self.arc_offset + np.asarray(t, dtype=float) - self.t0
+        return self.arc_offset + self._table(t) - self._s0
+
+    def vec_jets(self, ts, order):
+        ts = np.asarray(ts, dtype=float)
+        cj = as_vec_jets(self.base, ts, order + 1)
+        cp = cj.differentiate()
+        speed = self._metric.inner_jet(cp, cp).sqrt()
+        s_jet = speed.antiderivative(self.arc_length(ts))
+        T = cp.scale(1.0 / speed)
+        return cj.truncate(order) - T.scale(s_jet).truncate(order)
 
     @lru_cache(maxsize=4096)
     def vec_jet(self, t, order):
-        cj = as_vec_jet(self.base, t, order + 1)
-        cp = cj.differentiate()
-        speed = self._metric.inner_jet(cp, cp).sqrt()
-        s_jet = speed.antiderivative(self.arc_length(t))
-        T = cp.scale(1.0 / speed)
-        return cj.truncate(order) - T.scale(s_jet).truncate(order)
+        return self.vec_jets(np.array([float(t)]), order).at(0)
 
     def point(self, t):
         return self.vec_jet(float(t), 0).value
@@ -726,7 +796,7 @@ def involute(curve, t0, grid=None, arc_offset=0.0):
     if grid is None:
         grid = np.linspace(inv.domain[0], inv.domain[1], 33)
     grid = [float(t) for t in grid]
-    points = np.stack([inv.point(t) for t in grid])
+    points = pointwise_order(lambda ts: inv.vec_jets(ts, 0).value, grid)
     return InvoluteResult(inv, SampledCurve(np.asarray(grid), points), tuple(grid))
 
 
@@ -768,17 +838,19 @@ def involute_frame_check(curve, grid, k3_floor=MIN_CURVATURE, gate_tol=1e-6):
                 "min_eta_sq": math.inf, "min_prefix_rank": 5.0}
     if min(grid) <= 0.0:
         raise HypothesisError("grid must lie in s > 0", condition="s > 0")
-    for t in grid:
-        vj = as_vec_jet(curve, t, 6)
-        d = [vj.derivative_value(k) for k in range(1, 7)]
-        speed = metric.inner(d[0], d[0])
-        evidence["unit_speed"] = max(evidence["unit_speed"], abs(speed - 1.0))
-        null2 = metric.inner(d[1], d[1])
-        evidence["c2_null"] = max(evidence["c2_null"], abs(null2))
-        eta_sq = metric.inner(d[3], d[3])
-        evidence["min_eta_sq"] = min(evidence["min_eta_sq"], eta_sq)
-        rank = np.linalg.matrix_rank(np.stack(d[1:6]), tol=1e-8)
-        evidence["min_prefix_rank"] = min(evidence["min_prefix_rank"], rank)
+    s = np.asarray(grid)
+    cj = pointwise_order(lambda ts: as_vec_jets(curve, ts, 6).coeffs.swapaxes(0, 1), s)
+    d = np.stack([math.factorial(k) * cj[:, k] for k in range(1, 7)], axis=1)
+
+    def inner(x, y):
+        return np.einsum("mi,i,mi->m", x, metric.signs, y)
+
+    eta_sq = inner(d[:, 3], d[:, 3])
+    evidence["unit_speed"] = max(0.0, float(np.max(np.abs(inner(d[:, 0], d[:, 0]) - 1.0))))
+    evidence["c2_null"] = max(0.0, float(np.max(np.abs(inner(d[:, 1], d[:, 1])))))
+    evidence["min_eta_sq"] = min(math.inf, float(np.min(eta_sq)))
+    ranks = np.linalg.matrix_rank(d[:, 1:6], tol=1e-8)
+    evidence["min_prefix_rank"] = min(5.0, int(np.min(ranks)))
     if evidence["unit_speed"] > gate_tol:
         raise HypothesisError(
             f"|<c',c'> - 1| up to {evidence['unit_speed']:.3e}: parameter is "
@@ -796,41 +868,32 @@ def involute_frame_check(curve, grid, k3_floor=MIN_CURVATURE, gate_tol=1e-6):
 
     inv = InvoluteCurve(curve, curve.domain[0], arc_offset=curve.domain[0],
                         unit_speed=True)
-    null_defect = 0.0
-    third_defect = 0.0
-    for t in grid:
-        ij = inv.vec_jet(t, 3)
-        i1 = ij.derivative_value(1)
-        i3 = ij.derivative_value(3)
-        cj = as_vec_jet(curve, t, 4)
-        eta_sq = metric.inner(cj.derivative_value(4), cj.derivative_value(4))
-        null_defect = max(null_defect, abs(metric.inner(i1, i1)))
-        third_defect = max(third_defect,
-                           abs(metric.inner(i3, i3) - t * t * eta_sq))
+    ij = pointwise_order(lambda ts: inv.vec_jets(ts, 3).coeffs.swapaxes(0, 1), s)
+    i1, i3 = ij[:, 1], 6.0 * ij[:, 3]
+    null_defect = max(0.0, float(np.max(np.abs(inner(i1, i1)))))
+    third_defect = max(0.0, float(np.max(np.abs(inner(i3, i3) - s * s * eta_sq))))
 
     rep = ReparametrizedCurve(inv, intervals=192)
-    k3_err = 0.0
-    align_defect = 0.0
-    sign_votes = []
-    ev_match = 0.0
-    for t in grid:
-        nu = rep.pseudo_arc_of(t)
-        fj = frame_jets(rep, nu)
+
+    def framed(ts):
+        fj = frame_grid(rep, rep.pseudo_arc_of(ts))
         k3 = fj.curvatures[2].value
-        k3_err = max(k3_err, abs(k3 - 1.0 / t) * t)
-        W4 = fj.W[1].value
-        T = np.asarray(curve.derivatives(t, 1)[0], dtype=float)
-        plus = np.linalg.norm(W4 - T)
-        minus = np.linalg.norm(W4 + T)
-        sign_votes.append(1 if plus <= minus else -1)
-        align_defect = max(align_defect, min(plus, minus))
-        if abs(k3) < k3_floor:
-            raise HypothesisError(f"extracted k3 = {k3:.3e} at s={t}",
-                                  condition="k3 != 0", location=t)
-        E_I = inv.point(t) + W4 / k3
-        ev_match = max(ev_match, float(np.max(np.abs(E_I - np.asarray(curve.point(t))))))
-    sign = sign_votes[0]
-    if any(v != sign for v in sign_votes):
+        _first_hypothesis_failure(np.abs(k3) < k3_floor, k3, ts,
+                                  "extracted k3 = {value:.3e} at s={t}", "k3 != 0")
+        return np.column_stack((k3, fj.W[1].value))
+
+    framed_table = pointwise_order(framed, s)
+    k3, W4 = framed_table[:, 0], framed_table[:, 1:]
+    k3_err = max(0.0, float(np.max(np.abs(k3 - 1.0 / s) * s)))
+    T = d[:, 0]
+    plus = np.linalg.norm(W4 - T, axis=1)
+    minus = np.linalg.norm(W4 + T, axis=1)
+    sign_votes = np.where(plus <= minus, 1, -1)
+    align_defect = max(0.0, float(np.max(np.minimum(plus, minus))))
+    E_I = ij[:, 0] + W4 / k3[:, None]
+    ev_match = max(0.0, float(np.max(np.abs(E_I - points_on(curve, s)))))
+    sign = int(sign_votes[0])
+    if np.any(sign_votes != sign):
         raise HypothesisError("W4 alignment sign flips across the grid",
                               condition="W4 = +/- T consistently")
     return InvoluteFrameReport(tuple(grid), float(k3_err), sign,

@@ -3,19 +3,21 @@
 A curve is anything with ``dimension``, ``domain``, ``point(t)`` and
 ``derivatives(t, m)``; the symbolic :class:`Curve` evaluates parsed component
 expressions through jets, while spline-backed and construction-derived curves
-elsewhere implement the same surface.  ``classify`` checks membership in the
-nullity-sequence family {0,1,2,2,1,0,...,0} on a grid, and
-``pseudo_arc_reparam`` normalizes the parameter so the third derivative has
-unit self-product.
+elsewhere implement the same surface.  Curves built here also expose
+``vec_jets(ts, order)``, the vector jets on a whole grid in one batched pass;
+their single-point ``vec_jet(t, order)`` is the same code on a one-point grid.
+``classify`` checks membership in the nullity-sequence family
+{0,1,2,2,1,0,...,0} on a grid, and ``pseudo_arc_reparam`` normalizes the
+parameter so the third derivative has unit self-product.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 from scipy.interpolate import make_interp_spline
-from scipy.optimize import brentq
 
 from .errors import (
     ClassificationError,
@@ -23,8 +25,9 @@ from .errors import (
     ExprEvaluationError,
     FamilyError,
     InputError,
+    NullCartanError,
 )
-from .expr import Expr, VecJet, jet_compose, jet_eval, jet_invert, parse
+from .expr import Expr, Jet, Program, VecJet, jet_compose, jet_eval, jet_invert, parse
 from .metric import PseudoMetric, family_nullity_sequence
 
 __all__ = [
@@ -40,10 +43,16 @@ __all__ = [
     "pseudo_arc_reparam",
     "chebyshev_grid",
     "as_vec_jet",
+    "as_vec_jets",
+    "points_on",
+    "pointwise_order",
 ]
 
 DEFAULT_JET_BUDGET = 8
 DEFAULT_CLASSIFY_POINTS = 17
+# grid points per batched pass when a table is built; bounds the size of the
+# intermediate jets, not the result
+TABLE_BLOCK = 256
 
 
 def chebyshev_grid(a, b, m):
@@ -54,10 +63,53 @@ def chebyshev_grid(a, b, m):
 
 
 def _check_in_domain(t, domain):
+    """Raise InputError for the first parameter (of a float or array) outside."""
     a, b = domain
     slack = 1e-12 * (1.0 + abs(a) + abs(b))
-    if not (a - slack <= t <= b + slack):
-        raise InputError(f"parameter {t} outside domain [{a}, {b}]")
+    ts = np.atleast_1d(t)
+    inside = (a - slack <= ts) & (ts <= b + slack)
+    if not np.all(inside):
+        bad = float(ts[np.argmin(inside)])
+        raise InputError(f"parameter {bad} outside domain [{a}, {b}]")
+
+
+# what a pointwise evaluation raises for a point: library errors plus the
+# arithmetic and domain errors of jet operations
+_POINT_ERRORS = (NullCartanError, ArithmeticError, ValueError)
+
+
+def _bisect_first_failure(fn, ts):
+    lo, hi = 0, len(ts)  # fn(ts[:hi]) fails; fn(ts[:lo]) is empty
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        try:
+            fn(ts[:mid])
+        except _POINT_ERRORS:
+            hi = mid
+        else:
+            lo = mid
+    fn(ts[hi - 1:hi])
+
+
+def pointwise_order(fn, ts, block=None):
+    """``fn(ts)`` for a batched grid function, with pointwise error semantics.
+
+    On success this is one call (or one per block of at most ``block``
+    points, results concatenated along axis 0).  When the batch fails, the
+    error raised is the one a loop over ``ts`` in order would meet first:
+    the shortest failing prefix is found by bisection and its last point is
+    rerun alone, so the type, message and location are those of that point.
+    """
+    ts = np.asarray(ts, dtype=float)
+    if block is not None and len(ts) > block:
+        parts = np.array_split(ts, -(-len(ts) // block))
+        return np.concatenate([pointwise_order(fn, part) for part in parts])
+    try:
+        return fn(ts)
+    except _POINT_ERRORS:
+        if len(ts) > 1:
+            _bisect_first_failure(fn, ts)
+        raise
 
 
 @dataclass(frozen=True, eq=False)
@@ -65,7 +117,7 @@ class Curve:
     """Symbolic curve: n component expressions over one parameter.
 
     ``jet_budget`` caps the derivative order served by :meth:`derivatives`;
-    internal consumers that need deeper jets use :meth:`vec_jet` directly.
+    internal consumers that need deeper jets use :meth:`vec_jets` directly.
     """
 
     dimension: int
@@ -92,21 +144,27 @@ class Curve:
     def metric(self):
         return PseudoMetric(self.dimension)
 
-    def component_jets(self, t, order):
-        jets = []
-        for i, comp in enumerate(self.components):
-            try:
-                jets.append(jet_eval(comp, t, order))
-            except ExprEvaluationError as exc:
-                raise ExprEvaluationError(
-                    f"component {i}: {exc}", exc.subexpression) from None
-        return jets
+    @cached_property
+    def _program(self):
+        return Program(self.components)
+
+    def _series(self, t, order):
+        return np.stack(self._program.run(Jet.variable(t, order).coeffs), axis=-1)
+
+    def vec_jets(self, ts, order):
+        """Vector jets on a grid; an evaluation error names its component."""
+        ts = np.asarray(ts, dtype=float)
+        try:
+            return VecJet(ts, self._series(ts, order))
+        except ExprEvaluationError as exc:
+            raise ExprEvaluationError(
+                f"component {exc.output}: {exc}", exc.subexpression) from None
 
     def vec_jet(self, t, order):
-        return VecJet.from_jets(self.component_jets(t, order))
+        return self.vec_jets(np.array([float(t)]), order).at(0)
 
     def point(self, t):
-        return np.array([jet_eval(c, t, 0).value for c in self.components])
+        return self._series(float(t), 0)[0]
 
     def derivatives(self, t, m):
         """alpha^(1), ..., alpha^(m) at t."""
@@ -192,6 +250,20 @@ def as_vec_jet(curve, t, order):
     return VecJet.from_derivatives(t, curve.point(t), curve.derivatives(t, order))
 
 
+def as_vec_jets(curve, ts, order):
+    """Vector jets of any curve-like object on a grid, batched when it can."""
+    if hasattr(curve, "vec_jets"):
+        return curve.vec_jets(ts, order)
+    return VecJet.stack([as_vec_jet(curve, float(t), order) for t in ts])
+
+
+def points_on(curve, ts):
+    """Points of any curve-like object on a grid, shape (m, n)."""
+    if hasattr(curve, "vec_jets"):
+        return curve.vec_jets(ts, 0).value
+    return np.stack([np.asarray(curve.point(float(t)), dtype=float) for t in ts])
+
+
 # ---------------------------------------------------------------------------
 # Classification
 # ---------------------------------------------------------------------------
@@ -217,13 +289,14 @@ def classify(curve, grid=None, tol=1e-9):
     if grid is None:
         grid = chebyshev_grid(curve.domain[0], curve.domain[1], DEFAULT_CLASSIFY_POINTS)
     grid = [float(t) for t in grid]
-    for t in grid:
-        _check_in_domain(t, curve.domain)
-    reports = []
-    for t in grid:
-        vj = as_vec_jet(curve, t, n)
-        derivs = [vj.derivative_value(k) for k in range(1, n + 1)]
-        reports.append(metric.sequence_report(derivs, tol))
+    _check_in_domain(np.array(grid), curve.domain)
+
+    def reports_on(ts):
+        vj = as_vec_jets(curve, ts, n)
+        derivs = np.stack([vj.derivative_value(k) for k in range(1, n + 1)], axis=1)
+        return [metric.sequence_report(list(d), tol) for d in derivs]
+
+    reports = pointwise_order(reports_on, grid)
     first = reports[0]
     for t, rep in zip(grid[1:], reports[1:]):
         if rep != first:
@@ -253,8 +326,11 @@ class CumulativeIntegral:
     """Cumulative integral of a positive integrand on [a, b].
 
     Composite Simpson on a uniform fine grid (each subinterval uses its
-    midpoint), with a 5-point Gauss-Legendre tail for off-node queries.
-    Strict monotonicity of the primitive makes inversion by bracketing safe.
+    midpoint), with a 5-point Gauss-Legendre tail for off-node queries.  The
+    integrand ``f`` maps an array of parameters to an array of values; the
+    table is one call, at the nodes followed by the midpoints.  The primitive
+    is strictly increasing and ``f`` is its exact derivative, so inversion is
+    a Newton iteration safeguarded by the bracketing table cell.
     """
 
     _GL_NODES = np.array([-0.9061798459386640, -0.5384693101056831, 0.0,
@@ -262,6 +338,10 @@ class CumulativeIntegral:
     _GL_WEIGHTS = np.array([0.2369268850561891, 0.4786286704993665,
                             0.5688888888888889, 0.4786286704993665,
                             0.2369268850561891])
+    # stop when a step is below xtol + rtol |t|, the tolerances brentq used
+    _NEWTON_XTOL = 1e-14
+    _NEWTON_RTOL = 4 * np.finfo(float).eps
+    _NEWTON_MAX_STEPS = 60
 
     def __init__(self, f, a, b, intervals=512):
         if intervals < 1:
@@ -269,45 +349,98 @@ class CumulativeIntegral:
         self.f = f
         self.a = float(a)
         self.b = float(b)
-        self.nodes = np.linspace(a, b, intervals + 1)
+        points = self.sample_points(a, b, intervals)
+        values = np.asarray(f(points), dtype=float)
+        self.nodes = points[:intervals + 1]
         h = self.nodes[1] - self.nodes[0]
-        values = np.array([f(t) for t in self.nodes])
-        mids = np.array([f(t) for t in self.nodes[:-1] + h / 2])
-        pieces = h / 6.0 * (values[:-1] + 4.0 * mids + values[1:])
+        ends, mids = values[:intervals + 1], values[intervals + 1:]
+        pieces = h / 6.0 * (ends[:-1] + 4.0 * mids + ends[1:])
         self.cumulative = np.concatenate(([0.0], np.cumsum(pieces)))
 
-    def __call__(self, t):
-        t = float(t)
-        i = int(np.clip(np.searchsorted(self.nodes, t, side="right") - 1,
-                        0, len(self.nodes) - 2))
+    @staticmethod
+    def sample_points(a, b, intervals):
+        """Table nodes followed by the subinterval midpoints."""
+        nodes = np.linspace(a, b, intervals + 1)
+        h = nodes[1] - nodes[0]
+        return np.concatenate((nodes, nodes[:-1] + h / 2))
+
+    def _integral_and_rate(self, t, with_rate):
+        """Primitive at the array t (and, if asked, the integrand there),
+        from one integrand call."""
+        i = np.clip(np.searchsorted(self.nodes, t, side="right") - 1,
+                    0, len(self.nodes) - 2)
         t0 = self.nodes[i]
-        if t == t0:
-            return float(self.cumulative[i])
-        half = 0.5 * (t - t0)
-        mid = t0 + half
-        tail = half * np.dot(self._GL_WEIGHTS,
-                             [self.f(mid + half * x) for x in self._GL_NODES])
-        return float(self.cumulative[i] + tail)
+        value = self.cumulative[i]
+        off = np.flatnonzero(t != t0)
+        half = 0.5 * (t[off] - t0[off])
+        queries = [((t0[off] + half)[:, None] + half[:, None] * self._GL_NODES).ravel()]
+        if with_rate:
+            queries.append(t)
+        if len(off) or with_rate:
+            f = np.asarray(self.f(np.concatenate(queries)), dtype=float)
+            value = value.copy()
+            value[off] += half * np.sum(f[:5 * len(off)].reshape(-1, 5) * self._GL_WEIGHTS,
+                                        axis=1)
+            return value, f[5 * len(off):]
+        return value, None
+
+    def __call__(self, t):
+        scalar = np.ndim(t) == 0
+        value, _ = self._integral_and_rate(np.atleast_1d(np.asarray(t, dtype=float)),
+                                           with_rate=False)
+        return float(value[0]) if scalar else value
 
     @property
     def total(self):
         return float(self.cumulative[-1])
 
     def solve(self, target):
-        """Parameter t with integral(t) = target."""
+        """Parameter t with integral(t) = target; ``target`` may be an array."""
+        scalar = np.ndim(target) == 0
+        targets = np.atleast_1d(np.asarray(target, dtype=float))
         slack = 1e-12 * (1.0 + self.total)
-        if not -slack <= target <= self.total + slack:
-            raise InputError(f"target {target} outside the table range [0, {self.total}]")
-        target = min(max(target, 0.0), self.total)
-        i = int(np.clip(np.searchsorted(self.cumulative, target) - 1,
-                        0, len(self.nodes) - 2))
+        outside = ~((-slack <= targets) & (targets <= self.total + slack))
+        if np.any(outside):
+            bad = float(targets[np.argmax(outside)])
+            raise InputError(f"target {bad} outside the table range [0, {self.total}]")
+        targets = np.clip(targets, 0.0, self.total)
+        i = np.clip(np.searchsorted(self.cumulative, targets) - 1,
+                    0, len(self.nodes) - 2)
         lo, hi = self.nodes[i], self.nodes[i + 1]
-        flo, fhi = self(lo) - target, self(hi) - target
-        if flo >= 0.0:
-            return float(lo)
-        if fhi <= 0.0:
-            return float(hi)
-        return float(brentq(lambda t: self(t) - target, lo, hi, xtol=1e-14))
+        flo = self(lo) - targets
+        fhi = self(hi) - targets
+        t = np.where(flo >= 0.0, lo, hi)
+        active = np.flatnonzero((flo < 0.0) & (fhi > 0.0))
+        if len(active):
+            t[active] = self._newton(targets[active], lo[active], hi[active],
+                                     flo[active], fhi[active])
+        return float(t[0]) if scalar else t
+
+    def _newton(self, targets, lo, hi, flo, fhi):
+        """Roots of integral(t) - target inside sign-changing brackets."""
+        t = lo - flo * (hi - lo) / (fhi - flo)
+        out = t.copy()
+        active = np.arange(len(t))
+        for _ in range(self._NEWTON_MAX_STEPS):
+            value, rate = self._integral_and_rate(t, with_rate=True)
+            F = value - targets
+            below = F < 0.0
+            lo = np.where(below, t, lo)
+            hi = np.where(below, hi, t)
+            step = F / rate
+            newt = t - step
+            # a step that leaves the bracket is replaced by bisection
+            stray = ~((newt > lo) & (newt < hi)) | ~np.isfinite(newt)
+            newt = np.where(stray, 0.5 * (lo + hi), newt)
+            tol = self._NEWTON_XTOL + self._NEWTON_RTOL * np.abs(newt)
+            done = (F == 0.0) | (np.abs(newt - t) <= tol) | (hi - lo <= tol)
+            out[active] = np.where(F == 0.0, t, newt)
+            keep = ~done
+            active, t, targets = active[keep], newt[keep], targets[keep]
+            lo, hi = lo[keep], hi[keep]
+            if not len(active):
+                break
+        return out
 
 
 class _MonotoneReparamCurve:
@@ -331,16 +464,25 @@ class _MonotoneReparamCurve:
             origin = base.domain[0] if self._origin_from_domain else 0.0
         self.origin = float(origin)
         a, b = base.domain
-        probe = np.linspace(a, b, 2 * intervals + 1)
-        vals = np.array([self._rate_square(t) for t in probe])
-        if np.any(vals <= 0.0):
-            bad = probe[int(np.argmin(vals))]
-            raise FamilyError(
-                f"{self._rate_name} = {vals.min():.3e} <= 0 near t={bad}: "
-                "monotone reparametrization impossible")
-        self._table = CumulativeIntegral(
-            lambda t: self._rate_square(t) ** self._rate_power, a, b, intervals)
+        self._table = CumulativeIntegral(self._rate, a, b, intervals)
         self.domain = (self.origin, self.origin + self._table.total)
+
+    def _rate(self, ts):
+        """Rate at an array of parameters, refusing a nonpositive squared rate.
+
+        The squared rate is taken in ascending parameter order, the order of
+        the positivity probe: for a table these are its nodes and midpoints,
+        so the values the probe checks are the values integrated.
+        """
+        order = np.argsort(ts, kind="stable")
+        sq = np.empty(len(ts))
+        sq[order] = pointwise_order(self._rate_square, ts[order], TABLE_BLOCK)
+        if np.any(sq <= 0.0):
+            worst = order[np.argmin(sq[order])]
+            raise FamilyError(
+                f"{self._rate_name} = {sq[worst]:.3e} <= 0 near t={float(ts[worst])}: "
+                "monotone reparametrization impossible")
+        return sq ** self._rate_power
 
     def _rate_square(self, t):
         raise NotImplementedError
@@ -352,21 +494,22 @@ class _MonotoneReparamCurve:
         return self.origin + self._table(t)
 
     def parameter_of(self, s):
-        return self._table.solve(float(s) - self.origin)
+        return self._table.solve(np.asarray(s, dtype=float) - self.origin)
 
     def point(self, s):
-        return np.asarray(self.base.point(self.parameter_of(s)), dtype=float)
+        return np.asarray(self.base.point(self.parameter_of(float(s))), dtype=float)
+
+    def vec_jets(self, ss, order):
+        ss = np.asarray(ss, dtype=float)
+        ts = self.parameter_of(ss)
+        g = self._rate_square_jet(ts, order + 1)
+        rate = (g.log() * self._rate_power).exp()
+        phi = rate.antiderivative(ss).truncate(order)
+        psi = jet_invert(phi)
+        return jet_compose(as_vec_jets(self.base, ts, order), psi)
 
     def vec_jet(self, s, order):
-        t = self.parameter_of(s)
-        g = self._rate_square_jet(t, order + 1)
-        rate = (g.log() * self._rate_power).exp()
-        phi = rate.antiderivative(float(s)).truncate(order)
-        psi = jet_invert(phi)
-        base_jets = as_vec_jet(self.base, t, order)
-        comps = [jet_compose(base_jets.component(i), psi)
-                 for i in range(self.dimension)]
-        return VecJet.from_jets(comps)
+        return self.vec_jets(np.array([float(s)]), order).at(0)
 
     def derivatives(self, s, m):
         vj = self.vec_jet(s, m)
@@ -389,12 +532,12 @@ class ReparametrizedCurve(_MonotoneReparamCurve):
         return self.new_parameter_of(t)
 
     def _rate_square(self, t):
-        vj = as_vec_jet(self.base, t, 3)
-        a3 = VecJet(t, vj.coeffs[3:4] * 6.0)
+        vj = as_vec_jets(self.base, t, 3)
+        a3 = VecJet(vj.base, vj.coeffs[3:4] * 6.0)
         return self._metric.inner_jet(a3, a3).value
 
     def _rate_square_jet(self, t, order):
-        vj = as_vec_jet(self.base, t, order + 3)
+        vj = as_vec_jets(self.base, t, order + 3)
         a3 = vj.differentiate().differentiate().differentiate()
         return self._metric.inner_jet(a3, a3)
 
@@ -409,11 +552,11 @@ class ArcLengthCurve(_MonotoneReparamCurve):
         return self.new_parameter_of(t)
 
     def _rate_square(self, t):
-        d1 = np.asarray(self.base.derivatives(t, 1)[0], dtype=float)
-        return self._metric.inner(d1, d1)
+        d1 = as_vec_jets(self.base, t, 1).differentiate()
+        return self._metric.inner_jet(d1, d1).value
 
     def _rate_square_jet(self, t, order):
-        d1 = as_vec_jet(self.base, t, order + 1).differentiate()
+        d1 = as_vec_jets(self.base, t, order + 1).differentiate()
         return self._metric.inner_jet(d1, d1)
 
 
@@ -437,12 +580,12 @@ class MappedCurve:
         return np.asarray(self.base.point(jet_eval(self.mapping, s, 0).value),
                           dtype=float)
 
+    def vec_jets(self, ss, order):
+        g = jet_eval(self.mapping, np.asarray(ss, dtype=float), order)
+        return jet_compose(as_vec_jets(self.base, g.value, order), g)
+
     def vec_jet(self, s, order):
-        g = jet_eval(self.mapping, float(s), order)
-        base_jets = as_vec_jet(self.base, g.value, order)
-        comps = [jet_compose(base_jets.component(i), g)
-                 for i in range(self.dimension)]
-        return VecJet.from_jets(comps)
+        return self.vec_jets(np.array([float(s)]), order).at(0)
 
     def derivatives(self, s, m):
         vj = self.vec_jet(s, m)
@@ -471,11 +614,16 @@ def pseudo_arc_reparam(curve, grid_density=129, tol=1e-9, classify_grid=None):
     require_family(curve, classify_grid, tol)
     rep = ReparametrizedCurve(curve, intervals=max(512, 4 * grid_density))
     table_t = np.linspace(curve.domain[0], curve.domain[1], grid_density)
-    table_s = np.array([rep.pseudo_arc_of(t) for t in table_t])
+    table_s = pointwise_order(rep.pseudo_arc_of, table_t)
     sbar_grid = np.linspace(rep.domain[0], rep.domain[1], grid_density)
-    params = np.array([rep.parameter_of(s) for s in sbar_grid])
-    points = np.stack([np.asarray(curve.point(t), dtype=float) for t in params])
-    stacks = np.stack([rep.derivatives(float(s), 3) for s in sbar_grid])
+    params = pointwise_order(rep.parameter_of, sbar_grid)
+    points = pointwise_order(lambda ts: points_on(curve, ts), params)
+
+    def derivative_stacks(ss):
+        vj = rep.vec_jets(ss, 3)
+        return np.stack([vj.derivative_value(k) for k in range(1, 4)], axis=1)
+
+    stacks = pointwise_order(derivative_stacks, sbar_grid)
     sampled = SampledCurve(sbar_grid, points, stacks)
     metric = PseudoMetric(curve.dimension)
     spline = make_interp_spline(sbar_grid, points, k=5)

@@ -2,9 +2,23 @@
 
 Curve components are written in a small expression language, e.g.
 ``(s - s^5)/(4*sqrt(15))``.  Evaluation propagates truncated Taylor series
-("jets") through the expression tree, so derivatives up to any requested
-order come out exact to rounding instead of degrading the way finite
-differences do.  A jet stores the coefficients ``c_k = f^(k)(base)/k!``.
+("jets") through the expression, so derivatives up to any requested order
+come out exact to rounding instead of degrading the way finite differences
+do.  A jet stores the coefficients ``c_k = f^(k)(base)/k!``.
+
+Jets carry an optional batch axis after the order axis: a :class:`Jet` has
+coefficients of shape ``(K+1,)`` at one base point or ``(K+1, m)`` at a grid
+of ``m`` base points, and a :class:`VecJet` has ``(K+1, n)`` or
+``(K+1, m, n)``.  Every operation is written once, over whatever batch shape
+its operands carry, so a whole grid is one numpy pass per operation.  The
+scalar entry points (``jet_eval`` at a float base, a single-point
+``vec_jet``) are the same code with the batch axis absent or of length one.
+
+Each parsed expression (or tuple of expressions, e.g. the components of a
+curve) is compiled once into a flat op list: constant subtrees are folded
+to numbers, repeated subtrees are evaluated once, and registers are released
+after their last use.  An evaluation error names the same subexpression the
+tree walk would have reached first.
 
 Grammar (``^`` takes a literal integer exponent and binds tighter than unary
 minus; ``sqrt`` covers half powers)::
@@ -21,6 +35,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -30,6 +45,7 @@ __all__ = [
     "Jet",
     "VecJet",
     "Expr",
+    "Program",
     "parse",
     "jet_eval",
     "derivative",
@@ -39,37 +55,229 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# Jets
+# Series kernels: coefficient arrays of shape (K+1, *batch), order axis first
 # ---------------------------------------------------------------------------
 
-def _as_coeffs(x, order):
-    c = np.zeros(order + 1)
-    c[0] = float(x)
+@lru_cache(maxsize=None)
+def _toeplitz_index(size):
+    """Gather index of the lower-triangular Toeplitz matrix; ``size`` picks
+    the zero row appended by :func:`_toeplitz`."""
+    idx = np.full((size, size), size)
+    for k in range(size):
+        idx[k, :k + 1] = np.arange(k, -1, -1)
+    return idx
+
+
+@lru_cache(maxsize=None)
+def _antidiagonal_sum(size):
+    """(size*size, size) 0/1 matrix that sums P[j, l] over j + l = k."""
+    T = np.zeros((size, size, size))
+    for j in range(size):
+        for k in range(j, size):
+            T[j, k - j, k] = 1.0
+    return T.reshape(size * size, size)
+
+
+def _toeplitz(a):
+    """``T[k, j] = a[k - j]`` for ``j <= k`` and 0 above; trailing axes kept."""
+    padded = np.concatenate((a, np.zeros((1,) + a.shape[1:])))
+    return padded[_toeplitz_index(len(a))]
+
+
+def _mul(a, b):
+    """Cauchy product along axis 0, truncated to the shorter series."""
+    size = min(len(a), len(b))
+    return np.einsum("j...,kj...->k...", a[:size], _toeplitz(b[:size]))
+
+
+def _scale(s, v):
+    """Cauchy product of scalar series (K+1, *b) with vector series (K+1, *b, n)."""
+    size = min(len(s), len(v))
+    S = _toeplitz(s[:size])
+    v = v[:size]
+    if v.ndim == 2:
+        return S @ v
+    return np.matmul(S.transpose(2, 0, 1), v.swapaxes(0, 1)).swapaxes(0, 1)
+
+
+def _weighted_inner(a, b, weights):
+    """Series of ``sum_i w_i a_i b_i`` for vector series of equal batch shape."""
+    size = min(len(a), len(b))
+    a = a[:size]
+    wb = b[:size] * weights
+    T = _antidiagonal_sum(size)
+    if a.ndim == 2:
+        return (a @ wb.T).reshape(-1) @ T
+    P = np.matmul(a.swapaxes(0, 1), wb.transpose(1, 2, 0))  # (m, size, size)
+    return (P.reshape(len(P), -1) @ T).T
+
+
+def _constant(value, like):
+    c = np.zeros(like.shape)
+    c[0] = value
     return c
 
+
+def _div(a, b):
+    size = min(len(a), len(b))
+    b0 = b[0]
+    if np.any(b0 == 0.0):
+        raise ZeroDivisionError("division by a jet with zero constant term")
+    h = np.empty(np.broadcast_shapes(a[:size].shape, b[:size].shape))
+    h[0] = a[0] / b0
+    for k in range(1, size):
+        h[k] = (a[k] - np.einsum("j...,j...->...", h[:k], b[k:0:-1])) / b0
+    return h
+
+
+def _div_number(a, c):
+    """Series divided by a constant series: the recurrence reduces to a / c."""
+    if c == 0.0:
+        raise ZeroDivisionError("division by a jet with zero constant term")
+    return a / c
+
+
+def _pow(a, p):
+    if p < 0:
+        a = _div(_constant(1.0, a), a)
+        p = -p
+    result = None
+    square = a
+    while p:
+        if p & 1:
+            result = square if result is None else _mul(result, square)
+        p >>= 1
+        if p:
+            square = _mul(square, square)
+    return _constant(1.0, a) if result is None else result
+
+
+def _weighted(f):
+    """Rows ``j * f_j`` (the series of t f'(t) shifted), for the ODE recurrences."""
+    return f * np.arange(len(f)).reshape((-1,) + (1,) * (f.ndim - 1))
+
+
+def _sqrt(f):
+    if np.any(f[0] <= 0.0):
+        raise ValueError("sqrt of a jet with nonpositive constant term")
+    h = np.empty_like(f)
+    h[0] = np.sqrt(f[0])
+    for k in range(1, len(f)):
+        acc = f[k]
+        if k >= 2:
+            acc = acc - np.einsum("j...,j...->...", h[1:k], h[k - 1:0:-1])
+        h[k] = acc / (2.0 * h[0])
+    return h
+
+
+def _exp(f):
+    h = np.empty_like(f)
+    with np.errstate(over="ignore"):
+        h[0] = np.exp(f[0])
+    if np.any(np.isinf(h[0]) & np.isfinite(f[0])):
+        raise OverflowError("math range error")
+    jf = _weighted(f)
+    for k in range(1, len(f)):
+        h[k] = np.einsum("j...,j...->...", jf[1:k + 1], h[k - 1::-1]) / k
+    return h
+
+
+def _log(f):
+    if np.any(f[0] <= 0.0):
+        raise ValueError("log of a jet with nonpositive constant term")
+    h = np.empty_like(f)
+    h[0] = np.log(f[0])
+    for k in range(1, len(f)):
+        acc = f[k]
+        if k >= 2:
+            jh = _weighted(h[:k])
+            acc = acc - np.einsum("j...,j...->...", jh[1:k], f[k - 1:0:-1]) / k
+        h[k] = acc / f[0]
+    return h
+
+
+def _sincos(f):
+    s = np.empty_like(f)
+    c = np.empty_like(f)
+    s[0], c[0] = np.sin(f[0]), np.cos(f[0])
+    jf = _weighted(f)
+    for k in range(1, len(f)):
+        s[k] = np.einsum("j...,j...->...", jf[1:k + 1], c[k - 1::-1]) / k
+        c[k] = -np.einsum("j...,j...->...", jf[1:k + 1], s[k - 1::-1]) / k
+    return s, c
+
+
+_CALLS = {
+    "sqrt": _sqrt,
+    "exp": _exp,
+    "log": _log,
+    "sin": lambda f: _sincos(f)[0],
+    "cos": lambda f: _sincos(f)[1],
+}
+
+
+def _compose(outer, inner):
+    """Horner evaluation of series ``outer`` at ``inner - inner[0]``.
+
+    ``outer`` may carry one trailing vector axis more than ``inner``.
+    """
+    K = min(len(outer), len(inner)) - 1
+    shifted = inner[:K + 1].copy()
+    shifted[0] = 0.0
+    vector = outer.ndim > inner.ndim
+    result = np.zeros((K + 1,) + np.broadcast_shapes(
+        outer.shape[1:], shifted.shape[1:] + ((1,) if vector else ())))
+    result[0] = outer[K]
+    for k in range(K - 1, -1, -1):
+        result = _scale(shifted, result) if vector else _mul(result, shifted)
+        result[0] += outer[k]
+    return result
+
+
+def _same_base(a, b):
+    if a is b:
+        return True
+    if np.ndim(a) == 0 and np.ndim(b) == 0:
+        return a == b
+    return np.shape(a) == np.shape(b) and bool(np.all(np.equal(a, b)))
+
+
+def _batch_value(c0):
+    return float(c0) if c0.ndim == 0 else c0.copy()
+
+
+# ---------------------------------------------------------------------------
+# Jets
+# ---------------------------------------------------------------------------
 
 @dataclass(frozen=True, eq=False)
 class Jet:
     """Truncated Taylor expansion of a scalar function at ``base``.
 
-    ``coeffs[k]`` is ``f^(k)(base)/k!``.  Arithmetic between two jets
-    requires a common base point and truncates to the shorter order.
+    ``coeffs[k]`` is ``f^(k)(base)/k!``.  ``base`` is a float with coeffs of
+    shape ``(K+1,)``, or an array of m points with coeffs ``(K+1, m)``.
+    Arithmetic between two jets requires a common base and truncates to the
+    shorter order.
     """
 
-    base: float
+    base: float | np.ndarray
     coeffs: np.ndarray
 
     @classmethod
     def variable(cls, base, order):
-        c = np.zeros(order + 1)
-        c[0] = float(base)
+        base = float(base) if np.ndim(base) == 0 else np.asarray(base, dtype=float)
+        c = np.zeros((order + 1,) + np.shape(base))
+        c[0] = base
         if order >= 1:
             c[1] = 1.0
-        return cls(float(base), c)
+        return cls(base, c)
 
     @classmethod
     def constant(cls, value, base, order):
-        return cls(float(base), _as_coeffs(value, order))
+        base = float(base) if np.ndim(base) == 0 else np.asarray(base, dtype=float)
+        c = np.zeros((order + 1,) + np.shape(base))
+        c[0] = value
+        return cls(base, c)
 
     @property
     def order(self):
@@ -77,25 +285,31 @@ class Jet:
 
     @property
     def value(self):
-        return float(self.coeffs[0])
+        """f(base): a float, or an array over the batch."""
+        return _batch_value(self.coeffs[0])
+
+    def at(self, i):
+        """The jet at the i-th base point of a batch."""
+        return Jet(float(self.base[i]), self.coeffs[:, i].copy())
 
     def derivative(self, k):
         """k-th derivative value at the base point, ``k! * coeffs[k]``."""
         if not 0 <= k <= self.order:
             raise ValueError(f"derivative order {k} outside jet order {self.order}")
-        return math.factorial(k) * float(self.coeffs[k])
+        return math.factorial(k) * _batch_value(self.coeffs[k])
 
     def differentiate(self):
         """Jet of f' at the same base, one order lower."""
         if self.order < 1:
             raise ValueError("cannot differentiate an order-0 jet")
-        k = np.arange(1, self.order + 1)
-        return Jet(self.base, self.coeffs[1:] * k)
+        return Jet(self.base, _weighted(self.coeffs)[1:])
 
     def antiderivative(self, constant):
         """Jet of the antiderivative with value ``constant`` at the base."""
-        k = np.arange(1, self.order + 2)
-        c = np.concatenate(([float(constant)], self.coeffs / k))
+        k = np.arange(1, self.order + 2).reshape((-1,) + (1,) * (self.coeffs.ndim - 1))
+        c = np.empty((self.order + 2,) + self.coeffs.shape[1:])
+        c[0] = constant
+        c[1:] = self.coeffs / k
         return Jet(self.base, c)
 
     def truncate(self, order):
@@ -107,50 +321,48 @@ class Jet:
 
     def _coerce(self, other):
         if isinstance(other, Jet):
-            if other.base != self.base:
+            if not _same_base(other.base, self.base):
                 raise ValueError("jet bases differ")
             return other
-        return Jet.constant(other, self.base, self.order)
+        return Jet(self.base, _constant(float(other), self.coeffs))
 
     def _pair(self, other):
         other = self._coerce(other)
-        K = min(self.order, other.order)
-        return self.coeffs[: K + 1], other.coeffs[: K + 1], K
+        size = min(len(self.coeffs), len(other.coeffs))
+        return self.coeffs[:size], other.coeffs[:size]
 
     def __add__(self, other):
-        a, b, _ = self._pair(other)
+        if not isinstance(other, Jet):
+            c = self.coeffs.copy()
+            c[0] += float(other)
+            return Jet(self.base, c)
+        a, b = self._pair(other)
         return Jet(self.base, a + b)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        a, b, _ = self._pair(other)
+        a, b = self._pair(other)
         return Jet(self.base, a - b)
 
     def __rsub__(self, other):
-        a, b, _ = self._pair(other)
+        a, b = self._pair(other)
         return Jet(self.base, b - a)
 
     def __neg__(self):
         return Jet(self.base, -self.coeffs)
 
     def __mul__(self, other):
-        a, b, K = self._pair(other)
-        return Jet(self.base, np.convolve(a, b)[: K + 1])
+        if not isinstance(other, Jet):
+            return Jet(self.base, self.coeffs * float(other))
+        a, b = self._pair(other)
+        return Jet(self.base, _mul(a, b))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        a, b, K = self._pair(other)
-        if b[0] == 0.0:
-            raise ZeroDivisionError("division by a jet with zero constant term")
-        h = np.zeros(K + 1)
-        for k in range(K + 1):
-            acc = a[k]
-            if k:
-                acc -= np.dot(h[:k], b[k:0:-1])
-            h[k] = acc / b[0]
-        return Jet(self.base, h)
+        a, b = self._pair(other)
+        return Jet(self.base, _div(a, b))
 
     def __rtruediv__(self, other):
         return self._coerce(other).__truediv__(self)
@@ -158,74 +370,24 @@ class Jet:
     def __pow__(self, p):
         if not isinstance(p, (int, np.integer)):
             raise TypeError("jet powers take integer exponents only")
-        if p < 0:
-            return (1.0 / self) ** (-p)
-        result = Jet.constant(1.0, self.base, self.order)
-        square = self
-        p = int(p)
-        while p:
-            if p & 1:
-                result = result * square
-            p >>= 1
-            if p:
-                square = square * square
-        return result
+        return Jet(self.base, _pow(self.coeffs, int(p)))
 
     # -- elementary functions ------------------------------------------------
 
     def sqrt(self):
-        f = self.coeffs
-        if f[0] <= 0.0:
-            raise ValueError("sqrt of a jet with nonpositive constant term")
-        h = np.zeros_like(f)
-        h[0] = math.sqrt(f[0])
-        for k in range(1, len(f)):
-            acc = f[k]
-            if k >= 2:
-                acc -= np.dot(h[1:k], h[k - 1:0:-1])
-            h[k] = acc / (2.0 * h[0])
-        return Jet(self.base, h)
+        return Jet(self.base, _sqrt(self.coeffs))
 
     def exp(self):
-        f = self.coeffs
-        h = np.zeros_like(f)
-        h[0] = math.exp(f[0])
-        for k in range(1, len(f)):
-            j = np.arange(1, k + 1)
-            h[k] = np.dot(j * f[1: k + 1], h[k - 1::-1][: k]) / k
-        return Jet(self.base, h)
+        return Jet(self.base, _exp(self.coeffs))
 
     def log(self):
-        f = self.coeffs
-        if f[0] <= 0.0:
-            raise ValueError("log of a jet with nonpositive constant term")
-        h = np.zeros_like(f)
-        h[0] = math.log(f[0])
-        for k in range(1, len(f)):
-            acc = f[k]
-            if k >= 2:
-                j = np.arange(1, k)
-                acc -= np.dot(j * h[1:k], f[k - 1:0:-1]) / k
-            h[k] = acc / f[0]
-        return Jet(self.base, h)
-
-    def _sincos(self):
-        f = self.coeffs
-        s = np.zeros_like(f)
-        c = np.zeros_like(f)
-        s[0], c[0] = math.sin(f[0]), math.cos(f[0])
-        for k in range(1, len(f)):
-            j = np.arange(1, k + 1)
-            fj = j * f[1: k + 1]
-            s[k] = np.dot(fj, c[k - 1::-1][: k]) / k
-            c[k] = -np.dot(fj, s[k - 1::-1][: k]) / k
-        return Jet(self.base, s), Jet(self.base, c)
+        return Jet(self.base, _log(self.coeffs))
 
     def sin(self):
-        return self._sincos()[0]
+        return Jet(self.base, _sincos(self.coeffs)[0])
 
     def cos(self):
-        return self._sincos()[1]
+        return Jet(self.base, _sincos(self.coeffs)[1])
 
 
 def derivative(jet, k):
@@ -237,18 +399,13 @@ def jet_compose(outer, inner):
     """Jet of ``outer o inner`` at ``inner.base``.
 
     ``inner.value`` must equal ``outer.base`` (the expansion points line up).
-    Evaluated by Horner's scheme on the truncated series.
+    ``outer`` may be a :class:`VecJet`, composed componentwise.  Evaluated by
+    Horner's scheme on the truncated series.
     """
-    if not math.isclose(inner.value, outer.base, rel_tol=0.0, abs_tol=1e-9 * (1 + abs(outer.base))):
+    gap = np.abs(np.asarray(inner.value) - outer.base)
+    if np.any(gap > 1e-9 * (1 + np.abs(outer.base))):
         raise ValueError("composition base mismatch")
-    K = min(outer.order, inner.order)
-    shifted_coeffs = inner.coeffs[: K + 1].copy()
-    shifted_coeffs[0] = 0.0
-    shifted = Jet(inner.base, shifted_coeffs)
-    result = Jet.constant(outer.coeffs[K], inner.base, K)
-    for k in range(K - 1, -1, -1):
-        result = result * shifted + float(outer.coeffs[k])
-    return result
+    return type(outer)(inner.base, _compose(outer.coeffs, inner.coeffs))
 
 
 def jet_invert(phi):
@@ -260,20 +417,20 @@ def jet_invert(phi):
     """
     b = phi.coeffs
     K = phi.order
-    if K < 1 or b[1] == 0.0:
+    if K < 1 or np.any(b[1] == 0.0):
         raise ValueError("inverse series needs a nonzero first-order coefficient")
-    c = np.zeros(K + 1)
+    c = np.zeros(b.shape)
     c[0] = phi.base
     c[1] = 1.0 / b[1]
     for m in range(2, K + 1):
         # residual at order m from the k >= 2 part of phi, using c_{<m}
-        d = np.zeros(m + 1)
+        d = np.zeros((m + 1,) + b.shape[1:])
         d[1:m] = c[1:m]
-        power = d.copy()
+        power = d
         acc = 0.0
         for k in range(2, m + 1):
-            power = np.convolve(power, d)[: m + 1]
-            acc += b[k] * power[m]
+            power = _mul(power, d)
+            acc = acc + b[k] * power[m]
         c[m] = -acc / b[1]
     return Jet(phi.value, c)
 
@@ -286,11 +443,12 @@ def jet_invert(phi):
 class VecJet:
     """Truncated Taylor expansion of a vector-valued function.
 
-    ``coeffs[k]`` is the vector ``F^(k)(base)/k!``; row 0 is the value.
+    ``coeffs[k]`` is the vector ``F^(k)(base)/k!``; row 0 is the value.  The
+    shape is ``(K+1, n)`` at one base point and ``(K+1, m, n)`` on a grid.
     """
 
-    base: float
-    coeffs: np.ndarray  # shape (order + 1, dim)
+    base: float | np.ndarray
+    coeffs: np.ndarray
 
     @classmethod
     def from_derivatives(cls, base, value, derivs):
@@ -300,10 +458,10 @@ class VecJet:
         return cls(float(base), np.stack(rows))
 
     @classmethod
-    def from_jets(cls, jets):
-        K = min(j.order for j in jets)
-        cols = [j.coeffs[: K + 1] for j in jets]
-        return cls(jets[0].base, np.stack(cols, axis=1))
+    def stack(cls, vecjets):
+        """Batch of single-point vector jets (one order) along a new grid axis."""
+        return cls(np.array([v.base for v in vecjets], dtype=float),
+                   np.stack([v.coeffs for v in vecjets], axis=1))
 
     @property
     def order(self):
@@ -311,21 +469,24 @@ class VecJet:
 
     @property
     def dim(self):
-        return self.coeffs.shape[1]
+        return self.coeffs.shape[-1]
 
     @property
     def value(self):
         return self.coeffs[0].copy()
 
+    def at(self, i):
+        """The vector jet at the i-th base point of a batch."""
+        return VecJet(float(self.base[i]), self.coeffs[:, i].copy())
+
     def derivative_value(self, k):
         return math.factorial(k) * self.coeffs[k]
 
     def component(self, i):
-        return Jet(self.base, self.coeffs[:, i].copy())
+        return Jet(self.base, self.coeffs[..., i].copy())
 
     def differentiate(self):
-        k = np.arange(1, self.order + 1)[:, None]
-        return VecJet(self.base, self.coeffs[1:] * k)
+        return VecJet(self.base, _weighted(self.coeffs)[1:])
 
     def truncate(self, order):
         if order >= self.order:
@@ -351,21 +512,12 @@ class VecJet:
         """Multiply by a scalar jet (or plain number) coefficientwise."""
         if not isinstance(s, Jet):
             return VecJet(self.base, float(s) * self.coeffs)
-        K = min(self.order, s.order)
-        out = np.zeros((K + 1, self.dim))
-        for k in range(K + 1):
-            out[k] = s.coeffs[: k + 1][::-1] @ self.coeffs[: k + 1]
-        return VecJet(self.base, out)
+        return VecJet(self.base, _scale(s.coeffs, self.coeffs))
 
     def weighted_inner(self, other, weights):
         """Jet of ``sum_i weights[i] * self_i(t) * other_i(t)``."""
-        a, b = self._pair(other)
-        wb = b * np.asarray(weights)
-        K = a.shape[0] - 1
-        out = np.zeros(K + 1)
-        for k in range(K + 1):
-            out[k] = np.sum(a[: k + 1][::-1] * wb[: k + 1])
-        return Jet(self.base, out)
+        return Jet(self.base, _weighted_inner(self.coeffs, other.coeffs,
+                                              np.asarray(weights)))
 
 
 # ---------------------------------------------------------------------------
@@ -376,7 +528,9 @@ class Expr:
     """Base class for expression nodes; see module docstring for the grammar."""
 
     def evaluate(self, param):
-        raise NotImplementedError
+        """Jet of the expression with the parameter replaced by the jet ``param``."""
+        program = _program_of(self)
+        return Jet(param.base, program.run(param.coeffs)[0])
 
     def substitute(self, replacement):
         """Replace every parameter occurrence with another expression."""
@@ -390,9 +544,6 @@ class Expr:
 class Num(Expr):
     value: float
 
-    def evaluate(self, param):
-        return Jet.constant(self.value, param.base, param.order)
-
     def substitute(self, replacement):
         return self
 
@@ -404,9 +555,6 @@ class Num(Expr):
 class Param(Expr):
     name: str
 
-    def evaluate(self, param):
-        return param
-
     def substitute(self, replacement):
         return replacement
 
@@ -417,9 +565,6 @@ class Param(Expr):
 @dataclass(frozen=True)
 class Neg(Expr):
     arg: Expr
-
-    def evaluate(self, param):
-        return -self.arg.evaluate(param)
 
     def substitute(self, replacement):
         return Neg(self.arg.substitute(replacement))
@@ -434,20 +579,6 @@ class BinOp(Expr):
     left: Expr
     right: Expr
 
-    def evaluate(self, param):
-        a = self.left.evaluate(param)
-        b = self.right.evaluate(param)
-        try:
-            if self.op == "+":
-                return a + b
-            if self.op == "-":
-                return a - b
-            if self.op == "*":
-                return a * b
-            return a / b
-        except ZeroDivisionError as exc:
-            raise ExprEvaluationError(str(exc), str(self)) from None
-
     def substitute(self, replacement):
         return BinOp(self.op, self.left.substitute(replacement),
                      self.right.substitute(replacement))
@@ -461,12 +592,6 @@ class IntPow(Expr):
     arg: Expr
     exponent: int
 
-    def evaluate(self, param):
-        try:
-            return self.arg.evaluate(param) ** self.exponent
-        except ZeroDivisionError as exc:
-            raise ExprEvaluationError(str(exc), str(self)) from None
-
     def substitute(self, replacement):
         return IntPow(self.arg.substitute(replacement), self.exponent)
 
@@ -479,18 +604,202 @@ class Call(Expr):
     func: str
     arg: Expr
 
-    def evaluate(self, param):
-        inner = self.arg.evaluate(param)
-        try:
-            return getattr(inner, self.func)()
-        except ValueError as exc:
-            raise ExprEvaluationError(str(exc), str(self)) from None
-
     def substitute(self, replacement):
         return Call(self.func, self.arg.substitute(replacement))
 
     def __str__(self):
         return f"{self.func}({self.arg})"
+
+
+# ---------------------------------------------------------------------------
+# Compilation to a flat op list
+# ---------------------------------------------------------------------------
+
+def _fold_pow(v, p):
+    """Integer power of a number in the order the series kernel multiplies."""
+    if p < 0:
+        v = 1.0 / v
+        p = -p
+    result = None
+    square = v
+    while p:
+        if p & 1:
+            result = square if result is None else result * square
+        p >>= 1
+        if p:
+            square = square * square
+    return 1.0 if result is None else result
+
+
+_FOLD_BINOP = {"+": lambda a, b: a + b, "-": lambda a, b: a - b,
+               "*": lambda a, b: a * b, "/": lambda a, b: a / b}
+
+
+def _fold_call(func, v):
+    if func in ("sqrt", "log") and v <= 0.0:
+        raise ValueError(func)
+    return getattr(math, func)(v)
+
+
+# op kinds whose failures the tree walk reported as evaluation errors:
+# ZeroDivisionError from divisions and powers, ValueError from functions
+_DIVISION_OPS = ("div", "cdiv", "divc", "pow")
+
+
+def _shift(x, c):
+    out = x.copy()
+    out[0] += c
+    return out
+
+
+_KERNELS = {
+    "neg": lambda x: -x,
+    "add": lambda x, y: x + y,
+    "sub": lambda x, y: x - y,
+    "mul": _mul,
+    "div": _div,
+    "addc": _shift,
+    "csub": lambda x, c: _shift(-x, c),
+    "mulc": lambda x, c: x * c,
+    "divc": lambda x, c: _div_number(x, c),
+    "cdiv": lambda x, c: _div(_constant(c, x), x),
+    "pow": _pow,
+    **_CALLS,
+}
+
+
+class Program:
+    """Expressions in one parameter compiled to a flat op list.
+
+    Each op reads registers (register 0 is the parameter series) plus at most
+    one number folded from a constant subtree, and writes one new register.
+    A subtree that occurs more than once is evaluated once, and a register
+    is dropped after the op that reads it last.  ``run`` maps a parameter
+    series of shape (K+1, *batch) to one series per expression.
+    """
+
+    def __init__(self, exprs):
+        self._ops = []  # (kind, input registers, number, node, output index)
+        self._memo = {}
+        self._outputs = [self._emit(e, i) for i, e in enumerate(exprs)]
+        del self._memo
+        last = {}
+        for n, op in enumerate(self._ops):
+            for r in op[1]:
+                last[r] = n
+        for out in self._outputs:
+            if isinstance(out, int):
+                last.pop(out, None)
+        self._release = [[] for _ in self._ops]
+        for r, n in last.items():
+            if r > 0:
+                self._release[n].append(r)
+
+    def __len__(self):
+        return len(self._ops)
+
+    def _op(self, kind, inputs, number, node, output):
+        self._ops.append((kind, inputs, number, node, output))
+        return len(self._ops)  # register index (register 0 is the parameter)
+
+    def _materialize(self, operand, node, output):
+        if isinstance(operand, int):
+            return operand
+        return self._op("const", (), operand, node, output)
+
+    def _emit(self, node, output):
+        hit = self._memo.get(node)
+        if hit is None:
+            hit = self._memo[node] = self._emit_new(node, output)
+        return hit
+
+    def _emit_new(self, node, output):
+        """Register index (int) or folded constant (float) of a subtree."""
+        if isinstance(node, Num):
+            return float(node.value)
+        if isinstance(node, Param):
+            return 0
+        if isinstance(node, Neg):
+            x = self._emit(node.arg, output)
+            return -x if isinstance(x, float) else self._op("neg", (x,), None, node, output)
+        if isinstance(node, BinOp):
+            x = self._emit(node.left, output)
+            y = self._emit(node.right, output)
+            xc, yc = isinstance(x, float), isinstance(y, float)
+            if xc and yc:
+                try:
+                    return _FOLD_BINOP[node.op](x, y)
+                except ZeroDivisionError:
+                    x = self._materialize(x, node.left, output)
+                    y = self._materialize(y, node.right, output)
+            elif xc:
+                kind = {"+": "addc", "-": "csub", "*": "mulc", "/": "cdiv"}[node.op]
+                return self._op(kind, (y,), x, node, output)
+            elif yc:
+                if node.op == "-":
+                    return self._op("addc", (x,), -y, node, output)
+                kind = {"+": "addc", "*": "mulc", "/": "divc"}[node.op]
+                return self._op(kind, (x,), y, node, output)
+            kind = {"+": "add", "-": "sub", "*": "mul", "/": "div"}[node.op]
+            return self._op(kind, (x, y), None, node, output)
+        if isinstance(node, IntPow):
+            x = self._emit(node.arg, output)
+            if isinstance(x, float):
+                try:
+                    return _fold_pow(x, node.exponent)
+                except ZeroDivisionError:
+                    x = self._materialize(x, node.arg, output)
+            return self._op("pow", (x,), node.exponent, node, output)
+        if isinstance(node, Call):
+            x = self._emit(node.arg, output)
+            if isinstance(x, float):
+                try:
+                    return _fold_call(node.func, x)
+                except (ValueError, OverflowError):
+                    x = self._materialize(x, node.arg, output)
+            return self._op(node.func, (x,), None, node, output)
+        raise TypeError(f"not an expression node: {node!r}")
+
+    def run(self, param):
+        """One series per expression for the parameter series ``param``."""
+        regs = [param]
+        for n, (kind, inputs, number, node, output) in enumerate(self._ops):
+            args = [regs[r] for r in inputs]
+            try:
+                if kind == "const":
+                    value = _constant(number, param)
+                elif number is None:
+                    value = _KERNELS[kind](*args)
+                else:
+                    value = _KERNELS[kind](*args, number)
+            except ZeroDivisionError as exc:
+                if kind not in _DIVISION_OPS:
+                    raise
+                raise _evaluation_error(exc, node, output) from None
+            except ValueError as exc:
+                if kind not in _CALLS:
+                    raise
+                raise _evaluation_error(exc, node, output) from None
+            regs.append(value)
+            for r in self._release[n]:
+                regs[r] = None
+        return [regs[o] if isinstance(o, int) else _constant(o, param)
+                for o in self._outputs]
+
+
+def _evaluation_error(exc, node, output):
+    err = ExprEvaluationError(str(exc), str(node))
+    err.output = output
+    return err
+
+
+def _program_of(expr):
+    """The compiled program of one expression, cached on the node."""
+    program = expr.__dict__.get("_program")
+    if program is None:
+        program = Program((expr,))
+        object.__setattr__(expr, "_program", program)
+    return program
 
 
 # ---------------------------------------------------------------------------
@@ -622,7 +931,10 @@ def parse(text, parameter="s"):
 
 
 def jet_eval(expr, base, order):
-    """Evaluate an expression as a jet of the given order at ``base``."""
+    """Evaluate an expression as a jet of the given order at ``base``.
+
+    ``base`` is a float, or an array of points for a batched jet.
+    """
     if order < 0:
         raise ValueError("jet order must be nonnegative")
     return expr.evaluate(Jet.variable(base, order))

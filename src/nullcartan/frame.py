@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curve import as_vec_jet, _check_in_domain
+from .curve import _check_in_domain, as_vec_jets, points_on, pointwise_order
 from .errors import DegenerateBasisError, FamilyError, FrameDegeneracyError, InputError
 from .expr import Jet, VecJet
 from .metric import PseudoMetric
@@ -33,6 +33,8 @@ __all__ = [
     "FrameJets",
     "FrenetResidualReport",
     "cartan_frame_at",
+    "cartan_frames",
+    "frame_grid",
     "frame_jets",
     "frenet_residuals",
 ]
@@ -69,17 +71,28 @@ class CartanFrame:
 
 @dataclass(frozen=True, eq=False)
 class FrameJets:
-    """Frame vectors and curvatures as jets; feeds the constructions."""
+    """Frame vectors and curvatures as jets; feeds the constructions.
 
-    t: float
+    On a grid ``t``, ``closure_residual`` and ``orientation`` are arrays and
+    every jet is batched; :meth:`at` picks out one grid point.
+    """
+
+    t: float | np.ndarray
     L1: VecJet
     L2: VecJet
     N1: VecJet
     N2: VecJet
     W: tuple[VecJet, ...]
     curvatures: tuple[Jet, ...]
-    closure_residual: float
-    orientation: int
+    closure_residual: float | np.ndarray
+    orientation: int | np.ndarray
+
+    def at(self, i):
+        return FrameJets(
+            float(self.t[i]), self.L1.at(i), self.L2.at(i), self.N1.at(i),
+            self.N2.at(i), tuple(w.at(i) for w in self.W),
+            tuple(k.at(i) for k in self.curvatures),
+            float(self.closure_residual[i]), int(self.orientation[i]))
 
     def to_frame(self):
         return CartanFrame(
@@ -89,13 +102,18 @@ class FrameJets:
             self.closure_residual, self.orientation)
 
 
+def _first(bad):
+    return int(np.argmax(bad))
+
+
 def _family_gates(metric, A, tol):
-    """Local evidence that the curve is a pseudo-arc family member at t."""
+    """Local evidence that the curve is a pseudo-arc family member on the grid."""
     d1 = A.differentiate()
     d2 = d1.differentiate()
     d3 = d2.differentiate()
-    scale = 1.0 + max(np.linalg.norm(d1.value), np.linalg.norm(d2.value),
-                      np.linalg.norm(d3.value))
+    d1, d2, d3 = (d.truncate(0) for d in (d1, d2, d3))
+    scale = 1.0 + np.max([np.linalg.norm(d.value, axis=-1) for d in (d1, d2, d3)], axis=0)
+    gate = scale * scale
     pairs = {
         "<a',a'>": metric.inner_jet(d1, d1).value,
         "<a',a''>": metric.inner_jet(d1, d2).value,
@@ -104,30 +122,38 @@ def _family_gates(metric, A, tol):
         "<a'',a'''>": metric.inner_jet(d2, d3).value,
     }
     for name, val in pairs.items():
-        if abs(val) > NULL_CHAIN_GATE * scale * scale:
+        bad = np.abs(val) > NULL_CHAIN_GATE * gate
+        if np.any(bad):
+            j = _first(bad)
             raise FamilyError(
-                f"null-chain identity {name} = {val:.3e} violated at t={A.base}; "
+                f"null-chain identity {name} = {val[j]:.3e} violated at t={A.base[j]}; "
                 "curve is not in the supported family")
     w3 = metric.inner_jet(d3, d3).value
-    if abs(w3 - 1.0) > PSEUDO_ARC_GATE * scale * scale:
+    bad = np.abs(w3 - 1.0) > PSEUDO_ARC_GATE * gate
+    if np.any(bad):
+        j = _first(bad)
         raise FamilyError(
-            f"<a''',a'''> = {w3:.6e} at t={A.base}: curve is not "
+            f"<a''',a'''> = {w3[j]:.6e} at t={A.base[j]}: curve is not "
             "pseudo-arc parametrized")
 
 
-def frame_jets(curve, t, extra_order=0, tol=1e-9, force=False):
-    """Cartan frame at t with every vector and curvature carried as a jet.
+def frame_grid(curve, ts, extra_order=0, tol=1e-9, force=False):
+    """Cartan frames on a grid of parameters, every vector and curvature a
+    batched jet: one pass over the grid for each step of the extraction.
 
     ``extra_order`` deepens the jets beyond the n+2 needed for extraction and
     the closure residual (constructions differentiate curvatures further).
     ``force`` skips the family/pseudo-arc gates; extraction then reports
     whatever the formulas produce, which is only meaningful inside tests that
-    probe non-family offsets.
+    probe non-family offsets.  A failing gate raises for the first point that
+    fails it; wrap the call in :func:`pointwise_order` for the error a loop
+    over the grid would meet first.
     """
+    ts = np.asarray(ts, dtype=float)
     n = curve.dimension
     metric = PseudoMetric(n)
     K = n + 2 + extra_order
-    A = as_vec_jet(curve, t, K)
+    A = as_vec_jets(curve, ts, K)
     if not force:
         _family_gates(metric, A, tol)
 
@@ -141,15 +167,12 @@ def frame_jets(curve, t, extra_order=0, tol=1e-9, force=False):
     k2 = (metric.inner_jet(N2p, N2p) - k1 * k1) * 0.5
     N1 = N2p - L1.scale(k2) + W3.scale(k1)
 
-    scale = 1.0 + max(np.linalg.norm(A.derivative_value(k)) for k in range(1, n + 1))
+    derivs = np.stack([A.derivative_value(k) for k in range(1, n + 1)], axis=1)
+    scale = 1.0 + np.max(np.linalg.norm(derivs, axis=-1), axis=1)
     floor = CURVATURE_FLOOR * scale
 
     curvatures = [k1, k2]
     Ws = [W3]
-
-    def _partial():
-        return FrameJets(float(t), L1, L2, N1, N2, tuple(Ws),
-                         tuple(curvatures), float("nan"), 0)
 
     if n >= 6:
         for i in range(3, n - 2):
@@ -160,11 +183,15 @@ def frame_jets(curve, t, extra_order=0, tol=1e-9, force=False):
             else:
                 v = Ws[i - 3].differentiate() + Ws[i - 4].scale(curvatures[i - 2])
             vv = metric.inner_jet(v, v)
-            if vv.value <= floor * floor:
+            bad = vv.value <= floor * floor
+            if np.any(bad):
+                j = _first(bad)
+                partial = FrameJets(ts, L1, L2, N1, N2, tuple(Ws), tuple(curvatures),
+                                    np.full(len(ts), np.nan), np.zeros(len(ts), int))
                 raise FrameDegeneracyError(
-                    f"normalizer <v,v> = {vv.value:.3e} at curvature index {i}: "
-                    f"frame continuation aborted at t={t}",
-                    index=i, partial=_partial())
+                    f"normalizer <v,v> = {vv.value[j]:.3e} at curvature index {i}: "
+                    f"frame continuation aborted at t={ts[j]}",
+                    index=i, partial=partial.at(j))
             ki = vv.sqrt()
             curvatures.append(ki)
             Ws.append(v.scale(1.0 / ki))
@@ -176,32 +203,47 @@ def frame_jets(curve, t, extra_order=0, tol=1e-9, force=False):
         closure = Ws[1].differentiate() + L1.scale(curvatures[2])
     else:
         closure = Ws[-1].differentiate() + Ws[-2].scale(curvatures[-1])
-    closure_residual = float(np.linalg.norm(closure.value))
+    closure_residual = np.linalg.norm(closure.value, axis=-1)
 
-    frame_rows = [L1.value, L2.value, W3.value, N2.value, N1.value]
-    frame_rows.extend(w.value for w in Ws[1:])
-    deriv_rows = [A.derivative_value(k) for k in range(1, n + 1)]
-    try:
-        sign_frame = metric.orientation_sign(frame_rows)
-        sign_derivs = metric.orientation_sign(deriv_rows)
-    except DegenerateBasisError:
-        if force:
-            sign_frame = sign_derivs = 0
-        else:
-            raise
-    if not force and sign_frame != sign_derivs:
-        raise DegenerateBasisError(
-            f"frame orientation {sign_frame} disagrees with the derivative "
-            f"basis orientation {sign_derivs} at t={t}")
+    frame_rows = np.stack([L1.value, L2.value, W3.value, N2.value, N1.value]
+                          + [w.value for w in Ws[1:]], axis=1)
+    sign_frame = metric.orientation_signs(frame_rows, strict=not force)
+    sign_derivs = metric.orientation_signs(derivs, strict=not force)
+    if force:
+        sign_frame = np.where(sign_derivs == 0, 0, sign_frame)
+    else:
+        bad = sign_frame != sign_derivs
+        if np.any(bad):
+            j = _first(bad)
+            raise DegenerateBasisError(
+                f"frame orientation {sign_frame[j]} disagrees with the derivative "
+                f"basis orientation {sign_derivs[j]} at t={ts[j]}")
 
-    return FrameJets(float(t), L1, L2, N1, N2, tuple(Ws), tuple(curvatures),
+    return FrameJets(ts, L1, L2, N1, N2, tuple(Ws), tuple(curvatures),
                      closure_residual, sign_frame)
+
+
+def frame_jets(curve, t, extra_order=0, tol=1e-9, force=False):
+    """Cartan frame at t with every vector and curvature carried as a jet:
+    :func:`frame_grid` on the one-point grid [t]."""
+    return frame_grid(curve, np.array([float(t)]), extra_order, tol, force).at(0)
 
 
 def cartan_frame_at(curve, t, tol=1e-9):
     """Frame vectors L1, L2, N1, N2, W3..W_{n-2} and curvatures k1..k_{n-3} at t."""
     _check_in_domain(t, curve.domain)
     return frame_jets(curve, t, tol=tol).to_frame()
+
+
+def cartan_frames(curve, grid, tol=1e-9):
+    """:func:`cartan_frame_at` on a grid as one batched :class:`FrameJets`,
+    raising the error a loop over the grid would meet first."""
+
+    def frames(ts):
+        _check_in_domain(ts, curve.domain)
+        return frame_grid(curve, ts, tol=tol)
+
+    return pointwise_order(frames, grid)
 
 
 # ---------------------------------------------------------------------------
@@ -246,16 +288,14 @@ def frenet_residuals(curve, grid):
     if np.any(np.abs(steps - h) > 1e-9 * abs(h)):
         raise InputError("residual grid must be uniformly spaced")
 
-    frames = [cartan_frame_at(curve, t) for t in grid]
+    frames = cartan_frames(curve, grid)
     n = curve.dimension
-    points = np.stack([np.asarray(curve.point(t), dtype=float) for t in grid])
-    fields = {"L1": np.stack([f.L1 for f in frames]),
-              "L2": np.stack([f.L2 for f in frames]),
-              "N1": np.stack([f.N1 for f in frames]),
-              "N2": np.stack([f.N2 for f in frames])}
+    points = pointwise_order(lambda ts: points_on(curve, ts), grid)
+    fields = {"L1": frames.L1.value, "L2": frames.L2.value,
+              "N1": frames.N1.value, "N2": frames.N2.value}
     for j in range(n - 4):
-        fields[f"W{j + 3}"] = np.stack([f.W[j] for f in frames])
-    ks = np.stack([f.curvatures for f in frames])  # (m, n-3)
+        fields[f"W{j + 3}"] = frames.W[j].value
+    ks = np.stack([k.value for k in frames.curvatures], axis=1)  # (m, n-3)
 
     dpoints = _stencil_derivative(points, h)
     dfields = {name: _stencil_derivative(arr, h) for name, arr in fields.items()}

@@ -86,7 +86,7 @@ class PseudoMetric:
         return float(np.dot(self._signs * x, y))
 
     def inner_jet(self, a, b):
-        """Jet of <a(t), b(t)> for two vector jets."""
+        """Jet of <a(t), b(t)> for two vector jets (batched alike)."""
         return a.weighted_inner(b, self._signs)
 
     def norm_jet(self, a):
@@ -184,12 +184,23 @@ class PseudoMetric:
         if len(vs) != self.dimension:
             raise DimensionMismatchError(
                 f"expected {self.dimension} basis vectors, got {len(vs)}")
-        M = np.stack(vs)
-        norms = np.linalg.norm(M, axis=1)
-        if np.any(norms == 0.0):
-            raise DegenerateBasisError("zero vector in basis")
-        det = np.linalg.det(M / norms[:, None])
-        if abs(det) < 1e-12:
+        return int(self.orientation_signs(np.stack(vs)[None])[0])
+
+    def orientation_signs(self, bases, strict=True):
+        """:meth:`orientation_sign` of each basis in a stack of shape (m, n, n).
+
+        With ``strict`` an ambiguous basis raises DegenerateBasisError (the
+        first one in the stack); otherwise its sign is reported as 0.
+        """
+        M = np.asarray(bases, dtype=float)
+        norms = np.linalg.norm(M, axis=-1)
+        zero = np.any(norms == 0.0, axis=-1)
+        det = np.linalg.det(M / np.where(norms == 0.0, 1.0, norms)[..., None])
+        ambiguous = zero | (np.abs(det) < 1e-12)
+        if strict and np.any(ambiguous):
+            j = int(np.argmax(ambiguous))
+            if zero[j]:
+                raise DegenerateBasisError("zero vector in basis")
             raise DegenerateBasisError(
-                f"orientation ambiguous: normalized determinant {det:.3e}")
-        return 1 if det > 0 else -1
+                f"orientation ambiguous: normalized determinant {det[j]:.3e}")
+        return np.where(ambiguous, 0, np.where(det > 0, 1, -1))

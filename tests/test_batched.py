@@ -1,0 +1,251 @@
+"""Grid-batched jets against their single-point forms.
+
+Every batched evaluation must agree with the pointwise one point by point,
+and a grid with failing points must raise exactly what a loop over the grid
+would raise first.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
+from scipy.optimize import brentq
+
+from nullcartan import (
+    CurvatureProfile,
+    Curve,
+    ExprEvaluationError,
+    FamilyError,
+    HypothesisError,
+    ReparametrizedCurve,
+    classify,
+    evolute,
+    frame_jets,
+    jet_eval,
+    synthesize,
+)
+from nullcartan.constructions import InvoluteCurve
+from nullcartan.curve import CumulativeIntegral, pointwise_order
+from nullcartan.expr import BinOp, Call, IntPow, Neg, Num, Param
+from nullcartan.frame import frame_grid
+
+# derandomized: the examples are the same on every run, so a tier-1 run
+# cannot fail on a draw the previous run did not make
+SETTINGS = settings(max_examples=40, deadline=None, derandomize=True,
+                    suppress_health_check=[HealthCheck.too_slow])
+
+
+# ---------------------------------------------------------------------------
+# Expression trees over the full grammar
+# ---------------------------------------------------------------------------
+
+leaves = st.one_of(
+    st.just(Param("s")),
+    st.floats(-3.0, 3.0, allow_nan=False).map(lambda v: Num(round(v, 3))),
+)
+
+
+def _extend(children):
+    return st.one_of(
+        children.map(Neg),
+        st.tuples(st.sampled_from("+-*/"), children, children).map(
+            lambda a: BinOp(*a)),
+        st.tuples(children, st.integers(-3, 4)).map(lambda a: IntPow(*a)),
+        st.tuples(st.sampled_from(["sqrt", "sin", "cos", "exp", "log"]), children).map(
+            lambda a: Call(*a)),
+    )
+
+
+trees = st.recursive(leaves, _extend, max_leaves=12)
+grids = st.lists(st.floats(-2.0, 2.0, allow_nan=False), min_size=1, max_size=12)
+
+
+def pointwise_outcome(fn, grid):
+    """(type, message) of the first error a loop over the grid meets, or None."""
+    for t in grid:
+        try:
+            fn(np.array([t]))
+        except Exception as exc:  # noqa: BLE001 - any error is compared
+            return type(exc), str(exc)
+    return None
+
+
+def batched_outcome(fn, grid):
+    try:
+        pointwise_order(fn, grid)
+    except Exception as exc:  # noqa: BLE001
+        return type(exc), str(exc)
+    return None
+
+
+@SETTINGS
+@given(tree=trees, grid=grids, order=st.integers(0, 8))
+def test_batched_jets_match_pointwise(tree, grid, order):
+    points = []
+    for t in grid:
+        try:
+            with np.errstate(all="ignore"):
+                points.append(jet_eval(tree, t, order).coeffs)
+        except (ExprEvaluationError, OverflowError):
+            assume(False)
+    want = np.stack(points, axis=1)
+    assume(np.all(np.isfinite(want)) and np.max(np.abs(want)) < 1e12)
+    with np.errstate(all="ignore"):
+        got = jet_eval(tree, np.array(grid), order)
+    assert got.coeffs.shape == (order + 1, len(grid))
+    scale = np.maximum(np.abs(want), 1.0)
+    assert np.all(np.abs(got.coeffs - want) <= 1e-12 * scale)
+
+
+@SETTINGS
+@given(tree=trees, grid=grids)
+def test_batched_expression_errors_follow_grid_order(tree, grid):
+    def fn(ts):
+        with np.errstate(all="ignore"):
+            return jet_eval(tree, ts, 3).coeffs
+
+    assert batched_outcome(fn, grid) == pointwise_outcome(fn, grid)
+
+
+def test_shared_subtrees_and_constants_are_compiled_once():
+    from nullcartan.expr import Program, parse
+
+    q = "(s - s^5)/(4*sqrt(15))"
+    program = Program((parse(f"{q} + ({q})^2"),))
+    # s^5, s - s^5, the division by the folded constant, the square, the sum
+    assert len(program) == 5
+
+
+# ---------------------------------------------------------------------------
+# Frames and curves on a grid
+# ---------------------------------------------------------------------------
+
+def _assert_jets_close(a, b):
+    scale = np.maximum(np.abs(b.coeffs), 1.0)
+    assert np.all(np.abs(a.coeffs - b.coeffs) <= 1e-12 * scale)
+
+
+@pytest.mark.parametrize("fixture", ["golden", "synth6", "synth8"])
+@settings(max_examples=8, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
+@given(raw=st.lists(st.floats(0.05, 0.95), min_size=1, max_size=6),
+       extra=st.integers(0, 3))
+def test_batched_frame_matches_pointwise_frame(fixture, raw, extra, request):
+    curve = request.getfixturevalue(fixture)
+    a, b = curve.domain
+    grid = a + (b - a) * np.array(raw)
+    batch = frame_grid(curve, grid, extra_order=extra)
+    for i, t in enumerate(grid):
+        one = frame_jets(curve, t, extra_order=extra)
+        got = batch.at(i)
+        for name in ("L1", "L2", "N1", "N2"):
+            _assert_jets_close(getattr(got, name), getattr(one, name))
+        for w_got, w_one in zip(got.W, one.W):
+            _assert_jets_close(w_got, w_one)
+        for k_got, k_one in zip(got.curvatures, one.curvatures):
+            _assert_jets_close(k_got, k_one)
+        assert got.orientation == one.orientation
+        assert got.closure_residual == pytest.approx(one.closure_residual, abs=1e-12)
+
+
+def test_batched_curve_jets_match_pointwise(synth8):
+    grid = np.linspace(0.03, 0.97, 11)
+    batch = synth8.vec_jets(grid, 12)
+    for i, t in enumerate(grid):
+        _assert_jets_close(batch.at(i), synth8.vec_jet(t, 12))
+
+
+@settings(max_examples=15, deadline=None, derandomize=True)
+@given(grid=st.permutations([0.1, 0.5, 0.9, 1.5, 0.95, 0.45]))
+def test_grid_with_failing_points_raises_the_first_pointwise_error(grid):
+    # (1/k3)' = -2 (t - 0.5) / k3^2 is below the slope floor near t = 0.5,
+    # while t = 1.5 lies outside the domain and fails the frame first
+    curve = _evolute_probe_curve()
+
+    def fn(ts):
+        return evolute(curve, ts, min_slope=0.5).sampled.points
+
+    outcome = batched_outcome(fn, grid)
+    assert outcome is not None
+    assert outcome == pointwise_outcome(fn, grid)
+
+
+_PROBE = {}
+
+
+def _evolute_probe_curve():
+    if "curve" not in _PROBE:
+        profile = CurvatureProfile.from_strings(6, ["0.1", "-0.05", "1 + (t - 0.5)^2"])
+        _PROBE["curve"] = synthesize(profile, (0.0, 1.0))
+    return _PROBE["curve"]
+
+
+def test_classify_failure_names_the_first_failing_point():
+    # evaluation fails at s = 0.5 and for s <= 0.25; elsewhere the sequences
+    # themselves are refused
+    curve = Curve.from_strings(["s", "1/(s - 0.5)", "log(s - 0.25)", "s^3", "s^4"],
+                               domain=(0.0, 1.0))
+    for grid in ([0.5, 0.3, 0.1], [0.1, 0.5], [0.2, 0.5, 0.6], [0.6, 0.1]):
+        want = pointwise_outcome(lambda ts: classify(curve, ts), grid)
+        with pytest.raises(want[0]) as exc:
+            classify(curve, grid)
+        assert str(exc.value) == want[1]
+
+
+def test_arc_length_table_reports_the_first_node_that_is_not_spacelike():
+    # <c', c'> = 1 - 16 s^2 <= 0 for s >= 1/4: the table walks its nodes
+    # before its midpoints
+    curve = Curve.from_strings(["2*s^2", "0", "s", "0", "0"], domain=(0.0, 1.0))
+    with pytest.raises(HypothesisError) as exc:
+        InvoluteCurve(curve, 0.0, intervals=8)
+    points = CumulativeIntegral.sample_points(0.0, 1.0, 8)
+    first = next(t for t in points if 1.0 - 16.0 * t * t <= 0.0)
+    assert exc.value.location == first
+
+
+# ---------------------------------------------------------------------------
+# Monotone tables
+# ---------------------------------------------------------------------------
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(a=st.floats(0.0, 5.0), b=st.floats(0.5, 6.0), length=st.floats(0.5, 3.0),
+       intervals=st.integers(1, 40),
+       fractions=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=20))
+def test_newton_inversion_agrees_with_brentq(a, b, length, intervals, fractions):
+    table = CumulativeIntegral(lambda t: 1.0 + a * np.sin(b * t) ** 2, 0.0, length,
+                               intervals)
+    targets = np.array(fractions) * table.total
+    got = table.solve(targets)
+    for target, t in zip(targets, got):
+        i = int(np.clip(np.searchsorted(table.cumulative, target) - 1,
+                        0, len(table.nodes) - 2))
+        lo, hi = table.nodes[i], table.nodes[i + 1]
+        flo, fhi = table(lo) - target, table(hi) - target
+        if flo >= 0.0:
+            want = lo
+        elif fhi <= 0.0:
+            want = hi
+        else:
+            want = brentq(lambda x: table(x) - target, lo, hi, xtol=1e-14)
+        assert t == pytest.approx(want, abs=1e-12)
+        assert table.solve(float(target)) == t
+
+
+def test_rate_is_evaluated_once_per_table_point(golden):
+    seen = []
+
+    class Counting(ReparametrizedCurve):
+        def _rate_square(self, t):
+            seen.append(len(t))
+            return super()._rate_square(t)
+
+    Counting(golden, intervals=64)
+    assert sum(seen) == 2 * 64 + 1
+
+
+def test_nonpositive_rate_names_the_worst_table_point():
+    curve = Curve.from_strings(["s^3/6", "0", "s", "s^2/2", "0"], domain=(0.0, 1.0))
+    with pytest.raises(FamilyError) as exc:
+        ReparametrizedCurve(curve, intervals=16)
+    # <a''', a'''> = -1 everywhere: the first table point is the worst
+    assert "near t=0.0:" in str(exc.value)

@@ -64,6 +64,30 @@ def test_classify_input_error(tmp_path, capsys):
     assert diag["category"] == "input"
 
 
+@pytest.mark.parametrize("patch", [
+    {"dimension": "five"},
+    {"domain": [0, "x"]},
+    {"domain": [0]},
+])
+def test_malformed_fields_exit_2_with_diagnostic(tmp_path, capsys, patch):
+    spec = {"dimension": 5, "parameter": "s",
+            "components": ["s", "s", "s", "s", "s"], "domain": [0, 1]}
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(spec | patch))
+    code, _, err = run(capsys, "classify", str(bad))
+    assert code == 2
+    diag = json.loads(err.splitlines()[-1])
+    assert diag["category"] == "input"
+    assert diag["error"] == "InputError"
+
+
+def test_zero_grid_exits_2(quintic_file, capsys):
+    code, out, err = run(capsys, "classify", quintic_file, "--grid", "0")
+    assert code == 2
+    assert out == ""
+    assert json.loads(err.splitlines()[-1])["category"] == "input"
+
+
 def test_classify_parse_error(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"dimension": 5, "parameter": "s",

@@ -364,6 +364,19 @@ def test_involute_frame_check_gates():
 # Synthesis
 # ---------------------------------------------------------------------------
 
+def test_frame_state_is_read_only(synth6):
+    # frame states served by the curve must not alias its integration table
+    for t in (synth6.domain[0], 0.5, 0.12345):
+        before = synth6.point(t)
+        state = synth6.frame_state(t)
+        with pytest.raises(ValueError):
+            state.alpha[:] = 99.0
+        with pytest.raises(ValueError):
+            state.W[0][0] = 99.0
+        assert np.array_equal(synth6.point(t), before)
+        assert np.array_equal(synth6.frame_state(t).alpha, before)
+
+
 def test_flat_synthesis_is_polynomial(synth_flat5):
     # k1 = k2 = 0 integrates to a degree-5 polynomial orbit: alpha^(6) = 0
     # and N1 is constant
