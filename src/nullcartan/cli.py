@@ -29,7 +29,6 @@ from . import __version__
 from .bundled import NULL_QUINTIC
 from .constructions import (
     CurvatureProfile,
-    bertrand_check,
     bertrand_mate,
     evolute,
     involute,
@@ -339,7 +338,7 @@ def cmd_bertrand(args):
     except HypothesisError as exc:
         if exc.condition != "k1 = k2 = 0":
             raise
-        verdict = bertrand_check(curve, grid, args.tol)
+        verdict = exc.evidence
         body = _base_body("bertrand", args, digest)
         body["tolerances"] = {"curvature": args.tol}
         body["verdicts"] = {"bertrand": False}

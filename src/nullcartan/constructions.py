@@ -476,7 +476,8 @@ def bertrand_check(curve, grid=None, tol=1e-8):
 def bertrand_mate(curve, mu, grid=None, tol=1e-8, force=False):
     """Offset mate alpha + mu W3 with the W3-alignment report.
 
-    Requires k1 = k2 = 0 within ``tol`` on the grid; the correspondence is
+    Requires k1 = k2 = 0 within ``tol`` on the grid (else HypothesisError,
+    with the BertrandVerdict as its ``evidence``); the correspondence is
     then the identity (pseudo-arc zero points matched), the mate is framed,
     and |W3bar -/+ W3| is reported.  With ``force`` the curvature gate is
     skipped and the offset's third pseudo-arc derivative is compared instead,
@@ -490,7 +491,7 @@ def bertrand_mate(curve, mu, grid=None, tol=1e-8, force=False):
         raise HypothesisError(
             f"not a Bertrand curve: max|k1| = {check.max_k1:.3e}, "
             f"max|k2| = {check.max_k2:.3e} exceed tol {tol:.1e}",
-            condition="k1 = k2 = 0")
+            condition="k1 = k2 = 0", evidence=check)
     mate = OffsetCurve(curve, mu)
     w3 = frames.W[0].value
     if check.verdict:

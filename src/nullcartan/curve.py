@@ -17,7 +17,6 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
-from scipy.interpolate import make_interp_spline
 
 from .errors import (
     ClassificationError,
@@ -158,7 +157,7 @@ class Curve:
             return VecJet(ts, self._series(ts, order))
         except ExprEvaluationError as exc:
             raise ExprEvaluationError(
-                f"component {exc.output}: {exc}", exc.subexpression) from None
+                f"component {exc.output}: {exc.reason}", exc.subexpression) from None
 
     def vec_jet(self, t, order):
         return self.vec_jets(np.array([float(t)]), order).at(0)
@@ -222,11 +221,17 @@ class SampledCurve:
 
 
 class SplineCurve:
-    """Quintic-spline view of a SampledCurve; derivatives up to the spline order."""
+    """Quintic-spline view of a SampledCurve; derivatives up to the spline order.
+
+    The only user of scipy: ``scipy.interpolate`` is imported here, on first
+    construction, because it costs most of a cold ``import nullcartan``.
+    """
 
     def __init__(self, sampled, order=5):
         if len(sampled.grid) <= order:
             raise InputError(f"need more than {order} samples for a degree-{order} spline")
+        from scipy.interpolate import make_interp_spline
+
         self._spline = make_interp_spline(sampled.grid, sampled.points, k=order)
         self._max_order = order
         self.dimension = sampled.dimension
@@ -626,8 +631,12 @@ def pseudo_arc_reparam(curve, grid_density=129, tol=1e-9, classify_grid=None):
     stacks = pointwise_order(derivative_stacks, sbar_grid)
     sampled = SampledCurve(sbar_grid, points, stacks)
     metric = PseudoMetric(curve.dimension)
-    spline = make_interp_spline(sbar_grid, points, k=5)
-    d3 = spline.derivative(3)
+    spline = SplineCurve(sampled)
     interior = sbar_grid[3:-3]
-    defect = max(abs(metric.inner(d3(s), d3(s)) - 1.0) for s in interior)
+    if not len(interior):
+        raise InputError(
+            f"the unit-speed check reads the spline inside the first and last "
+            f"three samples: need at least 7, got {grid_density}")
+    d3 = spline.derivatives(interior, 3)[2]
+    defect = max(abs(metric.inner(d, d) - 1.0) for d in d3)
     return ReparamResult(table_t, table_s, sampled, rep, float(defect))

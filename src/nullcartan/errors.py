@@ -31,10 +31,15 @@ class ExprSyntaxError(InputError):
 
 
 class ExprEvaluationError(NullCartanError, ArithmeticError):
-    """Expression hit a domain violation during jet evaluation."""
+    """Expression hit a domain violation during jet evaluation.
+
+    ``reason`` is the message without the location that ``subexpression``
+    adds to it.
+    """
 
     def __init__(self, message, subexpression):
         super().__init__(f"{message} in '{subexpression}'")
+        self.reason = message
         self.subexpression = subexpression
 
 
@@ -63,12 +68,15 @@ class HypothesisError(NullCartanError):
     """A theorem hypothesis fails on the requested grid.
 
     Distinct from a negative verdict: the construction/test does not apply.
+    ``evidence``, when set, is the result the hypothesis was read from, so a
+    caller that reports the failure need not compute it again.
     """
 
-    def __init__(self, message, condition=None, location=None):
+    def __init__(self, message, condition=None, location=None, evidence=None):
         super().__init__(message)
         self.condition = condition
         self.location = location
+        self.evidence = evidence
 
 
 class FrameDegeneracyError(NullCartanError):

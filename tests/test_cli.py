@@ -3,6 +3,10 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -133,7 +137,13 @@ def test_bertrand_fixture(quintic_file, capsys):
         assert np.max(np.abs(got - golden_mate(s, 1.0))) <= 1e-9
 
 
-def test_bertrand_negative_verdict_exits_zero(tmp_path, capsys):
+def test_bertrand_negative_verdict_exits_zero(tmp_path, capsys, monkeypatch):
+    from nullcartan import constructions
+
+    framed = []
+    frames = constructions._bertrand_frames
+    monkeypatch.setattr(constructions, "_bertrand_frames",
+                        lambda *a: framed.append(a) or frames(*a))
     f = tmp_path / "bent.json"
     f.write_text(json.dumps({
         "dimension": 5, "parameter": "t", "curvatures": ["0.3", "0"],
@@ -143,6 +153,8 @@ def test_bertrand_negative_verdict_exits_zero(tmp_path, capsys):
     body = body_of(out)
     assert body["verdicts"]["bertrand"] is False
     assert body["summary"]["max_k1"] == pytest.approx(0.3, abs=1e-6)
+    # the verdict comes from the one framing bertrand_mate already did
+    assert len(framed) == 1
 
 
 def test_sphere_on_synthesized_recipe(tmp_path, capsys):
@@ -171,6 +183,21 @@ def test_numerical_failure_exit_code(tmp_path, capsys):
     code, _, err = run(capsys, "frame", str(f), "--grid", "9")
     assert code == 4
     assert json.loads(err.splitlines()[-1])["category"] == "numerical"
+
+
+@pytest.mark.parametrize("command", ["classify", "frame"])
+def test_evaluation_error_names_the_subexpression_once(tmp_path, capsys, command):
+    f = tmp_path / "log.json"
+    f.write_text(json.dumps({
+        "dimension": 5, "parameter": "s",
+        "components": ["s", "s^2", "log(s - 0.2)", "s^4", "s^5"],
+        "domain": [0, 1]}))
+    code, _, err = run(capsys, command, str(f))
+    assert code == 4
+    diag = json.loads(err.splitlines()[-1])
+    assert diag["error"] == "ExprEvaluationError"
+    assert diag["message"].startswith("component 2: ")
+    assert diag["message"].count("log((s - 0.2))") == 1
 
 
 def test_evolute_roundtrip_command(tmp_path, capsys):
@@ -265,3 +292,29 @@ def test_reparam_command(quintic_file, capsys):
     # the bundled curve is already pseudo-arc: sbar(t) = t
     for t, sbar in rows:
         assert sbar == pytest.approx(t, abs=1e-9)
+
+
+@pytest.mark.parametrize("grid", ["4", "5", "6"])
+def test_reparam_grid_too_small_for_the_spline_check_exits_2(quintic_file, capsys,
+                                                            grid):
+    code, out, err = run(capsys, "reparam", quintic_file, "--grid", grid)
+    assert code == 2
+    assert out == ""
+    diag = json.loads(err.splitlines()[-1])
+    assert diag["category"] == "input"
+    assert diag["error"] == "InputError"
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # scipy serves only spline-backed curves and the reparam check; a cold
+    # command that needs neither must not pay for importing it
+    script = ("import sys, nullcartan.cli; "
+              "print(sorted(m for m in sys.modules "
+              "if m == 'scipy' or m.startswith('scipy.')))")
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "[]"
