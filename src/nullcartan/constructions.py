@@ -4,7 +4,9 @@ Covers the Bertrand-mate construction and its k1 = k2 = 0 gate, the
 pseudo-spherical test built on the a_i recursion, the evolute/involute
 correspondence in dimension six, and ``synthesize``, which integrates the
 full first-order Frenet system (curve plus frame) with classical RK4 from a
-frame that satisfies the pairing relations exactly.  Synthesized curves are
+frame that satisfies the pairing relations exactly.  The system is linear,
+state' = A(t) state, so each RK4 step is applied as a propagator: the state
+plus one matrix product with its increment D.  Synthesized curves are
 pseudo-arc parametrized by construction and expose exact derivatives of any
 order through the Frenet chain, which makes them the test oracle for
 everything else here.
@@ -141,9 +143,10 @@ def _expected_frame_gram(n):
 
 
 def _gram_defect(state_matrix, signs):
-    F = state_matrix[1:]
-    G = (F * signs) @ F.T
-    return np.max(np.abs(G - _expected_frame_gram(len(F))))
+    """Max |<F_i, F_j> - E_ij| of one state (n+1, n), or per state of a stack."""
+    F = state_matrix[..., 1:, :]
+    G = (F * signs) @ F.swapaxes(-1, -2)
+    return np.max(np.abs(G - _expected_frame_gram(F.shape[-1])), axis=(-2, -1))
 
 
 def standard_initial_frame(n, alpha=None):
@@ -188,6 +191,17 @@ def _frenet_couplings(n):
     return P
 
 
+def _rk4_increments(A0, Am, A1, h):
+    """Classical RK4 of the linear system y' = A y as propagators: one step of
+    length h maps y to y + D y, from the generators at t, t + h/2 and t + h
+    (stacks of matrices over the steps, h a float or one length per step)."""
+    h = np.asarray(h)[..., None, None]
+    q2 = Am + h / 2 * (Am @ A0)
+    q3 = Am + h / 2 * (Am @ q2)
+    q4 = A1 + h * (A1 @ q3)
+    return h / 6 * (A0 + 2 * q2 + 2 * q3 + q4)
+
+
 class FrenetCurve:
     """Curve produced by integrating the Frenet system with prescribed curvatures.
 
@@ -228,69 +242,53 @@ class FrenetCurve:
         stage_t[0::2] = ts
         stage_t[1::2] = ts[:-1] + hs / 2
         k = pointwise_order(profile.values, stage_t)
+        self._couplings = _frenet_couplings(n)
+        self._generator_basis = np.zeros((n - 2, n + 1, n + 1))
+        self._generator_basis[0, 0, 1] = 1.0  # alpha' = L1
+        self._generator_basis[:, 1:, 1:] = self._couplings
         states = np.empty((steps + 1, n + 1, n))
         states[0] = state
-        for i in range(steps):
-            state = self._rk4_step(ts[i], state, hs[i], (k[2 * i], k[2 * i + 1], k[2 * i + 2]))
-            states[i + 1] = state
+        self.max_gram_defect = 0.0
+        # blocks of TABLE_BLOCK steps keep the propagator stack small and let
+        # the Gram gate stop a run at the first block that breaks it.  An
+        # overflow reaches the gate as a NaN or infinite defect, which fails
+        # ``defect <= defect_limit``, so numpy need not warn about it.
+        with np.errstate(over="ignore", invalid="ignore"):
+            for i0 in range(0, steps, TABLE_BLOCK):
+                i1 = min(i0 + TABLE_BLOCK, steps)
+                A = self._generators(k[2 * i0:2 * i1 + 1])
+                D = _rk4_increments(A[0:-1:2], A[1::2], A[2::2], hs[i0:i1])
+                for i in range(i0, i1):
+                    states[i + 1] = states[i] + D[i - i0] @ states[i]
+                defects = _gram_defect(states[i0:i1 + 1], self._metric.signs)
+                bad = ~(defects <= defect_limit)
+                if np.any(bad):
+                    j = int(np.argmax(bad))
+                    raise StepSizeError(
+                        f"frame Gram defect {defects[j]:.3e} at t={ts[i0 + j]:.6g} "
+                        f"exceeds {defect_limit:.1e}; halve the step (current {step})")
+                self.max_gram_defect = max(self.max_gram_defect, float(np.max(defects)))
         states.flags.writeable = False
         self._ts = ts
         self._states = states
-        self._couplings = _frenet_couplings(n)
-        F = states[:, 1:]
-        gram = np.einsum("sid,d,sjd->sij", F, self._metric.signs, F)
-        defect = float(np.max(np.abs(gram - _expected_frame_gram(n))))
-        self.max_gram_defect = defect
-        if defect > defect_limit:
-            raise StepSizeError(
-                f"frame Gram defect {defect:.3e} exceeds {defect_limit:.1e}; "
-                f"halve the step (current {step})")
 
     # -- integration ---------------------------------------------------------
 
-    def _rhs(self, k, F):
-        """Frenet right-hand side of the state rows F = (alpha, L1, L2, N1, N2,
-        W3, ...); ``k[i - 1]`` is k_i, broadcasting against a row ``F[r]``."""
-        n = self.dimension
-        d = np.empty_like(F)
-        d[0] = F[1]
-        d[1] = F[2]
-        d[2] = F[5]
-        d[3] = k[1] * F[2] + (k[2] * F[6] if n >= 6 else 0.0)
-        d[4] = k[1] * F[1] + F[3] - k[0] * F[5]
-        d[5] = -k[0] * F[2] + F[4]
-        for i in range(4, n - 1):  # W_i, i = 4..n-2, sits in row i + 2
-            row = i + 2
-            if i == 4:
-                dW = -k[2] * F[1]
-                if n >= 7:
-                    dW = dW + k[3] * F[7]
-            else:
-                dW = -k[i - 2] * F[row - 1]
-                if i + 1 <= n - 2:
-                    dW = dW + k[i - 1] * F[row + 1]
-            d[row] = dW
-        return d
+    def _generators(self, k):
+        """Generators A(t) of the linear Frenet system state' = A state, from
+        curvature values ``k`` of shape (..., n-3)."""
+        ones = np.ones(k.shape[:-1] + (1,))
+        return np.einsum("...c,cij->...ij", np.concatenate((ones, k), axis=-1),
+                         self._generator_basis)
 
-    def _rk4_step(self, t, state, h, k=None):
+    def _rk4_step(self, t, state, h):
         """Classical RK4 step of length h from t (floats, or arrays over a
-        stack of states).  ``k`` holds the curvature values at t, t + h/2 and
-        t + h; they are evaluated here, in one call, when not given."""
-        if k is None:
-            stage = np.stack(np.broadcast_arrays(t, t + h / 2, t + h), axis=-1)
-            k = np.moveaxis(self.profile.values(stage.ravel()).reshape(
-                stage.shape + (-1,)), -2, 0)
-        F = state
-        if state.ndim == 3:  # rows first; curvatures broadcast over the vectors
-            F = state.swapaxes(0, 1)
-            h = np.asarray(h)[:, None]
-            k = np.moveaxis(k, -1, 1)[..., None]
-        k1 = self._rhs(k[0], F)
-        k2 = self._rhs(k[1], F + h / 2 * k1)
-        k3 = self._rhs(k[1], F + h / 2 * k2)
-        k4 = self._rhs(k[2], F + h * k3)
-        out = F + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-        return out if state.ndim == 2 else out.swapaxes(0, 1)
+        stack of states), with the curvatures at t, t + h/2 and t + h
+        evaluated in one call."""
+        stage = np.stack(np.broadcast_arrays(t, t + h / 2, t + h))
+        k = self.profile.values(stage.ravel()).reshape(stage.shape + (-1,))
+        D = _rk4_increments(*self._generators(k), h)
+        return state + D @ state
 
     def _states_at(self, ts):
         """States (m, n+1, n) on a grid: table rows, or one RK4 step from the

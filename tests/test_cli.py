@@ -185,6 +185,20 @@ def test_numerical_failure_exit_code(tmp_path, capsys):
     assert json.loads(err.splitlines()[-1])["category"] == "numerical"
 
 
+def test_overflowing_synthesis_exit_code(tmp_path, capsys):
+    # left to run over all of [0, 100] the frame overflows to a NaN Gram
+    # defect; the gate must stop the run with a numerical error instead
+    f = tmp_path / "overflow.json"
+    f.write_text(json.dumps({
+        "dimension": 6, "curvatures": ["1", "2", "200"],
+        "interval": [0, 100], "step": 0.5}))
+    code, _, err = run(capsys, "synthesize", str(f))
+    assert code == 4
+    diag = json.loads(err.splitlines()[-1])
+    assert diag["category"] == "numerical"
+    assert diag["error"] == "StepSizeError"
+
+
 @pytest.mark.parametrize("command", ["classify", "frame"])
 def test_evaluation_error_names_the_subexpression_once(tmp_path, capsys, command):
     f = tmp_path / "log.json"

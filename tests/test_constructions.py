@@ -6,6 +6,7 @@ be checked against ground truth.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -420,6 +421,105 @@ def test_synthesis_step_failure():
     with pytest.raises(StepSizeError) as exc:
         synthesize(profile, (0.0, 2.0), step=0.4)
     assert "halve" in str(exc.value)
+
+
+def test_synthesis_fails_fast_at_the_breach():
+    # the frame grows until the Gram gate breaks; the run stops at the block
+    # where it broke instead of integrating all of [0, 100] first
+    profile = CurvatureProfile.from_strings(6, ["1", "2", "20"])
+    with pytest.raises(StepSizeError) as exc:
+        synthesize(profile, (0.0, 100.0))
+    message = str(exc.value)
+    assert "halve" in message
+    breach = re.search(r"at t=(\S+) ", message)
+    assert breach is not None, message
+    assert 0.0 <= float(breach.group(1)) <= 10.0
+
+
+def test_synthesis_gate_rejects_a_nan_defect():
+    # h^4 k^4 overflows on the very first step, so its state is NaN before
+    # any finite defect could break the gate; a NaN initial frame fails at t = a
+    profile = CurvatureProfile.from_strings(6, ["1e300", "1e300", "1e300"])
+    with pytest.raises(StepSizeError, match=r"defect nan at t=0\.5 "):
+        synthesize(profile, (0.0, 1.0), step=0.5)
+    state = standard_initial_frame(6).as_matrix().copy()
+    state[2, 3] = np.nan
+    profile = CurvatureProfile.from_strings(6, ["1", "2", "3"])
+    with pytest.raises(StepSizeError, match=r"defect nan at t=0 "):
+        synthesize(profile, (0.0, 1.0), step=0.5,
+                   initial=FrameState.from_matrix(state))
+
+
+def frenet_rhs(k, F):
+    """Frenet right-hand side spelled out row by row, the oracle for
+    synthesis: F holds the rows (alpha, L1, L2, N1, N2, W3, ...) and k[i - 1]
+    is k_i."""
+    n = F.shape[1]
+    d = np.empty_like(F)
+    d[0] = F[1]                                              # alpha' = L1
+    d[1] = F[2]                                              # L1' = L2
+    d[2] = F[5]                                              # L2' = W3
+    d[3] = k[1] * F[2] + (k[2] * F[6] if n >= 6 else 0.0)    # N1' = k2 L2 + k3 W4
+    d[4] = k[1] * F[1] + F[3] - k[0] * F[5]                  # N2' = k2 L1 + N1 - k1 W3
+    d[5] = -k[0] * F[2] + F[4]                               # W3' = -k1 L2 + N2
+    for i in range(4, n - 1):  # W_i sits in row i + 2
+        row = i + 2
+        if i == 4:
+            dW = -k[2] * F[1]                                # W4' = -k3 L1 + k4 W5
+            if n >= 7:
+                dW = dW + k[3] * F[7]
+        else:
+            dW = -k[i - 2] * F[row - 1]                      # W_i' = -k_{i-1} W_{i-1}
+            if i + 1 <= n - 2:
+                dW = dW + k[i - 1] * F[row + 1]              #        + k_i W_{i+1}
+        d[row] = dW
+    return d
+
+
+def oracle_rk4_step(profile, t, state, h):
+    """One classical RK4 step, stage by stage, with the spelled-out system."""
+    k0, km, k1 = (profile.values(s) for s in (t, t + h / 2, t + h))
+    s1 = frenet_rhs(k0, state)
+    s2 = frenet_rhs(km, state + h / 2 * s1)
+    s3 = frenet_rhs(km, state + h / 2 * s2)
+    s4 = frenet_rhs(k1, state + h * s3)
+    return state + h / 6 * (s1 + 2 * s2 + 2 * s3 + s4)
+
+
+@pytest.mark.parametrize("n, curvatures", [
+    (5, ["0.3 + 0.2*t", "-0.4"]),
+    (6, ["1.5", "-1", "2 + sin(t)"]),
+    (7, ["0.5", "0.2*t", "1 + 0.1*t^2", "-0.7"]),
+    (8, ["0.4", "-0.3", "1.2", "0.5 + 0.2*cos(t)", "0.8"]),
+])
+def test_synthesis_matches_stagewise_rk4_oracle(n, curvatures):
+    # more than one block of steps, and a short last step
+    a, b, step = -0.2, 2.7533, 0.01
+    profile = CurvatureProfile.from_strings(n, curvatures)
+    curve = synthesize(profile, (a, b), step=step)
+    ts, states = [a], [standard_initial_frame(n).as_matrix()]
+    while ts[-1] < b - 1e-12 * step:
+        h = min(step, b - ts[-1])
+        states.append(oracle_rk4_step(profile, ts[-1], states[-1], h))
+        ts.append(ts[-1] + h)
+    assert len(ts) > 257 and ts[-1] - ts[-2] < step / 2
+    assert np.array_equal(curve._ts, ts)
+    assert np.max(np.abs(curve._states - np.array(states))) <= 1e-13
+    # the gate's maximum covers every state, across blocks
+    metric = PseudoMetric(n)
+    assert curve.max_gram_defect == pytest.approx(
+        max(FrameState.from_matrix(s).gram_defect(metric) for s in states), rel=1e-6)
+    # off-node queries take one batched step from the node below
+    grid = np.linspace(a, b, 23)[1:-1] + 0.0037
+    below = np.searchsorted(ts, grid, side="right") - 1
+    want = np.array([oracle_rk4_step(profile, ts[i], states[i], t - ts[i])
+                     for i, t in zip(below, grid)])
+    jets = curve.vec_jets(grid, 1)
+    assert np.max(np.abs(jets.coeffs[0] - want[:, 0])) <= 1e-13
+    assert np.max(np.abs(jets.coeffs[1] - want[:, 1])) <= 1e-13
+    for t, w in zip(grid, want):
+        assert np.max(np.abs(curve.point(t) - w[0])) <= 1e-13
+        assert np.max(np.abs(curve.frame_state(t).as_matrix() - w)) <= 1e-13
 
 
 def test_standard_initial_frame_relations():
