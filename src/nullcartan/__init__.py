@@ -54,7 +54,7 @@ from .errors import (
     SingularRecursionError,
     StepSizeError,
 )
-from .expr import Jet, VecJet, derivative, jet_eval, parse
+from .expr import Jet, VecJet, jet_eval, parse
 from .frame import (
     CartanFrame,
     FrameJets,

@@ -54,7 +54,7 @@ from .errors import (
     SingularRecursionError,
     StepSizeError,
 )
-from .frame import cartan_frames, frame_jets, frenet_residuals
+from .frame import cartan_frames, frame_jets, frame_rows, frame_vectors, stencil_residuals
 
 _INPUT_ERRORS = (InputError, ExprSyntaxError)
 _HYPOTHESIS_ERRORS = (HypothesisError,)
@@ -293,13 +293,17 @@ def cmd_classify(args):
     return 0
 
 
-def _frame_columns(n):
-    cols = ["t"]
-    cols += [f"x{j + 1}" for j in range(n)]
-    for name in ["L1", "L2", "W3", "N2", "N1"] + [f"W{i}" for i in range(4, n - 1)]:
-        cols += [f"{name}_{j + 1}" for j in range(n)]
-    cols += [f"k{i + 1}" for i in range(n - 3)]
-    return cols
+def _frame_table(grid, points, frame, curvatures):
+    """Report table of frame samples: t, the point, every frame row in the
+    orientation order, then the curvatures (shape (m, n-3))."""
+    n = points.shape[1]
+    rows = frame_rows(n)
+    vectors = frame_vectors(frame)
+    columns = ["t"] + [f"x{j + 1}" for j in range(n)]
+    columns += [f"{name}_{j + 1}" for name in rows for j in range(n)]
+    columns += [f"k{i + 1}" for i in range(n - 3)]
+    data = np.column_stack([grid, points] + [vectors[name] for name in rows] + [curvatures])
+    return {"columns": columns, "rows": data.tolist()}
 
 
 def cmd_frame(args):
@@ -308,21 +312,18 @@ def cmd_frame(args):
     n = curve.dimension
     frames, points = pointwise_order(
         lambda ts: (cartan_frames(curve, ts, tol=args.tol), points_on(curve, ts)), grid)
-    columns = [grid, points, frames.L1.value, frames.L2.value, frames.W[0].value,
-               frames.N2.value, frames.N1.value]
-    columns += [w.value for w in frames.W[1:]]
-    columns += [k.value for k in frames.curvatures]
-    rows = np.column_stack(columns).tolist()
+    frame = frames.to_frame()
+    table = _frame_table(grid, points, frame, np.column_stack(frame.curvatures))
     max_closure = max(0.0, float(np.max(frames.closure_residual)))
     body = _base_body("frame", args, digest)
     body["tolerances"] = {"frame": args.tol}
-    body["summary"] = {"dimension": n, "samples": len(rows),
+    body["summary"] = {"dimension": n, "samples": len(table["rows"]),
                        "max_closure_residual": max_closure}
     if len(grid) >= 7:
-        res = frenet_residuals(curve, grid)
+        res = stencil_residuals(grid, frame, points)
         body["summary"]["frenet_residuals"] = dict(res.per_equation)
         body["summary"]["max_frenet_residual"] = res.overall
-    body["table"] = {"columns": _frame_columns(n), "rows": rows}
+    body["table"] = table
     write_report(body, args)
     return 0
 
@@ -437,7 +438,7 @@ def cmd_synthesize(args):
                                                            "step", args.file)
     curve = synthesize(profile, interval, step)
     grid = np.linspace(curve.domain[0], curve.domain[1], _grid_size(args, data, 129))
-    table = curve.frame_table(grid)
+    frame, curvatures = curve.frame_table(grid)
     n = curve.dimension
     body = _base_body("synthesize", args, digest)
     body["kind"] = "synthesized"
@@ -447,12 +448,7 @@ def cmd_synthesize(args):
     body["interval"] = [curve.domain[0], curve.domain[1]]
     body["step"] = step
     body["max_gram_defect"] = curve.max_gram_defect
-    columns = _frame_columns(n)
-    rows = np.column_stack(
-        [grid, table["points"], table["L1"], table["L2"], table["W3"], table["N2"],
-         table["N1"]] + [table[f"W{j}"] for j in range(4, n - 1)]
-        + [table["curvatures"]]).tolist()
-    body["table"] = {"columns": columns, "rows": rows}
+    body["table"] = _frame_table(grid, frame.alpha, frame, curvatures)
     write_report(body, args)
     return 0
 

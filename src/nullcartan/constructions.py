@@ -41,7 +41,7 @@ from .errors import (
     StepSizeError,
 )
 from .expr import Expr, Jet, Program, VecJet, _toeplitz, _weighted, parse
-from .frame import frame_grid
+from .frame import frame_grid, frenet_system
 from .metric import PseudoMetric
 
 __all__ = [
@@ -166,28 +166,16 @@ def standard_initial_frame(n, alpha=None):
 # ---------------------------------------------------------------------------
 
 def _frenet_couplings(n):
-    """Frame-row derivatives as (row, target, curvature, sign): F_row' is the
-    sum of sign * k_curvature * F_target, curvature 0 standing for 1.
-
-    Rows follow the state layout L1, L2, N1, N2, W3, W4, ...
-    """
-    rows = [(0, 1, 0, 1), (1, 4, 0, 1), (2, 1, 2, 1),
-            (3, 0, 2, 1), (3, 2, 0, 1), (3, 4, 1, -1), (4, 1, 1, -1), (4, 3, 0, 1)]
-    if n >= 6:
-        rows.append((2, 5, 3, 1))
-    for row in range(5, n):
-        i = row - 1  # row holds W_i
-        if i == 4:
-            rows.append((row, 0, 3, -1))
-            if n >= 7:
-                rows.append((row, 6, 4, 1))
-        else:
-            rows.append((row, row - 1, i - 1, -1))
-            if i + 1 <= n - 2:
-                rows.append((row, row + 1, i, 1))
-    P = np.zeros((n - 2, n, n))
-    for row, target, k, sign in rows:
-        P[k, row, target] = sign
+    """:func:`frenet_system` scattered into the state layout (alpha, L1, L2,
+    N1, N2, W3, ...) of :meth:`FrameState.as_matrix`: P[c, i, j] = sign when
+    row i' has the term sign * k_c * row j, so state' = (sum_c k_c P[c]) state
+    with k_0 = 1."""
+    layout = ["alpha", "L1", "L2", "N1", "N2"] + [f"W{i}" for i in range(3, n - 1)]
+    index = {name: i for i, name in enumerate(layout)}
+    P = np.zeros((n - 2, n + 1, n + 1))
+    for row, terms in frenet_system(n):
+        for target, c, sign in terms:
+            P[c, index[row], index[target]] = sign
     return P
 
 
@@ -230,44 +218,40 @@ class FrenetCurve:
             raise DimensionMismatchError(
                 f"initial state must be ({n + 1}, {n}), got {state.shape}")
         steps = int(math.ceil((b - a) / step - 1e-12))
-        ts = [a]
-        hs = []
-        for _ in range(steps):
-            hs.append(min(step, b - ts[-1]))
-            ts.append(ts[-1] + hs[-1])
-        ts, hs = np.array(ts), np.array(hs)
-        # curvatures at every RK4 stage time (step starts and midpoints), in
-        # time order and in one pass before the loop
-        stage_t = np.empty(2 * steps + 1)
-        stage_t[0::2] = ts
-        stage_t[1::2] = ts[:-1] + hs / 2
-        k = pointwise_order(profile.values, stage_t)
+        hs = np.full(steps, self.step)
+        ts = np.add.accumulate(np.concatenate(([a], hs)))
+        for i in np.flatnonzero(b - ts[:-1] < self.step):  # short steps end at b
+            hs[i] = b - ts[i]
+            ts[i + 1] = ts[i] + hs[i]
         self._couplings = _frenet_couplings(n)
-        self._generator_basis = np.zeros((n - 2, n + 1, n + 1))
-        self._generator_basis[0, 0, 1] = 1.0  # alpha' = L1
-        self._generator_basis[:, 1:, 1:] = self._couplings
         states = np.empty((steps + 1, n + 1, n))
         states[0] = state
         self.max_gram_defect = 0.0
         # blocks of TABLE_BLOCK steps keep the propagator stack small and let
-        # the Gram gate stop a run at the first block that breaks it.  An
-        # overflow reaches the gate as a NaN or infinite defect, which fails
+        # the Gram gate stop a run at the first block that breaks it, before
+        # the curvatures of later blocks are evaluated.  An overflow reaches
+        # the gate as a NaN or infinite defect, which fails
         # ``defect <= defect_limit``, so numpy need not warn about it.
-        with np.errstate(over="ignore", invalid="ignore"):
-            for i0 in range(0, steps, TABLE_BLOCK):
-                i1 = min(i0 + TABLE_BLOCK, steps)
-                A = self._generators(k[2 * i0:2 * i1 + 1])
+        for i0 in range(0, steps, TABLE_BLOCK):
+            i1 = min(i0 + TABLE_BLOCK, steps)
+            # curvatures at the block's RK4 stage times (step starts and
+            # midpoints), in time order
+            stage_t = np.empty(2 * (i1 - i0) + 1)
+            stage_t[0::2] = ts[i0:i1 + 1]
+            stage_t[1::2] = ts[i0:i1] + hs[i0:i1] / 2
+            A = self._generators(pointwise_order(profile.values, stage_t))
+            with np.errstate(over="ignore", invalid="ignore"):
                 D = _rk4_increments(A[0:-1:2], A[1::2], A[2::2], hs[i0:i1])
                 for i in range(i0, i1):
                     states[i + 1] = states[i] + D[i - i0] @ states[i]
                 defects = _gram_defect(states[i0:i1 + 1], self._metric.signs)
-                bad = ~(defects <= defect_limit)
-                if np.any(bad):
-                    j = int(np.argmax(bad))
-                    raise StepSizeError(
-                        f"frame Gram defect {defects[j]:.3e} at t={ts[i0 + j]:.6g} "
-                        f"exceeds {defect_limit:.1e}; halve the step (current {step})")
-                self.max_gram_defect = max(self.max_gram_defect, float(np.max(defects)))
+            bad = ~(defects <= defect_limit)
+            if np.any(bad):
+                j = int(np.argmax(bad))
+                raise StepSizeError(
+                    f"frame Gram defect {defects[j]:.3e} at t={ts[i0 + j]:.6g} "
+                    f"exceeds {defect_limit:.1e}; halve the step (current {step})")
+            self.max_gram_defect = max(self.max_gram_defect, float(np.max(defects)))
         states.flags.writeable = False
         self._ts = ts
         self._states = states
@@ -279,7 +263,7 @@ class FrenetCurve:
         curvature values ``k`` of shape (..., n-3)."""
         ones = np.ones(k.shape[:-1] + (1,))
         return np.einsum("...c,cij->...ij", np.concatenate((ones, k), axis=-1),
-                         self._generator_basis)
+                         self._couplings)
 
     def _rk4_step(self, t, state, h):
         """Classical RK4 step of length h from t (floats, or arrays over a
@@ -334,6 +318,7 @@ class FrenetCurve:
         if order == 0:
             return VecJet(ts, coeffs)
         frame_rows = states[:, 1:]
+        C = np.ascontiguousarray(self._couplings[:, 1:, 1:])
         depth = order - 1
         ones = np.zeros((depth + 1, len(ts)))
         ones[0] = 1.0
@@ -347,7 +332,7 @@ class FrenetCurve:
             if m == order:
                 break
             size = len(X) - 1
-            XC = np.einsum("jmr,crt->jmct", X[:size], self._couplings)
+            XC = np.einsum("jmr,crt->jmct", X[:size], C)
             X = _weighted(X)[1:] + np.einsum("kjmc,jmct->kmt", _toeplitz(k[:size]), XC)
         return VecJet(ts, coeffs)
 
@@ -375,18 +360,14 @@ class FrenetCurve:
         return SampledCurve(self._ts[idx], self._states[idx, 0, :])
 
     def frame_table(self, grid):
+        """Frame states on a grid, as one :class:`FrameState` whose fields are
+        stacked over the grid, and the curvature values there."""
         def sample(ts):
             _check_in_domain(ts, self.domain)
             return self._states_at(ts), self.curvature_values(ts)
 
         states, curvatures = pointwise_order(sample, grid)
-        table = {"L1": states[:, 1], "L2": states[:, 2],
-                 "N1": states[:, 3], "N2": states[:, 4]}
-        for j in range(self.dimension - 4):
-            table[f"W{j + 3}"] = states[:, 5 + j]
-        table["points"] = states[:, 0]
-        table["curvatures"] = curvatures
-        return table
+        return FrameState.from_matrix(states.swapaxes(0, 1)), curvatures
 
 
 def synthesize(profile, interval, step=1e-3, initial=None, defect_limit=1e-4):

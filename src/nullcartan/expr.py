@@ -48,7 +48,6 @@ __all__ = [
     "Program",
     "parse",
     "jet_eval",
-    "derivative",
     "jet_compose",
     "jet_invert",
 ]
@@ -388,11 +387,6 @@ class Jet:
 
     def cos(self):
         return Jet(self.base, _sincos(self.coeffs)[1])
-
-
-def derivative(jet, k):
-    """k-th derivative encoded by a jet; rejects k outside the jet order."""
-    return jet.derivative(k)
 
 
 def jet_compose(outer, inner):

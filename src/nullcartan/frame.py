@@ -1,20 +1,18 @@
 """Cartan frame extraction and Frenet-system residual verification.
 
-For a pseudo-arc-parametrized curve in the family {0,1,2,2,1,0,...,0} the
-frame starts from L1 = alpha', L2 = alpha'', W3 = alpha''' and continues with
-the normalizations <L1,N1> = 1, <L2,N2> = -1, null N1/N2, orthonormal W's:
-
-    k1 = <W3', W3'>/2             N2 = W3' + k1 L2
-    k2 = (<N2', N2'> - k1^2)/2    N1 = N2' - k2 L1 + k1 W3
-    u  = N1' - k2 L2              k3 = |u|,  W4 = u/k3          (n >= 6)
-    v4 = W4' + k3 L1              k4 = |v4|, W5 = v4/k4         (n >= 7)
-    vi = Wi' + k_{i-1} W_{i-1}    ki = |vi|, W_{i+1} = vi/ki    (5 <= i <= n-3)
-
-All frame derivatives ride on jets of the curve one order higher than the
-vectors they feed, never on numeric differencing.  Normalizer curvatures come
-out positive, which automatically matches the orientation of
-(L1,L2,W3,N2,N1,W4,...) to that of (alpha',...,alpha^(n)); the orientation is
-still checked and an ambiguous determinant fails loudly.
+:func:`frenet_system` states the Frenet equations of a pseudo-arc-parametrized
+curve in the family {0,1,2,2,1,0,...,0} once; extraction, the residual report
+and the synthesizer (``constructions``) read them off it.  Extraction walks
+the rows from L1 = alpha': a row's derivative minus its known terms is its new
+vector times its curvature.  The normalizations <L1,N1> = 1, <L2,N2> = -1,
+null N1/N2 and orthonormal W's fix k1 = <W3',W3'>/2, k2 = (<N2',N2'> - k1^2)/2
+and ki = |vi| (i >= 3), vi being what is left of the row.  What is left of the
+last row is the closure residual.  All frame derivatives ride on jets of the
+curve one order higher than the vectors they feed, never on numeric
+differencing.  Normalizer curvatures come out positive, which automatically
+matches the orientation of (L1,L2,W3,N2,N1,W4,...) to that of
+(alpha',...,alpha^(n)); the orientation is still checked and an ambiguous
+determinant fails loudly.
 """
 
 from __future__ import annotations
@@ -36,12 +34,54 @@ __all__ = [
     "cartan_frames",
     "frame_grid",
     "frame_jets",
+    "frame_rows",
+    "frame_vectors",
     "frenet_residuals",
+    "frenet_system",
+    "stencil_residuals",
 ]
 
 NULL_CHAIN_GATE = 1e-6
 PSEUDO_ARC_GATE = 1e-6
 CURVATURE_FLOOR = 1e-10
+
+
+def frenet_system(n):
+    """The Frenet equations in dimension n as ``[(row, terms), ...]``.
+
+    ``terms`` is ``((target, c, sign), ...)``: row' is the sum of
+    sign * k_c * target, where k_0 = 1.  Rows come in the order alpha, L1,
+    L2, W3, N2, N1, W4, ..., W_{n-2}, the orientation order of the frame and
+    the column order of reports.  From N1 on, each row is coupled back (N1 to
+    L2, W4 to L1, W_i to W_{i-1}) and forward to the next row of the chain.
+    """
+    chain = ["N1"] + [f"W{i}" for i in range(4, n - 1)]
+    back = [("L2", 2, 1), ("L1", 3, -1)] + [(w, i, -1) for i, w in enumerate(chain[1:], 4)]
+    system = [
+        ("alpha", (("L1", 0, 1),)),
+        ("L1", (("L2", 0, 1),)),
+        ("L2", (("W3", 0, 1),)),
+        ("W3", (("L2", 1, -1), ("N2", 0, 1))),
+        ("N2", (("L1", 2, 1), ("N1", 0, 1), ("W3", 1, -1))),
+    ]
+    for j, row in enumerate(chain):
+        ahead = ((chain[j + 1], j + 3, 1),) if j + 1 < len(chain) else ()
+        system.append((row, (back[j],) + ahead))
+    return system
+
+
+def frame_rows(n):
+    """Frame row names in the orientation order L1, L2, W3, N2, N1, W4, ...:
+    the rows of :func:`frenet_system` after alpha."""
+    return [row for row, _ in frenet_system(n)[1:]]
+
+
+def frame_vectors(frame):
+    """The vectors of a frame (anything with L1, L2, N1, N2 and W fields) by
+    row name, in the layout L1, L2, N1, N2, W3, W4, ..."""
+    named = {"L1": frame.L1, "L2": frame.L2, "N1": frame.N1, "N2": frame.N2}
+    named.update((f"W{j + 3}", w) for j, w in enumerate(frame.W))
+    return named
 
 
 @dataclass(frozen=True)
@@ -64,9 +104,8 @@ class CartanFrame:
 
     def basis(self):
         """Frame rows in the orientation order (L1, L2, W3, N2, N1, W4, ...)."""
-        rows = [self.L1, self.L2, self.W[0], self.N2, self.N1]
-        rows.extend(self.W[1:])
-        return np.stack(rows)
+        named = frame_vectors(self)
+        return np.stack([named[row] for row in frame_rows(self.dimension)])
 
 
 @dataclass(frozen=True, eq=False)
@@ -157,57 +196,47 @@ def frame_grid(curve, ts, extra_order=0, tol=1e-9, force=False):
     if not force:
         _family_gates(metric, A, tol)
 
-    L1 = A.differentiate()
-    L2 = L1.differentiate()
-    W3 = L2.differentiate()
-    W3p = W3.differentiate()
-    k1 = metric.inner_jet(W3p, W3p) * 0.5
-    N2 = W3p + L2.scale(k1)
-    N2p = N2.differentiate()
-    k2 = (metric.inner_jet(N2p, N2p) - k1 * k1) * 0.5
-    N1 = N2p - L1.scale(k2) + W3.scale(k1)
-
     derivs = np.stack([A.derivative_value(k) for k in range(1, n + 1)], axis=1)
     scale = 1.0 + np.max(np.linalg.norm(derivs, axis=-1), axis=1)
     floor = CURVATURE_FLOOR * scale
 
-    curvatures = [k1, k2]
-    Ws = [W3]
-
-    if n >= 6:
-        for i in range(3, n - 2):
-            if i == 3:
-                v = N1.differentiate() - L2.scale(k2)
-            elif i == 4:
-                v = Ws[1].differentiate() + L1.scale(curvatures[2])
+    system = frenet_system(n)
+    vectors = {"alpha": A}
+    k = [None]  # k[c] is the jet of k_c; k_0 = 1 scales nothing
+    for row, terms in system:
+        v = vectors[row].differentiate()
+        if row == "W3":    # N2 = W3' + k1 L2 is null
+            k.append(metric.inner_jet(v, v) * 0.5)
+        elif row == "N2":  # N1 = N2' - k2 L1 + k1 W3 is null
+            k.append((metric.inner_jet(v, v) - k[1] * k[1]) * 0.5)
+        new = None
+        for target, c, sign in terms:
+            if target not in vectors:
+                new = target, c
             else:
-                v = Ws[i - 3].differentiate() + Ws[i - 4].scale(curvatures[i - 2])
+                term = vectors[target] if c == 0 else vectors[target].scale(k[c])
+                v = v - term if sign > 0 else v + term
+        if new is None:  # the last row: what is left is the closure residual
+            closure_residual = np.linalg.norm(v.value, axis=-1)
+            break
+        target, c = new
+        if c:
             vv = metric.inner_jet(v, v)
             bad = vv.value <= floor * floor
             if np.any(bad):
                 j = _first(bad)
-                partial = FrameJets(ts, L1, L2, N1, N2, tuple(Ws), tuple(curvatures),
-                                    np.full(len(ts), np.nan), np.zeros(len(ts), int))
+                partial = _assemble(ts, vectors, k, np.full(len(ts), np.nan),
+                                    np.zeros(len(ts), int))
                 raise FrameDegeneracyError(
-                    f"normalizer <v,v> = {vv.value[j]:.3e} at curvature index {i}: "
+                    f"normalizer <v,v> = {vv.value[j]:.3e} at curvature index {c}: "
                     f"frame continuation aborted at t={ts[j]}",
-                    index=i, partial=partial.at(j))
-            ki = vv.sqrt()
-            curvatures.append(ki)
-            Ws.append(v.scale(1.0 / ki))
+                    index=c, partial=partial.at(j))
+            k.append(vv.sqrt())
+            v = v.scale(1.0 / k[c])
+        vectors[target] = v
 
-    # closure equation residual: the last Frenet equation has no new vector
-    if n == 5:
-        closure = N1.differentiate() - L2.scale(k2)
-    elif n == 6:
-        closure = Ws[1].differentiate() + L1.scale(curvatures[2])
-    else:
-        closure = Ws[-1].differentiate() + Ws[-2].scale(curvatures[-1])
-    closure_residual = np.linalg.norm(closure.value, axis=-1)
-
-    frame_rows = np.stack([L1.value, L2.value, W3.value, N2.value, N1.value]
-                          + [w.value for w in Ws[1:]], axis=1)
-    sign_frame = metric.orientation_signs(frame_rows, strict=not force)
+    basis = np.stack([vectors[row].value for row, _ in system[1:]], axis=1)
+    sign_frame = metric.orientation_signs(basis, strict=not force)
     sign_derivs = metric.orientation_signs(derivs, strict=not force)
     if force:
         sign_frame = np.where(sign_derivs == 0, 0, sign_frame)
@@ -219,8 +248,13 @@ def frame_grid(curve, ts, extra_order=0, tol=1e-9, force=False):
                 f"frame orientation {sign_frame[j]} disagrees with the derivative "
                 f"basis orientation {sign_derivs[j]} at t={ts[j]}")
 
-    return FrameJets(ts, L1, L2, N1, N2, tuple(Ws), tuple(curvatures),
-                     closure_residual, sign_frame)
+    return _assemble(ts, vectors, k, closure_residual, sign_frame)
+
+
+def _assemble(ts, vectors, k, closure_residual, orientation):
+    W = tuple(v for name, v in vectors.items() if name.startswith("W"))
+    return FrameJets(ts, vectors["L1"], vectors["L2"], vectors["N1"], vectors["N2"], W,
+                     tuple(k[1:]), closure_residual, orientation)
 
 
 def frame_jets(curve, t, extra_order=0, tol=1e-9, force=False):
@@ -289,51 +323,26 @@ def frenet_residuals(curve, grid):
         raise InputError("residual grid must be uniformly spaced")
 
     frames = cartan_frames(curve, grid)
-    n = curve.dimension
     points = pointwise_order(lambda ts: points_on(curve, ts), grid)
-    fields = {"L1": frames.L1.value, "L2": frames.L2.value,
-              "N1": frames.N1.value, "N2": frames.N2.value}
-    for j in range(n - 4):
-        fields[f"W{j + 3}"] = frames.W[j].value
-    ks = np.stack([k.value for k in frames.curvatures], axis=1)  # (m, n-3)
+    return stencil_residuals(grid, frames.to_frame(), points)
 
-    dpoints = _stencil_derivative(points, h)
-    dfields = {name: _stencil_derivative(arr, h) for name, arr in fields.items()}
 
-    def k(i):
-        return ks[:, i - 1][:, None]
-
-    rhs = {
-        "alpha' = L1": (dpoints, fields["L1"]),
-        "L1' = L2": (dfields["L1"], fields["L2"]),
-        "L2' = W3": (dfields["L2"], fields["W3"]),
-        "W3' = -k1 L2 + N2": (dfields["W3"], -k(1) * fields["L2"] + fields["N2"]),
-        "N2' = k2 L1 + N1 - k1 W3":
-            (dfields["N2"], k(2) * fields["L1"] + fields["N1"] - k(1) * fields["W3"]),
-    }
-    if n == 5:
-        rhs["N1' = k2 L2"] = (dfields["N1"], k(2) * fields["L2"])
-    else:
-        rhs["N1' = k2 L2 + k3 W4"] = (dfields["N1"],
-                                      k(2) * fields["L2"] + k(3) * fields["W4"])
-        for i in range(4, n - 1):
-            name = f"W{i}'"
-            lhs = dfields[f"W{i}"]
-            if i == 4:
-                expr = -k(3) * fields["L1"]
-                label = f"{name} = -k3 L1"
-                if n >= 7:
-                    expr = expr + k(4) * fields["W5"]
-                    label = f"{name} = -k3 L1 + k4 W5"
-            else:
-                expr = -k(i - 1) * fields[f"W{i - 1}"]
-                label = f"{name} = -k{i - 1} W{i - 1}"
-                if i + 1 <= n - 2:
-                    expr = expr + k(i) * fields[f"W{i + 1}"]
-                    label += f" + k{i} W{i + 1}"
-            rhs[label] = (lhs, expr)
-
-    per_equation = {name: float(np.max(np.abs(lhs - rhs_)))
-                    for name, (lhs, rhs_) in rhs.items()}
+def stencil_residuals(grid, frame, points):
+    """:func:`frenet_residuals` from samples already taken on its grid:
+    ``frame`` is a :class:`CartanFrame` stacked over the uniform ``grid`` (at
+    least 7 points), ``points`` the curve points there."""
+    h = grid[1] - grid[0]
+    fields = {"alpha": points, **frame_vectors(frame)}
+    k = [None] + [c[:, None] for c in frame.curvatures]
+    per_equation = {}
+    for row, terms in frenet_system(points.shape[1]):
+        rhs, text = 0.0, []
+        for target, c, sign in terms:
+            term = fields[target] if c == 0 else k[c] * fields[target]
+            rhs = rhs + term if sign > 0 else rhs - term
+            text += ["+" if sign > 0 else "-", f"k{c} {target}" if c else target]
+        label = f"{row}' = " + ("" if text[0] == "+" else "-") + " ".join(text[1:])
+        lhs = _stencil_derivative(fields[row], h)
+        per_equation[label] = float(np.max(np.abs(lhs - rhs)))
     overall = max(per_equation.values())
     return FrenetResidualReport(per_equation, overall, tuple(grid))

@@ -123,6 +123,24 @@ def test_frame_row_count_matches_samples(quintic_file, capsys):
     assert k_cols == ["k1", "k2"]
 
 
+def test_frame_extracts_frames_once(quintic_file, capsys, monkeypatch):
+    # the residual report reuses the frames and points of the table
+    import nullcartan.frame as frame
+
+    calls = []
+    original = frame.frame_grid
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(frame, "frame_grid", counted)
+    code, out, _ = run(capsys, "frame", quintic_file)
+    assert code == 0
+    assert "frenet_residuals" in body_of(out)["summary"]
+    assert len(calls) == 1
+
+
 def test_bertrand_fixture(quintic_file, capsys):
     code, out, _ = run(capsys, "bertrand", quintic_file, "--mu", "1")
     assert code == 0

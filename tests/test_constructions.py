@@ -35,7 +35,7 @@ from nullcartan import (
     standard_initial_frame,
     synthesize,
 )
-from nullcartan.constructions import OffsetCurve
+from nullcartan.constructions import OffsetCurve, _frenet_couplings
 
 from conftest import golden_mate, golden_N1, golden_N2, random_isometry_frame
 
@@ -474,6 +474,35 @@ def frenet_rhs(k, F):
                 dW = dW + k[i - 1] * F[row + 1]              #        + k_i W_{i+1}
         d[row] = dW
     return d
+
+
+@pytest.mark.parametrize("n", [5, 6, 7, 8, 9])
+def test_generator_matches_spelled_out_rhs(n):
+    # the coupling tensor read off the Frenet table is the oracle's system
+    rng = np.random.default_rng(n)
+    P = _frenet_couplings(n)
+    for _ in range(3):
+        k = rng.normal(size=n - 3)
+        F = rng.normal(size=(n + 1, n))
+        A = np.einsum("c,cij->ij", np.concatenate(([1.0], k)), P)
+        assert np.max(np.abs(A @ F - frenet_rhs(k, F))) <= 1e-14
+
+
+def test_synthesis_stops_evaluating_curvatures_at_the_breach(monkeypatch):
+    # the gate breaks near t = 4.4; curvatures past the failing block are
+    # never evaluated
+    seen = []
+    values = CurvatureProfile.values
+
+    def recorded(self, t):
+        seen.append(np.max(t))
+        return values(self, t)
+
+    monkeypatch.setattr(CurvatureProfile, "values", recorded)
+    profile = CurvatureProfile.from_strings(6, ["1", "2", "20"])
+    with pytest.raises(StepSizeError):
+        synthesize(profile, (0.0, 100.0))
+    assert seen and max(seen) <= 10.0
 
 
 def oracle_rk4_step(profile, t, state, h):

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from nullcartan import ExprEvaluationError, ExprSyntaxError, Jet, derivative, jet_eval, parse
+from nullcartan import ExprEvaluationError, ExprSyntaxError, Jet, jet_eval, parse
 from nullcartan.expr import jet_compose, jet_invert
 
 from conftest import (
@@ -89,10 +89,10 @@ def test_golden_component_jet_matches_quintic():
     # f^(5)(0) = -120/(4 sqrt 15), everything else zero at 0
     j = jet_eval(parse("(s - s^5)/(4*sqrt(15))"), 0.0, 5)
     scale = 1.0 / (4.0 * math.sqrt(15.0))
-    assert derivative(j, 1) == pytest.approx(scale, rel=1e-15)
-    assert derivative(j, 5) == pytest.approx(-120.0 * scale, rel=1e-15)
+    assert j.derivative(1) == pytest.approx(scale, rel=1e-15)
+    assert j.derivative(5) == pytest.approx(-120.0 * scale, rel=1e-15)
     for k in (0, 2, 3, 4):
-        assert abs(derivative(j, k)) < 1e-15
+        assert abs(j.derivative(k)) < 1e-15
 
 
 def test_sin_exp_derivatives_against_richardson():
@@ -101,21 +101,21 @@ def test_sin_exp_derivatives_against_richardson():
     f = lambda x: np.sin(x) * np.exp(x)
     for k in range(1, 7):
         want = richardson_derivative(f, 0.7, k)
-        assert derivative(j, k) == pytest.approx(want, rel=1e-6, abs=1e-6)
+        assert j.derivative(k) == pytest.approx(want, rel=1e-6, abs=1e-6)
 
 
 def test_derivative_rejects_out_of_range():
     j = jet_eval(parse("s^2"), 3.0, 2)
-    assert derivative(j, 2) == pytest.approx(2.0)
+    assert j.derivative(2) == pytest.approx(2.0)
     with pytest.raises(ValueError):
-        derivative(j, 3)
+        j.derivative(3)
     with pytest.raises(ValueError):
-        derivative(j, -1)
+        j.derivative(-1)
 
 
 def test_constant_jet_has_zero_derivative():
     j = jet_eval(parse("7"), 1.3, 4)
-    assert derivative(j, 1) == 0.0
+    assert j.derivative(1) == 0.0
 
 
 def test_polynomial_jets_match_coefficient_calculus():
@@ -128,7 +128,7 @@ def test_polynomial_jets_match_coefficient_calculus():
         j = jet_eval(parse(text), base, len(coeffs) + 1)
         for k in range(len(coeffs) + 2):
             want = polynomial_derivative_oracle(coeffs, base, k)
-            assert derivative(j, k) == pytest.approx(want, rel=1e-12, abs=1e-12)
+            assert j.derivative(k) == pytest.approx(want, rel=1e-12, abs=1e-12)
 
 
 def test_division_by_zero_constant_term_names_subexpression():
@@ -226,10 +226,10 @@ def test_random_expressions_against_richardson():
         expr = parse(text)
         j = jet_eval(expr, base, 6)
         f = lambda x: eval_longdouble(expr, x)
-        scale = max(1.0, max(abs(derivative(j, k)) for k in range(7)))
+        scale = max(1.0, max(abs(j.derivative(k)) for k in range(7)))
         for k in range(1, 7):
             want = richardson_derivative(f, base, k)
-            assert abs(derivative(j, k) - want) / scale < 1e-6, (text, k)
+            assert abs(j.derivative(k) - want) / scale < 1e-6, (text, k)
 
 
 def test_polynomial_jets_at_ulp_scale():

@@ -236,6 +236,26 @@ def test_synth8_residuals(synth8):
     assert report.overall <= 1e-5
 
 
+LEADING_LABELS = ["alpha' = L1", "L1' = L2", "L2' = W3", "W3' = -k1 L2 + N2",
+                  "N2' = k2 L1 + N1 - k1 W3"]
+
+
+@pytest.mark.parametrize("n, curvatures, tail", [
+    (5, ["0.3 + 0.2*t", "-0.4"], ["N1' = k2 L2"]),
+    (6, ["1.5", "-1", "2 + sin(t)"], ["N1' = k2 L2 + k3 W4", "W4' = -k3 L1"]),
+    (7, ["0.5", "0.2*t", "1 + 0.1*t^2", "-0.7"],
+     ["N1' = k2 L2 + k3 W4", "W4' = -k3 L1 + k4 W5", "W5' = -k4 W4"]),
+    (8, ["0.4", "-0.3", "1.2", "0.5 + 0.2*cos(t)", "0.8"],
+     ["N1' = k2 L2 + k3 W4", "W4' = -k3 L1 + k4 W5", "W5' = -k4 W4 + k5 W6",
+      "W6' = -k5 W5"]),
+])
+def test_residual_labels_per_dimension(n, curvatures, tail):
+    curve = synthesize(CurvatureProfile.from_strings(n, curvatures), (0.0, 1.0))
+    report = frenet_residuals(curve, np.linspace(0.05, 0.95, 61))
+    assert list(report.per_equation) == LEADING_LABELS + tail
+    assert report.overall <= 1e-5
+
+
 def test_residual_grid_validation(golden):
     with pytest.raises(InputError):
         frenet_residuals(golden, np.linspace(0.1, 1.0, 5))
