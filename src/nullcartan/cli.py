@@ -54,7 +54,16 @@ from .errors import (
     SingularRecursionError,
     StepSizeError,
 )
-from .frame import cartan_frames, frame_jets, frame_rows, frame_vectors, stencil_residuals
+from .frame import (
+    CURVATURE_FLOOR,
+    NULL_CHAIN_GATE,
+    PSEUDO_ARC_GATE,
+    cartan_frames,
+    frame_jets,
+    frame_rows,
+    frame_vectors,
+    stencil_residuals,
+)
 
 _INPUT_ERRORS = (InputError, ExprSyntaxError)
 _HYPOTHESIS_ERRORS = (HypothesisError,)
@@ -311,12 +320,13 @@ def cmd_frame(args):
     grid = _grid_for(args, curve, data, 61, uniform=True)
     n = curve.dimension
     frames, points = pointwise_order(
-        lambda ts: (cartan_frames(curve, ts, tol=args.tol), points_on(curve, ts)), grid)
+        lambda ts: (cartan_frames(curve, ts), points_on(curve, ts)), grid)
     frame = frames.to_frame()
     table = _frame_table(grid, points, frame, np.column_stack(frame.curvatures))
     max_closure = max(0.0, float(np.max(frames.closure_residual)))
     body = _base_body("frame", args, digest)
-    body["tolerances"] = {"frame": args.tol}
+    body["tolerances"] = {"null_chain_gate": NULL_CHAIN_GATE, "pseudo_arc_gate": PSEUDO_ARC_GATE,
+                          "curvature_floor": CURVATURE_FLOOR}
     body["summary"] = {"dimension": n, "samples": len(table["rows"]),
                        "max_closure_residual": max_closure}
     if len(grid) >= 7:
@@ -489,12 +499,13 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, file_help="curve spec file (JSON)", tol=1e-9,
-               tol_help="tolerance for classification/frame gates"):
+               tol_help="classification tolerance"):
         p.add_argument("file", help=file_help)
         p.add_argument("--grid", type=int, default=None,
                        help="number of grid points (default per command)")
-        p.add_argument("--tol", type=float, default=tol,
-                       help=f"{tol_help} (default {tol:g})")
+        if tol is not None:
+            p.add_argument("--tol", type=float, default=tol,
+                           help=f"{tol_help} (default {tol:g})")
         p.add_argument("--format", choices=("csv", "json"), default="json",
                        help="report format (default json)")
         p.add_argument("--output", default=None,
@@ -505,7 +516,7 @@ def build_parser():
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("frame", help="Cartan frame samples and Frenet residuals")
-    common(p)
+    common(p, tol=None)  # the frame gates are fixed; the report names them
     p.set_defaults(func=cmd_frame)
 
     p = sub.add_parser("bertrand", help="Bertrand verdict and offset mate")

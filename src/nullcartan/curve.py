@@ -299,7 +299,7 @@ def classify(curve, grid=None, tol=1e-9):
     def reports_on(ts):
         vj = as_vec_jets(curve, ts, n)
         derivs = np.stack([vj.derivative_value(k) for k in range(1, n + 1)], axis=1)
-        return [metric.sequence_report(list(d), tol) for d in derivs]
+        return metric.sequence_reports(derivs, tol)
 
     reports = pointwise_order(reports_on, grid)
     first = reports[0]

@@ -542,7 +542,9 @@ class Num(Expr):
         return self
 
     def __str__(self):
-        return f"{self.value:g}"
+        # the shortest text that parses back to this float; 1.0 prints as 1
+        text = repr(self.value)
+        return text[:-2] if text.endswith(".0") else text
 
 
 @dataclass(frozen=True)

@@ -145,38 +145,36 @@ def _first(bad):
     return int(np.argmax(bad))
 
 
-def _family_gates(metric, A, tol):
-    """Local evidence that the curve is a pseudo-arc family member on the grid."""
-    d1 = A.differentiate()
-    d2 = d1.differentiate()
-    d3 = d2.differentiate()
-    d1, d2, d3 = (d.truncate(0) for d in (d1, d2, d3))
-    scale = 1.0 + np.max([np.linalg.norm(d.value, axis=-1) for d in (d1, d2, d3)], axis=0)
+def _family_gates(metric, D, ts):
+    """Local evidence that the curve is a pseudo-arc family member on the grid
+    ``ts``, read off the Gram of its first three derivatives ``D`` (m, 3, n)."""
+    scale = 1.0 + np.max(np.linalg.norm(D, axis=-1), axis=1)
     gate = scale * scale
+    G = np.einsum("iak,k,ibk->iab", D, metric.signs, D)
     pairs = {
-        "<a',a'>": metric.inner_jet(d1, d1).value,
-        "<a',a''>": metric.inner_jet(d1, d2).value,
-        "<a'',a''>": metric.inner_jet(d2, d2).value,
-        "<a',a'''>": metric.inner_jet(d1, d3).value,
-        "<a'',a'''>": metric.inner_jet(d2, d3).value,
+        "<a',a'>": G[:, 0, 0],
+        "<a',a''>": G[:, 0, 1],
+        "<a'',a''>": G[:, 1, 1],
+        "<a',a'''>": G[:, 0, 2],
+        "<a'',a'''>": G[:, 1, 2],
     }
     for name, val in pairs.items():
         bad = np.abs(val) > NULL_CHAIN_GATE * gate
         if np.any(bad):
             j = _first(bad)
             raise FamilyError(
-                f"null-chain identity {name} = {val[j]:.3e} violated at t={A.base[j]}; "
+                f"null-chain identity {name} = {val[j]:.3e} violated at t={ts[j]}; "
                 "curve is not in the supported family")
-    w3 = metric.inner_jet(d3, d3).value
+    w3 = G[:, 2, 2]
     bad = np.abs(w3 - 1.0) > PSEUDO_ARC_GATE * gate
     if np.any(bad):
         j = _first(bad)
         raise FamilyError(
-            f"<a''',a'''> = {w3[j]:.6e} at t={A.base[j]}: curve is not "
+            f"<a''',a'''> = {w3[j]:.6e} at t={ts[j]}: curve is not "
             "pseudo-arc parametrized")
 
 
-def frame_grid(curve, ts, extra_order=0, tol=1e-9, force=False):
+def frame_grid(curve, ts, extra_order=0, force=False):
     """Cartan frames on a grid of parameters, every vector and curvature a
     batched jet: one pass over the grid for each step of the extraction.
 
@@ -193,10 +191,10 @@ def frame_grid(curve, ts, extra_order=0, tol=1e-9, force=False):
     metric = PseudoMetric(n)
     K = n + 2 + extra_order
     A = as_vec_jets(curve, ts, K)
-    if not force:
-        _family_gates(metric, A, tol)
-
     derivs = np.stack([A.derivative_value(k) for k in range(1, n + 1)], axis=1)
+    if not force:
+        _family_gates(metric, derivs[:, :3], A.base)
+
     scale = 1.0 + np.max(np.linalg.norm(derivs, axis=-1), axis=1)
     floor = CURVATURE_FLOOR * scale
 
@@ -236,8 +234,9 @@ def frame_grid(curve, ts, extra_order=0, tol=1e-9, force=False):
         vectors[target] = v
 
     basis = np.stack([vectors[row].value for row, _ in system[1:]], axis=1)
-    sign_frame = metric.orientation_signs(basis, strict=not force)
-    sign_derivs = metric.orientation_signs(derivs, strict=not force)
+    # one determinant pass; the frame bases come first, as their errors do
+    sign_frame, sign_derivs = np.split(
+        metric.orientation_signs(np.concatenate([basis, derivs]), strict=not force), 2)
     if force:
         sign_frame = np.where(sign_derivs == 0, 0, sign_frame)
     else:
@@ -257,25 +256,25 @@ def _assemble(ts, vectors, k, closure_residual, orientation):
                      tuple(k[1:]), closure_residual, orientation)
 
 
-def frame_jets(curve, t, extra_order=0, tol=1e-9, force=False):
+def frame_jets(curve, t, extra_order=0, force=False):
     """Cartan frame at t with every vector and curvature carried as a jet:
     :func:`frame_grid` on the one-point grid [t]."""
-    return frame_grid(curve, np.array([float(t)]), extra_order, tol, force).at(0)
+    return frame_grid(curve, np.array([float(t)]), extra_order, force).at(0)
 
 
-def cartan_frame_at(curve, t, tol=1e-9):
+def cartan_frame_at(curve, t):
     """Frame vectors L1, L2, N1, N2, W3..W_{n-2} and curvatures k1..k_{n-3} at t."""
     _check_in_domain(t, curve.domain)
-    return frame_jets(curve, t, tol=tol).to_frame()
+    return frame_jets(curve, t).to_frame()
 
 
-def cartan_frames(curve, grid, tol=1e-9):
+def cartan_frames(curve, grid):
     """:func:`cartan_frame_at` on a grid as one batched :class:`FrameJets`,
     raising the error a loop over the grid would meet first."""
 
     def frames(ts):
         _check_in_domain(ts, curve.domain)
-        return frame_grid(curve, ts, tol=tol)
+        return frame_grid(curve, ts)
 
     return pointwise_order(frames, grid)
 

@@ -3,9 +3,9 @@
 The metric on R^n (n >= 4) weighs the first two coordinates negatively:
 ``<x, y> = -x1*y1 - x2*y2 + sum_{i>=3} xi*yi``.  Rank, radical dimension and
 negative index of a spanned subspace are read off the eigenvalues of the Gram
-matrix of the spanning system; prefix-by-prefix application to a derivative
-basis yields the nullity-degree and index sequences and the degeneration
-degree.
+matrix of the spanning system.  Prefix by prefix on a derivative basis, or on
+a stack of bases of shape (m, n, n), they give the nullity-degree and index
+sequences and the degeneration degree.
 """
 
 from __future__ import annotations
@@ -81,9 +81,7 @@ class PseudoMetric:
         return x
 
     def inner(self, x, y):
-        x = self._check(x)
-        y = self._check(y)
-        return float(np.dot(self._signs * x, y))
+        return float(np.dot(self._signs * self._check(x), self._check(y)))
 
     def inner_jet(self, a, b):
         """Jet of <a(t), b(t)> for two vector jets (batched alike)."""
@@ -93,86 +91,87 @@ class PseudoMetric:
         """Jet of sqrt(<a, a>); requires a spacelike value."""
         return self.inner_jet(a, a).sqrt()
 
+    def _rows(self, vectors):
+        """Checked vectors as the rows of a (k, n) array."""
+        return np.array([self._check(v) for v in vectors]).reshape(-1, self.dimension)
+
     def gram(self, vectors):
-        vs = [self._check(v) for v in vectors]
-        if not vs:
-            return np.zeros((0, 0))
-        M = np.stack(vs)
+        M = self._rows(vectors)
         return (M * self._signs) @ M.T
 
     def subspace_profile(self, vectors, tol=DEFAULT_TOL):
-        """Rank, radical dimension and negative index of span(vectors).
+        """Rank, radical dimension and negative index of span(vectors)."""
+        M = self._rows(vectors)
+        [[rank]], [[index]] = self._prefix_profiles(M[None], tol, [len(M)])
+        return SubspaceProfile(int(rank), len(M) - int(rank), int(index), tol)
 
-        Rows are normalized first (a positive diagonal congruence, so rank and
-        index are untouched); Gram eigenvalues below ``tol * max(|eig|, 1)``
-        then count as zero.  Without the unit floor a totally degenerate
-        system would compare its eigenvalues against pure roundoff.  The index
-        of a degenerate restriction is the count of surviving negative
-        eigenvalues, i.e. the index on any complement of the radical.
+    def _prefix_profiles(self, M, tol, lengths):
+        """Rank and negative index, shape (m, len(lengths)), of the span of
+        the first i rows of each system in a stack (m, k, n), i in ``lengths``.
+
+        Rows are normalized (a positive congruence) and the Gram is built
+        once.  Eigenvalues of its leading i x i block below
+        ``tol * max(|eig|, 1)`` count as zero, the unit floor keeping totally
+        degenerate systems off roundoff; the index counts the negative rest.
         """
         if tol <= 0:
             raise ValueError("tolerance must be positive")
-        m = len(vectors)
-        if m == 0:
-            return SubspaceProfile(0, 0, 0, tol)
-        M = np.stack([self._check(v) for v in vectors])
-        norms = np.linalg.norm(M, axis=1)
-        safe = np.where(norms > 0.0, norms, 1.0)
-        M = M / safe[:, None]
-        w = np.linalg.eigvalsh((M * self._signs) @ M.T)
-        threshold = tol * max(float(np.max(np.abs(w))), 1.0)
-        rank = int(np.sum(np.abs(w) > threshold))
-        index = int(np.sum(w < -threshold))
-        return SubspaceProfile(rank, m - rank, index, tol)
-
-    def _coordinate_rank(self, matrix, tol):
-        if matrix.shape[0] == 0:
-            return 0
-        sv = np.linalg.svd(matrix, compute_uv=False)
-        scale = sv[0] if sv[0] > 0.0 else 1.0
-        return int(np.sum(sv > tol * scale))
+        norms = np.linalg.norm(M, axis=-1)
+        M = M / np.where(norms > 0.0, norms, 1.0)[..., None]
+        G = (M * self._signs) @ M.swapaxes(-1, -2)
+        rank, index = [], []
+        for i in lengths:
+            w = np.linalg.eigvalsh(G[:, :i, :i])
+            threshold = tol * np.maximum(np.max(np.abs(w), axis=-1, initial=0.0), 1.0)
+            rank.append(np.sum(np.abs(w) > threshold[:, None], axis=-1))
+            index.append(np.sum(w < -threshold[:, None], axis=-1))
+        return np.stack(rank, axis=-1), np.stack(index, axis=-1)
 
     def sequence_report(self, derivs, tol=DEFAULT_TOL):
-        """Classification sequences of an ordered basis of derivative vectors.
+        """:meth:`sequence_reports` of one ordered basis of n derivative vectors."""
+        return self.sequence_reports(self._rows(derivs)[None], tol)[0]
 
-        ``derivs`` must hold exactly n linearly independent vectors; the i-th
-        sequence entries come from the span of the first i of them.  Raises
-        ClassificationError (with the offending prefix length) on a dependent
-        system, and on any violation of the step laws |dr| <= 1, 0 <= dq <= 1,
-        r_n = 0, q_n = 2.
+    def sequence_reports(self, derivs, tol=DEFAULT_TOL):
+        """Classification sequences of each basis in a stack of shape (m, n, n).
+
+        Entry i comes from the span of the first i rows, alpha' ... alpha^(i).
+        One SVD checks independence and one eigvalsh per prefix length serves
+        the stack.  ClassificationError names the first basis that is
+        dependent (and the prefix length) or breaks the step laws |dr| <= 1,
+        0 <= dq <= 1, r_n = 0, q_n = 2.
         """
         n = self.dimension
-        vs = [self._check(v) for v in derivs]
-        if len(vs) != n:
+        M = np.asarray(derivs, dtype=float)
+        if M.ndim != 3 or M.shape[1:] != (n, n):
             raise DimensionMismatchError(
-                f"expected {n} derivative vectors, got {len(vs)}")
-        M = np.stack(vs)
-        if self._coordinate_rank(M, tol) < n:
-            for i in range(1, n + 1):
-                if self._coordinate_rank(M[:i], tol) < i:
-                    raise ClassificationError(
-                        f"derivative system is linearly dependent at prefix length {i}",
-                        prefix_length=i)
-        nullity = [0]
-        index = [0]
-        for i in range(1, n + 1):
-            p = self.subspace_profile(vs[:i], tol)
-            nullity.append(p.radical_dim)
-            index.append(p.index)
-        for i in range(1, n + 1):
-            dr = nullity[i] - nullity[i - 1]
-            dq = index[i] - index[i - 1]
-            if abs(dr) > 1 or dq not in (0, 1):
+                f"expected bases of {n} derivative vectors, got shape {M.shape}")
+
+        def ranks(A):  # relative to the largest singular value
+            sv = np.linalg.svd(A, compute_uv=False)
+            return np.sum(sv > tol * np.where(sv[..., :1] > 0.0, sv[..., :1], 1.0), axis=-1)
+
+        dependent = ranks(M) < n
+        rank, index = self._prefix_profiles(M, tol, range(1, n + 1))
+        nullity = np.arange(1, n + 1) - rank
+        dr, dq = np.diff(nullity, prepend=0), np.diff(index, prepend=0)
+        step = (np.abs(dr) > 1) | (dq < 0) | (dq > 1)
+        bad = dependent | np.any(step, axis=-1) | (nullity[:, -1] != 0) | (index[:, -1] != 2)
+        if np.any(bad):
+            j = int(np.argmax(bad))
+            if dependent[j]:
+                i = next(i for i in range(1, n + 1) if ranks(M[j, :i]) < i)
+                raise ClassificationError(f"derivative system is linearly dependent at "
+                                          f"prefix length {i}", prefix_length=i)
+            if np.any(step[j]):
+                i = int(np.argmax(step[j]))
                 raise ClassificationError(
-                    f"sequence step law violated at i={i}: dr={dr}, dq={dq} "
+                    f"sequence step law violated at i={i + 1}: dr={dr[j, i]}, dq={dq[j, i]} "
                     "(bug or tolerance failure)")
-        if nullity[-1] != 0 or index[-1] != 2:
             raise ClassificationError(
-                f"full-space profile inconsistent: r_n={nullity[-1]}, q_n={index[-1]}")
-        total = sum(abs(nullity[i] - nullity[i - 1]) for i in range(1, n + 1))
-        if total % 2:
-            raise ClassificationError("degeneration degree is not integral")
-        return SequenceReport(tuple(nullity), tuple(index), total // 2)
+                f"full-space profile inconsistent: r_n={nullity[j, -1]}, q_n={index[j, -1]}")
+        degree = np.sum(np.abs(dr), axis=-1) // 2  # even, as r_0 = r_n = 0
+        return [SequenceReport((0, *r), (0, *q), d)
+                for r, q, d in zip(nullity.tolist(), index.tolist(), degree.tolist())]
 
     def orientation_sign(self, basis):
         """Sign of det of the coordinate matrix of n basis vectors.
@@ -180,11 +179,11 @@ class PseudoMetric:
         Rows are normalized first so the ambiguity threshold (1e-12) is
         scale-free; a determinant below it raises DegenerateBasisError.
         """
-        vs = [self._check(v) for v in basis]
-        if len(vs) != self.dimension:
+        M = self._rows(basis)
+        if len(M) != self.dimension:
             raise DimensionMismatchError(
-                f"expected {self.dimension} basis vectors, got {len(vs)}")
-        return int(self.orientation_signs(np.stack(vs)[None])[0])
+                f"expected {self.dimension} basis vectors, got {len(M)}")
+        return int(self.orientation_signs(M[None])[0])
 
     def orientation_signs(self, bases, strict=True):
         """:meth:`orientation_sign` of each basis in a stack of shape (m, n, n).

@@ -12,10 +12,11 @@ from math import comb
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from nullcartan import CurvatureProfile, FrameState, standard_initial_frame, synthesize
 from nullcartan.bundled import null_quintic_curve
-from nullcartan.expr import Call, IntPow, Neg, Num, Param
+from nullcartan.expr import BinOp, Call, IntPow, Neg, Num, Param
 
 LD = np.longdouble
 
@@ -75,19 +76,23 @@ def synth_flat5():
     return synthesize(CurvatureProfile.from_strings(5, ["0", "0"]), (0.0, 1.0))
 
 
+# curvature profiles of the synth6 and synth8 fixtures, by dimension
+SYNTH_PROFILES = {
+    6: ["0.2", "-0.1", "1 + t"],
+    8: ["0.1 + 0.05*t", "-0.2", "1.5 + 0.3*sin(t)", "1 + 0.2*t", "2 - 0.3*t"],
+}
+
+
 @pytest.fixture(scope="session")
 def synth6():
     """n=6 with (k1, k2, k3) = (0.2, -0.1, 1 + t)."""
-    profile = CurvatureProfile.from_strings(6, ["0.2", "-0.1", "1 + t"])
-    return synthesize(profile, (0.0, 1.0))
+    return synthesize(CurvatureProfile.from_strings(6, SYNTH_PROFILES[6]), (0.0, 1.0))
 
 
 @pytest.fixture(scope="session")
 def synth8():
     """n=8 with a smooth strictly nonvanishing profile."""
-    profile = CurvatureProfile.from_strings(
-        8, ["0.1 + 0.05*t", "-0.2", "1.5 + 0.3*sin(t)", "1 + 0.2*t", "2 - 0.3*t"])
-    return synthesize(profile, (0.0, 1.0))
+    return synthesize(CurvatureProfile.from_strings(8, SYNTH_PROFILES[8]), (0.0, 1.0))
 
 
 @pytest.fixture(scope="session")
@@ -209,6 +214,24 @@ def random_expression(rng, depth=3):
     if rng.integers(0, 2):
         base = f"({base}) / (2.5 + sin(s))"
     return base
+
+
+def expression_trees(numbers):
+    """Hypothesis strategy: expression trees over the full grammar, with the
+    values of number leaves drawn from ``numbers``."""
+    leaves = st.one_of(st.just(Param("s")), numbers.map(Num))
+
+    def extend(children):
+        return st.one_of(
+            children.map(Neg),
+            st.tuples(st.sampled_from("+-*/"), children, children).map(
+                lambda a: BinOp(*a)),
+            st.tuples(children, st.integers(-3, 4)).map(lambda a: IntPow(*a)),
+            st.tuples(st.sampled_from(["sqrt", "sin", "cos", "exp", "log"]), children).map(
+                lambda a: Call(*a)),
+        )
+
+    return st.recursive(leaves, extend, max_leaves=12)
 
 
 def polynomial_derivative_oracle(coeffs, x, k):

@@ -26,8 +26,9 @@ from nullcartan import (
 )
 from nullcartan.constructions import InvoluteCurve
 from nullcartan.curve import CumulativeIntegral, pointwise_order
-from nullcartan.expr import BinOp, Call, IntPow, Neg, Num, Param
 from nullcartan.frame import frame_grid
+
+from conftest import expression_trees
 
 # derandomized: the examples are the same on every run, so a tier-1 run
 # cannot fail on a draw the previous run did not make
@@ -39,24 +40,7 @@ SETTINGS = settings(max_examples=40, deadline=None, derandomize=True,
 # Expression trees over the full grammar
 # ---------------------------------------------------------------------------
 
-leaves = st.one_of(
-    st.just(Param("s")),
-    st.floats(-3.0, 3.0, allow_nan=False).map(lambda v: Num(round(v, 3))),
-)
-
-
-def _extend(children):
-    return st.one_of(
-        children.map(Neg),
-        st.tuples(st.sampled_from("+-*/"), children, children).map(
-            lambda a: BinOp(*a)),
-        st.tuples(children, st.integers(-3, 4)).map(lambda a: IntPow(*a)),
-        st.tuples(st.sampled_from(["sqrt", "sin", "cos", "exp", "log"]), children).map(
-            lambda a: Call(*a)),
-    )
-
-
-trees = st.recursive(leaves, _extend, max_leaves=12)
+trees = expression_trees(st.floats(-3.0, 3.0, allow_nan=False).map(lambda v: round(v, 3)))
 grids = st.lists(st.floats(-2.0, 2.0, allow_nan=False), min_size=1, max_size=12)
 
 

@@ -123,6 +123,22 @@ def test_frame_row_count_matches_samples(quintic_file, capsys):
     assert k_cols == ["k1", "k2"]
 
 
+def test_frame_report_names_the_gates_it_applies(quintic_file, capsys):
+    from nullcartan.frame import CURVATURE_FLOOR, NULL_CHAIN_GATE, PSEUDO_ARC_GATE
+
+    code, out, _ = run(capsys, "frame", quintic_file, "--grid", "9")
+    assert code == 0
+    body = body_of(out)
+    assert body["tolerances"] == {"null_chain_gate": NULL_CHAIN_GATE,
+                                  "pseudo_arc_gate": PSEUDO_ARC_GATE,
+                                  "curvature_floor": CURVATURE_FLOOR}
+    assert "tol" not in body["arguments"]
+    # the frame gates are fixed, so there is no option to set them
+    with pytest.raises(SystemExit) as exc:
+        main(["frame", quintic_file, "--tol", "1e-3"])
+    assert exc.value.code == 2
+
+
 def test_frame_extracts_frames_once(quintic_file, capsys, monkeypatch):
     # the residual report reuses the frames and points of the table
     import nullcartan.frame as frame

@@ -129,6 +129,20 @@ def test_classify_synth8(synth8):
     assert rep.family
 
 
+def test_classify_lapack_calls_do_not_grow_with_the_grid(synth8, monkeypatch):
+    calls = {"eigvalsh": 0, "svd": 0}
+    for name in calls:
+        def counted(*args, _name=name, _original=getattr(np.linalg, name), **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    rep = classify(synth8, grid=np.linspace(0.02, 0.98, 17))
+    assert rep.family
+    # one stacked eigvalsh per prefix length, one stacked rank check
+    assert calls == {"eigvalsh": 8, "svd": 1}
+
+
 def test_null_chain_identities_on_family_curves(golden, synth6):
     m5, m6 = PseudoMetric(5), PseudoMetric(6)
     for curve, metric in ((golden, m5), (synth6, m6)):

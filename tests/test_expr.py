@@ -4,12 +4,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from nullcartan import ExprEvaluationError, ExprSyntaxError, Jet, jet_eval, parse
 from nullcartan.expr import jet_compose, jet_invert
 
 from conftest import (
     eval_longdouble,
+    expression_trees,
     polynomial_derivative_oracle,
     random_expression,
     richardson_derivative,
@@ -73,6 +76,16 @@ def test_precompose_style_substitution():
     inner = parse("2*u", parameter="u")
     composed = outer.substitute(inner)
     assert jet_eval(composed, 0.3, 0).value == pytest.approx(0.36 + math.sin(0.6))
+
+
+# parse builds negative numbers as Neg(Num), so number leaves are nonnegative:
+# the trees are the ones parse can return
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(tree=expression_trees(st.floats(min_value=0.0, allow_infinity=False).map(abs)))
+@example(tree=parse("0.123456789*s"))
+@example(tree=parse("1e-7 + 1e22*s^-3"))
+def test_printing_round_trips_through_parse(tree):
+    assert parse(str(tree)) == tree
 
 
 # ---------------------------------------------------------------------------

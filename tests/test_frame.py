@@ -7,6 +7,8 @@ derivatives at random parameters of synthesized curves of three dimensions.
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from nullcartan import (
     CurvatureProfile,
@@ -15,12 +17,22 @@ from nullcartan import (
     InputError,
     PseudoMetric,
     cartan_frame_at,
+    classify,
     frame_jets,
     frenet_residuals,
     synthesize,
 )
+from nullcartan.frame import cartan_frames, frame_grid
 
-from conftest import golden_L1, golden_L2, golden_N1, golden_N2, golden_W3
+from conftest import (
+    SYNTH_PROFILES,
+    golden_L1,
+    golden_L2,
+    golden_N1,
+    golden_N2,
+    golden_W3,
+    random_isometry_frame,
+)
 
 
 def frame_equation_residuals(fj, n, metric):
@@ -185,6 +197,38 @@ def test_recovered_curvatures_n8(synth8):
         want = np.array([0.1 + 0.05 * t, -0.2, 1.5 + 0.3 * np.sin(t),
                          1.0 + 0.2 * t, 2.0 - 0.3 * t])
         assert np.max(np.abs(np.array(f.curvatures) - want)) <= 1e-6
+
+
+@pytest.mark.parametrize("n", [6, 8])
+@settings(max_examples=5, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(seed=st.integers(0, 2**32 - 1))
+def test_curvatures_and_sequences_invariant_under_isometries(n, seed, request):
+    # the same profile from a frame and base point moved by an index-2 isometry
+    base = request.getfixturevalue(f"synth{n}")
+    rng = np.random.default_rng(seed)
+    initial = random_isometry_frame(n, rng, alpha=rng.normal(size=n))
+    moved = synthesize(CurvatureProfile.from_strings(n, SYNTH_PROFILES[n]), (0.0, 1.0),
+                       initial=initial)
+    grid = np.linspace(0.05, 0.95, 9)
+    want = np.stack([k.value for k in cartan_frames(base, grid).curvatures])
+    got = np.stack([k.value for k in cartan_frames(moved, grid).curvatures])
+    assert np.max(np.abs(got - want)) <= 1e-6
+    assert classify(moved, grid).report == classify(base, grid).report
+
+
+def test_frame_extraction_takes_one_determinant_pass(synth6, monkeypatch):
+    shapes = []
+    original = np.linalg.det
+
+    def counted(a):
+        shapes.append(np.shape(a))
+        return original(a)
+
+    monkeypatch.setattr(np.linalg, "det", counted)
+    frame_grid(synth6, np.linspace(0.1, 0.9, 5))
+    # the frame bases and the derivative bases, stacked
+    assert shapes == [(10, 6, 6)]
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nullcartan import (
     ClassificationError,
@@ -181,6 +183,55 @@ def test_sequence_step_laws_on_random_bases():
             assert q[i] - q[i - 1] in (0, 1)
         assert 2 * rep.degeneration_degree == sum(
             abs(r[i] - r[i - 1]) for i in range(1, n + 1))
+
+
+def _outcome(fn):
+    try:
+        return fn()
+    except ClassificationError as exc:
+        return type(exc), str(exc), exc.prefix_length
+
+
+# rows 0-3 pass the coordinate-rank check at tol = 0.1, but the prefix Gram
+# eigenvalues of rows 0-3 fall under the scaled threshold two at a time
+STEP_BREAK = np.array([[3, 2, -2, 1], [0, 2, -2, 1], [2, 3, -2, 0], [-3, -3, -3, 0]], float)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(n=st.integers(4, 9), m=st.integers(1, 12), seed=st.integers(0, 2**32 - 1),
+       defect=st.sampled_from([None, "dependent", "step"]), where=st.floats(0.0, 1.0))
+def test_stacked_reports_match_pointwise(n, m, seed, defect, where):
+    rng = np.random.default_rng(seed)
+    metric = PseudoMetric(n)
+    tol = 1e-9
+    B = rng.normal(size=(m, n, n))
+    j = min(int(where * m), m - 1)
+    if defect == "dependent":
+        i = int(rng.integers(1, n))
+        B[j, i] = rng.normal(size=i) @ B[j, :i]
+    elif defect == "step":
+        tol = 0.1  # permuted, perturbed identities classify cleanly at this tol
+        B = np.eye(n)[np.argsort(rng.random((m, n)), axis=1)]
+        B += 0.05 * rng.normal(size=B.shape)
+        B[j] = 4.0 * np.eye(n)
+        B[j, :4, :4] = STEP_BREAK
+    pointwise = []
+    for b in B:  # a loop over the stack stops at its first error
+        pointwise.append(_outcome(lambda: metric.sequence_report(list(b), tol)))
+        if isinstance(pointwise[-1], tuple):
+            break
+    stacked = _outcome(lambda: metric.sequence_reports(B, tol))
+    if defect is None:
+        assert stacked == pointwise
+        for rep, b in zip(stacked, B):  # each prefix profiled on its own
+            profiles = [metric.subspace_profile(list(b[:i]), tol) for i in range(1, n + 1)]
+            assert rep.nullity_sequence == (0, *(p.radical_dim for p in profiles))
+            assert rep.index_sequence == (0, *(p.index for p in profiles))
+    else:
+        assert len(pointwise) == j + 1
+        assert stacked == pointwise[-1]
+        kind = "dependent at prefix" if defect == "dependent" else "step law violated"
+        assert kind in stacked[1]
 
 
 def test_family_sequence_shapes():
