@@ -196,7 +196,7 @@ def _integer(data, key, path):
     value = _require(data, key, path)
     try:
         return int(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise InputError(f"{path}: field {key!r} must be an integer, got {value!r}") from None
 
 
@@ -205,6 +205,14 @@ def _number(value, key, path):
         return float(value)
     except (TypeError, ValueError):
         raise InputError(f"{path}: field {key!r} must be a number, got {value!r}") from None
+
+
+def _expressions(data, key, path):
+    value = _require(data, key, path)
+    if not isinstance(value, list):
+        raise InputError(
+            f"{path}: field {key!r} must be a list of expression strings, got {value!r}")
+    return [str(v) for v in value]
 
 
 def _interval(data, key, path):
@@ -224,17 +232,17 @@ def load_curve(path):
     parameter = data.get("parameter", "s")
     if data.get("kind") == "synthesized" or "curvatures" in data:
         profile = CurvatureProfile.from_strings(
-            n, [str(k) for k in _require(data, "curvatures", path)], parameter)
+            n, _expressions(data, "curvatures", path), parameter)
         interval = _interval(data, "interval", path)
         step = _number(data.get("step", 1e-3), "step", path)
         curve = synthesize(profile, interval, step)
         return curve, data, digest
-    components = _require(data, "components", path)
+    components = _expressions(data, "components", path)
     if len(components) != n:
         raise InputError(
             f"{path}: {len(components)} components for dimension {n}")
     domain = _interval(data, "domain", path)
-    curve = Curve.from_strings([str(c) for c in components], parameter, domain)
+    curve = Curve.from_strings(components, parameter, domain)
     return curve, data, digest
 
 
@@ -242,8 +250,7 @@ def load_profile(path):
     data, digest = _read_json(path)
     n = _integer(data, "dimension", path)
     profile = CurvatureProfile.from_strings(
-        n, [str(k) for k in _require(data, "curvatures", path)],
-        data.get("parameter", "t"))
+        n, _expressions(data, "curvatures", path), data.get("parameter", "t"))
     return profile, data, digest
 
 
@@ -489,8 +496,27 @@ def cmd_fixture(args):
 # Entry point
 # ---------------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """Argument parser whose usage errors end in a JSON input diagnostic."""
+
+    def error(self, message):
+        _diagnostic("input", InputError(f"{self.prog}: {message}"))
+        sys.exit(2)
+
+
+def _tolerance(text):
+    """A --tol value: a positive finite number."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = float("nan")
+    if not 0.0 < value < float("inf"):
+        raise argparse.ArgumentTypeError(f"must be a positive finite number, got {text!r}")
+    return value
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="nullcartan",
         description="Cartan frames, curvatures, classification sequences and "
                     "theorem-level constructions for null curves in index-2 "
@@ -504,7 +530,7 @@ def build_parser():
         p.add_argument("--grid", type=int, default=None,
                        help="number of grid points (default per command)")
         if tol is not None:
-            p.add_argument("--tol", type=float, default=tol,
+            p.add_argument("--tol", type=_tolerance, default=tol,
                            help=f"{tol_help} (default {tol:g})")
         p.add_argument("--format", choices=("csv", "json"), default="json",
                        help="report format (default json)")
@@ -530,13 +556,13 @@ def build_parser():
     p.set_defaults(func=cmd_sphere)
 
     p = sub.add_parser("evolute", help="evolute of a dimension-6 family curve")
-    common(p)
+    common(p, tol=None)
     p.add_argument("--roundtrip", action="store_true",
                    help="also unwind the evolute and report the sup distance")
     p.set_defaults(func=cmd_evolute)
 
     p = sub.add_parser("involute", help="involute of a spacelike curve")
-    common(p)
+    common(p, tol=None)
     p.add_argument("--t0", type=float, required=True,
                    help="base point parameter for the arc length")
     p.add_argument("--s0", type=float, default=0.0,
@@ -545,7 +571,7 @@ def build_parser():
 
     p = sub.add_parser("synthesize",
                        help="integrate the Frenet system for a curvature profile")
-    common(p, file_help="curvature profile file (JSON)")
+    common(p, file_help="curvature profile file (JSON)", tol=None)
     p.add_argument("--step", type=float, default=None,
                    help="integration step (default from file or 1e-3)")
     p.set_defaults(func=cmd_synthesize)

@@ -8,8 +8,8 @@ frame that satisfies the pairing relations exactly.  The system is linear,
 state' = A(t) state, so each RK4 step is applied as a propagator: the state
 plus one matrix product with its increment D.  Synthesized curves are
 pseudo-arc parametrized by construction and expose exact derivatives of any
-order through the Frenet chain, which makes them the test oracle for
-everything else here.
+order through the Taylor recurrence of the same linear system, which makes
+them the test oracle for everything else here.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from .errors import (
     SingularRecursionError,
     StepSizeError,
 )
-from .expr import Expr, Jet, Program, VecJet, _toeplitz, _weighted, parse
+from .expr import Expr, Jet, Program, VecJet, parse
 from .frame import frame_grid, frenet_system
 from .metric import PseudoMetric
 
@@ -193,20 +193,22 @@ def _rk4_increments(A0, Am, A1, h):
 class FrenetCurve:
     """Curve produced by integrating the Frenet system with prescribed curvatures.
 
-    Derivatives of any order are exact given the stored frame: the coefficient
-    vector of alpha^(k) in the frame basis evolves by the Frenet rules with
-    curvature jets, so only the RK4 error of the frame samples enters.
+    Node i of the integration table sits at a + i * step, and the last node
+    is b itself.  Derivatives of any order are exact given the stored state:
+    the Taylor coefficients of the state follow from S' = A(t) S and the
+    curvature jets, so only the RK4 error of the state samples enters.
     States served to callers are read-only; the integration table cannot be
     changed through them.
     """
 
     def __init__(self, profile, interval, step=1e-3, initial=None,
                  defect_limit=1e-4):
-        if step <= 0:
-            raise InputError("step must be positive")
         a, b = float(interval[0]), float(interval[1])
-        if not a < b:
-            raise InputError("interval must satisfy a < b")
+        if not -math.inf < a < b < math.inf:
+            raise InputError("interval must be finite and satisfy a < b")
+        # four float spacings per step keep the nodes a + i h increasing
+        if not 4 * np.spacing(max(abs(a), abs(b))) <= step < math.inf:
+            raise InputError(f"step must be finite and resolvable on [{a}, {b}], got {step}")
         n = profile.dimension
         self.profile = profile
         self.dimension = n
@@ -217,12 +219,11 @@ class FrenetCurve:
         if state.shape != (n + 1, n):
             raise DimensionMismatchError(
                 f"initial state must be ({n + 1}, {n}), got {state.shape}")
-        steps = int(math.ceil((b - a) / step - 1e-12))
-        hs = np.full(steps, self.step)
-        ts = np.add.accumulate(np.concatenate(([a], hs)))
-        for i in np.flatnonzero(b - ts[:-1] < self.step):  # short steps end at b
-            hs[i] = b - ts[i]
-            ts[i + 1] = ts[i] + hs[i]
+        # nodes a + i h without accumulated drift; the last one is b itself
+        ts = a + np.arange(math.ceil((b - a) / step - 1e-12)) * self.step
+        ts = np.append(ts[ts < b], b)
+        hs = np.diff(ts)
+        steps = len(hs)
         self._couplings = _frenet_couplings(n)
         states = np.empty((steps + 1, n + 1, n))
         states[0] = state
@@ -306,34 +307,31 @@ class FrenetCurve:
         return self.profile.values(t)
 
     def _chain_jets(self, ts, states, order):
-        """Vector jets from frame states through the Frenet chain.
-
-        alpha^(m) = sum_r X_m[r] F_r with X_1 = e_0 and X_{m+1} = X_m' + X_m C,
-        where C is the coupling matrix of the frame rows, a series in the
-        curvature jets.  Only the value of X_m is read, so X_1 needs m - 1
-        orders.
-        """
-        coeffs = np.empty((order + 1,) + states.shape[:1] + states.shape[2:])
+        """Vector jets from states (m, n+1, n) by the Taylor recurrence of
+        S' = A S, A = sum_c k_c P_c: S_{j+1} = sum_{i<=j} A_i S_{j-i} / (j+1),
+        with A_i from the i-th curvature coefficients.  alpha' = L1, so
+        alpha's coefficient j + 1 is row L1 of S_j over j + 1.  With the
+        S_l^T side by side and the A_i^T stacked highest order first, each
+        S_{j+1}^T is one batched matmul of two contiguous slices."""
+        m, r, n = states.shape
+        coeffs = np.empty((order + 1, m, n))
         coeffs[0] = states[:, 0]
         if order == 0:
             return VecJet(ts, coeffs)
-        frame_rows = states[:, 1:]
-        C = np.ascontiguousarray(self._couplings[:, 1:, 1:])
-        depth = order - 1
-        ones = np.zeros((depth + 1, len(ts)))
-        ones[0] = 1.0
-        k = np.stack([ones] + [j.coeffs for j in self.profile.jets(ts, depth)], axis=-1)
-        X = np.zeros((depth + 1,) + frame_rows.shape[:2])
-        X[0, :, 0] = 1.0
-        fact = 1.0
-        for m in range(1, order + 1):
-            fact *= m
-            coeffs[m] = np.einsum("mr,mrd->md", X[0], frame_rows) / fact
-            if m == order:
-                break
-            size = len(X) - 1
-            XC = np.einsum("jmr,crt->jmct", X[:size], C)
-            X = _weighted(X)[1:] + np.einsum("kjmc,jmct->kmt", _toeplitz(k[:size]), XC)
+        depth = max(order - 2, 0)
+        k = np.zeros((m, depth + 1, len(self._couplings)))
+        k[:, -1, 0] = 1.0
+        for c, jet in enumerate(self.profile.jets(ts, depth), 1):
+            k[:, :, c] = jet.coeffs[::-1].T
+        P = self._couplings.swapaxes(1, 2).reshape(k.shape[-1], -1)
+        AT = (k @ P).reshape(m, -1, r)  # A_depth^T, ..., A_0^T
+        ST = np.empty((m, n, order, r))
+        ST[:, :, 0] = states.swapaxes(1, 2)
+        SF = ST.reshape(m, n, -1)
+        for j in range(order - 1):
+            ST[:, :, j + 1] = SF[:, :, :(j + 1) * r] @ AT[:, (depth - j) * r:] / (j + 1)
+        coeffs[1:] = ST[:, :, :, 1].transpose(2, 0, 1)
+        coeffs[1:] /= np.arange(1, order + 1)[:, None, None]
         return VecJet(ts, coeffs)
 
     def vec_jets(self, ts, order):

@@ -307,7 +307,8 @@ def classify(curve, grid=None, tol=1e-9):
         if rep != first:
             raise ClassificationError(
                 f"classification sequences differ between t={grid[0]} and t={t}: "
-                f"{first.nullity_sequence} vs {rep.nullity_sequence}",
+                f"nullity {first.nullity_sequence}, index {first.index_sequence} vs "
+                f"nullity {rep.nullity_sequence}, index {rep.index_sequence}",
                 points=(grid[0], t))
     family = first.nullity_sequence == family_nullity_sequence(n)
     return ClassificationReport(first, family, tuple(grid), tol)

@@ -1,5 +1,6 @@
 """CLI surface tests: file handling, exit codes, formats, determinism."""
 
+import contextlib
 import csv
 import io
 import json
@@ -10,6 +11,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from nullcartan.cli import main
 
@@ -366,3 +369,111 @@ def test_cli_import_leaves_scipy_unloaded():
     done = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True, check=True)
     assert done.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf"])
+def test_tolerance_must_be_positive_and_finite(quintic_file, capsys, tol):
+    with pytest.raises(SystemExit) as exc:
+        main(["classify", quintic_file, f"--tol={tol}"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    diag = json.loads(captured.err.splitlines()[-1])
+    assert diag["category"] == "input"
+    assert "--tol" in diag["message"]
+
+
+@pytest.mark.parametrize("command", ["evolute", "involute", "synthesize"])
+def test_commands_without_a_tolerance_refuse_tol(profile6_file, tmp_path, capsys,
+                                                 command):
+    argv = [command, profile6_file, "--grid", "5"]
+    if command == "involute":
+        circle = tmp_path / "circle.json"
+        circle.write_text(json.dumps({
+            "dimension": 5, "parameter": "s",
+            "components": ["0", "0", "1.5*cos(s)", "1.5*sin(s)", "0"],
+            "domain": [0.0, 2.0]}))
+        argv = [command, str(circle), "--grid", "5", "--t0", "0.5"]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert "tol" not in body_of(out)["arguments"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--tol", "1e-3"])
+    assert exc.value.code == 2
+    assert json.loads(capsys.readouterr().err.splitlines()[-1])["category"] == "input"
+
+
+def test_disagreeing_points_name_both_sequences(tmp_path, capsys):
+    # the nullity sequences agree between the two points; the index ones do not
+    f = tmp_path / "monomials.json"
+    f.write_text(json.dumps({"dimension": 5, "parameter": "s",
+                             "components": ["s", "s^2", "s^3", "s^4", "s^5"],
+                             "domain": [0, 1]}))
+    code, _, err = run(capsys, "classify", str(f))
+    assert code == 3
+    message = json.loads(err.splitlines()[-1])["message"]
+    assert "differ between" in message
+    assert message.count("nullity (") == 2 and message.count("index (") == 2
+    first, second = message.split(": ", 1)[1].split(" vs ")
+    assert first != second
+
+
+# ---------------------------------------------------------------------------
+# Malformed inputs never end in a traceback (exit 1)
+
+_SYMBOLIC_SPEC = {"dimension": 5, "parameter": "s",
+                  "components": ["s", "s^2/2", "s^3/6", "s^4/24", "s^5/120"],
+                  "domain": [0.1, 0.9]}
+_PROFILE_SPEC = {"dimension": 6, "parameter": "t",
+                 "curvatures": ["0.15", "-0.05", "1/(1 + t)"],
+                 "interval": [-0.6, 1.1], "step": 0.01}
+_FIELDS = ("dimension", "parameter", "components", "curvatures", "domain",
+           "interval", "step", "grid_density", "kind")
+# malformed values: wrong types and shapes, non-finite and out-of-range
+# numbers, expression text.  Sizes stay small (grid_density and dimension
+# at most 12, no tiny positive step), so no run allocates a huge table.
+_NAN, _INF = float("nan"), float("inf")
+_values = st.one_of(
+    st.sampled_from([None, True, 0, -1, 3, 12, 1.5, _NAN, _INF, -_INF, "", "x",
+                     "synthesized", [], [0], [1, 0], [_NAN, 1], [0, _INF],
+                     [0, 1, 2], {}, {"a": 1}]),
+    st.text(alphabet="st0123456789.+-*/^() ", max_size=8),
+    st.lists(st.text(alphabet="st0123456789.+-*/^() ", max_size=6), max_size=7),
+)
+_option_values = st.sampled_from(["0", "-1", "nan", "inf", "-inf", "x", "", "1e308",
+                                  "0.5", "5"])
+_COMMANDS = {"classify": ["--tol"], "frame": [], "bertrand": ["--tol", "--mu"],
+             "sphere": ["--tol"], "evolute": [], "involute": ["--t0", "--s0"],
+             "synthesize": ["--step"], "reparam": ["--tol"]}
+
+
+@pytest.fixture(scope="module")
+def spec_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@settings(max_examples=80, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_malformed_inputs_never_exit_1(spec_dir, data):
+    spec = dict(data.draw(st.sampled_from([_SYMBOLIC_SPEC, _PROFILE_SPEC])))
+    for field in data.draw(st.lists(st.sampled_from(_FIELDS), max_size=3, unique=True)):
+        spec[field] = data.draw(_values)
+    path = spec_dir / "spec.json"
+    path.write_text(json.dumps(spec))
+    command = data.draw(st.sampled_from(sorted(_COMMANDS)))
+    argv = [command, str(path), "--grid", data.draw(st.sampled_from(["-1", "0", "5", "x"]))]
+    if command == "involute":
+        argv += ["--t0", "0.5"]
+    for option in _COMMANDS[command]:
+        if data.draw(st.booleans()):
+            argv += [f"{option}={data.draw(_option_values)}"]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 2, 3, 4), (argv, spec, code)
+    if code:
+        assert json.loads(err.getvalue().splitlines()[-1])["category"]

@@ -526,11 +526,10 @@ def test_synthesis_matches_stagewise_rk4_oracle(n, curvatures):
     a, b, step = -0.2, 2.7533, 0.01
     profile = CurvatureProfile.from_strings(n, curvatures)
     curve = synthesize(profile, (a, b), step=step)
-    ts, states = [a], [standard_initial_frame(n).as_matrix()]
-    while ts[-1] < b - 1e-12 * step:
-        h = min(step, b - ts[-1])
-        states.append(oracle_rk4_step(profile, ts[-1], states[-1], h))
-        ts.append(ts[-1] + h)
+    ts = [a + i * step for i in range(int((b - a) / step) + 1)] + [b]
+    states = [standard_initial_frame(n).as_matrix()]
+    for t0, t1 in zip(ts, ts[1:]):
+        states.append(oracle_rk4_step(profile, t0, states[-1], t1 - t0))
     assert len(ts) > 257 and ts[-1] - ts[-2] < step / 2
     assert np.array_equal(curve._ts, ts)
     assert np.max(np.abs(curve._states - np.array(states))) <= 1e-13
@@ -549,6 +548,96 @@ def test_synthesis_matches_stagewise_rk4_oracle(n, curvatures):
     for t, w in zip(grid, want):
         assert np.max(np.abs(curve.point(t) - w[0])) <= 1e-13
         assert np.max(np.abs(curve.frame_state(t).as_matrix() - w)) <= 1e-13
+
+
+@pytest.mark.parametrize("a, b, step", [(-0.7, 1.2, 1e-3), (0.0, 16.5000000000001, 0.05)])
+def test_node_times_do_not_drift(a, b, step):
+    # node i sits at a + i*step, the last node is b itself and no step is
+    # empty, also when b is a hair past a multiple of the step
+    curve = synthesize(CurvatureProfile.from_strings(5, ["0", "0"]), (a, b), step=step,
+                       defect_limit=1e6)
+    ts = curve._ts
+    assert ts[-1] == b
+    assert np.all(np.diff(ts) > 0)
+    assert all(ts[i] == a + i * step for i in range(len(ts) - 1))
+
+
+@pytest.mark.parametrize("interval, step", [
+    ((0.0, 1.0), float("nan")), ((0.0, 1.0), float("inf")), ((0.0, 1.0), 1e-320),
+    ((0.0, float("inf")), 0.01), ((float("nan"), 1.0), 0.01), ((1e6, 1e6 + 1.0), 1e-12),
+])
+def test_unusable_step_or_interval_is_an_input_error(interval, step):
+    with pytest.raises(InputError):
+        synthesize(CurvatureProfile.from_strings(5, ["0", "0"]), interval, step=step)
+
+
+# curvature profiles for the jet oracles, k_1..k_{n-3} read off the front
+VARYING_CURVATURES = ["0.4 + 0.2*sin(t)", "-0.3 + 0.1*t^2", "1/(1 + t)",
+                      "0.8 + 0.3*cos(2*t)", "exp(-t)", "0.5 - 0.2*t", "1.2 + 0.1*t^3"]
+CONSTANT_CURVATURES = ["0.4", "-0.3", "0.9", "0.8", "-0.6", "0.5", "1.1"]
+
+
+def max_relative_error_per_order(got, want):
+    """max over orders j of max|got_j - want_j| / max|want_j|."""
+    scale = np.max(np.abs(want), axis=(1, 2))
+    return float(np.max(np.max(np.abs(got - want), axis=(1, 2)) / scale))
+
+
+def frame_basis_jets(curve, ts, order):
+    """Taylor coefficients of alpha through the frame basis, the oracle for
+    the state recurrence: alpha^(p) = sum_r X_p[r] F_r over the frame rows
+    F = (L1, L2, N1, N2, W3, ...), with X_1 = e_L1 and X_{p+1} = X_p' + X_p C,
+    where C = sum_c k_c C_c is the frame block of the couplings.  X_p is a
+    Taylor series in t that loses one order per derivative."""
+    states = curve._states_at(ts)
+    C = _frenet_couplings(curve.dimension)[:, 1:, 1:]
+    depth = max(order - 1, 0)
+    ones = np.zeros((depth + 1, len(ts)))
+    ones[0] = 1.0
+    k = np.stack([ones] + [j.coeffs for j in curve.profile.jets(ts, depth)])
+    X = np.zeros((depth + 1, len(ts), curve.dimension))
+    X[0, :, 0] = 1.0
+    coeffs = [states[:, 0]]
+    for p in range(1, order + 1):
+        coeffs.append(np.einsum("mr,mrd->md", X[0], states[:, 1:]) / math.factorial(p))
+        size = len(X) - 1
+        derivative = X[1:] * np.arange(1, size + 1)[:, None, None]
+        for c in range(len(C)):
+            XC = X[:size] @ C[c]
+            for i in range(size):  # Cauchy product with the series of k_c
+                derivative[i] += np.einsum("jm,jmr->mr", k[c, i::-1], XC[:i + 1])
+        X = derivative
+    return np.stack(coeffs)
+
+
+@pytest.mark.parametrize("n", [5, 6, 7, 8, 9, 10])
+def test_jets_with_constant_curvatures_are_matrix_powers(n):
+    # A is constant, so the state's coefficients are S_j = A^j S_0 / j!
+    profile = CurvatureProfile.from_strings(n, CONSTANT_CURVATURES[:n - 3])
+    curve = synthesize(profile, (0.0, 1.0), step=0.01)
+    A = np.einsum("c,cij->ij", np.concatenate(([1.0], profile.values(0.0))),
+                  _frenet_couplings(n))
+    nodes = curve._ts[::9]
+    for ts in (nodes, nodes[:-1] + 0.0037):
+        order = 2 * n + 2
+        S = curve._states_at(ts)
+        want = [S[:, 0]]
+        for j in range(1, order + 1):
+            S = A @ S / j
+            want.append(S[:, 0])
+        got = curve.vec_jets(ts, order).coeffs
+        assert max_relative_error_per_order(got, np.stack(want)) <= 1e-13
+
+
+@pytest.mark.parametrize("n", [5, 6, 7, 8, 9, 10])
+def test_jets_match_the_frame_basis_recursion(n):
+    profile = CurvatureProfile.from_strings(n, VARYING_CURVATURES[:n - 3])
+    curve = synthesize(profile, (0.0, 1.0), step=0.01)
+    for ts in (np.array([0.37]), np.linspace(0.0, 1.0, 17), np.linspace(0.0, 1.0, 256)):
+        for order in (0, 1, 2, 2 * n + 2):
+            got = curve.vec_jets(ts, order).coeffs
+            want = frame_basis_jets(curve, ts, order)
+            assert max_relative_error_per_order(got, want) <= 1e-13, (len(ts), order)
 
 
 def test_standard_initial_frame_relations():
