@@ -195,6 +195,8 @@ def _require(data, key, path):
 def _integer(data, key, path):
     value = _require(data, key, path)
     try:
+        if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+            raise ValueError
         return int(value)
     except (TypeError, ValueError, OverflowError):
         raise InputError(f"{path}: field {key!r} must be an integer, got {value!r}") from None
@@ -225,33 +227,35 @@ def _interval(data, key, path):
     return a, b
 
 
+def _profile(data, path):
+    """The curvature recipe of a spec; its parameter defaults to ``t``."""
+    return CurvatureProfile.from_strings(
+        _integer(data, "dimension", path), _expressions(data, "curvatures", path),
+        data.get("parameter", "t"))
+
+
 def load_curve(path):
     """Curve-like object from a curve spec file (symbolic or synthesized)."""
     data, digest = _read_json(path)
-    n = _integer(data, "dimension", path)
-    parameter = data.get("parameter", "s")
     if data.get("kind") == "synthesized" or "curvatures" in data:
-        profile = CurvatureProfile.from_strings(
-            n, _expressions(data, "curvatures", path), parameter)
+        profile = _profile(data, path)
         interval = _interval(data, "interval", path)
         step = _number(data.get("step", 1e-3), "step", path)
         curve = synthesize(profile, interval, step)
         return curve, data, digest
+    n = _integer(data, "dimension", path)
     components = _expressions(data, "components", path)
     if len(components) != n:
         raise InputError(
             f"{path}: {len(components)} components for dimension {n}")
     domain = _interval(data, "domain", path)
-    curve = Curve.from_strings(components, parameter, domain)
+    curve = Curve.from_strings(components, data.get("parameter", "s"), domain)
     return curve, data, digest
 
 
 def load_profile(path):
     data, digest = _read_json(path)
-    n = _integer(data, "dimension", path)
-    profile = CurvatureProfile.from_strings(
-        n, _expressions(data, "curvatures", path), data.get("parameter", "t"))
-    return profile, data, digest
+    return _profile(data, path), data, digest
 
 
 def _grid_size(args, data, default_points):

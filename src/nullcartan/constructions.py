@@ -627,10 +627,7 @@ class EvoluteCurve:
     def vec_jets(self, ts, order):
         ts = np.asarray(ts, dtype=float)
         extra = max(0, order + 6 - (self.dimension + 2)) + 1
-        fj = frame_grid(self.base, ts, extra_order=extra)
-        A = as_vec_jets(self.base, ts, order)
-        recip = 1.0 / fj.curvatures[2]
-        return A.truncate(order) + fj.W[1].scale(recip).truncate(order)
+        return _evolute_jets(frame_grid(self.base, ts, extra_order=extra), order)
 
     @lru_cache(maxsize=4096)
     def vec_jet(self, t, order):
@@ -642,6 +639,13 @@ class EvoluteCurve:
     def derivatives(self, t, m):
         vj = self.vec_jet(float(t), m)
         return [vj.derivative_value(k) for k in range(1, m + 1)]
+
+
+def _evolute_jets(fj, order):
+    """alpha + W4 / k3 to ``order`` from frame jets of the base curve whose
+    W4 and k3 reach at least that order."""
+    recip = 1.0 / fj.curvatures[2].truncate(order)
+    return fj.alpha.truncate(order) + fj.W[1].truncate(order).scale(recip)
 
 
 @dataclass(frozen=True)
@@ -685,7 +689,7 @@ def evolute(curve, grid=None, min_slope=1e-8, min_curvature=MIN_CURVATURE):
             np.abs(slope) < min_slope, slope, ts,
             "(1/k3)' = {value:.3e} at t={t}: evolute not regular there",
             "(1/k3)' != 0")
-        vj = E.vec_jets(ts, 1)
+        vj = _evolute_jets(fj, 1)
         Ep = vj.derivative_value(1)
         speed_sq = metric.inner_jet(VecJet(ts, Ep[None]), VecJet(ts, Ep[None])).value
         return np.column_stack((slope, np.abs(speed_sq - slope * slope), vj.value))

@@ -13,6 +13,7 @@ parameter so the third derivative has unit self-product.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from functools import cached_property
 
@@ -220,32 +221,131 @@ class SampledCurve:
         return (float(self.grid[0]), float(self.grid[-1]))
 
 
-class SplineCurve:
-    """Quintic-spline view of a SampledCurve; derivatives up to the spline order.
+def _bspline_basis(knots, k, x, left):
+    """Cox-de Boor recursion at the sites x, where knots[left] <= x < knots[left + 1].
 
-    The only user of scipy: ``scipy.interpolate`` is imported here, on first
-    construction, because it costs most of a cold ``import nullcartan``.
+    Entry j of the result is the (len(x), j + 1) array of the degree-j
+    B-splines that can be nonzero there, B_{left-j}, ..., B_{left}.  Each
+    degree blends the previous one with the weights (x - t_i)/(t_{i+j} - t_i)
+    (de Boor's BSPLVB); every denominator spans the nonempty interval at x.
+    """
+    levels = [np.ones((len(x), 1))]
+    for j in range(1, k + 1):
+        r = np.arange(j)
+        lo = knots[left[:, None] - j + 1 + r]
+        hi = knots[left[:, None] + 1 + r]
+        term = levels[-1] / (hi - lo)
+        b = np.zeros((len(x), j + 1))
+        b[:, :-1] = (hi - x[:, None]) * term
+        b[:, 1:] += (x[:, None] - lo) * term
+        levels.append(b)
+    return levels
+
+
+def _solve_collocation(basis, first, rhs):
+    """Solve the banded system whose row i holds ``basis[i]`` in the columns
+    ``first[i]``, ``first[i] + 1``, ...; ``rhs`` may have several columns.
+
+    Gaussian elimination without pivoting: a B-spline collocation matrix is
+    totally positive (de Boor, ch. XIII), so no pivot is needed for
+    stability.  Only the band is stored, as ``band[i, j - i + lower]``.  That
+    entry sits at flat offset ``i * (width - 1) + j + lower``, so with a row
+    stride of ``width - 1`` the band reads as the dense matrix (LAPACK's
+    ``LDAB - 1`` view); the elimination touches only entries inside the band.
+    """
+    m, size = basis.shape
+    rows = np.arange(m)
+    lower = int(np.max(rows - first))
+    upper = int(np.max(first + size - 1 - rows))
+    width = lower + upper + 1
+    band = np.zeros((m, width))
+    band[rows[:, None], (first - rows + lower)[:, None] + np.arange(size)] = basis
+    flat = band.reshape(-1)
+    A = np.lib.stride_tricks.as_strided(
+        flat[lower:], shape=(m, m), strides=((width - 1) * flat.itemsize, flat.itemsize))
+    y = np.array(rhs, dtype=float)
+    for i in range(m - 1):
+        below = slice(i + 1, i + 1 + lower)
+        right = slice(i + 1, i + 1 + upper)
+        f = A[below, i] / A[i, i]
+        A[below, right] -= f[:, None] * A[i, right]
+        y[below] -= f[:, None] * y[i]
+    for i in range(m - 1, -1, -1):
+        right = slice(i + 1, i + 1 + upper)
+        y[i] = (y[i] - A[i, right] @ y[right]) / A[i, i]
+    return y
+
+
+class SplineCurve:
+    """Interpolating spline of degree ``order`` through a SampledCurve;
+    derivatives up to that degree.
+
+    The knots are the not-a-knot layout: ``order + 1``-fold end knots and,
+    for an odd degree, interior knots at the samples ``grid[h:-h]`` with
+    h = (order + 1) // 2 (for an even degree, at the midpoints between
+    samples, trimmed the same way), so a quintic on 129 samples has 135
+    knots.  The coefficients solve the banded collocation system; the k-th
+    derivative is the spline of degree ``order - k`` whose coefficients are
+    the k-th differences of these (de Boor, ch. X).  Queries outside the
+    grid extend the end polynomials.
     """
 
     def __init__(self, sampled, order=5):
-        if len(sampled.grid) <= order:
+        grid = sampled.grid
+        if len(grid) <= order:
             raise InputError(f"need more than {order} samples for a degree-{order} spline")
-        from scipy.interpolate import make_interp_spline
-
-        self._spline = make_interp_spline(sampled.grid, sampled.points, k=order)
+        k = order
+        h = (k + 1) // 2
+        sites = grid if k % 2 else 0.5 * (grid[1:] + grid[:-1])
+        self._knots = np.concatenate(
+            (np.full(k + 1, grid[0]), sites[h:len(sites) - h], np.full(k + 1, grid[-1])))
         self._max_order = order
         self.dimension = sampled.dimension
         self.domain = sampled.domain
+        left = self._interval(grid)
+        coeffs = _solve_collocation(_bspline_basis(self._knots, k, grid, left)[k],
+                                    left - k, sampled.points)
+        n = len(grid)
+        self._coeffs = [coeffs]
+        for j in range(1, k + 1):
+            span = self._knots[k + 1:k + 1 + n - j] - self._knots[j:n]
+            self._coeffs.append((k - j + 1) * np.diff(self._coeffs[-1], axis=0)
+                                / span[:, None])
+
+    def _interval(self, x):
+        """Index l of the knot interval [t_l, t_{l+1}) that serves each x."""
+        k = self._max_order
+        return np.clip(np.searchsorted(self._knots, x, side="right") - 1,
+                       k, len(self._knots) - k - 2)
+
+    def _derivative_values(self, t, m):
+        """Derivatives 0..m at t, shape (m + 1, *shape(t), dimension)."""
+        k = self._max_order
+        if m > k:
+            raise InputError(f"spline-backed curve serves derivatives up to order {k}")
+        x = np.asarray(t, dtype=float).reshape(-1)
+        left = self._interval(x)
+        levels = _bspline_basis(self._knots, k, x, left)
+        values = np.empty((m + 1, len(x), self.dimension))
+        for j in range(m + 1):
+            cols = (left - k)[:, None] + np.arange(k - j + 1)
+            values[j] = np.einsum("ir,ird->id", levels[k - j], self._coeffs[j][cols])
+        return values.reshape((m + 1,) + np.shape(t) + (self.dimension,))
 
     def point(self, t):
-        return np.asarray(self._spline(t), dtype=float)
+        return self._derivative_values(t, 0)[0]
 
     def derivatives(self, t, m):
-        if m > self._max_order:
-            raise InputError(
-                f"spline-backed curve serves derivatives up to order {self._max_order}")
-        return [np.asarray(self._spline.derivative(k)(t), dtype=float)
-                for k in range(1, m + 1)]
+        return list(self._derivative_values(t, m)[1:])
+
+    def vec_jets(self, ts, order):
+        ts = np.asarray(ts, dtype=float)
+        values = self._derivative_values(ts, order)
+        scale = np.array([1.0 / math.factorial(j) for j in range(order + 1)])
+        return VecJet(ts, values * scale[:, None, None])
+
+    def vec_jet(self, t, order):
+        return self.vec_jets(np.array([float(t)]), order).at(0)
 
 
 def as_vec_jet(curve, t, order):
@@ -613,9 +713,11 @@ def pseudo_arc_reparam(curve, grid_density=129, tol=1e-9, classify_grid=None):
     """Resample a family curve at uniform pseudo-arc values.
 
     Returns the monotone table sbar(t), the resampled curve (points are exact
-    evaluations at the inverted parameters; a quintic spline over them is the
-    interpolation layer for derivative checks) and the max deviation of
-    <d^3 alpha/ds^3, d^3 alpha/ds^3> from 1 measured on that spline.
+    evaluations at the inverted parameters) and the max deviation of
+    <d^3 alpha/ds^3, d^3 alpha/ds^3> from 1.  That deviation is read off the
+    quintic :class:`SplineCurve` through the resampled points, at every
+    sample but the first and last three, not off the reparametrized jets,
+    which are unit-speed by construction.
     """
     require_family(curve, classify_grid, tol)
     rep = ReparametrizedCurve(curve, intervals=max(512, 4 * grid_density))

@@ -112,11 +112,13 @@ class CartanFrame:
 class FrameJets:
     """Frame vectors and curvatures as jets; feeds the constructions.
 
-    On a grid ``t``, ``closure_residual`` and ``orientation`` are arrays and
-    every jet is batched; :meth:`at` picks out one grid point.
+    ``alpha`` is the jet of the curve itself that the frame was extracted
+    from.  On a grid ``t``, ``closure_residual`` and ``orientation`` are
+    arrays and every jet is batched; :meth:`at` picks out one grid point.
     """
 
     t: float | np.ndarray
+    alpha: VecJet
     L1: VecJet
     L2: VecJet
     N1: VecJet
@@ -128,8 +130,8 @@ class FrameJets:
 
     def at(self, i):
         return FrameJets(
-            float(self.t[i]), self.L1.at(i), self.L2.at(i), self.N1.at(i),
-            self.N2.at(i), tuple(w.at(i) for w in self.W),
+            float(self.t[i]), self.alpha.at(i), self.L1.at(i), self.L2.at(i),
+            self.N1.at(i), self.N2.at(i), tuple(w.at(i) for w in self.W),
             tuple(k.at(i) for k in self.curvatures),
             float(self.closure_residual[i]), int(self.orientation[i]))
 
@@ -252,8 +254,8 @@ def frame_grid(curve, ts, extra_order=0, force=False):
 
 def _assemble(ts, vectors, k, closure_residual, orientation):
     W = tuple(v for name, v in vectors.items() if name.startswith("W"))
-    return FrameJets(ts, vectors["L1"], vectors["L2"], vectors["N1"], vectors["N2"], W,
-                     tuple(k[1:]), closure_residual, orientation)
+    return FrameJets(ts, vectors["alpha"], vectors["L1"], vectors["L2"], vectors["N1"],
+                     vectors["N2"], W, tuple(k[1:]), closure_residual, orientation)
 
 
 def frame_jets(curve, t, extra_order=0, force=False):

@@ -88,6 +88,48 @@ def test_malformed_fields_exit_2_with_diagnostic(tmp_path, capsys, patch):
     assert diag["error"] == "InputError"
 
 
+@pytest.mark.parametrize("patch", [
+    {"dimension": 5.9},
+    {"dimension": True},
+    {"grid_density": 7.5},
+    {"grid_density": True},
+], ids=["dimension 5.9", "dimension true", "grid_density 7.5", "grid_density true"])
+def test_non_integral_integer_fields_exit_2(tmp_path, capsys, patch):
+    # integer fields are not truncated: 5.9 is not read as 5, nor true as 1
+    spec = {"dimension": 5, "parameter": "s",
+            "components": ["s", "s", "s", "s", "s"], "domain": [0, 1]}
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(spec | patch))
+    code, out, err = run(capsys, "classify", str(bad))
+    assert code == 2
+    assert out == ""
+    diag = json.loads(err.splitlines()[-1])
+    assert diag["category"] == "input"
+    assert diag["error"] == "InputError"
+
+
+def test_integral_floats_are_integers(quintic_file, capsys, tmp_path):
+    spec = json.loads("\n".join(l for l in Path(quintic_file).read_text().splitlines()
+                                if not l.startswith("#")))
+    f = tmp_path / "floats.json"
+    f.write_text(json.dumps(spec | {"dimension": 5.0, "grid_density": 9.0}))
+    code, out, _ = run(capsys, "classify", str(f))
+    assert code == 0
+    assert len(body_of(out)["summary"]["grid"]) == 9
+
+
+@pytest.mark.parametrize("command", ["synthesize", "classify", "frame", "sphere"])
+def test_recipe_parameter_defaults_to_t_in_every_command(tmp_path, capsys, command):
+    # a recipe without a parameter field reads its curvatures in t, whether
+    # it is synthesized or loaded as a curve
+    f = tmp_path / "recipe.json"
+    f.write_text(json.dumps({"dimension": 6, "curvatures": ["0.2", "-0.1", "1 + t"],
+                             "interval": [0, 1], "step": 0.01}))
+    code, out, err = run(capsys, command, str(f), "--grid", "9")
+    assert code == 0, err
+    assert body_of(out)
+
+
 def test_zero_grid_exits_2(quintic_file, capsys):
     code, out, err = run(capsys, "classify", quintic_file, "--grid", "0")
     assert code == 2
@@ -357,8 +399,7 @@ def test_reparam_grid_too_small_for_the_spline_check_exits_2(quintic_file, capsy
 
 
 def test_cli_import_leaves_scipy_unloaded():
-    # scipy serves only spline-backed curves and the reparam check; a cold
-    # command that needs neither must not pay for importing it
+    # the runtime never imports scipy, a test dependency only
     script = ("import sys, nullcartan.cli; "
               "print(sorted(m for m in sys.modules "
               "if m == 'scipy' or m.startswith('scipy.')))")
@@ -369,6 +410,38 @@ def test_cli_import_leaves_scipy_unloaded():
     done = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True, check=True)
     assert done.stdout.strip() == "[]"
+
+
+def test_spline_paths_run_without_scipy(quintic_file, tmp_path):
+    # scipy is a test dependency only: reparam and the involute of sampled
+    # points build their splines with scipy unimportable
+    report = tmp_path / "reparam.json"
+    script = f"""
+import sys
+sys.modules["scipy"] = None
+import numpy as np
+from nullcartan import SampledCurve, involute
+from nullcartan.cli import main
+
+assert main(["reparam", {quintic_file!r}, "--output", {str(report)!r}]) == 0
+s = np.linspace(0.0, 2.0, 41)
+zero = np.zeros_like(s)
+circle = SampledCurve(s, np.stack([zero, zero, 1.5 * np.cos(s), 1.5 * np.sin(s), zero],
+                                  axis=1))
+t = np.linspace(0.2, 1.8, 5)
+inv = involute(circle, 0.0, t)
+want = 1.5 * np.stack([np.cos(t) + t * np.sin(t), np.sin(t) - t * np.cos(t)], axis=1)
+print(float(np.max(np.abs(inv.sampled.points[:, 2:4] - want))))
+"""
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert float(done.stdout) <= 1e-6
+    assert body_of(report.read_text())["summary"]["unit_speed_defect"] <= 1e-6
 
 
 @pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf"])

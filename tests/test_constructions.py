@@ -15,6 +15,7 @@ import sympy
 from nullcartan import (
     Curve,
     CurvatureProfile,
+    EvoluteCurve,
     FrameState,
     HypothesisError,
     InputError,
@@ -36,6 +37,7 @@ from nullcartan import (
     synthesize,
 )
 from nullcartan.constructions import OffsetCurve, _frenet_couplings
+from nullcartan.frame import frame_grid
 
 from conftest import golden_mate, golden_N1, golden_N2, random_isometry_frame
 
@@ -247,6 +249,51 @@ def test_evolute_offset_norm(synth6_evolute):
         diff = e_point - np.asarray(synth6_evolute.point(float(t)))
         want = (1.0 + t) ** 2
         assert m.inner(diff, diff) == pytest.approx(want, rel=1e-9)
+
+
+class _CountedCurve:
+    """A curve that counts the batched jet evaluations asked of it."""
+
+    def __init__(self, base):
+        self.base = base
+        self.dimension = base.dimension
+        self.domain = base.domain
+        self.calls = 0
+
+    def vec_jets(self, ts, order):
+        self.calls += 1
+        return self.base.vec_jets(ts, order)
+
+
+def test_evolute_jets_evaluate_the_curve_once(synth6_evolute):
+    # E = alpha + W4/k3 reads alpha off the jets its frame was extracted from
+    counted = _CountedCurve(synth6_evolute)
+    grid = np.linspace(-0.5, 1.0, 7)
+    for order in (0, 1, 3):
+        counted.calls = 0
+        jets = EvoluteCurve(counted).vec_jets(grid, order)
+        assert counted.calls == 1
+        assert jets.order == order
+    fj = frame_grid(synth6_evolute, grid)
+    want = (synth6_evolute.vec_jets(grid, 0).value
+            + fj.W[1].value / fj.curvatures[2].value[:, None])
+    assert np.allclose(jets.value, want, rtol=0, atol=1e-12)
+
+
+def test_evolute_extracts_frames_once(synth6_evolute, monkeypatch):
+    # the curvature gates and the evolute jets share one extraction
+    import nullcartan.constructions as constructions
+
+    calls = []
+    original = constructions.frame_grid
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(constructions, "frame_grid", counted)
+    evolute(synth6_evolute, np.linspace(-0.5, 1.0, 9))
+    assert len(calls) == 1
 
 
 def test_evolute_refuses_constant_k3():

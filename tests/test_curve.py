@@ -1,10 +1,12 @@
 """Curve model, classification and reparametrization tests."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.interpolate import make_interp_spline
 
 from nullcartan import (
     ArcLengthCurve,
@@ -245,6 +247,52 @@ def test_spline_curve_tracks_samples(golden):
         assert np.allclose(d[k], want[k], atol=1e-5)
     with pytest.raises(InputError):
         spline.derivatives(t, 6)
+
+
+def _smooth_samples(grid):
+    return np.stack([np.sin(2 * grid), np.cos(3 * grid), np.exp(grid / 2),
+                     grid ** 3 - grid, np.log(2 + grid)], axis=1)
+
+
+@pytest.mark.parametrize("order", [3, 4, 5])
+@pytest.mark.parametrize("samples", [33, 129])
+def test_spline_matches_the_scipy_interpolant(samples, order):
+    # scipy's not-a-knot spline is the oracle: same knots, same interpolant;
+    # derivatives differ by roundoff that 1/h^k amplifies in both
+    grid = np.linspace(-0.3, 1.2, samples)
+    points = _smooth_samples(grid)
+    spline = SplineCurve(SampledCurve(grid, points), order)
+    oracle = make_interp_spline(grid, points, k=order)
+    ts = np.concatenate((grid, np.random.default_rng(7).uniform(grid[0], grid[-1], 200)))
+    got = [spline.point(ts)] + spline.derivatives(ts, 3)
+    for k in range(4):
+        want = oracle.derivative(k)(ts) if k else oracle(ts)
+        tol = 1e-12 if k == 0 else 1e-9
+        assert np.max(np.abs(got[k] - want)) <= tol * np.max(np.abs(want))
+    jets = spline.vec_jets(ts, order)
+    for k in range(1, 4):
+        assert np.allclose(jets.derivative_value(k), got[k], rtol=1e-14, atol=0)
+    t = 0.4321
+    assert spline.point(t).shape == (5,)
+    assert np.allclose(spline.point(t), oracle(t), rtol=0, atol=1e-14)
+    assert np.allclose(spline.derivatives(t, 2)[1], oracle.derivative(2)(t), atol=1e-9)
+    with pytest.raises(InputError):
+        spline.vec_jets(ts, order + 1)
+
+
+def test_spline_memory_is_linear_in_the_samples():
+    # the collocation system is solved in its band: a dense matrix on 5000
+    # samples would take 200 MB
+    grid = np.linspace(0.0, 1.0, 5000)
+    sampled = SampledCurve(grid, _smooth_samples(grid))
+    tracemalloc.start()
+    try:
+        spline = SplineCurve(sampled)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 20e6
+    assert np.allclose(spline.point(grid[::97]), sampled.points[::97], rtol=0, atol=1e-12)
 
 
 def test_mapped_curve_equals_precompose(golden):
