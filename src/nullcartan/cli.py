@@ -443,10 +443,10 @@ def cmd_involute(args):
     result = involute(curve, args.t0, grid, arc_offset=args.s0)
     body = _base_body("involute", args, digest)
     body["summary"] = {"t0": args.t0, "arc_offset": args.s0}
+    arc = result.curve.arc_length(np.array(result.grid))
     body["table"] = {
         "columns": ["t", "s"] + [f"I_x{j + 1}" for j in range(curve.dimension)],
-        "rows": [[t, result.curve.arc_length(t), *p]
-                 for t, p in zip(result.grid, result.sampled.points)],
+        "rows": [[t, s, *p] for t, s, p in zip(result.grid, arc, result.sampled.points)],
     }
     write_report(body, args)
     return 0

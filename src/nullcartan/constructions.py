@@ -22,11 +22,13 @@ import numpy as np
 
 from .curve import (
     TABLE_BLOCK,
-    CumulativeIntegral,
+    ArcLengthCurve,
     ReparametrizedCurve,
     SampledCurve,
     SplineCurve,
+    _BatchedCurve,
     _check_in_domain,
+    _first_hypothesis_failure,
     as_vec_jets,
     chebyshev_grid,
     points_on,
@@ -70,6 +72,8 @@ __all__ = [
 ]
 
 MIN_CURVATURE = 1e-8
+# largest synthesis state table, in floats (nodes * (n + 1) * n): 256 MiB
+MAX_TABLE_FLOATS = 2**25
 
 
 # ---------------------------------------------------------------------------
@@ -190,7 +194,7 @@ def _rk4_increments(A0, Am, A1, h):
     return h / 6 * (A0 + 2 * q2 + 2 * q3 + q4)
 
 
-class FrenetCurve:
+class FrenetCurve(_BatchedCurve):
     """Curve produced by integrating the Frenet system with prescribed curvatures.
 
     Node i of the integration table sits at a + i * step, and the last node
@@ -219,8 +223,13 @@ class FrenetCurve:
         if state.shape != (n + 1, n):
             raise DimensionMismatchError(
                 f"initial state must be ({n + 1}, {n}), got {state.shape}")
+        nodes = math.ceil((b - a) / step - 1e-12) + 1
+        if nodes * (n + 1) * n > MAX_TABLE_FLOATS:
+            raise InputError(
+                f"step {step} on [{a}, {b}] needs {nodes} nodes, a state table of "
+                f"{nodes * (n + 1) * n} floats; the limit is {MAX_TABLE_FLOATS}")
         # nodes a + i h without accumulated drift; the last one is b itself
-        ts = a + np.arange(math.ceil((b - a) / step - 1e-12)) * self.step
+        ts = a + np.arange(nodes - 1) * self.step
         ts = np.append(ts[ts < b], b)
         hs = np.diff(ts)
         steps = len(hs)
@@ -344,10 +353,6 @@ class FrenetCurve:
         t = float(t)
         return self._chain_jets(np.array([t]), self._state_at(t)[None], order).at(0)
 
-    def derivatives(self, t, m):
-        vj = self.vec_jet(t, m)
-        return [vj.derivative_value(k) for k in range(1, m + 1)]
-
     # -- export ----------------------------------------------------------------
 
     def to_sampled(self, max_points=257):
@@ -377,7 +382,7 @@ def synthesize(profile, interval, step=1e-3, initial=None, defect_limit=1e-4):
 # Bertrand mates
 # ---------------------------------------------------------------------------
 
-class OffsetCurve:
+class OffsetCurve(_BatchedCurve):
     """The normal offset alpha + mu * alpha''' of a pseudo-arc family curve."""
 
     def __init__(self, base, mu):
@@ -390,16 +395,6 @@ class OffsetCurve:
         A = as_vec_jets(self.base, ts, order + 3)
         a3 = A.differentiate().differentiate().differentiate()
         return A.truncate(order) + a3.scale(self.mu)
-
-    def vec_jet(self, t, order):
-        return self.vec_jets(np.array([float(t)]), order).at(0)
-
-    def point(self, t):
-        return self.vec_jet(t, 0).value
-
-    def derivatives(self, t, m):
-        vj = self.vec_jet(t, m)
-        return [vj.derivative_value(k) for k in range(1, m + 1)]
 
 
 @dataclass(frozen=True)
@@ -613,7 +608,7 @@ def pseudo_spherical_test(curve, grid=None, tol=1e-5, min_curvature=MIN_CURVATUR
 # Evolute and involute
 # ---------------------------------------------------------------------------
 
-class EvoluteCurve:
+class EvoluteCurve(_BatchedCurve):
     """Centers of osculating spheres, alpha + (1/k3) W4, in dimension six."""
 
     def __init__(self, base):
@@ -626,19 +621,13 @@ class EvoluteCurve:
 
     def vec_jets(self, ts, order):
         ts = np.asarray(ts, dtype=float)
-        extra = max(0, order + 6 - (self.dimension + 2)) + 1
+        # W4 and k3 come out of frame_grid at order 2 + extra
+        extra = max(0, order - 2)
         return _evolute_jets(frame_grid(self.base, ts, extra_order=extra), order)
 
     @lru_cache(maxsize=4096)
     def vec_jet(self, t, order):
         return self.vec_jets(np.array([float(t)]), order).at(0)
-
-    def point(self, t):
-        return self.vec_jet(float(t), 0).value
-
-    def derivatives(self, t, m):
-        vj = self.vec_jet(float(t), m)
-        return [vj.derivative_value(k) for k in range(1, m + 1)]
 
 
 def _evolute_jets(fj, order):
@@ -655,13 +644,6 @@ class EvoluteResult:
     grid: tuple[float, ...]
     speed_defect: float        # max |<E',E'> - ((1/k3)')^2|
     min_abs_slope: float       # min |(1/k3)'| seen on the grid
-
-
-def _first_hypothesis_failure(bad, values, ts, message, condition):
-    if np.any(bad):
-        j = int(np.argmax(bad))
-        raise HypothesisError(message.format(value=values[j], t=ts[j]),
-                              condition=condition, location=float(ts[j]))
 
 
 def evolute(curve, grid=None, min_slope=1e-8, min_curvature=MIN_CURVATURE):
@@ -700,12 +682,15 @@ def evolute(curve, grid=None, min_slope=1e-8, min_curvature=MIN_CURVATURE):
                          float(np.min(np.abs(table[:, 0]))))
 
 
-class InvoluteCurve:
+class InvoluteCurve(_BatchedCurve):
     """Unwinding c(t) - s(t) T(t) of a spacelike curve by its arc length.
 
-    ``s(t) = arc_offset + (arc length from c(t0))``; the offset admits base
-    points that lie outside the parametrized piece, as the arc-length-matched
-    unwinding of an evolute generally does.
+    ``s(t) = arc_offset + (arc length from c(t0))``, read off an
+    :class:`ArcLengthCurve` of the base, which refuses a base that is not
+    spacelike at a table point.  The offset admits base points that lie
+    outside the parametrized piece, as the arc-length-matched unwinding of an
+    evolute generally does.  ``unit_speed=True`` certifies |c'| = 1 instead:
+    then s(t) = arc_offset + t - t0 exactly, with no table.
     """
 
     def __init__(self, base, t0, arc_offset=0.0, intervals=512, unit_speed=False):
@@ -718,31 +703,15 @@ class InvoluteCurve:
         self.arc_offset = float(arc_offset)
         _check_in_domain(self.t0, base.domain)
         self._metric = PseudoMetric(base.dimension)
-        self._unit_speed = bool(unit_speed)
-        if unit_speed:
-            # caller certifies |c'| = 1; the arc-length table is then linear
-            self._table = None
-            self._s0 = 0.0
-            return
-        self._table = CumulativeIntegral(self._speed, base.domain[0], base.domain[1],
-                                         intervals)
-        self._s0 = self._table(self.t0)
-
-    def _speed(self, ts):
-        return pointwise_order(self._speed_block, ts, TABLE_BLOCK)
-
-    def _speed_block(self, ts):
-        d1 = as_vec_jets(self.base, ts, 1).differentiate().truncate(0)
-        sq = self._metric.inner_jet(d1, d1).value
-        _first_hypothesis_failure(sq <= 0.0, sq, ts,
-                                  "<c',c'> = {value:.3e} at t={t}: curve is not spacelike",
-                                  "<c',c'> > 0")
-        return np.sqrt(sq)
+        self._arc = None
+        if not unit_speed:
+            self._arc = ArcLengthCurve(base, intervals)
+            self._s0 = self._arc.arc_length_of(self.t0)
 
     def arc_length(self, t):
-        if self._unit_speed:
+        if self._arc is None:
             return self.arc_offset + np.asarray(t, dtype=float) - self.t0
-        return self.arc_offset + self._table(t) - self._s0
+        return self.arc_offset + self._arc.arc_length_of(t) - self._s0
 
     def vec_jets(self, ts, order):
         ts = np.asarray(ts, dtype=float)
@@ -752,17 +721,6 @@ class InvoluteCurve:
         s_jet = speed.antiderivative(self.arc_length(ts))
         T = cp.scale(1.0 / speed)
         return cj.truncate(order) - T.scale(s_jet).truncate(order)
-
-    @lru_cache(maxsize=4096)
-    def vec_jet(self, t, order):
-        return self.vec_jets(np.array([float(t)]), order).at(0)
-
-    def point(self, t):
-        return self.vec_jet(float(t), 0).value
-
-    def derivatives(self, t, m):
-        vj = self.vec_jet(float(t), m)
-        return [vj.derivative_value(k) for k in range(1, m + 1)]
 
 
 @dataclass(frozen=True)

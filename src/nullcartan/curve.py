@@ -24,6 +24,7 @@ from .errors import (
     DimensionMismatchError,
     ExprEvaluationError,
     FamilyError,
+    HypothesisError,
     InputError,
     NullCartanError,
 )
@@ -73,6 +74,14 @@ def _check_in_domain(t, domain):
         raise InputError(f"parameter {bad} outside domain [{a}, {b}]")
 
 
+def _first_hypothesis_failure(bad, values, ts, message, condition):
+    """Raise HypothesisError for the first grid point flagged ``bad``."""
+    if np.any(bad):
+        j = int(np.argmax(bad))
+        raise HypothesisError(message.format(value=values[j], t=ts[j]),
+                              condition=condition, location=float(ts[j]))
+
+
 # what a pointwise evaluation raises for a point: library errors plus the
 # arithmetic and domain errors of jet operations
 _POINT_ERRORS = (NullCartanError, ArithmeticError, ValueError)
@@ -110,6 +119,21 @@ def pointwise_order(fn, ts, block=None):
         if len(ts) > 1:
             _bisect_first_failure(fn, ts)
         raise
+
+
+class _BatchedCurve:
+    """Single-point surface of a curve whose jets come from ``vec_jets``:
+    each query is the batched evaluation on a one-point grid."""
+
+    def vec_jet(self, t, order):
+        return self.vec_jets(np.array([float(t)]), order).at(0)
+
+    def point(self, t):
+        return self.vec_jet(float(t), 0).value
+
+    def derivatives(self, t, m):
+        vj = self.vec_jet(float(t), m)
+        return [vj.derivative_value(k) for k in range(1, m + 1)]
 
 
 @dataclass(frozen=True, eq=False)
@@ -276,7 +300,7 @@ def _solve_collocation(basis, first, rhs):
     return y
 
 
-class SplineCurve:
+class SplineCurve(_BatchedCurve):
     """Interpolating spline of degree ``order`` through a SampledCurve;
     derivatives up to that degree.
 
@@ -343,9 +367,6 @@ class SplineCurve:
         values = self._derivative_values(ts, order)
         scale = np.array([1.0 / math.factorial(j) for j in range(order + 1)])
         return VecJet(ts, values * scale[:, None, None])
-
-    def vec_jet(self, t, order):
-        return self.vec_jets(np.array([float(t)]), order).at(0)
 
 
 def as_vec_jet(curve, t, order):
@@ -549,7 +570,7 @@ class CumulativeIntegral:
         return out
 
 
-class _MonotoneReparamCurve:
+class _MonotoneReparamCurve(_BatchedCurve):
     """View of a curve in a new parameter with a positive jet-expressible rate.
 
     The monotone table integrates the subclass rate over the base domain;
@@ -559,7 +580,6 @@ class _MonotoneReparamCurve:
     left end of the base domain.
     """
 
-    _rate_name = "rate"
     _origin_from_domain = False
 
     def __init__(self, base, intervals=512, origin=None):
@@ -574,21 +594,16 @@ class _MonotoneReparamCurve:
         self.domain = (self.origin, self.origin + self._table.total)
 
     def _rate(self, ts):
-        """Rate at an array of parameters, refusing a nonpositive squared rate.
+        return self._rate_squares(ts) ** self._rate_power
 
-        The squared rate is taken in ascending parameter order, the order of
-        the positivity probe: for a table these are its nodes and midpoints,
-        so the values the probe checks are the values integrated.
-        """
+    def _rate_squares(self, ts):
+        """Squared rate at an array of parameters (for a table, its nodes and
+        midpoints), taken in ascending parameter order, so a refusal raised
+        by ``_rate_square`` names the first refused point."""
         order = np.argsort(ts, kind="stable")
         sq = np.empty(len(ts))
         sq[order] = pointwise_order(self._rate_square, ts[order], TABLE_BLOCK)
-        if np.any(sq <= 0.0):
-            worst = order[np.argmin(sq[order])]
-            raise FamilyError(
-                f"{self._rate_name} = {sq[worst]:.3e} <= 0 near t={float(ts[worst])}: "
-                "monotone reparametrization impossible")
-        return sq ** self._rate_power
+        return sq
 
     def _rate_square(self, t):
         raise NotImplementedError
@@ -614,13 +629,6 @@ class _MonotoneReparamCurve:
         psi = jet_invert(phi)
         return jet_compose(as_vec_jets(self.base, ts, order), psi)
 
-    def vec_jet(self, s, order):
-        return self.vec_jets(np.array([float(s)]), order).at(0)
-
-    def derivatives(self, s, m):
-        vj = self.vec_jet(s, m)
-        return [vj.derivative_value(k) for k in range(1, m + 1)]
-
 
 class ReparametrizedCurve(_MonotoneReparamCurve):
     """Pseudo-arc view: the new parameter integrates <alpha''',alpha'''>^(1/6),
@@ -631,11 +639,22 @@ class ReparametrizedCurve(_MonotoneReparamCurve):
     """
 
     _rate_power = 1.0 / 6.0
-    _rate_name = "<alpha''', alpha'''>"
     _origin_from_domain = True
 
     def pseudo_arc_of(self, t):
         return self.new_parameter_of(t)
+
+    def _rate(self, ts):
+        """Rate at an array of parameters; a nonpositive <alpha''', alpha'''>
+        is refused at its minimum over ``ts``."""
+        sq = self._rate_squares(ts)
+        if np.any(sq <= 0.0):
+            order = np.argsort(ts, kind="stable")
+            worst = order[np.argmin(sq[order])]
+            raise FamilyError(
+                f"<alpha''', alpha'''> = {sq[worst]:.3e} <= 0 near t={float(ts[worst])}: "
+                "monotone reparametrization impossible")
+        return sq ** self._rate_power
 
     def _rate_square(self, t):
         vj = as_vec_jets(self.base, t, 3)
@@ -649,24 +668,32 @@ class ReparametrizedCurve(_MonotoneReparamCurve):
 
 
 class ArcLengthCurve(_MonotoneReparamCurve):
-    """Unit-speed view of a spacelike curve: the new parameter integrates |c'|."""
+    """Unit-speed view of a spacelike curve: the new parameter integrates |c'|.
+
+    This is the one arc-length table; :class:`InvoluteCurve` reads its s(t)
+    off one.  A table point with <c', c'> <= 0 raises HypothesisError
+    (condition "<c',c'> > 0") located at the first such point in ascending t.
+    """
 
     _rate_power = 0.5
-    _rate_name = "<c', c'>"
 
     def arc_length_of(self, t):
         return self.new_parameter_of(t)
 
     def _rate_square(self, t):
         d1 = as_vec_jets(self.base, t, 1).differentiate()
-        return self._metric.inner_jet(d1, d1).value
+        sq = self._metric.inner_jet(d1, d1).value
+        _first_hypothesis_failure(sq <= 0.0, sq, t,
+                                  "<c',c'> = {value:.3e} at t={t}: curve is not spacelike",
+                                  "<c',c'> > 0")
+        return sq
 
     def _rate_square_jet(self, t, order):
         d1 = as_vec_jets(self.base, t, order + 1).differentiate()
         return self._metric.inner_jet(d1, d1)
 
 
-class MappedCurve:
+class MappedCurve(_BatchedCurve):
     """Exact parameter substitution s -> base(g(s)) for a symbolic map g.
 
     Unlike the quadrature-backed reparametrizations this composes jets
@@ -689,13 +716,6 @@ class MappedCurve:
     def vec_jets(self, ss, order):
         g = jet_eval(self.mapping, np.asarray(ss, dtype=float), order)
         return jet_compose(as_vec_jets(self.base, g.value, order), g)
-
-    def vec_jet(self, s, order):
-        return self.vec_jets(np.array([float(s)]), order).at(0)
-
-    def derivatives(self, s, m):
-        vj = self.vec_jet(s, m)
-        return [vj.derivative_value(k) for k in range(1, m + 1)]
 
 
 @dataclass(frozen=True)

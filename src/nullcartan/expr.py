@@ -234,6 +234,12 @@ def _compose(outer, inner):
 
 
 def _same_base(a, b):
+    """Whether two jet bases are the same point or grid.
+
+    The comparison is exact, so jets combined in one operation must be
+    evaluated on the same base array (or bit-identical copies of it); bases
+    that differ by roundoff are refused as different points.
+    """
     if a is b:
         return True
     if np.ndim(a) == 0 and np.ndim(b) == 0:

@@ -177,14 +177,24 @@ def test_classify_failure_names_the_first_failing_point():
 
 
 def test_arc_length_table_reports_the_first_node_that_is_not_spacelike():
-    # <c', c'> = 1 - 16 s^2 <= 0 for s >= 1/4: the table walks its nodes
-    # before its midpoints
+    # <c', c'> = 1 - 16 s^2 <= 0 for s >= 1/4: the table walks its nodes and
+    # midpoints in ascending order, and the node 1/4 comes first
     curve = Curve.from_strings(["2*s^2", "0", "s", "0", "0"], domain=(0.0, 1.0))
     with pytest.raises(HypothesisError) as exc:
         InvoluteCurve(curve, 0.0, intervals=8)
     points = CumulativeIntegral.sample_points(0.0, 1.0, 8)
     first = next(t for t in points if 1.0 - 16.0 * t * t <= 0.0)
     assert exc.value.location == first
+
+
+def test_arc_length_table_reports_a_midpoint_before_a_later_node():
+    # <c', c'> = 1 - 36 s^2 <= 0 for s >= 1/6: on 8 intervals the midpoint
+    # 3/16 is the first refused point, ahead of the node 1/4
+    curve = Curve.from_strings(["3*s^2", "0", "s", "0", "0"], domain=(0.0, 1.0))
+    with pytest.raises(HypothesisError) as exc:
+        InvoluteCurve(curve, 0.0, intervals=8)
+    assert exc.value.location == 0.1875
+    assert exc.value.condition == "<c',c'> > 0"
 
 
 # ---------------------------------------------------------------------------

@@ -412,6 +412,37 @@ def test_cli_import_leaves_scipy_unloaded():
     assert done.stdout.strip() == "[]"
 
 
+def test_oversized_synthesis_table_exits_2(tmp_path, capsys):
+    f = tmp_path / "profile.json"
+    f.write_text(json.dumps({
+        "dimension": 6, "parameter": "t", "curvatures": ["0.15", "-0.05", "1/(1 + t)"],
+        "interval": [-0.6, 1.1], "step": 0.001}))
+    code, out, err = run(capsys, "synthesize", str(f), "--step", "1e-15")
+    assert code == 2
+    assert out == ""
+    diag = json.loads(err.splitlines()[-1])
+    assert diag["error"] == "InputError"
+    assert "1700000000000001 nodes" in diag["message"]
+
+
+def test_traced_benchmark_hooks_resolve():
+    # a traced benchmark run wraps names it finds in the library's class
+    # bodies (and reads two method caches); installing its collector must
+    # find every one of them
+    bench = Path(__file__).resolve().parents[1] / "bench"
+    script = ("import sys, nullcartan, nullcartan.cli; "
+              f"sys.path.insert(0, {str(bench)!r}); "
+              "from spans import Tracer; "
+              "tracer = Tracer(); tracer.install(); tracer.end_op()")
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+
+
 def test_spline_paths_run_without_scipy(quintic_file, tmp_path):
     # scipy is a test dependency only: reparam and the involute of sampled
     # points build their splines with scipy unimportable

@@ -5,8 +5,10 @@ and curvature functions are known inputs, so every theorem-level verdict can
 be checked against ground truth.
 """
 
+import gc
 import math
 import re
+import weakref
 
 import numpy as np
 import pytest
@@ -36,7 +38,7 @@ from nullcartan import (
     standard_initial_frame,
     synthesize,
 )
-from nullcartan.constructions import OffsetCurve, _frenet_couplings
+from nullcartan.constructions import InvoluteCurve, OffsetCurve, _frenet_couplings
 from nullcartan.frame import frame_grid
 
 from conftest import golden_mate, golden_N1, golden_N2, random_isometry_frame
@@ -252,16 +254,19 @@ def test_evolute_offset_norm(synth6_evolute):
 
 
 class _CountedCurve:
-    """A curve that counts the batched jet evaluations asked of it."""
+    """A curve that counts the batched jet evaluations asked of it and
+    records the jet order of each."""
 
     def __init__(self, base):
         self.base = base
         self.dimension = base.dimension
         self.domain = base.domain
         self.calls = 0
+        self.orders = []
 
     def vec_jets(self, ts, order):
         self.calls += 1
+        self.orders.append(order)
         return self.base.vec_jets(ts, order)
 
 
@@ -278,6 +283,16 @@ def test_evolute_jets_evaluate_the_curve_once(synth6_evolute):
     want = (synth6_evolute.vec_jets(grid, 0).value
             + fj.W[1].value / fj.curvatures[2].value[:, None])
     assert np.allclose(jets.value, want, rtol=0, atol=1e-12)
+
+
+def test_evolute_jets_ask_for_no_deeper_frames_than_they_use(synth6_evolute):
+    # W4 and k3 come out of the extraction at order 2 + extra_order, and the
+    # extraction reads the curve to order n + 2 + extra_order
+    counted = _CountedCurve(synth6_evolute)
+    for order in range(6):
+        counted.orders.clear()
+        assert EvoluteCurve(counted).vec_jets([0.1, 0.4], order).order == order
+        assert counted.orders == [8 + max(0, order - 2)]
 
 
 def test_evolute_extracts_frames_once(synth6_evolute, monkeypatch):
@@ -336,6 +351,26 @@ def test_involute_refuses_non_spacelike():
     timelike = Curve.from_strings(["s", "0", "0.5*s", "0", "0"], domain=(0.0, 1.0))
     with pytest.raises(HypothesisError):
         involute(timelike, 0.0, np.linspace(0.0, 1.0, 5))
+
+
+def test_involute_is_freed_after_a_point_query():
+    # single-point queries cache nothing that keeps the curve alive
+    circle = Curve.from_strings(["0", "0", "1.5*cos(s)", "1.5*sin(s)", "0"],
+                                domain=(0.0, 2.0))
+    inv = InvoluteCurve(circle, 0.0, intervals=16)
+    inv.vec_jet(0.5, 2)
+    ref = weakref.ref(inv)
+    del inv
+    gc.collect()
+    assert ref() is None
+
+
+def test_involute_arc_length_on_a_grid_matches_point_queries(synth6_evolute):
+    # the involute command reads its s column in one array call
+    ev = evolute(synth6_evolute, np.linspace(-0.5, 1.0, 5))
+    inv = InvoluteCurve(ev.curve, -0.5, arc_offset=0.7)
+    grid = np.linspace(-0.7, 1.2, 13)
+    assert inv.arc_length(grid).tolist() == [inv.arc_length(float(t)) for t in grid]
 
 
 def test_evolute_involute_round_trip(synth6_evolute):
@@ -616,6 +651,20 @@ def test_node_times_do_not_drift(a, b, step):
 def test_unusable_step_or_interval_is_an_input_error(interval, step):
     with pytest.raises(InputError):
         synthesize(CurvatureProfile.from_strings(5, ["0", "0"]), interval, step=step)
+
+
+def test_oversized_state_table_is_refused_before_it_is_built(monkeypatch):
+    import nullcartan.constructions as constructions
+
+    profile = CurvatureProfile.from_strings(6, ["0.1", "0.05", "0.5"])
+    with pytest.raises(InputError, match="needs 1000000000000001 nodes"):
+        synthesize(profile, (0.0, 1.0), step=1e-15)
+    # the limit counts nodes * (n + 1) * n floats: 5 nodes of 7 x 6 here
+    monkeypatch.setattr(constructions, "MAX_TABLE_FLOATS", 5 * 7 * 6)
+    assert len(synthesize(profile, (0.0, 1.0), step=0.25, defect_limit=1.0)._ts) == 5
+    monkeypatch.setattr(constructions, "MAX_TABLE_FLOATS", 5 * 7 * 6 - 1)
+    with pytest.raises(InputError, match="needs 5 nodes"):
+        synthesize(profile, (0.0, 1.0), step=0.25, defect_limit=1.0)
 
 
 # curvature profiles for the jet oracles, k_1..k_{n-3} read off the front

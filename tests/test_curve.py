@@ -14,6 +14,7 @@ from nullcartan import (
     Curve,
     ExprEvaluationError,
     FamilyError,
+    HypothesisError,
     InputError,
     MappedCurve,
     PseudoMetric,
@@ -317,6 +318,14 @@ def test_arc_length_curve_unit_speed():
     for s in np.linspace(0.05, unit.domain[1] - 0.05, 7):
         d1 = unit.derivatives(float(s), 1)[0]
         assert m.inner(d1, d1) == pytest.approx(1.0, abs=1e-9)
+
+
+def test_arc_length_curve_refuses_a_curve_that_is_not_spacelike():
+    timelike = Curve.from_strings(["s", "0", "0.5*s", "0", "0"], domain=(0.0, 1.0))
+    with pytest.raises(HypothesisError) as exc:
+        ArcLengthCurve(timelike)
+    assert exc.value.condition == "<c',c'> > 0"
+    assert exc.value.location == 0.0
 
 
 def test_classify_reports_disagreeing_points():
