@@ -28,6 +28,7 @@ import numpy as np
 from . import __version__
 from .bundled import NULL_QUINTIC
 from .constructions import (
+    MAX_TABLE_FLOATS,
     CurvatureProfile,
     bertrand_mate,
     evolute,
@@ -39,7 +40,6 @@ from .curve import (
     Curve,
     chebyshev_grid,
     classify,
-    points_on,
     pointwise_order,
     pseudo_arc_reparam,
 )
@@ -235,7 +235,7 @@ def _profile(data, path):
 
 
 def load_curve(path):
-    """Curve-like object from a curve spec file (symbolic or synthesized)."""
+    """Curve from a curve spec file (symbolic or synthesized)."""
     data, digest = _read_json(path)
     if data.get("kind") == "synthesized" or "curvatures" in data:
         profile = _profile(data, path)
@@ -258,8 +258,13 @@ def load_profile(path):
     return _profile(data, path), data, digest
 
 
-def _grid_size(args, data, default_points):
-    """--grid, else the file's grid_density, else the command default."""
+def _grid_size(args, data, default_points, n):
+    """--grid, else the file's grid_density, else the command default.
+
+    Every command's grid goes through here.  A grid is refused before
+    anything is allocated on it when the frame extraction's jets there,
+    points * n^2 * (n + 3) floats in dimension n, exceed MAX_TABLE_FLOATS.
+    """
     if args.grid is not None:
         points = args.grid
     elif data.get("grid_density") is not None:
@@ -268,11 +273,16 @@ def _grid_size(args, data, default_points):
         points = default_points
     if points < 1:
         raise InputError(f"grid size must be positive, got {points}")
+    size = points * n * n * (n + 3)
+    if size > MAX_TABLE_FLOATS:
+        raise InputError(
+            f"a grid of {points} points needs {size} floats of frame jets in "
+            f"dimension {n}; the limit is {MAX_TABLE_FLOATS}")
     return points
 
 
 def _grid_for(args, curve, data, default_points, uniform=False):
-    points = _grid_size(args, data, default_points)
+    points = _grid_size(args, data, default_points, curve.dimension)
     a, b = curve.domain
     if uniform:
         return np.linspace(a, b, points)
@@ -331,7 +341,7 @@ def cmd_frame(args):
     grid = _grid_for(args, curve, data, 61, uniform=True)
     n = curve.dimension
     frames, points = pointwise_order(
-        lambda ts: (cartan_frames(curve, ts), points_on(curve, ts)), grid)
+        lambda ts: (cartan_frames(curve, ts), curve.vec_jets(ts, 0).value), grid)
     frame = frames.to_frame()
     table = _frame_table(grid, points, frame, np.column_stack(frame.curvatures))
     max_closure = max(0.0, float(np.max(frames.closure_residual)))
@@ -426,7 +436,7 @@ def cmd_evolute(args):
         fj = frame_jets(curve, float(grid[0]), extra_order=1)
         offset = 1.0 / fj.curvatures[2].value
         inv = involute(result.curve, float(grid[0]), grid, arc_offset=offset)
-        sup = float(np.max(np.abs(inv.sampled.points - points_on(curve, grid))))
+        sup = float(np.max(np.abs(inv.sampled.points - curve.vec_jets(grid, 0).value)))
         body["summary"]["roundtrip_arc_offset"] = offset
         body["summary"]["roundtrip_sup_distance"] = sup
     body["table"] = {
@@ -457,8 +467,9 @@ def cmd_synthesize(args):
     interval = _interval(data, "interval", args.file)
     step = args.step if args.step is not None else _number(data.get("step", 1e-3),
                                                            "step", args.file)
+    points = _grid_size(args, data, 129, profile.dimension)
     curve = synthesize(profile, interval, step)
-    grid = np.linspace(curve.domain[0], curve.domain[1], _grid_size(args, data, 129))
+    grid = np.linspace(curve.domain[0], curve.domain[1], points)
     frame, curvatures = curve.frame_table(grid)
     n = curve.dimension
     body = _base_body("synthesize", args, digest)
@@ -476,8 +487,8 @@ def cmd_synthesize(args):
 
 def cmd_reparam(args):
     curve, data, digest = load_curve(args.file)
-    result = pseudo_arc_reparam(curve, grid_density=_grid_size(args, {}, 129),
-                                tol=args.tol)
+    points = _grid_size(args, {}, 129, curve.dimension)
+    result = pseudo_arc_reparam(curve, grid_density=points, tol=args.tol)
     body = _base_body("reparam", args, digest)
     body["summary"] = {"unit_speed_defect": result.unit_speed_defect,
                        "pseudo_arc_span": [result.sampled.grid[0],

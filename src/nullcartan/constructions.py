@@ -29,9 +29,7 @@ from .curve import (
     _BatchedCurve,
     _check_in_domain,
     _first_hypothesis_failure,
-    as_vec_jets,
     chebyshev_grid,
-    points_on,
     pointwise_order,
     require_family,
 )
@@ -71,7 +69,10 @@ __all__ = [
     "involute_frame_check",
 ]
 
+# |k| below this counts as a vanishing curvature
 MIN_CURVATURE = 1e-8
+# the involute correspondence's gates on |<c',c'> - 1| and |<c'',c''>|
+INVOLUTE_GATE = 1e-6
 # largest synthesis state table, in floats (nodes * (n + 1) * n): 256 MiB
 MAX_TABLE_FLOATS = 2**25
 
@@ -355,13 +356,6 @@ class FrenetCurve(_BatchedCurve):
 
     # -- export ----------------------------------------------------------------
 
-    def to_sampled(self, max_points=257):
-        stride = max(1, (len(self._ts) - 1) // (max_points - 1))
-        idx = np.arange(0, len(self._ts), stride)
-        if idx[-1] != len(self._ts) - 1:
-            idx = np.append(idx, len(self._ts) - 1)
-        return SampledCurve(self._ts[idx], self._states[idx, 0, :])
-
     def frame_table(self, grid):
         """Frame states on a grid, as one :class:`FrameState` whose fields are
         stacked over the grid, and the curvature values there."""
@@ -392,7 +386,7 @@ class OffsetCurve(_BatchedCurve):
         self.domain = base.domain
 
     def vec_jets(self, ts, order):
-        A = as_vec_jets(self.base, ts, order + 3)
+        A = self.base.vec_jets(ts, order + 3)
         a3 = A.differentiate().differentiate().differentiate()
         return A.truncate(order) + a3.scale(self.mu)
 
@@ -482,7 +476,7 @@ def bertrand_mate(curve, mu, grid=None, tol=1e-8, force=False):
         offset = None
     defects = np.minimum(np.linalg.norm(w3bar - w3, axis=1),
                          np.linalg.norm(w3bar + w3, axis=1))
-    points = pointwise_order(lambda ts: points_on(mate, ts), grid)
+    points = pointwise_order(lambda ts: mate.vec_jets(ts, 0).value, grid)
     sampled = SampledCurve(np.asarray(grid), points)
     report = PairReport(tuple(grid), tuple(sbars), offset, float(np.max(defects)),
                         check.verdict, check.max_k1, check.max_k2)
@@ -493,11 +487,11 @@ def bertrand_mate(curve, mu, grid=None, tol=1e-8, force=False):
 # Pseudo-spherical test
 # ---------------------------------------------------------------------------
 
-def _sphere_coefficient_jets(kjets, n, min_curvature=MIN_CURVATURE):
+def _sphere_coefficient_jets(kjets, n):
     """Jets of a_1..a_{n-4} from curvature jets k_1..k_{n-3}.
 
     a_1 = 0, a_2 = 1/k_3 and a_{i-1} = (a_{i-2}' + a_{i-3} k_{i-1}) / k_i for
-    4 <= i <= n - 3; every division is guarded.
+    4 <= i <= n - 3; every division is guarded by ``MIN_CURVATURE``.
     """
     if n < 6:
         raise HypothesisError("the sphere recursion needs dimension >= 6",
@@ -508,7 +502,7 @@ def _sphere_coefficient_jets(kjets, n, min_curvature=MIN_CURVATURE):
 
     def guard(i):
         values = np.atleast_1d(kjets[i - 1].value)
-        small = np.abs(values) < min_curvature
+        small = np.abs(values) < MIN_CURVATURE
         if np.any(small):
             j = int(np.argmax(small))
             raise SingularRecursionError(
@@ -523,11 +517,11 @@ def _sphere_coefficient_jets(kjets, n, min_curvature=MIN_CURVATURE):
     return a
 
 
-def sphere_coefficients(profile, t, min_curvature=MIN_CURVATURE):
+def sphere_coefficients(profile, t):
     """Values a_1..a_{n-4} of the sphere recursion for a curvature profile."""
     n = profile.dimension
     kjets = profile.jets(t, max(n, 4))
-    return [a.value for a in _sphere_coefficient_jets(kjets, n, min_curvature)]
+    return [a.value for a in _sphere_coefficient_jets(kjets, n)]
 
 
 @dataclass(frozen=True)
@@ -548,14 +542,14 @@ class SphereReport:
     tolerance: float
 
 
-def pseudo_spherical_test(curve, grid=None, tol=1e-5, min_curvature=MIN_CURVATURE):
+def pseudo_spherical_test(curve, grid=None, tol=1e-5):
     """Constancy test of sum a_i^2 and of the center alpha + sum a_i W_{i+2}.
 
     ``is_spherical`` demands both spreads below ``tol``; the sphere equation
     <alpha - center, alpha - center> = r^2 is then verified against the mean
-    center and radius.  A vanishing k_{n-3} anywhere on the grid raises
-    HypothesisError (the theorem does not apply), which keeps hypothesis
-    failures distinct from negative verdicts.
+    center and radius.  A vanishing k_{n-3} (below ``MIN_CURVATURE``)
+    anywhere on the grid raises HypothesisError (the theorem does not
+    apply), which keeps hypothesis failures distinct from negative verdicts.
     """
     n = curve.dimension
     if n < 6:
@@ -569,15 +563,15 @@ def pseudo_spherical_test(curve, grid=None, tol=1e-5, min_curvature=MIN_CURVATUR
     def sample(ts):
         fj = frame_grid(curve, ts, extra_order=n)
         k_last = fj.curvatures[-1].value
-        small = np.abs(k_last) < min_curvature
+        small = np.abs(k_last) < MIN_CURVATURE
         if np.any(small):
             j = int(np.argmax(small))
             raise HypothesisError(
                 f"k_{n - 3} = {k_last[j]:.3e} at t={ts[j]}: pseudo-sphere theorem "
                 "hypothesis fails", condition=f"k_{n - 3} != 0", location=float(ts[j]))
-        a_jets = _sphere_coefficient_jets(list(fj.curvatures), n, min_curvature)
+        a_jets = _sphere_coefficient_jets(list(fj.curvatures), n)
         a_vals = np.stack([a.value for a in a_jets], axis=1)
-        point = points_on(curve, ts)
+        point = curve.vec_jets(ts, 0).value
         center = point.copy()
         for i in range(2, n - 3):
             center = center + a_vals[:, i - 1, None] * fj.W[i - 1].value
@@ -646,11 +640,12 @@ class EvoluteResult:
     min_abs_slope: float       # min |(1/k3)'| seen on the grid
 
 
-def evolute(curve, grid=None, min_slope=1e-8, min_curvature=MIN_CURVATURE):
+def evolute(curve, grid=None, min_slope=1e-8):
     """Evolute of a family curve in dimension six, certified spacelike.
 
-    Refuses with the grid location when k3 vanishes or (1/k3)' drops below
-    ``min_slope`` (a constant k3 has no evolute in this sense).
+    Refuses with the grid location when |k3| drops below ``MIN_CURVATURE``
+    or |(1/k3)'| below ``min_slope`` (a constant k3 has no evolute in this
+    sense).
     """
     if curve.dimension != 6:
         raise HypothesisError("the evolute construction lives in dimension 6",
@@ -664,7 +659,7 @@ def evolute(curve, grid=None, min_slope=1e-8, min_curvature=MIN_CURVATURE):
     def sample(ts):
         fj = frame_grid(curve, ts, extra_order=2)
         k3 = fj.curvatures[2]
-        _first_hypothesis_failure(np.abs(k3.value) < min_curvature, k3.value, ts,
+        _first_hypothesis_failure(np.abs(k3.value) < MIN_CURVATURE, k3.value, ts,
                                   "k3 = {value:.3e} at t={t}", "k3 != 0")
         slope = (1.0 / k3).derivative(1)
         _first_hypothesis_failure(
@@ -715,7 +710,7 @@ class InvoluteCurve(_BatchedCurve):
 
     def vec_jets(self, ts, order):
         ts = np.asarray(ts, dtype=float)
-        cj = as_vec_jets(self.base, ts, order + 1)
+        cj = self.base.vec_jets(ts, order + 1)
         cp = cj.differentiate()
         speed = self._metric.inner_jet(cp, cp).sqrt()
         s_jet = speed.antiderivative(self.arc_length(ts))
@@ -759,15 +754,16 @@ class InvoluteFrameReport:
     hypothesis_evidence: dict[str, float]
 
 
-def involute_frame_check(curve, grid, k3_floor=MIN_CURVATURE, gate_tol=1e-6):
+def involute_frame_check(curve, grid):
     """Frame the involute of a unit-speed spacelike curve and verify it.
 
     The curve parameter must be arc length measured so that s > 0 on the
     grid; hypotheses (unit speed, null second derivative, nonvanishing
     <c'''',c''''>, independent {c'',...,c^(6)}) are checked per grid point and
-    reported by condition.  The involute is reframed after pseudo-arc
-    reparametrization; the report compares k3 with 1/s, W4 with the unit
-    tangent, and the evolute of the involute with the original curve.
+    reported by condition, the first two against ``INVOLUTE_GATE``.  The
+    involute is reframed after pseudo-arc reparametrization; the report
+    compares k3 with 1/s, W4 with the unit tangent, and the evolute of the
+    involute with the original curve.
     """
     grid = [float(t) for t in grid]
     metric = PseudoMetric(curve.dimension)
@@ -779,7 +775,7 @@ def involute_frame_check(curve, grid, k3_floor=MIN_CURVATURE, gate_tol=1e-6):
     if min(grid) <= 0.0:
         raise HypothesisError("grid must lie in s > 0", condition="s > 0")
     s = np.asarray(grid)
-    cj = pointwise_order(lambda ts: as_vec_jets(curve, ts, 6).coeffs.swapaxes(0, 1), s)
+    cj = pointwise_order(lambda ts: curve.vec_jets(ts, 6).coeffs.swapaxes(0, 1), s)
     d = np.stack([math.factorial(k) * cj[:, k] for k in range(1, 7)], axis=1)
 
     def inner(x, y):
@@ -791,11 +787,11 @@ def involute_frame_check(curve, grid, k3_floor=MIN_CURVATURE, gate_tol=1e-6):
     evidence["min_eta_sq"] = min(math.inf, float(np.min(eta_sq)))
     ranks = np.linalg.matrix_rank(d[:, 1:6], tol=1e-8)
     evidence["min_prefix_rank"] = min(5.0, int(np.min(ranks)))
-    if evidence["unit_speed"] > gate_tol:
+    if evidence["unit_speed"] > INVOLUTE_GATE:
         raise HypothesisError(
             f"|<c',c'> - 1| up to {evidence['unit_speed']:.3e}: parameter is "
             "not arc length", condition="<c',c'> = 1")
-    if evidence["c2_null"] > gate_tol:
+    if evidence["c2_null"] > INVOLUTE_GATE:
         raise HypothesisError(f"|<c'',c''>| up to {evidence['c2_null']:.3e}",
                               condition="<c'',c''> = 0")
     if evidence["min_eta_sq"] <= 0.0:
@@ -818,7 +814,7 @@ def involute_frame_check(curve, grid, k3_floor=MIN_CURVATURE, gate_tol=1e-6):
     def framed(ts):
         fj = frame_grid(rep, rep.pseudo_arc_of(ts))
         k3 = fj.curvatures[2].value
-        _first_hypothesis_failure(np.abs(k3) < k3_floor, k3, ts,
+        _first_hypothesis_failure(np.abs(k3) < MIN_CURVATURE, k3, ts,
                                   "extracted k3 = {value:.3e} at s={t}", "k3 != 0")
         return np.column_stack((k3, fj.W[1].value))
 
@@ -831,7 +827,7 @@ def involute_frame_check(curve, grid, k3_floor=MIN_CURVATURE, gate_tol=1e-6):
     sign_votes = np.where(plus <= minus, 1, -1)
     align_defect = max(0.0, float(np.max(np.minimum(plus, minus))))
     E_I = ij[:, 0] + W4 / k3[:, None]
-    ev_match = max(0.0, float(np.max(np.abs(E_I - points_on(curve, s)))))
+    ev_match = max(0.0, float(np.max(np.abs(E_I - curve.vec_jets(s, 0).value))))
     sign = int(sign_votes[0])
     if np.any(sign_votes != sign):
         raise HypothesisError("W4 alignment sign flips across the grid",

@@ -1,14 +1,15 @@
 """Curve model, family classification and pseudo-arc reparametrization.
 
-A curve is anything with ``dimension``, ``domain``, ``point(t)`` and
-``derivatives(t, m)``; the symbolic :class:`Curve` evaluates parsed component
-expressions through jets, while spline-backed and construction-derived curves
-elsewhere implement the same surface.  Curves built here also expose
-``vec_jets(ts, order)``, the vector jets on a whole grid in one batched pass;
-their single-point ``vec_jet(t, order)`` is the same code on a one-point grid.
-``classify`` checks membership in the nullity-sequence family
-{0,1,2,2,1,0,...,0} on a grid, and ``pseudo_arc_reparam`` normalizes the
-parameter so the third derivative has unit self-product.
+A curve is anything with ``dimension``, ``domain`` and ``vec_jets(ts,
+order)``: the vector jets (Taylor coefficients of the point and its first
+``order`` derivatives) on a whole grid of parameters in one batched pass.
+That is the only contract the library relies on; its points are
+``vec_jets(ts, 0).value``.  Every curve class here and in ``constructions``
+serves it, and the single-point ``vec_jet(t, order)``, ``point(t)`` and
+``derivatives(t, m)`` of :class:`_BatchedCurve` are the same evaluation on the
+one-point grid [t].  ``classify`` checks membership in the nullity-sequence
+family {0,1,2,2,1,0,...,0} on a grid, and ``pseudo_arc_reparam`` normalizes
+the parameter so the third derivative has unit self-product.
 """
 
 from __future__ import annotations
@@ -43,13 +44,11 @@ __all__ = [
     "require_family",
     "pseudo_arc_reparam",
     "chebyshev_grid",
-    "as_vec_jet",
-    "as_vec_jets",
-    "points_on",
     "pointwise_order",
 ]
 
-DEFAULT_JET_BUDGET = 8
+# deepest derivative order Curve.derivatives serves
+JET_BUDGET = 8
 DEFAULT_CLASSIFY_POINTS = 17
 # grid points per batched pass when a table is built; bounds the size of the
 # intermediate jets, not the result
@@ -137,18 +136,17 @@ class _BatchedCurve:
 
 
 @dataclass(frozen=True, eq=False)
-class Curve:
+class Curve(_BatchedCurve):
     """Symbolic curve: n component expressions over one parameter.
 
-    ``jet_budget`` caps the derivative order served by :meth:`derivatives`;
-    internal consumers that need deeper jets use :meth:`vec_jets` directly.
+    :meth:`derivatives` serves orders up to ``JET_BUDGET``; internal
+    consumers that need deeper jets use :meth:`vec_jets` directly.
     """
 
     dimension: int
     components: tuple[Expr, ...]
     parameter: str = "s"
     domain: tuple[float, float] = (0.0, 1.0)
-    jet_budget: int = DEFAULT_JET_BUDGET
 
     def __post_init__(self):
         if self.dimension < 4:
@@ -160,9 +158,9 @@ class Curve:
             raise InputError("domain must be a nonempty interval [a, b] with a < b")
 
     @classmethod
-    def from_strings(cls, components, parameter="s", domain=(0.0, 1.0), **kwargs):
+    def from_strings(cls, components, parameter="s", domain=(0.0, 1.0)):
         exprs = tuple(parse(text, parameter) for text in components)
-        return cls(len(exprs), exprs, parameter, tuple(domain), **kwargs)
+        return cls(len(exprs), exprs, parameter, tuple(domain))
 
     @property
     def metric(self):
@@ -172,32 +170,25 @@ class Curve:
     def _program(self):
         return Program(self.components)
 
-    def _series(self, t, order):
-        return np.stack(self._program.run(Jet.variable(t, order).coeffs), axis=-1)
-
     def vec_jets(self, ts, order):
         """Vector jets on a grid; an evaluation error names its component."""
         ts = np.asarray(ts, dtype=float)
         try:
-            return VecJet(ts, self._series(ts, order))
+            coeffs = self._program.run(Jet.variable(ts, order).coeffs)
         except ExprEvaluationError as exc:
             raise ExprEvaluationError(
                 f"component {exc.output}: {exc.reason}", exc.subexpression) from None
+        return VecJet(ts, np.stack(coeffs, axis=-1))
 
-    def vec_jet(self, t, order):
-        return self.vec_jets(np.array([float(t)]), order).at(0)
-
-    def point(self, t):
-        return self._series(float(t), 0)[0]
+    # bound in the class body too: bench/spans.py wraps Curve.vec_jet there
+    vec_jet = _BatchedCurve.vec_jet
 
     def derivatives(self, t, m):
         """alpha^(1), ..., alpha^(m) at t."""
         _check_in_domain(t, self.domain)
-        if m > self.jet_budget:
-            raise InputError(
-                f"derivative order {m} exceeds jet budget {self.jet_budget}")
-        vj = self.vec_jet(t, m)
-        return [vj.derivative_value(k) for k in range(1, m + 1)]
+        if m > JET_BUDGET:
+            raise InputError(f"derivative order {m} exceeds jet budget {JET_BUDGET}")
+        return super().derivatives(t, m)
 
     def precompose(self, inner, parameter="u", domain=None):
         """The curve t -> alpha(phi(t)) for a reparametrizing expression phi."""
@@ -369,27 +360,6 @@ class SplineCurve(_BatchedCurve):
         return VecJet(ts, values * scale[:, None, None])
 
 
-def as_vec_jet(curve, t, order):
-    """Vector jet of any curve-like object at t."""
-    if hasattr(curve, "vec_jet"):
-        return curve.vec_jet(t, order)
-    return VecJet.from_derivatives(t, curve.point(t), curve.derivatives(t, order))
-
-
-def as_vec_jets(curve, ts, order):
-    """Vector jets of any curve-like object on a grid, batched when it can."""
-    if hasattr(curve, "vec_jets"):
-        return curve.vec_jets(ts, order)
-    return VecJet.stack([as_vec_jet(curve, float(t), order) for t in ts])
-
-
-def points_on(curve, ts):
-    """Points of any curve-like object on a grid, shape (m, n)."""
-    if hasattr(curve, "vec_jets"):
-        return curve.vec_jets(ts, 0).value
-    return np.stack([np.asarray(curve.point(float(t)), dtype=float) for t in ts])
-
-
 # ---------------------------------------------------------------------------
 # Classification
 # ---------------------------------------------------------------------------
@@ -418,7 +388,7 @@ def classify(curve, grid=None, tol=1e-9):
     _check_in_domain(np.array(grid), curve.domain)
 
     def reports_on(ts):
-        vj = as_vec_jets(curve, ts, n)
+        vj = curve.vec_jets(ts, n)
         derivs = np.stack([vj.derivative_value(k) for k in range(1, n + 1)], axis=1)
         return metric.sequence_reports(derivs, tol)
 
@@ -576,19 +546,17 @@ class _MonotoneReparamCurve(_BatchedCurve):
     The monotone table integrates the subclass rate over the base domain;
     point and derivative queries invert it, then transplant the jets of the
     base curve through series reversion of the rate's antiderivative jet.
-    Exact up to table accuracy.  ``origin`` anchors the new parameter at the
-    left end of the base domain.
+    Exact up to table accuracy.  The new parameter starts at ``origin``: 0,
+    or the start of the base domain when ``_origin_from_domain`` is set.
     """
 
     _origin_from_domain = False
 
-    def __init__(self, base, intervals=512, origin=None):
+    def __init__(self, base, intervals=512):
         self.base = base
         self.dimension = base.dimension
         self._metric = PseudoMetric(base.dimension)
-        if origin is None:
-            origin = base.domain[0] if self._origin_from_domain else 0.0
-        self.origin = float(origin)
+        self.origin = float(base.domain[0]) if self._origin_from_domain else 0.0
         a, b = base.domain
         self._table = CumulativeIntegral(self._rate, a, b, intervals)
         self.domain = (self.origin, self.origin + self._table.total)
@@ -617,9 +585,6 @@ class _MonotoneReparamCurve(_BatchedCurve):
     def parameter_of(self, s):
         return self._table.solve(np.asarray(s, dtype=float) - self.origin)
 
-    def point(self, s):
-        return np.asarray(self.base.point(self.parameter_of(float(s))), dtype=float)
-
     def vec_jets(self, ss, order):
         ss = np.asarray(ss, dtype=float)
         ts = self.parameter_of(ss)
@@ -627,14 +592,14 @@ class _MonotoneReparamCurve(_BatchedCurve):
         rate = (g.log() * self._rate_power).exp()
         phi = rate.antiderivative(ss).truncate(order)
         psi = jet_invert(phi)
-        return jet_compose(as_vec_jets(self.base, ts, order), psi)
+        return jet_compose(self.base.vec_jets(ts, order), psi)
 
 
 class ReparametrizedCurve(_MonotoneReparamCurve):
     """Pseudo-arc view: the new parameter integrates <alpha''',alpha'''>^(1/6),
     normalizing the third derivative to unit self-product.
 
-    The origin defaults to the domain start, so a curve that is already
+    The new parameter starts at the domain start, so a curve that is already
     pseudo-arc parametrized reparametrizes to the identity map.
     """
 
@@ -657,12 +622,12 @@ class ReparametrizedCurve(_MonotoneReparamCurve):
         return sq ** self._rate_power
 
     def _rate_square(self, t):
-        vj = as_vec_jets(self.base, t, 3)
+        vj = self.base.vec_jets(t, 3)
         a3 = VecJet(vj.base, vj.coeffs[3:4] * 6.0)
         return self._metric.inner_jet(a3, a3).value
 
     def _rate_square_jet(self, t, order):
-        vj = as_vec_jets(self.base, t, order + 3)
+        vj = self.base.vec_jets(t, order + 3)
         a3 = vj.differentiate().differentiate().differentiate()
         return self._metric.inner_jet(a3, a3)
 
@@ -681,7 +646,7 @@ class ArcLengthCurve(_MonotoneReparamCurve):
         return self.new_parameter_of(t)
 
     def _rate_square(self, t):
-        d1 = as_vec_jets(self.base, t, 1).differentiate()
+        d1 = self.base.vec_jets(t, 1).differentiate()
         sq = self._metric.inner_jet(d1, d1).value
         _first_hypothesis_failure(sq <= 0.0, sq, t,
                                   "<c',c'> = {value:.3e} at t={t}: curve is not spacelike",
@@ -689,7 +654,7 @@ class ArcLengthCurve(_MonotoneReparamCurve):
         return sq
 
     def _rate_square_jet(self, t, order):
-        d1 = as_vec_jets(self.base, t, order + 1).differentiate()
+        d1 = self.base.vec_jets(t, order + 1).differentiate()
         return self._metric.inner_jet(d1, d1)
 
 
@@ -709,13 +674,9 @@ class MappedCurve(_BatchedCurve):
         for s in self.domain:
             _check_in_domain(jet_eval(self.mapping, s, 0).value, base.domain)
 
-    def point(self, s):
-        return np.asarray(self.base.point(jet_eval(self.mapping, s, 0).value),
-                          dtype=float)
-
     def vec_jets(self, ss, order):
         g = jet_eval(self.mapping, np.asarray(ss, dtype=float), order)
-        return jet_compose(as_vec_jets(self.base, g.value, order), g)
+        return jet_compose(self.base.vec_jets(g.value, order), g)
 
 
 @dataclass(frozen=True)
@@ -729,7 +690,7 @@ class ReparamResult:
     unit_speed_defect: float
 
 
-def pseudo_arc_reparam(curve, grid_density=129, tol=1e-9, classify_grid=None):
+def pseudo_arc_reparam(curve, grid_density=129, tol=1e-9):
     """Resample a family curve at uniform pseudo-arc values.
 
     Returns the monotone table sbar(t), the resampled curve (points are exact
@@ -739,13 +700,13 @@ def pseudo_arc_reparam(curve, grid_density=129, tol=1e-9, classify_grid=None):
     sample but the first and last three, not off the reparametrized jets,
     which are unit-speed by construction.
     """
-    require_family(curve, classify_grid, tol)
+    require_family(curve, tol=tol)
     rep = ReparametrizedCurve(curve, intervals=max(512, 4 * grid_density))
     table_t = np.linspace(curve.domain[0], curve.domain[1], grid_density)
     table_s = pointwise_order(rep.pseudo_arc_of, table_t)
     sbar_grid = np.linspace(rep.domain[0], rep.domain[1], grid_density)
     params = pointwise_order(rep.parameter_of, sbar_grid)
-    points = pointwise_order(lambda ts: points_on(curve, ts), params)
+    points = pointwise_order(lambda ts: curve.vec_jets(ts, 0).value, params)
 
     def derivative_stacks(ss):
         vj = rep.vec_jets(ss, 3)

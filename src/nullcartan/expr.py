@@ -413,15 +413,15 @@ def jet_invert(phi):
 
     Given the jet of a map ``phi`` at ``s0``, returns the jet of the inverse
     map at ``phi(s0)``; its value is ``s0``.  Solved order by order from
-    ``phi(psi(v)) = v``.
+    ``phi(psi(v)) = v``.  An order-0 jet inverts to the constant ``s0``.
     """
     b = phi.coeffs
     K = phi.order
-    if K < 1 or np.any(b[1] == 0.0):
+    if K >= 1 and np.any(b[1] == 0.0):
         raise ValueError("inverse series needs a nonzero first-order coefficient")
     c = np.zeros(b.shape)
     c[0] = phi.base
-    c[1] = 1.0 / b[1]
+    c[1:2] = 1.0 / b[1:2]
     for m in range(2, K + 1):
         # residual at order m from the k >= 2 part of phi, using c_{<m}
         d = np.zeros((m + 1,) + b.shape[1:])
@@ -450,26 +450,9 @@ class VecJet:
     base: float | np.ndarray
     coeffs: np.ndarray
 
-    @classmethod
-    def from_derivatives(cls, base, value, derivs):
-        rows = [np.asarray(value, dtype=float)]
-        for k, d in enumerate(derivs, start=1):
-            rows.append(np.asarray(d, dtype=float) / math.factorial(k))
-        return cls(float(base), np.stack(rows))
-
-    @classmethod
-    def stack(cls, vecjets):
-        """Batch of single-point vector jets (one order) along a new grid axis."""
-        return cls(np.array([v.base for v in vecjets], dtype=float),
-                   np.stack([v.coeffs for v in vecjets], axis=1))
-
     @property
     def order(self):
         return self.coeffs.shape[0] - 1
-
-    @property
-    def dim(self):
-        return self.coeffs.shape[-1]
 
     @property
     def value(self):
@@ -526,11 +509,6 @@ class VecJet:
 
 class Expr:
     """Base class for expression nodes; see module docstring for the grammar."""
-
-    def evaluate(self, param):
-        """Jet of the expression with the parameter replaced by the jet ``param``."""
-        program = _program_of(self)
-        return Jet(param.base, program.run(param.coeffs)[0])
 
     def substitute(self, replacement):
         """Replace every parameter occurrence with another expression."""
@@ -939,4 +917,5 @@ def jet_eval(expr, base, order):
     """
     if order < 0:
         raise ValueError("jet order must be nonnegative")
-    return expr.evaluate(Jet.variable(base, order))
+    param = Jet.variable(base, order)
+    return Jet(param.base, _program_of(expr).run(param.coeffs)[0])

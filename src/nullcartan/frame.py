@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curve import _check_in_domain, as_vec_jets, points_on, pointwise_order
+from .curve import _check_in_domain, pointwise_order
 from .errors import DegenerateBasisError, FamilyError, FrameDegeneracyError, InputError
 from .expr import Jet, VecJet
 from .metric import PseudoMetric
@@ -176,26 +176,23 @@ def _family_gates(metric, D, ts):
             "pseudo-arc parametrized")
 
 
-def frame_grid(curve, ts, extra_order=0, force=False):
+def frame_grid(curve, ts, extra_order=0):
     """Cartan frames on a grid of parameters, every vector and curvature a
     batched jet: one pass over the grid for each step of the extraction.
 
     ``extra_order`` deepens the jets beyond the n+2 needed for extraction and
     the closure residual (constructions differentiate curvatures further).
-    ``force`` skips the family/pseudo-arc gates; extraction then reports
-    whatever the formulas produce, which is only meaningful inside tests that
-    probe non-family offsets.  A failing gate raises for the first point that
-    fails it; wrap the call in :func:`pointwise_order` for the error a loop
-    over the grid would meet first.
+    A failing gate raises for the first point that fails it; wrap the call
+    in :func:`pointwise_order` for the error a loop over the grid would meet
+    first.
     """
     ts = np.asarray(ts, dtype=float)
     n = curve.dimension
     metric = PseudoMetric(n)
     K = n + 2 + extra_order
-    A = as_vec_jets(curve, ts, K)
+    A = curve.vec_jets(ts, K)
     derivs = np.stack([A.derivative_value(k) for k in range(1, n + 1)], axis=1)
-    if not force:
-        _family_gates(metric, derivs[:, :3], A.base)
+    _family_gates(metric, derivs[:, :3], A.base)
 
     scale = 1.0 + np.max(np.linalg.norm(derivs, axis=-1), axis=1)
     floor = CURVATURE_FLOOR * scale
@@ -238,16 +235,13 @@ def frame_grid(curve, ts, extra_order=0, force=False):
     basis = np.stack([vectors[row].value for row, _ in system[1:]], axis=1)
     # one determinant pass; the frame bases come first, as their errors do
     sign_frame, sign_derivs = np.split(
-        metric.orientation_signs(np.concatenate([basis, derivs]), strict=not force), 2)
-    if force:
-        sign_frame = np.where(sign_derivs == 0, 0, sign_frame)
-    else:
-        bad = sign_frame != sign_derivs
-        if np.any(bad):
-            j = _first(bad)
-            raise DegenerateBasisError(
-                f"frame orientation {sign_frame[j]} disagrees with the derivative "
-                f"basis orientation {sign_derivs[j]} at t={ts[j]}")
+        metric.orientation_signs(np.concatenate([basis, derivs])), 2)
+    bad = sign_frame != sign_derivs
+    if np.any(bad):
+        j = _first(bad)
+        raise DegenerateBasisError(
+            f"frame orientation {sign_frame[j]} disagrees with the derivative "
+            f"basis orientation {sign_derivs[j]} at t={ts[j]}")
 
     return _assemble(ts, vectors, k, closure_residual, sign_frame)
 
@@ -258,10 +252,10 @@ def _assemble(ts, vectors, k, closure_residual, orientation):
                      vectors["N2"], W, tuple(k[1:]), closure_residual, orientation)
 
 
-def frame_jets(curve, t, extra_order=0, force=False):
+def frame_jets(curve, t, extra_order=0):
     """Cartan frame at t with every vector and curvature carried as a jet:
     :func:`frame_grid` on the one-point grid [t]."""
-    return frame_grid(curve, np.array([float(t)]), extra_order, force).at(0)
+    return frame_grid(curve, np.array([float(t)]), extra_order).at(0)
 
 
 def cartan_frame_at(curve, t):
@@ -324,7 +318,7 @@ def frenet_residuals(curve, grid):
         raise InputError("residual grid must be uniformly spaced")
 
     frames = cartan_frames(curve, grid)
-    points = pointwise_order(lambda ts: points_on(curve, ts), grid)
+    points = pointwise_order(lambda ts: curve.vec_jets(ts, 0).value, grid)
     return stencil_residuals(grid, frames.to_frame(), points)
 
 

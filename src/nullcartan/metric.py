@@ -87,10 +87,6 @@ class PseudoMetric:
         """Jet of <a(t), b(t)> for two vector jets (batched alike)."""
         return a.weighted_inner(b, self._signs)
 
-    def norm_jet(self, a):
-        """Jet of sqrt(<a, a>); requires a spacelike value."""
-        return self.inner_jet(a, a).sqrt()
-
     def _rows(self, vectors):
         """Checked vectors as the rows of a (k, n) array."""
         return np.array([self._check(v) for v in vectors]).reshape(-1, self.dimension)
@@ -185,21 +181,18 @@ class PseudoMetric:
                 f"expected {self.dimension} basis vectors, got {len(M)}")
         return int(self.orientation_signs(M[None])[0])
 
-    def orientation_signs(self, bases, strict=True):
-        """:meth:`orientation_sign` of each basis in a stack of shape (m, n, n).
-
-        With ``strict`` an ambiguous basis raises DegenerateBasisError (the
-        first one in the stack); otherwise its sign is reported as 0.
-        """
+    def orientation_signs(self, bases):
+        """:meth:`orientation_sign` of each basis in a stack of shape (m, n, n);
+        the first ambiguous basis in the stack raises DegenerateBasisError."""
         M = np.asarray(bases, dtype=float)
         norms = np.linalg.norm(M, axis=-1)
         zero = np.any(norms == 0.0, axis=-1)
         det = np.linalg.det(M / np.where(norms == 0.0, 1.0, norms)[..., None])
         ambiguous = zero | (np.abs(det) < 1e-12)
-        if strict and np.any(ambiguous):
+        if np.any(ambiguous):
             j = int(np.argmax(ambiguous))
             if zero[j]:
                 raise DegenerateBasisError("zero vector in basis")
             raise DegenerateBasisError(
                 f"orientation ambiguous: normalized determinant {det[j]:.3e}")
-        return np.where(ambiguous, 0, np.where(det > 0, 1, -1))
+        return np.where(det > 0, 1, -1)

@@ -137,6 +137,53 @@ def test_zero_grid_exits_2(quintic_file, capsys):
     assert json.loads(err.splitlines()[-1])["category"] == "input"
 
 
+HUGE_GRID = "200000000"
+
+
+def _refused_grid(err):
+    diag = json.loads(err.splitlines()[-1])
+    assert diag["category"] == "input"
+    assert "limit" in diag["message"]
+    return diag["message"]
+
+
+@pytest.mark.parametrize("command", ["classify", "frame", "bertrand", "sphere",
+                                     "evolute", "involute", "reparam", "synthesize"])
+def test_huge_grid_is_refused_before_allocation(quintic_file, profile6_file, capsys,
+                                                command):
+    # 2e8 points would need gigabytes of frame jets; the refusal allocates none
+    argv = [command, quintic_file, "--grid", HUGE_GRID]
+    if command in ("sphere", "evolute", "synthesize"):
+        argv[1] = profile6_file
+    if command == "involute":
+        argv += ["--t0", "0.5"]
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    message = _refused_grid(err)
+    assert HUGE_GRID in message
+
+
+def test_huge_grid_density_in_the_file_is_refused(tmp_path, capsys):
+    from nullcartan.bundled import NULL_QUINTIC
+    f = tmp_path / "dense.json"
+    f.write_text(json.dumps(dict(NULL_QUINTIC, grid_density=10**12)))
+    code, out, err = run(capsys, "classify", str(f))
+    assert code == 2
+    assert str(10**12) in _refused_grid(err)
+
+
+def test_grid_bound_boundary(quintic_file, capsys, monkeypatch):
+    # n = 5: a point of frame jets is n^2 (n + 3) = 200 floats
+    import nullcartan.cli as cli
+    monkeypatch.setattr(cli, "MAX_TABLE_FLOATS", 9 * 200)
+    code, _, err = run(capsys, "classify", quintic_file, "--grid", "9")
+    assert code == 0, err
+    code, _, err = run(capsys, "classify", quintic_file, "--grid", "10")
+    assert code == 2
+    assert "2000 floats" in _refused_grid(err)
+
+
 def test_classify_parse_error(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"dimension": 5, "parameter": "s",

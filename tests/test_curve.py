@@ -25,6 +25,7 @@ from nullcartan import (
     pseudo_arc_reparam,
     require_family,
 )
+from nullcartan.curve import JET_BUDGET
 
 from conftest import golden_L1, polynomial_derivative_oracle
 
@@ -64,7 +65,7 @@ def test_derivatives_enforce_domain_and_budget(golden):
     with pytest.raises(InputError):
         golden.derivatives(5.0, 1)
     with pytest.raises(InputError):
-        golden.derivatives(0.5, golden.jet_budget + 1)
+        golden.derivatives(0.5, JET_BUDGET + 1)
 
 
 def test_component_count_must_match_dimension():
