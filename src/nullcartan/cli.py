@@ -40,7 +40,6 @@ from .curve import (
     Curve,
     chebyshev_grid,
     classify,
-    pointwise_order,
     pseudo_arc_reparam,
 )
 from .errors import (
@@ -340,11 +339,11 @@ def cmd_frame(args):
     curve, data, digest = load_curve(args.file)
     grid = _grid_for(args, curve, data, 61, uniform=True)
     n = curve.dimension
-    frames, points = pointwise_order(
-        lambda ts: (cartan_frames(curve, ts), curve.vec_jets(ts, 0).value), grid)
+    frames = cartan_frames(curve, grid)
+    points = frames.alpha.value
     frame = frames.to_frame()
     table = _frame_table(grid, points, frame, np.column_stack(frame.curvatures))
-    max_closure = max(0.0, float(np.max(frames.closure_residual)))
+    max_closure = float(np.max(frames.closure_residual))
     body = _base_body("frame", args, digest)
     body["tolerances"] = {"null_chain_gate": NULL_CHAIN_GATE, "pseudo_arc_gate": PSEUDO_ARC_GATE,
                           "curvature_floor": CURVATURE_FLOOR}
@@ -487,7 +486,7 @@ def cmd_synthesize(args):
 
 def cmd_reparam(args):
     curve, data, digest = load_curve(args.file)
-    points = _grid_size(args, {}, 129, curve.dimension)
+    points = _grid_size(args, data, 129, curve.dimension)
     result = pseudo_arc_reparam(curve, grid_density=points, tol=args.tol)
     body = _base_body("reparam", args, digest)
     body["summary"] = {"unit_speed_defect": result.unit_speed_defect,

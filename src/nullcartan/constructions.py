@@ -29,6 +29,7 @@ from .curve import (
     _BatchedCurve,
     _check_in_domain,
     _first_hypothesis_failure,
+    _read_only,
     chebyshev_grid,
     pointwise_order,
     require_family,
@@ -309,13 +310,6 @@ class FrenetCurve(_BatchedCurve):
 
     # -- curve surface --------------------------------------------------------
 
-    def point(self, t):
-        _check_in_domain(t, self.domain)
-        return self._states_at(np.array([float(t)]))[0, 0]
-
-    def curvature_values(self, t):
-        return self.profile.values(t)
-
     def _chain_jets(self, ts, states, order):
         """Vector jets from states (m, n+1, n) by the Taylor recurrence of
         S' = A S, A = sum_c k_c P_c: S_{j+1} = sum_{i<=j} A_i S_{j-i} / (j+1),
@@ -345,14 +339,13 @@ class FrenetCurve(_BatchedCurve):
         return VecJet(ts, coeffs)
 
     def vec_jets(self, ts, order):
+        """Vector jets on a grid; the state table serves only the domain."""
         ts = np.asarray(ts, dtype=float)
         _check_in_domain(ts, self.domain)
         return self._chain_jets(ts, self._states_at(ts), order)
 
-    def vec_jet(self, t, order):
-        _check_in_domain(t, self.domain)
-        t = float(t)
-        return self._chain_jets(np.array([t]), self._state_at(t)[None], order).at(0)
+    # bound in the class body too: bench/spans.py wraps FrenetCurve.vec_jet there
+    vec_jet = _BatchedCurve.vec_jet
 
     # -- export ----------------------------------------------------------------
 
@@ -361,7 +354,7 @@ class FrenetCurve(_BatchedCurve):
         stacked over the grid, and the curvature values there."""
         def sample(ts):
             _check_in_domain(ts, self.domain)
-            return self._states_at(ts), self.curvature_values(ts)
+            return self._states_at(ts), self.profile.values(ts)
 
         states, curvatures = pointwise_order(sample, grid)
         return FrameState.from_matrix(states.swapaxes(0, 1)), curvatures
@@ -526,7 +519,7 @@ def sphere_coefficients(profile, t):
 
 @dataclass(frozen=True)
 class SphereReport:
-    """Per-sample recursion values and the constancy verdict."""
+    """Per-sample recursion values (read-only arrays) and the constancy verdict."""
 
     grid: tuple[float, ...]
     a_values: np.ndarray          # (m, n-4)
@@ -571,7 +564,7 @@ def pseudo_spherical_test(curve, grid=None, tol=1e-5):
                 "hypothesis fails", condition=f"k_{n - 3} != 0", location=float(ts[j]))
         a_jets = _sphere_coefficient_jets(list(fj.curvatures), n)
         a_vals = np.stack([a.value for a in a_jets], axis=1)
-        point = curve.vec_jets(ts, 0).value
+        point = fj.alpha.value
         center = point.copy()
         for i in range(2, n - 3):
             center = center + a_vals[:, i - 1, None] * fj.W[i - 1].value
@@ -593,7 +586,8 @@ def pseudo_spherical_test(curve, grid=None, tol=1e-5):
             np.sum(metric.signs * diffs * diffs, axis=1) - r_sq)))
         radius = math.sqrt(max(r_sq, 0.0))
         center = center_mean
-    return SphereReport(tuple(grid), a_values, radius_sq, centers, is_spherical,
+    return SphereReport(tuple(grid), _read_only(a_values), _read_only(radius_sq),
+                        _read_only(centers), is_spherical,
                         radius, center, last_nonzero, max_radius_spread,
                         max_center_spread, residual, tol)
 
@@ -621,7 +615,7 @@ class EvoluteCurve(_BatchedCurve):
 
     @lru_cache(maxsize=4096)
     def vec_jet(self, t, order):
-        return self.vec_jets(np.array([float(t)]), order).at(0)
+        return super().vec_jet(t, order)
 
 
 def _evolute_jets(fj, order):
@@ -673,7 +667,7 @@ def evolute(curve, grid=None, min_slope=1e-8):
 
     table = pointwise_order(sample, grid)
     sampled = SampledCurve(np.asarray(grid), table[:, 2:])
-    return EvoluteResult(E, sampled, tuple(grid), float(max(0.0, np.max(table[:, 1]))),
+    return EvoluteResult(E, sampled, tuple(grid), float(np.max(table[:, 1])),
                          float(np.min(np.abs(table[:, 0]))))
 
 
@@ -770,8 +764,6 @@ def involute_frame_check(curve, grid):
     if curve.dimension != 6:
         raise HypothesisError("the correspondence lives in dimension 6",
                               condition="dimension == 6")
-    evidence = {"min_s": min(grid), "unit_speed": 0.0, "c2_null": 0.0,
-                "min_eta_sq": math.inf, "min_prefix_rank": 5.0}
     if min(grid) <= 0.0:
         raise HypothesisError("grid must lie in s > 0", condition="s > 0")
     s = np.asarray(grid)
@@ -782,11 +774,13 @@ def involute_frame_check(curve, grid):
         return np.einsum("mi,i,mi->m", x, metric.signs, y)
 
     eta_sq = inner(d[:, 3], d[:, 3])
-    evidence["unit_speed"] = max(0.0, float(np.max(np.abs(inner(d[:, 0], d[:, 0]) - 1.0))))
-    evidence["c2_null"] = max(0.0, float(np.max(np.abs(inner(d[:, 1], d[:, 1])))))
-    evidence["min_eta_sq"] = min(math.inf, float(np.min(eta_sq)))
-    ranks = np.linalg.matrix_rank(d[:, 1:6], tol=1e-8)
-    evidence["min_prefix_rank"] = min(5.0, int(np.min(ranks)))
+    evidence = {
+        "min_s": min(grid),
+        "unit_speed": float(np.max(np.abs(inner(d[:, 0], d[:, 0]) - 1.0))),
+        "c2_null": float(np.max(np.abs(inner(d[:, 1], d[:, 1])))),
+        "min_eta_sq": float(np.min(eta_sq)),
+        "min_prefix_rank": float(np.min(np.linalg.matrix_rank(d[:, 1:6], tol=1e-8))),
+    }
     if evidence["unit_speed"] > INVOLUTE_GATE:
         raise HypothesisError(
             f"|<c',c'> - 1| up to {evidence['unit_speed']:.3e}: parameter is "
@@ -806,8 +800,8 @@ def involute_frame_check(curve, grid):
                         unit_speed=True)
     ij = pointwise_order(lambda ts: inv.vec_jets(ts, 3).coeffs.swapaxes(0, 1), s)
     i1, i3 = ij[:, 1], 6.0 * ij[:, 3]
-    null_defect = max(0.0, float(np.max(np.abs(inner(i1, i1)))))
-    third_defect = max(0.0, float(np.max(np.abs(inner(i3, i3) - s * s * eta_sq))))
+    null_defect = float(np.max(np.abs(inner(i1, i1))))
+    third_defect = float(np.max(np.abs(inner(i3, i3) - s * s * eta_sq)))
 
     rep = ReparametrizedCurve(inv, intervals=192)
 
@@ -820,19 +814,17 @@ def involute_frame_check(curve, grid):
 
     framed_table = pointwise_order(framed, s)
     k3, W4 = framed_table[:, 0], framed_table[:, 1:]
-    k3_err = max(0.0, float(np.max(np.abs(k3 - 1.0 / s) * s)))
+    k3_err = float(np.max(np.abs(k3 - 1.0 / s) * s))
     T = d[:, 0]
     plus = np.linalg.norm(W4 - T, axis=1)
     minus = np.linalg.norm(W4 + T, axis=1)
     sign_votes = np.where(plus <= minus, 1, -1)
-    align_defect = max(0.0, float(np.max(np.minimum(plus, minus))))
+    align_defect = float(np.max(np.minimum(plus, minus)))
     E_I = ij[:, 0] + W4 / k3[:, None]
-    ev_match = max(0.0, float(np.max(np.abs(E_I - curve.vec_jets(s, 0).value))))
+    ev_match = float(np.max(np.abs(E_I - cj[:, 0])))
     sign = int(sign_votes[0])
     if np.any(sign_votes != sign):
         raise HypothesisError("W4 alignment sign flips across the grid",
                               condition="W4 = +/- T consistently")
-    return InvoluteFrameReport(tuple(grid), float(k3_err), sign,
-                               float(align_defect), float(ev_match),
-                               float(null_defect), float(third_defect),
-                               evidence)
+    return InvoluteFrameReport(tuple(grid), k3_err, sign, align_defect, ev_match,
+                               null_defect, third_defect, evidence)

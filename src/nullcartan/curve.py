@@ -5,11 +5,14 @@ order)``: the vector jets (Taylor coefficients of the point and its first
 ``order`` derivatives) on a whole grid of parameters in one batched pass.
 That is the only contract the library relies on; its points are
 ``vec_jets(ts, 0).value``.  Every curve class here and in ``constructions``
-serves it, and the single-point ``vec_jet(t, order)``, ``point(t)`` and
-``derivatives(t, m)`` of :class:`_BatchedCurve` are the same evaluation on the
-one-point grid [t].  ``classify`` checks membership in the nullity-sequence
-family {0,1,2,2,1,0,...,0} on a grid, and ``pseudo_arc_reparam`` normalizes
-the parameter so the third derivative has unit self-product.
+serves it.  ``vec_jets`` does not check the domain, so a construction may
+read its base a little outside it.  The single-point ``vec_jet(t, order)``,
+``point(t)`` and ``derivatives(t, m)`` are written once, in
+:class:`_BatchedCurve`: the same evaluation on the one-point grid [t], refused
+for a t outside ``domain``.  ``classify`` checks membership in the
+nullity-sequence family {0,1,2,2,1,0,...,0} on a grid, and
+``pseudo_arc_reparam`` normalizes the parameter so the third derivative has
+unit self-product.
 """
 
 from __future__ import annotations
@@ -47,7 +50,7 @@ __all__ = [
     "pointwise_order",
 ]
 
-# deepest derivative order Curve.derivatives serves
+# deepest derivative order the single-point derivatives() serves
 JET_BUDGET = 8
 DEFAULT_CLASSIFY_POINTS = 17
 # grid points per batched pass when a table is built; bounds the size of the
@@ -122,26 +125,28 @@ def pointwise_order(fn, ts, block=None):
 
 class _BatchedCurve:
     """Single-point surface of a curve whose jets come from ``vec_jets``:
-    each query is the batched evaluation on a one-point grid."""
+    each query is the batched evaluation on a one-point grid, and a t outside
+    ``domain`` raises InputError.  :meth:`derivatives` serves orders up to
+    ``JET_BUDGET``; consumers that need deeper jets use ``vec_jets``."""
 
     def vec_jet(self, t, order):
+        _check_in_domain(t, self.domain)
         return self.vec_jets(np.array([float(t)]), order).at(0)
 
     def point(self, t):
-        return self.vec_jet(float(t), 0).value
+        return self.vec_jet(t, 0).value
 
     def derivatives(self, t, m):
-        vj = self.vec_jet(float(t), m)
+        """The derivatives of orders 1..m at t."""
+        if m > JET_BUDGET:
+            raise InputError(f"derivative order {m} exceeds jet budget {JET_BUDGET}")
+        vj = self.vec_jet(t, m)
         return [vj.derivative_value(k) for k in range(1, m + 1)]
 
 
 @dataclass(frozen=True, eq=False)
 class Curve(_BatchedCurve):
-    """Symbolic curve: n component expressions over one parameter.
-
-    :meth:`derivatives` serves orders up to ``JET_BUDGET``; internal
-    consumers that need deeper jets use :meth:`vec_jets` directly.
-    """
+    """Symbolic curve: n component expressions over one parameter."""
 
     dimension: int
     components: tuple[Expr, ...]
@@ -171,24 +176,25 @@ class Curve(_BatchedCurve):
         return Program(self.components)
 
     def vec_jets(self, ts, order):
-        """Vector jets on a grid; an evaluation error names its component."""
+        """Vector jets on a grid; an evaluation error, or a component whose
+        jet is not finite, names its component."""
         ts = np.asarray(ts, dtype=float)
         try:
-            coeffs = self._program.run(Jet.variable(ts, order).coeffs)
+            coeffs = np.stack(self._program.run(Jet.variable(ts, order).coeffs), axis=-1)
         except ExprEvaluationError as exc:
             raise ExprEvaluationError(
                 f"component {exc.output}: {exc.reason}", exc.subexpression) from None
-        return VecJet(ts, np.stack(coeffs, axis=-1))
+        bad = ~np.isfinite(coeffs)
+        if bad.any():
+            i = int(np.argmax(bad.reshape(-1, self.dimension).any(axis=0)))
+            at = np.atleast_1d(ts)[np.argmax(np.atleast_1d(bad[..., i].any(axis=0)))]
+            raise ExprEvaluationError(
+                f"component {i}: non-finite jet at {self.parameter}={at}",
+                str(self.components[i]))
+        return VecJet(ts, coeffs)
 
     # bound in the class body too: bench/spans.py wraps Curve.vec_jet there
     vec_jet = _BatchedCurve.vec_jet
-
-    def derivatives(self, t, m):
-        """alpha^(1), ..., alpha^(m) at t."""
-        _check_in_domain(t, self.domain)
-        if m > JET_BUDGET:
-            raise InputError(f"derivative order {m} exceeds jet budget {JET_BUDGET}")
-        return super().derivatives(t, m)
 
     def precompose(self, inner, parameter="u", domain=None):
         """The curve t -> alpha(phi(t)) for a reparametrizing expression phi."""
@@ -199,33 +205,30 @@ class Curve(_BatchedCurve):
                        domain=tuple(domain) if domain else self.domain)
 
 
+def _read_only(values):
+    """A read-only float copy of ``values``."""
+    out = np.array(values, dtype=float)
+    out.flags.writeable = False
+    return out
+
+
 @dataclass(frozen=True, eq=False)
 class SampledCurve:
-    """Curve samples on a strictly increasing parameter grid.
-
-    ``derivative_stacks[i, k - 1]`` is the k-th derivative at ``grid[i]`` when
-    stacks are present; all samples share one stack order.
-    """
+    """Curve samples on a strictly increasing parameter grid, held as
+    read-only copies, so the validated grid cannot change afterwards."""
 
     grid: np.ndarray
     points: np.ndarray
-    derivative_stacks: np.ndarray | None = None
 
     def __post_init__(self):
-        grid = np.asarray(self.grid, dtype=float)
-        points = np.asarray(self.points, dtype=float)
+        grid = _read_only(self.grid)
+        points = _read_only(self.points)
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "points", points)
         if grid.ndim != 1 or points.ndim != 2 or len(grid) != len(points):
             raise InputError("grid and points must have matching lengths")
         if np.any(np.diff(grid) <= 0):
             raise InputError("grid must be strictly increasing")
-        if self.derivative_stacks is not None:
-            stacks = np.asarray(self.derivative_stacks, dtype=float)
-            object.__setattr__(self, "derivative_stacks", stacks)
-            if (stacks.ndim != 3 or stacks.shape[0] != len(grid)
-                    or stacks.shape[2] != points.shape[1]):
-                raise InputError("derivative stacks do not match the samples")
 
     @property
     def dimension(self):
@@ -301,8 +304,9 @@ class SplineCurve(_BatchedCurve):
     samples, trimmed the same way), so a quintic on 129 samples has 135
     knots.  The coefficients solve the banded collocation system; the k-th
     derivative is the spline of degree ``order - k`` whose coefficients are
-    the k-th differences of these (de Boor, ch. X).  Queries outside the
-    grid extend the end polynomials.
+    the k-th differences of these (de Boor, ch. X).  ``vec_jets`` outside
+    the grid extends the end polynomials; the single-point ``vec_jet``,
+    ``point`` and ``derivatives`` refuse a t outside it, as on every curve.
     """
 
     def __init__(self, sampled, order=5):
@@ -333,25 +337,18 @@ class SplineCurve(_BatchedCurve):
         return np.clip(np.searchsorted(self._knots, x, side="right") - 1,
                        k, len(self._knots) - k - 2)
 
-    def _derivative_values(self, t, m):
-        """Derivatives 0..m at t, shape (m + 1, *shape(t), dimension)."""
+    def _derivative_values(self, x, m):
+        """Derivatives 0..m on the grid x, shape (m + 1, len(x), dimension)."""
         k = self._max_order
         if m > k:
             raise InputError(f"spline-backed curve serves derivatives up to order {k}")
-        x = np.asarray(t, dtype=float).reshape(-1)
         left = self._interval(x)
         levels = _bspline_basis(self._knots, k, x, left)
         values = np.empty((m + 1, len(x), self.dimension))
         for j in range(m + 1):
             cols = (left - k)[:, None] + np.arange(k - j + 1)
             values[j] = np.einsum("ir,ird->id", levels[k - j], self._coeffs[j][cols])
-        return values.reshape((m + 1,) + np.shape(t) + (self.dimension,))
-
-    def point(self, t):
-        return self._derivative_values(t, 0)[0]
-
-    def derivatives(self, t, m):
-        return list(self._derivative_values(t, m)[1:])
+        return values
 
     def vec_jets(self, ts, order):
         ts = np.asarray(ts, dtype=float)
@@ -681,7 +678,8 @@ class MappedCurve(_BatchedCurve):
 
 @dataclass(frozen=True)
 class ReparamResult:
-    """Monotone table, resampled curve and the exact reparametrized view."""
+    """Monotone table, resampled curve and the exact reparametrized view;
+    the arrays are read-only."""
 
     table_t: np.ndarray
     table_s: np.ndarray
@@ -707,13 +705,7 @@ def pseudo_arc_reparam(curve, grid_density=129, tol=1e-9):
     sbar_grid = np.linspace(rep.domain[0], rep.domain[1], grid_density)
     params = pointwise_order(rep.parameter_of, sbar_grid)
     points = pointwise_order(lambda ts: curve.vec_jets(ts, 0).value, params)
-
-    def derivative_stacks(ss):
-        vj = rep.vec_jets(ss, 3)
-        return np.stack([vj.derivative_value(k) for k in range(1, 4)], axis=1)
-
-    stacks = pointwise_order(derivative_stacks, sbar_grid)
-    sampled = SampledCurve(sbar_grid, points, stacks)
+    sampled = SampledCurve(sbar_grid, points)
     metric = PseudoMetric(curve.dimension)
     spline = SplineCurve(sampled)
     interior = sbar_grid[3:-3]
@@ -721,6 +713,7 @@ def pseudo_arc_reparam(curve, grid_density=129, tol=1e-9):
         raise InputError(
             f"the unit-speed check reads the spline inside the first and last "
             f"three samples: need at least 7, got {grid_density}")
-    d3 = spline.derivatives(interior, 3)[2]
+    d3 = spline._derivative_values(interior, 3)[3]
     defect = max(abs(metric.inner(d, d) - 1.0) for d in d3)
-    return ReparamResult(table_t, table_s, sampled, rep, float(defect))
+    return ReparamResult(_read_only(table_t), _read_only(table_s), sampled, rep,
+                         float(defect))

@@ -465,9 +465,6 @@ class VecJet:
     def derivative_value(self, k):
         return math.factorial(k) * self.coeffs[k]
 
-    def component(self, i):
-        return Jet(self.base, self.coeffs[..., i].copy())
-
     def differentiate(self):
         return VecJet(self.base, _weighted(self.coeffs)[1:])
 
@@ -756,7 +753,7 @@ class Program:
                 if kind not in _DIVISION_OPS:
                     raise
                 raise _evaluation_error(exc, node, output) from None
-            except ValueError as exc:
+            except (ValueError, OverflowError) as exc:
                 if kind not in _CALLS:
                     raise
                 raise _evaluation_error(exc, node, output) from None

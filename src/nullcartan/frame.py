@@ -98,15 +98,6 @@ class CartanFrame:
     closure_residual: float
     orientation: int
 
-    @property
-    def dimension(self):
-        return len(self.L1)
-
-    def basis(self):
-        """Frame rows in the orientation order (L1, L2, W3, N2, N1, W4, ...)."""
-        named = frame_vectors(self)
-        return np.stack([named[row] for row in frame_rows(self.dimension)])
-
 
 @dataclass(frozen=True, eq=False)
 class FrameJets:
@@ -318,8 +309,7 @@ def frenet_residuals(curve, grid):
         raise InputError("residual grid must be uniformly spaced")
 
     frames = cartan_frames(curve, grid)
-    points = pointwise_order(lambda ts: curve.vec_jets(ts, 0).value, grid)
-    return stencil_residuals(grid, frames.to_frame(), points)
+    return stencil_residuals(grid, frames.to_frame(), frames.alpha.value)
 
 
 def stencil_residuals(grid, frame, points):

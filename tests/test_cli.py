@@ -340,6 +340,22 @@ def test_evaluation_error_names_the_subexpression_once(tmp_path, capsys, command
     assert diag["message"].count("log((s - 0.2))") == 1
 
 
+@pytest.mark.parametrize("command", ["classify", "frame", "bertrand", "reparam"])
+def test_non_finite_component_exits_4(quintic_file, tmp_path, capsys, command):
+    # the constant folds to inf - inf = NaN, so the component is NaN everywhere
+    spec = json.loads(Path(quintic_file).read_text())
+    spec["components"][2] += " + s*(exp(700)*exp(700) - exp(700)*exp(700))"
+    f = tmp_path / "nan.json"
+    f.write_text(json.dumps(spec))
+    code, out, err = run(capsys, command, str(f))
+    assert code == 4
+    assert out == ""
+    diag = json.loads(err.splitlines()[-1])
+    assert diag["category"] == "numerical"
+    assert diag["error"] == "ExprEvaluationError"
+    assert diag["message"].startswith("component 2: non-finite jet at s=")
+
+
 def test_evolute_roundtrip_command(tmp_path, capsys):
     f = tmp_path / "ev.json"
     f.write_text(json.dumps({
@@ -432,6 +448,16 @@ def test_reparam_command(quintic_file, capsys):
     # the bundled curve is already pseudo-arc: sbar(t) = t
     for t, sbar in rows:
         assert sbar == pytest.approx(t, abs=1e-9)
+
+
+def test_reparam_honours_the_grid_density_of_the_file(quintic_file, tmp_path, capsys):
+    spec = json.loads(Path(quintic_file).read_text())
+    spec["grid_density"] = 33
+    f = tmp_path / "quintic33.json"
+    f.write_text(json.dumps(spec))
+    code, out, _ = run(capsys, "reparam", str(f))
+    assert code == 0
+    assert len(body_of(out)["table"]["rows"]) == 33
 
 
 @pytest.mark.parametrize("grid", ["4", "5", "6"])

@@ -213,6 +213,13 @@ def test_pseudo_sphere_consistency_loop():
             assert abs(m.inner(diff, v)) <= 1e-6
 
 
+def test_sphere_report_arrays_are_read_only(synth6):
+    report = pseudo_spherical_test(synth6, np.linspace(0.1, 0.9, 5))
+    for values in (report.a_values, report.radius_sq, report.centers):
+        with pytest.raises(ValueError):
+            values[0] = 0.0
+
+
 def test_pseudo_sphere_dimension_gate(golden):
     with pytest.raises(HypothesisError):
         pseudo_spherical_test(golden, [0.1, 0.5])

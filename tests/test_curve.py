@@ -25,7 +25,7 @@ from nullcartan import (
     pseudo_arc_reparam,
     require_family,
 )
-from nullcartan.curve import JET_BUDGET
+from nullcartan.curve import JET_BUDGET, pointwise_order
 
 from conftest import golden_L1, polynomial_derivative_oracle
 
@@ -66,6 +66,32 @@ def test_derivatives_enforce_domain_and_budget(golden):
         golden.derivatives(5.0, 1)
     with pytest.raises(InputError):
         golden.derivatives(0.5, JET_BUDGET + 1)
+
+
+def test_single_points_outside_the_domain_are_refused(golden):
+    with pytest.raises(InputError):
+        golden.point(5.0)
+    with pytest.raises(InputError):
+        golden.vec_jet(5.0, 0)
+    # a grid is not checked: constructions read their base past the domain
+    assert golden.vec_jets(np.array([5.0]), 0).value.shape == (1, 5)
+
+
+def test_non_finite_jet_names_its_component_at_the_first_grid_point():
+    # (1e200 s)^2 overflows to inf for every s on the grid but 0
+    curve = Curve.from_strings(["s", "s^2", "s^3", "s^4", "(1e200*s)*(1e200*s)"],
+                               domain=(0.0, 1.0))
+    grid = np.linspace(0.0, 1.0, 11)
+    with np.errstate(over="ignore"), pytest.raises(ExprEvaluationError) as exc:
+        pointwise_order(lambda ts: curve.vec_jets(ts, 0).value, grid)
+    assert str(exc.value).startswith("component 4: non-finite jet at s=0.1 ")
+
+
+def test_overflowing_function_call_is_an_evaluation_error():
+    curve = Curve.from_strings(["s", "s^2", "s^3", "s^4", "s + exp(800)"])
+    with pytest.raises(ExprEvaluationError) as exc:
+        curve.vec_jets(np.array([0.5]), 1)
+    assert str(exc.value).startswith("component 4: math range error")
 
 
 def test_component_count_must_match_dimension():
@@ -237,6 +263,32 @@ def test_sampled_curve_validation():
         SampledCurve(np.array([0.0, 1.0]), np.zeros((3, 5)))
 
 
+def test_sampled_curve_holds_read_only_copies():
+    g = np.linspace(0.0, 1.0, 8)
+    p = np.zeros((8, 5))
+    sampled = SampledCurve(g, p)
+    g[3] = 5.0
+    p[0, 0] = 1.0
+    assert np.all(np.diff(sampled.grid) > 0)
+    assert sampled.points[0, 0] == 0.0
+    for values in (sampled.grid, sampled.points):
+        with pytest.raises(ValueError):
+            values[0] = 2.0
+
+
+def test_spline_refuses_single_points_outside_its_grid(golden):
+    grid = np.linspace(-0.1, 1.1, 40)
+    spline = SplineCurve(SampledCurve(grid, golden.vec_jets(grid, 0).value))
+    with pytest.raises(InputError):
+        spline.point(1.15)
+    with pytest.raises(InputError):
+        spline.vec_jet(-0.15, 1)
+    # vec_jets extends the end polynomials, which reproduce the quintic
+    outside = np.array([-0.15, 1.15])
+    assert np.allclose(spline.vec_jets(outside, 0).value,
+                       golden.vec_jets(outside, 0).value, rtol=0, atol=1e-9)
+
+
 def test_spline_curve_tracks_samples(golden):
     grid = np.linspace(-0.1, 1.1, 200)
     points = np.stack([golden.point(float(t)) for t in grid])
@@ -266,7 +318,8 @@ def test_spline_matches_the_scipy_interpolant(samples, order):
     spline = SplineCurve(SampledCurve(grid, points), order)
     oracle = make_interp_spline(grid, points, k=order)
     ts = np.concatenate((grid, np.random.default_rng(7).uniform(grid[0], grid[-1], 200)))
-    got = [spline.point(ts)] + spline.derivatives(ts, 3)
+    grid_jets = spline.vec_jets(ts, 3)
+    got = [grid_jets.derivative_value(k) for k in range(4)]
     for k in range(4):
         want = oracle.derivative(k)(ts) if k else oracle(ts)
         tol = 1e-12 if k == 0 else 1e-9
@@ -294,7 +347,8 @@ def test_spline_memory_is_linear_in_the_samples():
     finally:
         tracemalloc.stop()
     assert peak < 20e6
-    assert np.allclose(spline.point(grid[::97]), sampled.points[::97], rtol=0, atol=1e-12)
+    assert np.allclose(spline.vec_jets(grid[::97], 0).value, sampled.points[::97],
+                       rtol=0, atol=1e-12)
 
 
 def test_mapped_curve_equals_precompose(golden):
@@ -340,11 +394,17 @@ def test_classify_reports_disagreeing_points():
     assert 0.0 <= a < b <= 1.0
 
 
-def test_reparam_output_carries_derivative_stacks(golden):
+def test_reparam_result_arrays_are_read_only(golden):
+    res = pseudo_arc_reparam(golden, grid_density=17)
+    for values in (res.table_t, res.table_s, res.sampled.grid, res.sampled.points):
+        with pytest.raises(ValueError):
+            values[0] = 0.0
+
+
+def test_reparam_view_is_unit_speed_at_the_samples(golden):
     res = pseudo_arc_reparam(golden, grid_density=33)
-    stacks = res.sampled.derivative_stacks
-    assert stacks is not None and stacks.shape == (33, 3, 5)
+    d3 = res.curve.vec_jets(res.sampled.grid[2:-2], 3).derivative_value(3)
     m = PseudoMetric(5)
     # third derivative in the new parameter has unit self-product
-    for row in stacks[2:-2]:
-        assert m.inner(row[2], row[2]) == pytest.approx(1.0, abs=1e-8)
+    for row in d3:
+        assert m.inner(row, row) == pytest.approx(1.0, abs=1e-8)

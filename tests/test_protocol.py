@@ -2,7 +2,8 @@
 
 Every curve class serves its single-point surface (``point``, ``vec_jet``,
 ``derivatives``) as the batched evaluation on a one-point grid, so the three
-must agree at every order, order 0 included.
+must agree at every order, order 0 included, and all three refuse a point
+outside the domain.
 """
 
 import numpy as np
@@ -13,6 +14,7 @@ from nullcartan import (
     CurvatureProfile,
     Curve,
     EvoluteCurve,
+    InputError,
     InvoluteCurve,
     MappedCurve,
     OffsetCurve,
@@ -23,6 +25,7 @@ from nullcartan import (
     pseudo_spherical_test,
     synthesize,
 )
+from nullcartan.curve import JET_BUDGET
 
 # spacelike curves in the positive block (an ellipse and a helix)
 ELLIPSE = ["0", "0", "2*cos(s)", "sin(s)", "0"]
@@ -76,6 +79,24 @@ def test_single_point_surface_is_the_batched_evaluation(protocol_curves, name, o
     assert len(derivs) == order
     for k, d in enumerate(derivs, 1):
         assert np.allclose(d, single.derivative_value(k), rtol=1e-13, atol=1e-15)
+
+
+@pytest.mark.parametrize("name", CLASSES)
+def test_single_points_outside_the_domain_are_refused(protocol_curves, name):
+    curve = protocol_curves[name]
+    a, b = curve.domain
+    for t in (a - 0.25 * (b - a), b + 0.25 * (b - a)):
+        for query in (lambda: curve.point(t), lambda: curve.vec_jet(t, 1),
+                      lambda: curve.derivatives(t, 1)):
+            with pytest.raises(InputError):
+                query()
+
+
+def test_derivatives_share_one_jet_budget(protocol_curves):
+    for curve in protocol_curves.values():
+        a, b = curve.domain
+        with pytest.raises(InputError, match="jet budget"):
+            curve.derivatives(0.5 * (a + b), JET_BUDGET + 1)
 
 
 @pytest.mark.parametrize("kind", ["pseudo-arc", "arc length"])
