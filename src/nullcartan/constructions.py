@@ -5,8 +5,9 @@ pseudo-spherical test built on the a_i recursion, the evolute/involute
 correspondence in dimension six, and ``synthesize``, which integrates the
 full first-order Frenet system (curve plus frame) with classical RK4 from a
 frame that satisfies the pairing relations exactly.  The system is linear,
-state' = A(t) state, so each RK4 step is applied as a propagator: the state
-plus one matrix product with its increment D.  Synthesized curves are
+state' = A(t) state, so each RK4 step is a propagator I + D, and the states
+are prefix products of the propagators applied to the initial state, formed
+by a blocked scan over the increments D.  Synthesized curves are
 pseudo-arc parametrized by construction and expose exact derivatives of any
 order through the Taylor recurrence of the same linear system, which makes
 them the test oracle for everything else here.
@@ -76,6 +77,8 @@ MIN_CURVATURE = 1e-8
 INVOLUTE_GATE = 1e-6
 # largest synthesis state table, in floats (nodes * (n + 1) * n): 256 MiB
 MAX_TABLE_FLOATS = 2**25
+# steps per chunk of the propagator scan (:func:`_propagate`)
+SCAN_CHUNK = 16
 
 
 # ---------------------------------------------------------------------------
@@ -196,11 +199,43 @@ def _rk4_increments(A0, Am, A1, h):
     return h / 6 * (A0 + 2 * q2 + 2 * q3 + q4)
 
 
+def _propagate(S0, D):
+    """States S_1..S_m of S_{i+1} = S_i + D_i S_i from S_0, for a stack D of
+    m propagator increments, by a blocked prefix scan (Blelloch 1990).
+
+    Each propagator is kept as its difference E from the identity, so
+    products combine as E_ab = E_b + E_a + E_b E_a and apply as S + E S:
+    adding the small increments to I first would round them off.  The steps
+    are cut into chunks of SCAN_CHUNK; every chunk's local prefix products
+    take one batched matmul per position across all chunks, the chunk totals
+    carry the start state from chunk to chunk, and one batched matmul applies
+    the prefixes to the chunk start states.  Zero increments pad the last
+    chunk, as identity propagators.
+    """
+    m, r = D.shape[:2]
+    width = min(SCAN_CHUNK, m)
+    chunks = -(-m // width)
+    E = np.zeros((chunks * width, r, r))
+    E[:m] = D
+    E = E.reshape(chunks, width, r, r)
+    for j in range(1, width):
+        E[:, j] += E[:, j - 1] + E[:, j] @ E[:, j - 1]
+    starts = np.empty((chunks, 1) + S0.shape)
+    starts[0, 0] = S0
+    for c in range(chunks - 1):
+        starts[c + 1, 0] = starts[c, 0] + E[c, -1] @ starts[c, 0]
+    return (starts + E @ starts).reshape((-1,) + S0.shape)[:m]
+
+
 class FrenetCurve(_BatchedCurve):
     """Curve produced by integrating the Frenet system with prescribed curvatures.
 
     Node i of the integration table sits at a + i * step, and the last node
-    is b itself.  Derivatives of any order are exact given the stored state:
+    is b itself.  The table is built in blocks of TABLE_BLOCK steps: the RK4
+    propagators of a block come from one batched curvature evaluation, a
+    blocked prefix scan (:func:`_propagate`) applies them to the block's
+    start state, and the Gram gate checks the block before the next one is
+    evaluated.  Derivatives of any order are exact given the stored state:
     the Taylor coefficients of the state follow from S' = A(t) S and the
     curvature jets, so only the RK4 error of the state samples enters.
     States served to callers are read-only; the integration table cannot be
@@ -215,6 +250,8 @@ class FrenetCurve(_BatchedCurve):
         # four float spacings per step keep the nodes a + i h increasing
         if not 4 * np.spacing(max(abs(a), abs(b))) <= step < math.inf:
             raise InputError(f"step must be finite and resolvable on [{a}, {b}], got {step}")
+        if not defect_limit > 0:
+            raise InputError(f"defect_limit must be positive, got {defect_limit}")
         n = profile.dimension
         self.profile = profile
         self.dimension = n
@@ -254,8 +291,7 @@ class FrenetCurve(_BatchedCurve):
             A = self._generators(pointwise_order(profile.values, stage_t))
             with np.errstate(over="ignore", invalid="ignore"):
                 D = _rk4_increments(A[0:-1:2], A[1::2], A[2::2], hs[i0:i1])
-                for i in range(i0, i1):
-                    states[i + 1] = states[i] + D[i - i0] @ states[i]
+                states[i0 + 1:i1 + 1] = _propagate(states[i0], D)
                 defects = _gram_defect(states[i0:i1 + 1], self._metric.signs)
             bad = ~(defects <= defect_limit)
             if np.any(bad):
@@ -615,7 +651,10 @@ class EvoluteCurve(_BatchedCurve):
 
     @lru_cache(maxsize=4096)
     def vec_jet(self, t, order):
-        return super().vec_jet(t, order)
+        # every caller shares the cached jet, so it is read-only
+        jet = super().vec_jet(t, order)
+        jet.coeffs.flags.writeable = False
+        return jet
 
 
 def _evolute_jets(fj, order):

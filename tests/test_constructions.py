@@ -38,10 +38,21 @@ from nullcartan import (
     standard_initial_frame,
     synthesize,
 )
-from nullcartan.constructions import InvoluteCurve, OffsetCurve, _frenet_couplings
+from nullcartan.constructions import (
+    InvoluteCurve,
+    OffsetCurve,
+    _frenet_couplings,
+    _rk4_increments,
+)
 from nullcartan.frame import frame_grid
 
-from conftest import golden_mate, golden_N1, golden_N2, random_isometry_frame
+from conftest import (
+    SYNTH_PROFILES,
+    golden_mate,
+    golden_N1,
+    golden_N2,
+    random_isometry_frame,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -318,6 +329,15 @@ def test_evolute_extracts_frames_once(synth6_evolute, monkeypatch):
     assert len(calls) == 1
 
 
+def test_cached_evolute_jets_are_read_only(synth6_evolute):
+    # the lru cache hands every caller the same jet, so none may change it
+    E = EvoluteCurve(synth6_evolute)
+    before = E.point(0.3)
+    with pytest.raises(ValueError):
+        E.vec_jet(0.3, 0).coeffs[0, 0] = 99.0
+    assert np.array_equal(E.point(0.3), before)
+
+
 def test_evolute_refuses_constant_k3():
     profile = CurvatureProfile.from_strings(6, ["0.1", "0.05", "0.5"])
     curve = synthesize(profile, (0.0, 1.0))
@@ -539,6 +559,13 @@ def test_synthesis_gate_rejects_a_nan_defect():
                    initial=FrameState.from_matrix(state))
 
 
+@pytest.mark.parametrize("limit", [float("nan"), -1.0, 0.0])
+def test_defect_limit_must_be_positive(limit):
+    with pytest.raises(InputError, match="defect_limit must be positive"):
+        synthesize(CurvatureProfile.from_strings(6, ["1", "2", "3"]), (0.0, 1.0),
+                   step=0.1, defect_limit=limit)
+
+
 def frenet_rhs(k, F):
     """Frenet right-hand side spelled out row by row, the oracle for
     synthesis: F holds the rows (alpha, L1, L2, N1, N2, W3, ...) and k[i - 1]
@@ -604,6 +631,16 @@ def oracle_rk4_step(profile, t, state, h):
     return state + h / 6 * (s1 + 2 * s2 + 2 * s3 + s4)
 
 
+def oracle_table(profile, a, b, step):
+    """Node times a + i*step (the last one b) and the states that stagewise
+    RK4 steps reach on them from the standard initial frame."""
+    ts = [a + i * step for i in range(int((b - a) / step) + 1)] + [b]
+    states = [standard_initial_frame(profile.dimension).as_matrix()]
+    for t0, t1 in zip(ts, ts[1:]):
+        states.append(oracle_rk4_step(profile, t0, states[-1], t1 - t0))
+    return ts, np.array(states)
+
+
 @pytest.mark.parametrize("n, curvatures", [
     (5, ["0.3 + 0.2*t", "-0.4"]),
     (6, ["1.5", "-1", "2 + sin(t)"]),
@@ -615,13 +652,10 @@ def test_synthesis_matches_stagewise_rk4_oracle(n, curvatures):
     a, b, step = -0.2, 2.7533, 0.01
     profile = CurvatureProfile.from_strings(n, curvatures)
     curve = synthesize(profile, (a, b), step=step)
-    ts = [a + i * step for i in range(int((b - a) / step) + 1)] + [b]
-    states = [standard_initial_frame(n).as_matrix()]
-    for t0, t1 in zip(ts, ts[1:]):
-        states.append(oracle_rk4_step(profile, t0, states[-1], t1 - t0))
+    ts, states = oracle_table(profile, a, b, step)
     assert len(ts) > 257 and ts[-1] - ts[-2] < step / 2
     assert np.array_equal(curve._ts, ts)
-    assert np.max(np.abs(curve._states - np.array(states))) <= 1e-13
+    assert np.max(np.abs(curve._states - states)) <= 1e-13
     # the gate's maximum covers every state, across blocks
     metric = PseudoMetric(n)
     assert curve.max_gram_defect == pytest.approx(
@@ -637,6 +671,53 @@ def test_synthesis_matches_stagewise_rk4_oracle(n, curvatures):
     for t, w in zip(grid, want):
         assert np.max(np.abs(curve.point(t) - w[0])) <= 1e-13
         assert np.max(np.abs(curve.frame_state(t).as_matrix() - w)) <= 1e-13
+
+
+@pytest.mark.parametrize("steps", [1, 15, 16, 17, 255, 256, 257, 513])
+def test_synthesis_matches_the_oracle_at_scan_edges(steps):
+    # step counts at the edges of the scan's chunks (SCAN_CHUNK = 16 steps)
+    # and of the gate's blocks (TABLE_BLOCK = 256 steps), each with a short
+    # last step
+    a, step = -0.2, 0.01
+    b = a + (steps - 0.63) * step
+    profile = CurvatureProfile.from_strings(6, ["1.5", "-1", "2 + sin(t)"])
+    curve = synthesize(profile, (a, b), step=step)
+    ts, states = oracle_table(profile, a, b, step)
+    assert len(ts) == steps + 1 and ts[-1] - ts[-2] < step / 2
+    assert np.array_equal(curve._ts, ts)
+    assert np.max(np.abs(curve._states - states)) <= 1e-13
+    metric = PseudoMetric(6)
+    assert curve.max_gram_defect == pytest.approx(
+        max(FrameState.from_matrix(s).gram_defect(metric) for s in states), rel=1e-6)
+
+
+# integrate-shaped curvatures: the n = 8 profile, cut short or extended
+SCAN_PROFILE = SYNTH_PROFILES[8] + ["0.6 + 0.1*cos(t)", "1.4 - 0.2*t"]
+
+
+def sequential_table(curve):
+    """The synthesis table as one propagator product per step builds it,
+    from the curve's own nodes and RK4 propagators."""
+    ts = curve._ts
+    hs = np.diff(ts)
+    stage_t = np.empty(2 * len(hs) + 1)
+    stage_t[0::2] = ts
+    stage_t[1::2] = ts[:-1] + hs / 2
+    A = curve._generators(curve.profile.values(stage_t))
+    D = _rk4_increments(A[0:-1:2], A[1::2], A[2::2], hs)
+    states = np.empty_like(curve._states)
+    states[0] = curve._states[0]
+    for i in range(len(hs)):
+        states[i + 1] = states[i] + D[i] @ states[i]
+    return states
+
+
+@pytest.mark.parametrize("n", [5, 6, 7, 8, 9, 10])
+def test_scanned_table_matches_the_sequential_loop(n):
+    profile = CurvatureProfile.from_strings(n, SCAN_PROFILE[:n - 3])
+    curve = synthesize(profile, (0.0, 1.0), step=1e-3)
+    want = sequential_table(curve)
+    assert np.max(np.abs(curve._states - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 @pytest.mark.parametrize("a, b, step", [(-0.7, 1.2, 1e-3), (0.0, 16.5000000000001, 0.05)])
