@@ -203,6 +203,8 @@ def _integer(data, key, path):
 
 def _number(value, key, path):
     try:
+        if isinstance(value, bool):
+            raise ValueError
         return float(value)
     except (TypeError, ValueError):
         raise InputError(f"{path}: field {key!r} must be a number, got {value!r}") from None
@@ -219,6 +221,8 @@ def _expressions(data, key, path):
 def _interval(data, key, path):
     value = _require(data, key, path)
     try:
+        if any(isinstance(v, bool) for v in value):
+            raise ValueError
         a, b = (float(v) for v in value)
     except (TypeError, ValueError):
         raise InputError(
@@ -518,13 +522,21 @@ class _Parser(argparse.ArgumentParser):
         sys.exit(2)
 
 
-def _tolerance(text):
-    """A --tol value: a positive finite number."""
+def _finite(text):
+    """A finite number option value, such as --mu, --t0 or --s0."""
     try:
         value = float(text)
     except ValueError:
         value = float("nan")
-    if not 0.0 < value < float("inf"):
+    if not abs(value) < float("inf"):
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
+    return value
+
+
+def _tolerance(text):
+    """A --tol value: a positive finite number."""
+    value = _finite(text)
+    if not value > 0.0:
         raise argparse.ArgumentTypeError(f"must be a positive finite number, got {text!r}")
     return value
 
@@ -561,7 +573,7 @@ def build_parser():
 
     p = sub.add_parser("bertrand", help="Bertrand verdict and offset mate")
     common(p, tol=1e-8, tol_help="curvature-vanishing tolerance")
-    p.add_argument("--mu", type=float, default=1.0,
+    p.add_argument("--mu", type=_finite, default=1.0,
                    help="offset along W3 (nonzero, default 1)")
     p.set_defaults(func=cmd_bertrand)
 
@@ -577,9 +589,9 @@ def build_parser():
 
     p = sub.add_parser("involute", help="involute of a spacelike curve")
     common(p, tol=None)
-    p.add_argument("--t0", type=float, required=True,
+    p.add_argument("--t0", type=_finite, required=True,
                    help="base point parameter for the arc length")
-    p.add_argument("--s0", type=float, default=0.0,
+    p.add_argument("--s0", type=_finite, default=0.0,
                    help="arc-length offset added to s(t) (default 0)")
     p.set_defaults(func=cmd_involute)
 

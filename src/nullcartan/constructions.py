@@ -29,7 +29,6 @@ from .curve import (
     SplineCurve,
     _BatchedCurve,
     _check_in_domain,
-    _first_hypothesis_failure,
     _read_only,
     chebyshev_grid,
     pointwise_order,
@@ -41,6 +40,7 @@ from .errors import (
     InputError,
     SingularRecursionError,
     StepSizeError,
+    require,
 )
 from .expr import Expr, Jet, Program, VecJet, parse
 from .frame import frame_grid, frenet_system
@@ -293,12 +293,9 @@ class FrenetCurve(_BatchedCurve):
                 D = _rk4_increments(A[0:-1:2], A[1::2], A[2::2], hs[i0:i1])
                 states[i0 + 1:i1 + 1] = _propagate(states[i0], D)
                 defects = _gram_defect(states[i0:i1 + 1], self._metric.signs)
-            bad = ~(defects <= defect_limit)
-            if np.any(bad):
-                j = int(np.argmax(bad))
-                raise StepSizeError(
-                    f"frame Gram defect {defects[j]:.3e} at t={ts[i0 + j]:.6g} "
-                    f"exceeds {defect_limit:.1e}; halve the step (current {step})")
+            require(defects <= defect_limit, lambda j: StepSizeError(
+                f"frame Gram defect {defects[j]:.3e} at t={ts[i0 + j]:.6g} "
+                f"exceeds {defect_limit:.1e}; halve the step (current {step})"))
             self.max_gram_defect = max(self.max_gram_defect, float(np.max(defects)))
         states.flags.writeable = False
         self._ts = ts
@@ -480,6 +477,8 @@ def bertrand_mate(curve, mu, grid=None, tol=1e-8, force=False):
     """
     if mu == 0.0:
         raise InputError("mu must be nonzero (the mate must be distinct)")
+    if not math.isfinite(mu):
+        raise InputError(f"mu must be finite, got {mu}")
     check, frames = _bertrand_frames(curve, grid, tol)
     grid = check.grid
     if not check.verdict and not force:
@@ -498,10 +497,9 @@ def bertrand_mate(curve, mu, grid=None, tol=1e-8, force=False):
 
         def matched(ts):
             sbar = rep.pseudo_arc_of(ts)
-            return np.column_stack((sbar, rep.vec_jets(sbar, 3).derivative_value(3)))
+            return sbar, rep.vec_jets(sbar, 3).derivative_value(3)
 
-        both = pointwise_order(matched, grid)
-        sbars, w3bar = tuple(both[:, 0]), both[:, 1:]
+        sbars, w3bar = pointwise_order(matched, grid)
         offset = None
     defects = np.minimum(np.linalg.norm(w3bar - w3, axis=1),
                          np.linalg.norm(w3bar + w3, axis=1))
@@ -531,12 +529,8 @@ def _sphere_coefficient_jets(kjets, n):
 
     def guard(i):
         values = np.atleast_1d(kjets[i - 1].value)
-        small = np.abs(values) < MIN_CURVATURE
-        if np.any(small):
-            j = int(np.argmax(small))
-            raise SingularRecursionError(
-                f"k{i} = {values[j]:.3e} vanishes at t={np.atleast_1d(base)[j]}",
-                index=i)
+        require(np.abs(values) >= MIN_CURVATURE, lambda j: SingularRecursionError(
+            f"k{i} = {values[j]:.3e} vanishes at t={np.atleast_1d(base)[j]}", index=i))
         return kjets[i - 1]
 
     a = [zero, 1.0 / guard(3)]
@@ -592,12 +586,9 @@ def pseudo_spherical_test(curve, grid=None, tol=1e-5):
     def sample(ts):
         fj = frame_grid(curve, ts, extra_order=n)
         k_last = fj.curvatures[-1].value
-        small = np.abs(k_last) < MIN_CURVATURE
-        if np.any(small):
-            j = int(np.argmax(small))
-            raise HypothesisError(
-                f"k_{n - 3} = {k_last[j]:.3e} at t={ts[j]}: pseudo-sphere theorem "
-                "hypothesis fails", condition=f"k_{n - 3} != 0", location=float(ts[j]))
+        require(np.abs(k_last) >= MIN_CURVATURE, lambda j: HypothesisError(
+            f"k_{n - 3} = {k_last[j]:.3e} at t={ts[j]}: pseudo-sphere theorem "
+            "hypothesis fails", condition=f"k_{n - 3} != 0", location=float(ts[j])))
         a_jets = _sphere_coefficient_jets(list(fj.curvatures), n)
         a_vals = np.stack([a.value for a in a_jets], axis=1)
         point = fj.alpha.value
@@ -692,22 +683,22 @@ def evolute(curve, grid=None, min_slope=1e-8):
     def sample(ts):
         fj = frame_grid(curve, ts, extra_order=2)
         k3 = fj.curvatures[2]
-        _first_hypothesis_failure(np.abs(k3.value) < MIN_CURVATURE, k3.value, ts,
-                                  "k3 = {value:.3e} at t={t}", "k3 != 0")
+        require(np.abs(k3.value) >= MIN_CURVATURE, lambda j: HypothesisError(
+            f"k3 = {k3.value[j]:.3e} at t={ts[j]}", condition="k3 != 0",
+            location=float(ts[j])))
         slope = (1.0 / k3).derivative(1)
-        _first_hypothesis_failure(
-            np.abs(slope) < min_slope, slope, ts,
-            "(1/k3)' = {value:.3e} at t={t}: evolute not regular there",
-            "(1/k3)' != 0")
+        require(np.abs(slope) >= min_slope, lambda j: HypothesisError(
+            f"(1/k3)' = {slope[j]:.3e} at t={ts[j]}: evolute not regular there",
+            condition="(1/k3)' != 0", location=float(ts[j])))
         vj = _evolute_jets(fj, 1)
         Ep = vj.derivative_value(1)
         speed_sq = metric.inner_jet(VecJet(ts, Ep[None]), VecJet(ts, Ep[None])).value
-        return np.column_stack((slope, np.abs(speed_sq - slope * slope), vj.value))
+        return slope, np.abs(speed_sq - slope * slope), vj.value
 
-    table = pointwise_order(sample, grid)
-    sampled = SampledCurve(np.asarray(grid), table[:, 2:])
-    return EvoluteResult(E, sampled, tuple(grid), float(np.max(table[:, 1])),
-                         float(np.min(np.abs(table[:, 0]))))
+    slopes, speed_defects, points = pointwise_order(sample, grid)
+    sampled = SampledCurve(np.asarray(grid), points)
+    return EvoluteResult(E, sampled, tuple(grid), float(np.max(speed_defects)),
+                         float(np.min(np.abs(slopes))))
 
 
 class InvoluteCurve(_BatchedCurve):
@@ -729,6 +720,8 @@ class InvoluteCurve(_BatchedCurve):
         self.domain = base.domain
         self.t0 = float(t0)
         self.arc_offset = float(arc_offset)
+        if not math.isfinite(self.arc_offset):
+            raise InputError(f"arc_offset must be finite, got {self.arc_offset}")
         _check_in_domain(self.t0, base.domain)
         self._metric = PseudoMetric(base.dimension)
         self._arc = None
@@ -806,8 +799,8 @@ def involute_frame_check(curve, grid):
     if min(grid) <= 0.0:
         raise HypothesisError("grid must lie in s > 0", condition="s > 0")
     s = np.asarray(grid)
-    cj = pointwise_order(lambda ts: curve.vec_jets(ts, 6).coeffs.swapaxes(0, 1), s)
-    d = np.stack([math.factorial(k) * cj[:, k] for k in range(1, 7)], axis=1)
+    cj = pointwise_order(lambda ts: tuple(curve.vec_jets(ts, 6).coeffs), s)
+    d = np.stack([math.factorial(k) * cj[k] for k in range(1, 7)], axis=1)
 
     def inner(x, y):
         return np.einsum("mi,i,mi->m", x, metric.signs, y)
@@ -820,25 +813,26 @@ def involute_frame_check(curve, grid):
         "min_eta_sq": float(np.min(eta_sq)),
         "min_prefix_rank": float(np.min(np.linalg.matrix_rank(d[:, 1:6], tol=1e-8))),
     }
-    if evidence["unit_speed"] > INVOLUTE_GATE:
+    # each gate states what must hold, so a NaN fails it
+    if not evidence["unit_speed"] <= INVOLUTE_GATE:
         raise HypothesisError(
             f"|<c',c'> - 1| up to {evidence['unit_speed']:.3e}: parameter is "
             "not arc length", condition="<c',c'> = 1")
-    if evidence["c2_null"] > INVOLUTE_GATE:
+    if not evidence["c2_null"] <= INVOLUTE_GATE:
         raise HypothesisError(f"|<c'',c''>| up to {evidence['c2_null']:.3e}",
                               condition="<c'',c''> = 0")
-    if evidence["min_eta_sq"] <= 0.0:
+    if not evidence["min_eta_sq"] > 0.0:
         raise HypothesisError(
             f"<c'''',c''''> = {evidence['min_eta_sq']:.3e} <= 0 on the grid",
             condition="<c'''',c''''> > 0")
-    if evidence["min_prefix_rank"] < 5:
+    if not evidence["min_prefix_rank"] >= 5:
         raise HypothesisError("{c'',...,c^(6)} is linearly dependent",
                               condition="independent derivatives")
 
     inv = InvoluteCurve(curve, curve.domain[0], arc_offset=curve.domain[0],
                         unit_speed=True)
-    ij = pointwise_order(lambda ts: inv.vec_jets(ts, 3).coeffs.swapaxes(0, 1), s)
-    i1, i3 = ij[:, 1], 6.0 * ij[:, 3]
+    ij = pointwise_order(lambda ts: tuple(inv.vec_jets(ts, 3).coeffs), s)
+    i1, i3 = ij[1], 6.0 * ij[3]
     null_defect = float(np.max(np.abs(inner(i1, i1))))
     third_defect = float(np.max(np.abs(inner(i3, i3) - s * s * eta_sq)))
 
@@ -847,20 +841,20 @@ def involute_frame_check(curve, grid):
     def framed(ts):
         fj = frame_grid(rep, rep.pseudo_arc_of(ts))
         k3 = fj.curvatures[2].value
-        _first_hypothesis_failure(np.abs(k3) < MIN_CURVATURE, k3, ts,
-                                  "extracted k3 = {value:.3e} at s={t}", "k3 != 0")
-        return np.column_stack((k3, fj.W[1].value))
+        require(np.abs(k3) >= MIN_CURVATURE, lambda j: HypothesisError(
+            f"extracted k3 = {k3[j]:.3e} at s={ts[j]}", condition="k3 != 0",
+            location=float(ts[j])))
+        return k3, fj.W[1].value
 
-    framed_table = pointwise_order(framed, s)
-    k3, W4 = framed_table[:, 0], framed_table[:, 1:]
+    k3, W4 = pointwise_order(framed, s)
     k3_err = float(np.max(np.abs(k3 - 1.0 / s) * s))
     T = d[:, 0]
     plus = np.linalg.norm(W4 - T, axis=1)
     minus = np.linalg.norm(W4 + T, axis=1)
     sign_votes = np.where(plus <= minus, 1, -1)
     align_defect = float(np.max(np.minimum(plus, minus)))
-    E_I = ij[:, 0] + W4 / k3[:, None]
-    ev_match = float(np.max(np.abs(E_I - cj[:, 0])))
+    E_I = ij[0] + W4 / k3[:, None]
+    ev_match = float(np.max(np.abs(E_I - cj[0])))
     sign = int(sign_votes[0])
     if np.any(sign_votes != sign):
         raise HypothesisError("W4 alignment sign flips across the grid",

@@ -31,6 +31,7 @@ from .errors import (
     HypothesisError,
     InputError,
     NullCartanError,
+    require,
 )
 from .expr import Expr, Jet, Program, VecJet, jet_compose, jet_eval, jet_invert, parse
 from .metric import PseudoMetric, family_nullity_sequence
@@ -70,18 +71,8 @@ def _check_in_domain(t, domain):
     a, b = domain
     slack = 1e-12 * (1.0 + abs(a) + abs(b))
     ts = np.atleast_1d(t)
-    inside = (a - slack <= ts) & (ts <= b + slack)
-    if not np.all(inside):
-        bad = float(ts[np.argmin(inside)])
-        raise InputError(f"parameter {bad} outside domain [{a}, {b}]")
-
-
-def _first_hypothesis_failure(bad, values, ts, message, condition):
-    """Raise HypothesisError for the first grid point flagged ``bad``."""
-    if np.any(bad):
-        j = int(np.argmax(bad))
-        raise HypothesisError(message.format(value=values[j], t=ts[j]),
-                              condition=condition, location=float(ts[j]))
+    require((a - slack <= ts) & (ts <= b + slack), lambda j: InputError(
+        f"parameter {float(ts[j])} outside domain [{a}, {b}]"))
 
 
 # what a pointwise evaluation raises for a point: library errors plus the
@@ -214,7 +205,7 @@ def _read_only(values):
 
 @dataclass(frozen=True, eq=False)
 class SampledCurve:
-    """Curve samples on a strictly increasing parameter grid, held as
+    """Finite curve samples on a strictly increasing parameter grid, held as
     read-only copies, so the validated grid cannot change afterwards."""
 
     grid: np.ndarray
@@ -227,8 +218,9 @@ class SampledCurve:
         object.__setattr__(self, "points", points)
         if grid.ndim != 1 or points.ndim != 2 or len(grid) != len(points):
             raise InputError("grid and points must have matching lengths")
-        if np.any(np.diff(grid) <= 0):
-            raise InputError("grid must be strictly increasing")
+        require(np.isfinite(grid) & np.isfinite(points).all(axis=1), lambda j: InputError(
+            f"sample {j} at t={grid[j]} is not finite: {points[j]}"))
+        require(np.diff(grid) > 0, lambda j: InputError("grid must be strictly increasing"))
 
     @property
     def dimension(self):
@@ -460,9 +452,9 @@ class CumulativeIntegral:
 
     def _integral_and_rate(self, t, with_rate):
         """Primitive at the array t (and, if asked, the integrand there),
-        from one integrand call."""
+        from one integrand call; every node, b included, reads the table."""
         i = np.clip(np.searchsorted(self.nodes, t, side="right") - 1,
-                    0, len(self.nodes) - 2)
+                    0, len(self.nodes) - 1)
         t0 = self.nodes[i]
         value = self.cumulative[i]
         off = np.flatnonzero(t != t0)
@@ -493,10 +485,8 @@ class CumulativeIntegral:
         scalar = np.ndim(target) == 0
         targets = np.atleast_1d(np.asarray(target, dtype=float))
         slack = 1e-12 * (1.0 + self.total)
-        outside = ~((-slack <= targets) & (targets <= self.total + slack))
-        if np.any(outside):
-            bad = float(targets[np.argmax(outside)])
-            raise InputError(f"target {bad} outside the table range [0, {self.total}]")
+        require((-slack <= targets) & (targets <= self.total + slack), lambda j: InputError(
+            f"target {float(targets[j])} outside the table range [0, {self.total}]"))
         targets = np.clip(targets, 0.0, self.total)
         i = np.clip(np.searchsorted(self.cumulative, targets) - 1,
                     0, len(self.nodes) - 2)
@@ -607,15 +597,19 @@ class ReparametrizedCurve(_MonotoneReparamCurve):
         return self.new_parameter_of(t)
 
     def _rate(self, ts):
-        """Rate at an array of parameters; a nonpositive <alpha''', alpha'''>
-        is refused at its minimum over ``ts``."""
+        """Rate at an array of parameters; a <alpha''', alpha'''> that is not
+        positive is refused at its minimum over ``ts``, where a NaN counts as
+        the minimum."""
         sq = self._rate_squares(ts)
-        if np.any(sq <= 0.0):
+
+        def refusal(_):
             order = np.argsort(ts, kind="stable")
             worst = order[np.argmin(sq[order])]
-            raise FamilyError(
+            return FamilyError(
                 f"<alpha''', alpha'''> = {sq[worst]:.3e} <= 0 near t={float(ts[worst])}: "
                 "monotone reparametrization impossible")
+
+        require(sq > 0.0, refusal)
         return sq ** self._rate_power
 
     def _rate_square(self, t):
@@ -633,8 +627,9 @@ class ArcLengthCurve(_MonotoneReparamCurve):
     """Unit-speed view of a spacelike curve: the new parameter integrates |c'|.
 
     This is the one arc-length table; :class:`InvoluteCurve` reads its s(t)
-    off one.  A table point with <c', c'> <= 0 raises HypothesisError
-    (condition "<c',c'> > 0") located at the first such point in ascending t.
+    off one.  A table point that fails <c', c'> > 0 (a NaN fails it) raises
+    HypothesisError with that condition, located at the first such point in
+    ascending t.
     """
 
     _rate_power = 0.5
@@ -645,9 +640,9 @@ class ArcLengthCurve(_MonotoneReparamCurve):
     def _rate_square(self, t):
         d1 = self.base.vec_jets(t, 1).differentiate()
         sq = self._metric.inner_jet(d1, d1).value
-        _first_hypothesis_failure(sq <= 0.0, sq, t,
-                                  "<c',c'> = {value:.3e} at t={t}: curve is not spacelike",
-                                  "<c',c'> > 0")
+        require(sq > 0.0, lambda j: HypothesisError(
+            f"<c',c'> = {sq[j]:.3e} at t={t[j]}: curve is not spacelike",
+            condition="<c',c'> > 0", location=float(t[j])))
         return sq
 
     def _rate_square_jet(self, t, order):

@@ -3,8 +3,16 @@
 Grouping mirrors the CLI exit-code contract: input problems (bad files,
 unparsable expressions, wrong dimensions), violated theorem hypotheses or
 family membership, and numerical breakdowns (degenerate curvatures, step-size
-failures).
+failures).  :func:`require` is the one rule by which a grid gate raises.
 """
+
+
+def require(ok, error):
+    """Raise ``error(j)`` at the first index j where the bool array ``ok`` is
+    False.  Every grid gate raises through here, stating the condition that
+    must hold (``np.abs(v) <= limit``, ``sq > 0.0``), so a NaN fails it."""
+    if not ok.all():
+        raise error(int(ok.argmin()))
 
 
 class NullCartanError(Exception):

@@ -22,7 +22,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curve import _check_in_domain, pointwise_order
-from .errors import DegenerateBasisError, FamilyError, FrameDegeneracyError, InputError
+from .errors import (
+    DegenerateBasisError,
+    FamilyError,
+    FrameDegeneracyError,
+    InputError,
+    require,
+)
 from .expr import Jet, VecJet
 from .metric import PseudoMetric
 
@@ -134,37 +140,22 @@ class FrameJets:
             self.closure_residual, self.orientation)
 
 
-def _first(bad):
-    return int(np.argmax(bad))
-
-
 def _family_gates(metric, D, ts):
     """Local evidence that the curve is a pseudo-arc family member on the grid
     ``ts``, read off the Gram of its first three derivatives ``D`` (m, 3, n)."""
     scale = 1.0 + np.max(np.linalg.norm(D, axis=-1), axis=1)
     gate = scale * scale
     G = np.einsum("iak,k,ibk->iab", D, metric.signs, D)
-    pairs = {
-        "<a',a'>": G[:, 0, 0],
-        "<a',a''>": G[:, 0, 1],
-        "<a'',a''>": G[:, 1, 1],
-        "<a',a'''>": G[:, 0, 2],
-        "<a'',a'''>": G[:, 1, 2],
-    }
-    for name, val in pairs.items():
-        bad = np.abs(val) > NULL_CHAIN_GATE * gate
-        if np.any(bad):
-            j = _first(bad)
-            raise FamilyError(
-                f"null-chain identity {name} = {val[j]:.3e} violated at t={ts[j]}; "
-                "curve is not in the supported family")
+    # identity by identity, then point by point, as a loop would check them
+    names = ("<a',a'>", "<a',a''>", "<a'',a''>", "<a',a'''>", "<a'',a'''>")
+    vals = np.stack([G[:, 0, 0], G[:, 0, 1], G[:, 1, 1], G[:, 0, 2], G[:, 1, 2]])
+    m = len(ts)
+    require((np.abs(vals) <= NULL_CHAIN_GATE * gate).ravel(), lambda j: FamilyError(
+        f"null-chain identity {names[j // m]} = {vals.flat[j]:.3e} violated at "
+        f"t={ts[j % m]}; curve is not in the supported family"))
     w3 = G[:, 2, 2]
-    bad = np.abs(w3 - 1.0) > PSEUDO_ARC_GATE * gate
-    if np.any(bad):
-        j = _first(bad)
-        raise FamilyError(
-            f"<a''',a'''> = {w3[j]:.6e} at t={ts[j]}: curve is not "
-            "pseudo-arc parametrized")
+    require(np.abs(w3 - 1.0) <= PSEUDO_ARC_GATE * gate, lambda j: FamilyError(
+        f"<a''',a'''> = {w3[j]:.6e} at t={ts[j]}: curve is not pseudo-arc parametrized"))
 
 
 def frame_grid(curve, ts, extra_order=0):
@@ -210,15 +201,11 @@ def frame_grid(curve, ts, extra_order=0):
         target, c = new
         if c:
             vv = metric.inner_jet(v, v)
-            bad = vv.value <= floor * floor
-            if np.any(bad):
-                j = _first(bad)
-                partial = _assemble(ts, vectors, k, np.full(len(ts), np.nan),
-                                    np.zeros(len(ts), int))
-                raise FrameDegeneracyError(
-                    f"normalizer <v,v> = {vv.value[j]:.3e} at curvature index {c}: "
-                    f"frame continuation aborted at t={ts[j]}",
-                    index=c, partial=partial.at(j))
+            require(vv.value > floor * floor, lambda j: FrameDegeneracyError(
+                f"normalizer <v,v> = {vv.value[j]:.3e} at curvature index {c}: "
+                f"frame continuation aborted at t={ts[j]}", index=c,
+                partial=_assemble(ts, vectors, k, np.full(len(ts), np.nan),
+                                  np.zeros(len(ts), int)).at(j)))
             k.append(vv.sqrt())
             v = v.scale(1.0 / k[c])
         vectors[target] = v
@@ -227,12 +214,9 @@ def frame_grid(curve, ts, extra_order=0):
     # one determinant pass; the frame bases come first, as their errors do
     sign_frame, sign_derivs = np.split(
         metric.orientation_signs(np.concatenate([basis, derivs])), 2)
-    bad = sign_frame != sign_derivs
-    if np.any(bad):
-        j = _first(bad)
-        raise DegenerateBasisError(
-            f"frame orientation {sign_frame[j]} disagrees with the derivative "
-            f"basis orientation {sign_derivs[j]} at t={ts[j]}")
+    require(sign_frame == sign_derivs, lambda j: DegenerateBasisError(
+        f"frame orientation {sign_frame[j]} disagrees with the derivative "
+        f"basis orientation {sign_derivs[j]} at t={ts[j]}"))
 
     return _assemble(ts, vectors, k, closure_residual, sign_frame)
 
@@ -305,8 +289,8 @@ def frenet_residuals(curve, grid):
         raise InputError("residual grid needs at least 7 points")
     steps = np.diff(grid)
     h = steps[0]
-    if np.any(np.abs(steps - h) > 1e-9 * abs(h)):
-        raise InputError("residual grid must be uniformly spaced")
+    require(np.abs(steps - h) <= 1e-9 * abs(h),
+            lambda j: InputError("residual grid must be uniformly spaced"))
 
     frames = cartan_frames(curve, grid)
     return stencil_residuals(grid, frames.to_frame(), frames.alpha.value)

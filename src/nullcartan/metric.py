@@ -18,6 +18,7 @@ from .errors import (
     ClassificationError,
     DegenerateBasisError,
     DimensionMismatchError,
+    require,
 )
 
 __all__ = [
@@ -183,16 +184,13 @@ class PseudoMetric:
 
     def orientation_signs(self, bases):
         """:meth:`orientation_sign` of each basis in a stack of shape (m, n, n);
-        the first ambiguous basis in the stack raises DegenerateBasisError."""
+        the first ambiguous basis in the stack, or one whose determinant is
+        NaN, raises DegenerateBasisError."""
         M = np.asarray(bases, dtype=float)
         norms = np.linalg.norm(M, axis=-1)
         zero = np.any(norms == 0.0, axis=-1)
         det = np.linalg.det(M / np.where(norms == 0.0, 1.0, norms)[..., None])
-        ambiguous = zero | (np.abs(det) < 1e-12)
-        if np.any(ambiguous):
-            j = int(np.argmax(ambiguous))
-            if zero[j]:
-                raise DegenerateBasisError("zero vector in basis")
-            raise DegenerateBasisError(
-                f"orientation ambiguous: normalized determinant {det[j]:.3e}")
+        require(~zero & (np.abs(det) >= 1e-12), lambda j: DegenerateBasisError(
+            "zero vector in basis" if zero[j] else
+            f"orientation ambiguous: normalized determinant {det[j]:.3e}"))
         return np.where(det > 0, 1, -1)

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from nullcartan import (
+    ArcLengthCurve,
     CurvatureProfile,
     Curve,
     ExprEvaluationError,
@@ -223,6 +224,18 @@ def test_newton_inversion_agrees_with_brentq(a, b, length, intervals, fractions)
             want = brentq(lambda x: table(x) - target, lo, hi, xtol=1e-14)
         assert t == pytest.approx(want, abs=1e-12)
         assert table.solve(float(target)) == t
+
+
+@pytest.mark.parametrize("intervals", [1, 16, 512])
+def test_the_table_reads_every_node_exactly(intervals):
+    # the last node b reads the table too, not a quadrature over the last cell
+    table = CumulativeIntegral(lambda t: 1.0 + 0.3 * np.sin(3.0 * t) ** 2, 0.0, 2.0,
+                               intervals)
+    assert np.array_equal(table(table.nodes), table.cumulative)
+    curve = Curve.from_strings(["0", "0", "cos(t) + 0.3*sin(3*t)", "sin(t)", "t", "0"],
+                               parameter="t", domain=(0.0, 2.0))
+    arc = ArcLengthCurve(curve, intervals)
+    assert arc.arc_length_of(2.0) == arc.domain[1]
 
 
 def test_rate_is_evaluated_once_per_table_point(golden):

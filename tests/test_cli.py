@@ -93,9 +93,14 @@ def test_malformed_fields_exit_2_with_diagnostic(tmp_path, capsys, patch):
     {"dimension": True},
     {"grid_density": 7.5},
     {"grid_density": True},
-], ids=["dimension 5.9", "dimension true", "grid_density 7.5", "grid_density true"])
+    {"domain": [False, True]},
+    {"curvatures": ["0", "0"], "interval": [0, 1], "step": True},
+    {"curvatures": ["0", "0"], "interval": [0, True]},
+], ids=["dimension 5.9", "dimension true", "grid_density 7.5", "grid_density true",
+        "domain false true", "step true", "interval true"])
 def test_non_integral_integer_fields_exit_2(tmp_path, capsys, patch):
-    # integer fields are not truncated: 5.9 is not read as 5, nor true as 1
+    # integer fields are not truncated: 5.9 is not read as 5, nor true as 1;
+    # number fields do not read true and false as 1.0 and 0.0 either
     spec = {"dimension": 5, "parameter": "s",
             "components": ["s", "s", "s", "s", "s"], "domain": [0, 1]}
     bad = tmp_path / "bad.json"
@@ -558,6 +563,30 @@ def test_tolerance_must_be_positive_and_finite(quintic_file, capsys, tol):
     diag = json.loads(captured.err.splitlines()[-1])
     assert diag["category"] == "input"
     assert "--tol" in diag["message"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["bertrand", "QUINTIC", "--mu", "nan"],
+    ["bertrand", "QUINTIC", "--mu=-inf"],
+    ["involute", "CIRCLE", "--t0", "0", "--s0", "nan"],
+    ["involute", "CIRCLE", "--t0", "0", "--s0", "inf"],
+    ["involute", "CIRCLE", "--t0", "nan"],
+], ids=["mu nan", "mu -inf", "s0 nan", "s0 inf", "t0 nan"])
+def test_non_finite_option_values_exit_2(quintic_file, tmp_path, capsys, argv):
+    circle = tmp_path / "circle.json"
+    circle.write_text(json.dumps({
+        "dimension": 5, "parameter": "s",
+        "components": ["0", "0", "1.5*cos(s)", "1.5*sin(s)", "0"],
+        "domain": [0.0, 2.0]}))
+    files = {"QUINTIC": quintic_file, "CIRCLE": str(circle)}
+    with pytest.raises(SystemExit) as exc:
+        main([files.get(a, a) for a in argv])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    diag = json.loads(captured.err.splitlines()[-1])
+    assert diag["category"] == "input"
+    assert "must be a finite number" in diag["message"]
 
 
 @pytest.mark.parametrize("command", ["evolute", "involute", "synthesize"])

@@ -108,6 +108,16 @@ def test_mate_rejects_zero_mu(golden):
         bertrand_mate(golden, 0.0)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_mu_and_arc_offset_must_be_finite(golden, value):
+    with pytest.raises(InputError, match="mu must be finite"):
+        bertrand_mate(golden, value, grid=np.linspace(0.1, 0.9, 5))
+    circle = Curve.from_strings(["0", "0", "1.5*cos(s)", "1.5*sin(s)", "0"],
+                                domain=(0.0, 2.0))
+    with pytest.raises(InputError, match="arc_offset must be finite"):
+        InvoluteCurve(circle, 0.0, arc_offset=value, intervals=16)
+
+
 def test_synthesized_bertrand_roundtrip(synth_flat5):
     grid = np.linspace(0.05, 0.95, 9)
     for mu in (-0.5, 0.5, 1.0, 2.0):
