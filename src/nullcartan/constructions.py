@@ -139,7 +139,7 @@ class FrameState:
         return cls(M[0], M[1], M[2], M[3], M[4], tuple(M[5:]))
 
     def gram_defect(self, metric):
-        return float(_gram_defect(self.as_matrix(), metric.signs))
+        return float(_gram_defect(self.as_matrix(), metric))
 
 
 def _expected_frame_gram(n):
@@ -151,11 +151,10 @@ def _expected_frame_gram(n):
     return E
 
 
-def _gram_defect(state_matrix, signs):
+def _gram_defect(state_matrix, metric):
     """Max |<F_i, F_j> - E_ij| of one state (n+1, n), or per state of a stack."""
-    F = state_matrix[..., 1:, :]
-    G = (F * signs) @ F.swapaxes(-1, -2)
-    return np.max(np.abs(G - _expected_frame_gram(F.shape[-1])), axis=(-2, -1))
+    G = metric.gram(state_matrix[..., 1:, :])
+    return np.max(np.abs(G - _expected_frame_gram(metric.dimension)), axis=(-2, -1))
 
 
 def standard_initial_frame(n, alpha=None):
@@ -292,7 +291,7 @@ class FrenetCurve(_BatchedCurve):
             with np.errstate(over="ignore", invalid="ignore"):
                 D = _rk4_increments(A[0:-1:2], A[1::2], A[2::2], hs[i0:i1])
                 states[i0 + 1:i1 + 1] = _propagate(states[i0], D)
-                defects = _gram_defect(states[i0:i1 + 1], self._metric.signs)
+                defects = _gram_defect(states[i0:i1 + 1], self._metric)
             require(defects <= defect_limit, lambda j: StepSizeError(
                 f"frame Gram defect {defects[j]:.3e} at t={ts[i0 + j]:.6g} "
                 f"exceeds {defect_limit:.1e}; halve the step (current {step})"))
@@ -609,8 +608,7 @@ def pseudo_spherical_test(curve, grid=None, tol=1e-5):
     if is_spherical:
         r_sq = float(radius_sq.mean())
         diffs = points - center_mean
-        residual = float(np.max(np.abs(
-            np.sum(metric.signs * diffs * diffs, axis=1) - r_sq)))
+        residual = float(np.max(np.abs(metric.inner(diffs, diffs) - r_sq)))
         radius = math.sqrt(max(r_sq, 0.0))
         center = center_mean
     return SphereReport(tuple(grid), _read_only(a_values), _read_only(radius_sq),
@@ -671,14 +669,11 @@ def evolute(curve, grid=None, min_slope=1e-8):
     or |(1/k3)'| below ``min_slope`` (a constant k3 has no evolute in this
     sense).
     """
-    if curve.dimension != 6:
-        raise HypothesisError("the evolute construction lives in dimension 6",
-                              condition="dimension == 6")
+    E = EvoluteCurve(curve)
     if grid is None:
         grid = np.linspace(curve.domain[0], curve.domain[1], 33)
     grid = [float(t) for t in grid]
     metric = PseudoMetric(6)
-    E = EvoluteCurve(curve)
 
     def sample(ts):
         fj = frame_grid(curve, ts, extra_order=2)
@@ -692,7 +687,7 @@ def evolute(curve, grid=None, min_slope=1e-8):
             condition="(1/k3)' != 0", location=float(ts[j])))
         vj = _evolute_jets(fj, 1)
         Ep = vj.derivative_value(1)
-        speed_sq = metric.inner_jet(VecJet(ts, Ep[None]), VecJet(ts, Ep[None])).value
+        speed_sq = metric.inner(Ep, Ep)
         return slope, np.abs(speed_sq - slope * slope), vj.value
 
     slopes, speed_defects, points = pointwise_order(sample, grid)
@@ -801,17 +796,12 @@ def involute_frame_check(curve, grid):
     s = np.asarray(grid)
     cj = pointwise_order(lambda ts: tuple(curve.vec_jets(ts, 6).coeffs), s)
     d = np.stack([math.factorial(k) * cj[k] for k in range(1, 7)], axis=1)
-
-    def inner(x, y):
-        return np.einsum("mi,i,mi->m", x, metric.signs, y)
-
-    eta_sq = inner(d[:, 3], d[:, 3])
+    eta_sq = metric.inner(d[:, 3], d[:, 3])
     evidence = {
         "min_s": min(grid),
-        "unit_speed": float(np.max(np.abs(inner(d[:, 0], d[:, 0]) - 1.0))),
-        "c2_null": float(np.max(np.abs(inner(d[:, 1], d[:, 1])))),
+        "unit_speed": float(np.max(np.abs(metric.inner(d[:, 0], d[:, 0]) - 1.0))),
+        "c2_null": float(np.max(np.abs(metric.inner(d[:, 1], d[:, 1])))),
         "min_eta_sq": float(np.min(eta_sq)),
-        "min_prefix_rank": float(np.min(np.linalg.matrix_rank(d[:, 1:6], tol=1e-8))),
     }
     # each gate states what must hold, so a NaN fails it
     if not evidence["unit_speed"] <= INVOLUTE_GATE:
@@ -825,6 +815,9 @@ def involute_frame_check(curve, grid):
         raise HypothesisError(
             f"<c'''',c''''> = {evidence['min_eta_sq']:.3e} <= 0 on the grid",
             condition="<c'''',c''''> > 0")
+    D = d[:, 1:6]  # the SVD behind the rank fails on a NaN, so a NaN jet reads NaN
+    evidence["min_prefix_rank"] = (float(np.min(np.linalg.matrix_rank(D, tol=1e-8)))
+                                   if np.isfinite(D).all() else float("nan"))
     if not evidence["min_prefix_rank"] >= 5:
         raise HypothesisError("{c'',...,c^(6)} is linearly dependent",
                               condition="independent derivatives")
@@ -833,8 +826,8 @@ def involute_frame_check(curve, grid):
                         unit_speed=True)
     ij = pointwise_order(lambda ts: tuple(inv.vec_jets(ts, 3).coeffs), s)
     i1, i3 = ij[1], 6.0 * ij[3]
-    null_defect = float(np.max(np.abs(inner(i1, i1))))
-    third_defect = float(np.max(np.abs(inner(i3, i3) - s * s * eta_sq)))
+    null_defect = float(np.max(np.abs(metric.inner(i1, i1))))
+    third_defect = float(np.max(np.abs(metric.inner(i3, i3) - s * s * eta_sq)))
 
     rep = ReparametrizedCurve(inv, intervals=192)
 

@@ -158,10 +158,6 @@ class Curve(_BatchedCurve):
         exprs = tuple(parse(text, parameter) for text in components)
         return cls(len(exprs), exprs, parameter, tuple(domain))
 
-    @property
-    def metric(self):
-        return PseudoMetric(self.dimension)
-
     @cached_property
     def _program(self):
         return Program(self.components)
@@ -613,9 +609,8 @@ class ReparametrizedCurve(_MonotoneReparamCurve):
         return sq ** self._rate_power
 
     def _rate_square(self, t):
-        vj = self.base.vec_jets(t, 3)
-        a3 = VecJet(vj.base, vj.coeffs[3:4] * 6.0)
-        return self._metric.inner_jet(a3, a3).value
+        a3 = self.base.vec_jets(t, 3).coeffs[3] * 6.0
+        return self._metric.inner(a3, a3)
 
     def _rate_square_jet(self, t, order):
         vj = self.base.vec_jets(t, order + 3)
@@ -638,8 +633,8 @@ class ArcLengthCurve(_MonotoneReparamCurve):
         return self.new_parameter_of(t)
 
     def _rate_square(self, t):
-        d1 = self.base.vec_jets(t, 1).differentiate()
-        sq = self._metric.inner_jet(d1, d1).value
+        d1 = self.base.vec_jets(t, 1).coeffs[1]
+        sq = self._metric.inner(d1, d1)
         require(sq > 0.0, lambda j: HypothesisError(
             f"<c',c'> = {sq[j]:.3e} at t={t[j]}: curve is not spacelike",
             condition="<c',c'> > 0", location=float(t[j])))
@@ -701,7 +696,6 @@ def pseudo_arc_reparam(curve, grid_density=129, tol=1e-9):
     params = pointwise_order(rep.parameter_of, sbar_grid)
     points = pointwise_order(lambda ts: curve.vec_jets(ts, 0).value, params)
     sampled = SampledCurve(sbar_grid, points)
-    metric = PseudoMetric(curve.dimension)
     spline = SplineCurve(sampled)
     interior = sbar_grid[3:-3]
     if not len(interior):
@@ -709,6 +703,6 @@ def pseudo_arc_reparam(curve, grid_density=129, tol=1e-9):
             f"the unit-speed check reads the spline inside the first and last "
             f"three samples: need at least 7, got {grid_density}")
     d3 = spline._derivative_values(interior, 3)[3]
-    defect = max(abs(metric.inner(d, d) - 1.0) for d in d3)
+    defect = np.max(np.abs(PseudoMetric(curve.dimension).inner(d3, d3) - 1.0))
     return ReparamResult(_read_only(table_t), _read_only(table_s), sampled, rep,
                          float(defect))

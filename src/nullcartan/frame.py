@@ -145,7 +145,7 @@ def _family_gates(metric, D, ts):
     ``ts``, read off the Gram of its first three derivatives ``D`` (m, 3, n)."""
     scale = 1.0 + np.max(np.linalg.norm(D, axis=-1), axis=1)
     gate = scale * scale
-    G = np.einsum("iak,k,ibk->iab", D, metric.signs, D)
+    G = metric.gram(D)
     # identity by identity, then point by point, as a loop would check them
     names = ("<a',a'>", "<a',a''>", "<a'',a''>", "<a',a'''>", "<a'',a'''>")
     vals = np.stack([G[:, 0, 0], G[:, 0, 1], G[:, 1, 1], G[:, 0, 2], G[:, 1, 2]])

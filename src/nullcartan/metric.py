@@ -55,6 +55,12 @@ def family_nullity_sequence(n):
     return (0, 1, 2, 2, 1) + (0,) * (n - 4)
 
 
+def _unit_rows(M):
+    """Rows scaled to unit length (a positive congruence), and which are zero."""
+    norms = np.linalg.norm(M, axis=-1)
+    return M / np.where(norms > 0.0, norms, 1.0)[..., None], norms == 0.0
+
+
 class PseudoMetric:
     """The index-2 bilinear form on R^n, n >= 4."""
 
@@ -75,14 +81,18 @@ class PseudoMetric:
         return f"PseudoMetric(dimension={self.dimension})"
 
     def _check(self, x):
+        """``x`` as floats whose last axis, a vector, has length n."""
         x = np.asarray(x, dtype=float)
-        if x.shape != (self.dimension,):
+        if x.shape[-1:] != (self.dimension,):
             raise DimensionMismatchError(
                 f"expected a vector of length {self.dimension}, got shape {x.shape}")
         return x
 
     def inner(self, x, y):
-        return float(np.dot(self._signs * self._check(x), self._check(y)))
+        """<x, y> over the last axis: a float for two vectors, an array for stacks."""
+        x, y = self._check(x), self._check(y)
+        g = ((x * self._signs)[..., None, :] @ y[..., :, None])[..., 0, 0]
+        return float(g) if g.ndim == 0 else g
 
     def inner_jet(self, a, b):
         """Jet of <a(t), b(t)> for two vector jets (batched alike)."""
@@ -93,8 +103,9 @@ class PseudoMetric:
         return np.array([self._check(v) for v in vectors]).reshape(-1, self.dimension)
 
     def gram(self, vectors):
-        M = self._rows(vectors)
-        return (M * self._signs) @ M.T
+        """Gram matrix of k vectors (k, n), or of each system of a stack (..., k, n)."""
+        M = self._check(vectors) if getattr(vectors, "ndim", 1) >= 2 else self._rows(vectors)
+        return (M * self._signs) @ M.swapaxes(-1, -2)
 
     def subspace_profile(self, vectors, tol=DEFAULT_TOL):
         """Rank, radical dimension and negative index of span(vectors)."""
@@ -113,9 +124,7 @@ class PseudoMetric:
         """
         if tol <= 0:
             raise ValueError("tolerance must be positive")
-        norms = np.linalg.norm(M, axis=-1)
-        M = M / np.where(norms > 0.0, norms, 1.0)[..., None]
-        G = (M * self._signs) @ M.swapaxes(-1, -2)
+        G = self.gram(_unit_rows(M)[0])
         rank, index = [], []
         for i in lengths:
             w = np.linalg.eigvalsh(G[:, :i, :i])
@@ -186,10 +195,8 @@ class PseudoMetric:
         """:meth:`orientation_sign` of each basis in a stack of shape (m, n, n);
         the first ambiguous basis in the stack, or one whose determinant is
         NaN, raises DegenerateBasisError."""
-        M = np.asarray(bases, dtype=float)
-        norms = np.linalg.norm(M, axis=-1)
-        zero = np.any(norms == 0.0, axis=-1)
-        det = np.linalg.det(M / np.where(norms == 0.0, 1.0, norms)[..., None])
+        M, zero_rows = _unit_rows(np.asarray(bases, dtype=float))
+        zero, det = np.any(zero_rows, axis=-1), np.linalg.det(M)
         require(~zero & (np.abs(det) >= 1e-12), lambda j: DegenerateBasisError(
             "zero vector in basis" if zero[j] else
             f"orientation ambiguous: normalized determinant {det[j]:.3e}"))

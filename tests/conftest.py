@@ -102,8 +102,9 @@ def synth6_evolute():
     return synthesize(profile, (-0.7, 1.2))
 
 
-def random_isometry_frame(n, rng, alpha=None):
-    """Initial frame moved by a random isometry of the index-2 metric."""
+def random_isometry(n, rng):
+    """Random isometry M of the index-2 metric, M^T G M = G: the exponential
+    of G S for a skew S lies in its Lie algebra."""
     from scipy.linalg import expm
     signs = np.ones(n)
     signs[:2] = -1.0
@@ -112,6 +113,12 @@ def random_isometry_frame(n, rng, alpha=None):
     S = S - S.T
     M = expm(G @ S)
     assert np.allclose(M.T @ G @ M, G, atol=1e-12)
+    return M
+
+
+def random_isometry_frame(n, rng, alpha=None):
+    """Initial frame moved by a random isometry of the index-2 metric."""
+    M = random_isometry(n, rng)
     std = standard_initial_frame(n)
     return FrameState(
         np.zeros(n) if alpha is None else alpha,

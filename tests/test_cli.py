@@ -306,6 +306,14 @@ def test_sphere_dimension_hypothesis_exit_code(quintic_file, capsys):
     assert json.loads(err.splitlines()[-1])["category"] == "hypothesis"
 
 
+def test_evolute_dimension_hypothesis_exit_code(quintic_file, capsys):
+    code, _, err = run(capsys, "evolute", quintic_file)
+    assert code == 3
+    diagnostic = json.loads(err.splitlines()[-1])
+    assert diagnostic["category"] == "hypothesis"
+    assert "dimension 6" in diagnostic["message"]
+
+
 def test_numerical_failure_exit_code(tmp_path, capsys):
     f = tmp_path / "degenerate.json"
     f.write_text(json.dumps({

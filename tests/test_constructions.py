@@ -357,8 +357,9 @@ def test_evolute_refuses_constant_k3():
 
 
 def test_evolute_dimension_gate(golden):
-    with pytest.raises(HypothesisError):
+    with pytest.raises(HypothesisError) as exc:
         evolute(golden, [0.1, 0.5])
+    assert exc.value.condition == "dimension == 6"
 
 
 # ---------------------------------------------------------------------------

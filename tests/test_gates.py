@@ -232,3 +232,16 @@ def test_involute_evidence_gate_fails_a_nan(unit_speed_evolute):
     with pytest.raises(HypothesisError, match=r"up to nan") as exc:
         involute_frame_check(Poisoned(unit_speed_evolute, s[2], [1]), s)
     assert exc.value.condition == "<c',c'> = 1"
+
+
+@pytest.mark.parametrize("order, condition", [
+    (2, "<c'',c''> = 0"),
+    (4, "<c'''',c''''> > 0"),
+    (6, "independent derivatives"),
+])
+def test_involute_evidence_gates_fail_a_nan_jet(unit_speed_evolute, order, condition):
+    # c^(6) feeds only the rank of c'', ..., c^(6), whose SVD cannot take a NaN
+    s = np.linspace(0.5, 2.0, 7)
+    with pytest.raises(HypothesisError) as exc:
+        involute_frame_check(Poisoned(unit_speed_evolute, s[2], [order]), s)
+    assert exc.value.condition == condition

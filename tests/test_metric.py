@@ -15,7 +15,7 @@ from nullcartan import (
     family_nullity_sequence,
 )
 
-from conftest import exact_rank, golden_L1, golden_N1, rational_gram
+from conftest import exact_rank, golden_L1, golden_N1, random_isometry, rational_gram
 
 
 @pytest.fixture
@@ -87,6 +87,28 @@ def test_gram_matches_pairwise_inner(m5):
     for i in range(3):
         for j in range(3):
             assert G[i, j] == pytest.approx(m5.inner(vs[i], vs[j]), rel=1e-14)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(n=st.integers(4, 8), m=st.integers(1, 9), k=st.integers(0, 9),
+       scale=st.floats(1e-3, 1e3), seed=st.integers(0, 2**32 - 1))
+def test_stacked_inner_and_gram_match_single_systems(n, m, k, scale, seed):
+    rng = np.random.default_rng(seed)
+    metric = PseudoMetric(n)
+    X, Y = scale * rng.normal(size=(2, m, n))
+    M = scale * rng.normal(size=(m, k, n))
+    inner, gram = metric.inner(X, Y), metric.gram(M)
+    assert inner.shape == (m,) and gram.shape == (m, k, k)
+    for i in range(m):  # bitwise: the stack runs the single-system arithmetic
+        assert inner[i] == metric.inner(X[i], Y[i])
+        assert np.array_equal(gram[i], metric.gram(list(M[i])))
+    # an isometry A moves row vectors to x A^T and keeps every pairing
+    A = random_isometry(n, rng)
+    size = np.linalg.norm(X, axis=-1) * np.linalg.norm(Y, axis=-1)
+    assert np.all(np.abs(metric.inner(X @ A.T, Y @ A.T) - inner) <= 1e-12 * size)
+    norms = np.linalg.norm(M, axis=-1)
+    moved = metric.gram(M @ A.T)
+    assert np.all(np.abs(moved - gram) <= 1e-12 * norms[..., :, None] * norms[..., None, :])
 
 
 # ---------------------------------------------------------------------------
