@@ -791,9 +791,9 @@ def involute_frame_check(curve, grid):
     if curve.dimension != 6:
         raise HypothesisError("the correspondence lives in dimension 6",
                               condition="dimension == 6")
-    if min(grid) <= 0.0:
-        raise HypothesisError("grid must lie in s > 0", condition="s > 0")
     s = np.asarray(grid)
+    if not np.all(s > 0.0):
+        raise HypothesisError("grid must lie in s > 0", condition="s > 0")
     cj = pointwise_order(lambda ts: tuple(curve.vec_jets(ts, 6).coeffs), s)
     d = np.stack([math.factorial(k) * cj[k] for k in range(1, 7)], axis=1)
     eta_sq = metric.inner(d[:, 3], d[:, 3])

@@ -20,6 +20,17 @@ to numbers, repeated subtrees are evaluated once, and registers are released
 after their last use.  An evaluation error names the same subexpression the
 tree walk would have reached first.
 
+A program whose ops are all polynomial knows its degree d.  Its jets at any
+point are then a Taylor shift of one coefficient block of length d + 1,
+which the program computes once by a run on a short series; the shift
+kernels here turn that block into jets on a grid with a powers table and one
+``einsum`` instead of one pass per op (see :class:`Program`).  A
+:class:`~nullcartan.curve.Curve` is folded that way when its components are
+polynomials of degree at most ``curve.FOLD_DEGREE`` (8); rounding in the
+shifted monomial basis grows with the degree, so higher degrees, and every
+program with a division by a series, a negative power or a function call,
+keep the op list.
+
 Grammar (``^`` takes a literal integer exponent and binds tighter than unary
 minus; ``sqrt`` covers half powers)::
 
@@ -115,6 +126,32 @@ def _constant(value, like):
     c = np.zeros(like.shape)
     c[0] = value
     return c
+
+
+def _shift_table(block, scale):
+    """Taylor-shift table of the polynomials ``sum_j block[j] x^j``, x = (t - c)/scale.
+
+    ``block`` is (d+1, n).  Entry ``[i, k]`` is ``C(i + k, k) block[i + k] /
+    scale^k``, 0 where i + k > d, so the order-k jet coefficient at t is
+    ``sum_i x^i table[i, k]`` (von zur Gathen & Gerhard, ISSAC 1997).
+    """
+    size = len(block)
+    table = np.zeros((size,) + block.shape)
+    for k in range(size):
+        weights = np.array([math.comb(i + k, k) for i in range(size - k)], dtype=float)
+        table[:size - k, k] = weights[:, None] * block[k:] / scale ** k
+    return table
+
+
+def _shift_jets(table, x, order):
+    """Jet coefficients (order+1, *x.shape, n) at the scaled points x; orders
+    above the degree are exactly 0."""
+    size = len(table)
+    rows = min(order, size - 1) + 1
+    powers = np.asarray(x)[..., None] ** np.arange(size)
+    out = np.zeros((order + 1,) + np.shape(x) + table.shape[2:])
+    out[:rows] = np.einsum("...i,ikn->k...n", powers, table[:, :rows])
+    return out
 
 
 def _div(a, b):
@@ -653,6 +690,13 @@ class Program:
     A subtree that occurs more than once is evaluated once, and a register
     is dropped after the op that reads it last.  ``run`` maps a parameter
     series of shape (K+1, *batch) to one series per expression.
+
+    ``degree`` bounds the polynomial degree of the expressions, worked out
+    from the op list, or is None when an op is a division by a series, a
+    negative power or a function call.  A polynomial program of degree d is
+    exact on series of length d + 1, so one run on ``[c, r, 0, ...]`` gives
+    every coefficient of p(c + r x); :class:`~nullcartan.curve.Curve` folds
+    its components that way.
     """
 
     def __init__(self, exprs):
@@ -671,6 +715,25 @@ class Program:
         for r, n in last.items():
             if r > 0:
                 self._release[n].append(r)
+        self.degree = self._degree()
+
+    def _degree(self):
+        degrees = [1]  # register 0, the parameter
+        for kind, inputs, number, _node, _output in self._ops:
+            d = [degrees[r] for r in inputs]
+            if kind == "const":
+                degrees.append(0)
+            elif kind in ("neg", "addc", "csub", "mulc", "divc"):
+                degrees.append(d[0])
+            elif kind in ("add", "sub"):
+                degrees.append(max(d))
+            elif kind == "mul":
+                degrees.append(sum(d))
+            elif kind == "pow" and number >= 0:
+                degrees.append(d[0] * number)
+            else:
+                return None
+        return max((degrees[o] for o in self._outputs if isinstance(o, int)), default=0)
 
     def __len__(self):
         return len(self._ops)

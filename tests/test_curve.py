@@ -21,11 +21,17 @@ from nullcartan import (
     ReparametrizedCurve,
     SampledCurve,
     SplineCurve,
+    bertrand_check,
+    bertrand_mate,
     classify,
+    evolute,
     pseudo_arc_reparam,
+    pseudo_spherical_test,
     require_family,
 )
+from nullcartan.constructions import involute_frame_check
 from nullcartan.curve import JET_BUDGET, pointwise_order
+from nullcartan.frame import cartan_frames
 
 from conftest import golden_L1, polynomial_derivative_oracle
 
@@ -66,6 +72,30 @@ def test_derivatives_enforce_domain_and_budget(golden):
         golden.derivatives(5.0, 1)
     with pytest.raises(InputError):
         golden.derivatives(0.5, JET_BUDGET + 1)
+
+
+def test_negative_jet_orders_are_refused(golden):
+    # jet_eval already refused them; the curve paths raised IndexError
+    for call in (lambda: golden.derivatives(0.5, -1), lambda: golden.vec_jet(0.5, -1),
+                 lambda: golden.vec_jets(np.array([0.5]), -1)):
+        with pytest.raises(InputError, match="jet order -1 is negative"):
+            call()
+
+
+@pytest.mark.parametrize("check", [
+    lambda quintic, synth6: classify(quintic, grid=[]),
+    lambda quintic, synth6: require_family(quintic, grid=[]),
+    lambda quintic, synth6: bertrand_check(quintic, grid=[]),
+    lambda quintic, synth6: bertrand_mate(quintic, 1.0, grid=[]),
+    lambda quintic, synth6: cartan_frames(quintic, []),
+    lambda quintic, synth6: pseudo_spherical_test(synth6, grid=[]),
+    lambda quintic, synth6: evolute(synth6, grid=[]),
+    lambda quintic, synth6: involute_frame_check(synth6, []),
+], ids=["classify", "require_family", "bertrand_check", "bertrand_mate",
+        "cartan_frames", "pseudo_spherical_test", "evolute", "involute_frame_check"])
+def test_an_empty_grid_is_an_input_error(check, golden, synth6):
+    with pytest.raises(InputError, match="the parameter grid is empty"):
+        check(golden, synth6)
 
 
 def test_single_points_outside_the_domain_are_refused(golden):
