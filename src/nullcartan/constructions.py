@@ -370,9 +370,8 @@ class FrenetCurve(_BatchedCurve):
         coeffs[1:] /= np.arange(1, order + 1)[:, None, None]
         return VecJet(ts, coeffs)
 
-    def vec_jets(self, ts, order):
+    def _vec_jets(self, ts, order):
         """Vector jets on a grid; the state table serves only the domain."""
-        ts = np.asarray(ts, dtype=float)
         _check_in_domain(ts, self.domain)
         return self._chain_jets(ts, self._states_at(ts), order)
 
@@ -410,7 +409,7 @@ class OffsetCurve(_BatchedCurve):
         self.dimension = base.dimension
         self.domain = base.domain
 
-    def vec_jets(self, ts, order):
+    def _vec_jets(self, ts, order):
         A = self.base.vec_jets(ts, order + 3)
         a3 = A.differentiate().differentiate().differentiate()
         return A.truncate(order) + a3.scale(self.mu)
@@ -632,8 +631,7 @@ class EvoluteCurve(_BatchedCurve):
         self.dimension = 6
         self.domain = base.domain
 
-    def vec_jets(self, ts, order):
-        ts = np.asarray(ts, dtype=float)
+    def _vec_jets(self, ts, order):
         # W4 and k3 come out of frame_grid at order 2 + extra
         extra = max(0, order - 2)
         return _evolute_jets(frame_grid(self.base, ts, extra_order=extra), order)
@@ -729,8 +727,7 @@ class InvoluteCurve(_BatchedCurve):
             return self.arc_offset + np.asarray(t, dtype=float) - self.t0
         return self.arc_offset + self._arc.arc_length_of(t) - self._s0
 
-    def vec_jets(self, ts, order):
-        ts = np.asarray(ts, dtype=float)
+    def _vec_jets(self, ts, order):
         cj = self.base.vec_jets(ts, order + 1)
         cp = cj.differentiate()
         speed = self._metric.inner_jet(cp, cp).sqrt()

@@ -5,8 +5,10 @@ order)``: the vector jets (Taylor coefficients of the point and its first
 ``order`` derivatives) on a whole grid of parameters in one batched pass.
 That is the only contract the library relies on; its points are
 ``vec_jets(ts, 0).value``.  Every curve class here and in ``constructions``
-serves it.  ``vec_jets`` does not check the domain, so a construction may
-read its base a little outside it.  The single-point ``vec_jet(t, order)``,
+serves it through :class:`_BatchedCurve`, whose ``vec_jets`` refuses a
+negative order before the class's own ``_vec_jets`` runs.  ``vec_jets`` does
+not check the domain, so a construction may read its base a little outside
+it.  The single-point ``vec_jet(t, order)``,
 ``point(t)`` and ``derivatives(t, m)`` are written once, in
 :class:`_BatchedCurve`: the same evaluation on the one-point grid [t], refused
 for a t outside ``domain``.  ``classify`` checks membership in the
@@ -18,6 +20,7 @@ unit self-product.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass, replace
 from functools import cached_property
 
@@ -75,6 +78,11 @@ DEFAULT_CLASSIFY_POINTS = 17
 # grid points per batched pass when a table is built; bounds the size of the
 # intermediate jets, not the result
 TABLE_BLOCK = 256
+# table cells per Gauss-Kronrod panel of a CumulativeIntegral.  A 512-cell
+# table is 16 panels, 240 integrand values; on the evolute's arc length and
+# the pseudo-arc rate of a warped quintic it is at the roundoff floor, below
+# the error of the 1025-value composite Simpson table it replaced
+PANEL_CELLS = 32
 
 
 def chebyshev_grid(a, b, m):
@@ -82,11 +90,6 @@ def chebyshev_grid(a, b, m):
     k = np.arange(m)
     nodes = 0.5 * (a + b) + 0.5 * (b - a) * np.cos(np.pi * (2 * k + 1) / (2 * m))
     return np.sort(nodes)
-
-
-def _check_order(order):
-    if order < 0:
-        raise InputError(f"jet order {order} is negative")
 
 
 def _check_in_domain(t, domain):
@@ -141,13 +144,21 @@ def pointwise_order(fn, ts, block=None):
 
 
 class _BatchedCurve:
-    """Single-point surface of a curve whose jets come from ``vec_jets``:
-    each query is the batched evaluation on a one-point grid, and a t outside
-    ``domain`` raises InputError.  :meth:`derivatives` serves orders up to
-    ``JET_BUDGET``; consumers that need deeper jets use ``vec_jets``."""
+    """The curve protocol's one checked entry, ``vec_jets``, and the
+    single-point surface served from it.
+
+    ``vec_jets`` refuses a negative order and hands a float grid to the
+    class's own ``_vec_jets``.  Each single-point query is the batched
+    evaluation on a one-point grid, and a t outside ``domain`` raises
+    InputError.  :meth:`derivatives` serves orders up to ``JET_BUDGET``;
+    consumers that need deeper jets use ``vec_jets``."""
+
+    def vec_jets(self, ts, order):
+        if order < 0:
+            raise InputError(f"jet order {order} is negative")
+        return self._vec_jets(np.asarray(ts, dtype=float), order)
 
     def vec_jet(self, t, order):
-        _check_order(order)
         _check_in_domain(t, self.domain)
         return self.vec_jets(np.array([float(t)]), order).at(0)
 
@@ -221,12 +232,10 @@ class Curve(_BatchedCurve):
             return None
         return (c, r, table) if np.isfinite(table).all() else None
 
-    def vec_jets(self, ts, order):
+    def _vec_jets(self, ts, order):
         """Vector jets on a grid, from the fold when there is one; an
         evaluation error, or a component whose jet is not finite, names its
         component."""
-        _check_order(order)
-        ts = np.asarray(ts, dtype=float)
         try:
             if self._fold is None:
                 coeffs = np.stack(self._program.run(Jet.variable(ts, order).coeffs), axis=-1)
@@ -403,8 +412,7 @@ class SplineCurve(_BatchedCurve):
             values[j] = np.einsum("ir,ird->id", levels[k - j], self._coeffs[j][cols])
         return values
 
-    def vec_jets(self, ts, order):
-        ts = np.asarray(ts, dtype=float)
+    def _vec_jets(self, ts, order):
         values = self._derivative_values(ts, order)
         scale = np.array([1.0 / math.factorial(j) for j in range(order + 1)])
         return VecJet(ts, values * scale[:, None, None])
@@ -469,22 +477,53 @@ def require_family(curve, grid=None, tol=1e-9):
 # Pseudo-arc reparametrization
 # ---------------------------------------------------------------------------
 
+def _mirror(half, sign=1.0):
+    """Values of a symmetric rule on [-1, 1] at its nodes in ascending order,
+    from those at the nodes x >= 0 listed from x = 1 inward to x = 0."""
+    half = np.asarray(half)
+    return np.concatenate((sign * half[:-1], half[::-1]))
+
+
 class CumulativeIntegral:
     """Cumulative integral of a positive integrand on [a, b].
 
-    Composite Simpson on a uniform fine grid (each subinterval uses its
-    midpoint), with a 5-point Gauss-Legendre tail for off-node queries.  The
-    integrand ``f`` maps an array of parameters to an array of values; the
-    table is one call, at the nodes followed by the midpoints.  The primitive
-    is strictly increasing and ``f`` is its exact derivative, so inversion is
-    a Newton iteration safeguarded by the bracketing table cell.
+    The table splits [a, b] into ``max(1, intervals // PANEL_CELLS)`` equal
+    panels, 16 for the default 512, and integrates each with the 15-point
+    Kronrod rule (QUADPACK's qk15).  ``nodes`` are the panel edges and
+    ``cumulative`` the integral up to each.  The integrand ``f`` maps an
+    array of parameters to an array of values; the table is one call, at
+    ``sample_points`` (every panel's Kronrod nodes, ascending), which never
+    include a panel edge.  ``error_estimate`` bounds the error of every
+    table entry: the sum over panels of |K15 - G7|, with G7 the embedded
+    7-point Gauss rule, plus a roundoff term 50 eps times the integral of
+    |f|.  An off-node query adds the G7 rule from the panel edge below, so
+    its tail is bounded like the panel's G7 sum.  The primitive is strictly
+    increasing and ``f`` is its exact derivative, so inversion is a Newton
+    iteration safeguarded by the bracketing panel.
     """
 
-    _GL_NODES = np.array([-0.9061798459386640, -0.5384693101056831, 0.0,
-                          0.5384693101056831, 0.9061798459386640])
-    _GL_WEIGHTS = np.array([0.2369268850561891, 0.4786286704993665,
-                            0.5688888888888889, 0.4786286704993665,
-                            0.2369268850561891])
+    # the 7/15-point Gauss-Kronrod pair on [-1, 1] (QUADPACK's qk15), in
+    # ascending order; the Gauss nodes are the Kronrod nodes at odd indices
+    _KRONROD_NODES = _mirror([0.991455371120812639206854697526329,
+                              0.949107912342758524526189684047851,
+                              0.864864423359769072789712788640926,
+                              0.741531185599394439863864773280788,
+                              0.586087235467691130294144845693013,
+                              0.405845151377397166906606412076961,
+                              0.207784955007898467600689403773245, 0.0], sign=-1.0)
+    _KRONROD_WEIGHTS = _mirror([0.022935322010529224963732008058970,
+                                0.063092092629978553290700663189204,
+                                0.104790010322250183839876322541518,
+                                0.140653259715525918745189590510238,
+                                0.169004726639267902826583426598550,
+                                0.190350578064785409913256402421014,
+                                0.204432940075298892414161999234649,
+                                0.209482141084727828012999174891714])
+    _GAUSS_NODES = _KRONROD_NODES[1::2]
+    _GAUSS_WEIGHTS = _mirror([0.129484966168869693270611432679082,
+                              0.279705391489276667901467771423780,
+                              0.381830050505118944950369775488975,
+                              0.417959183673469387755102040816327])
     # stop when a step is below xtol + rtol |t|, the tolerances brentq used
     _NEWTON_XTOL = 1e-14
     _NEWTON_RTOL = 4 * np.finfo(float).eps
@@ -496,20 +535,27 @@ class CumulativeIntegral:
         self.f = f
         self.a = float(a)
         self.b = float(b)
-        points = self.sample_points(a, b, intervals)
-        values = np.asarray(f(points), dtype=float)
-        self.nodes = points[:intervals + 1]
-        h = self.nodes[1] - self.nodes[0]
-        ends, mids = values[:intervals + 1], values[intervals + 1:]
-        pieces = h / 6.0 * (ends[:-1] + 4.0 * mids + ends[1:])
-        self.cumulative = np.concatenate(([0.0], np.cumsum(pieces)))
+        self.nodes = self._edges(a, b, intervals)
+        half = 0.5 * np.diff(self.nodes)[:, None]
+        # f at each panel's Kronrod nodes, times the panel's half-width
+        values = np.asarray(f(self.sample_points(a, b, intervals)), dtype=float)
+        values = half * values.reshape(len(half), -1)
+        kronrod = values @ self._KRONROD_WEIGHTS
+        gauss = values[:, 1::2] @ self._GAUSS_WEIGHTS
+        self.cumulative = np.concatenate(([0.0], np.cumsum(kronrod)))
+        roundoff = 50.0 * np.finfo(float).eps * np.sum(np.abs(values) @ self._KRONROD_WEIGHTS)
+        self.error_estimate = float(np.sum(np.abs(kronrod - gauss)) + roundoff)
 
     @staticmethod
-    def sample_points(a, b, intervals):
-        """Table nodes followed by the subinterval midpoints."""
-        nodes = np.linspace(a, b, intervals + 1)
-        h = nodes[1] - nodes[0]
-        return np.concatenate((nodes, nodes[:-1] + h / 2))
+    def _edges(a, b, intervals):
+        return np.linspace(a, b, max(1, intervals // PANEL_CELLS) + 1)
+
+    @classmethod
+    def sample_points(cls, a, b, intervals):
+        """The Kronrod nodes of every panel, in ascending order."""
+        edges = cls._edges(a, b, intervals)
+        half = 0.5 * np.diff(edges)[:, None]
+        return (edges[:-1, None] + half + half * cls._KRONROD_NODES).ravel()
 
     def _integral_and_rate(self, t, with_rate):
         """Primitive at the array t (and, if asked, the integrand there),
@@ -520,15 +566,18 @@ class CumulativeIntegral:
         value = self.cumulative[i]
         off = np.flatnonzero(t != t0)
         half = 0.5 * (t[off] - t0[off])
-        queries = [((t0[off] + half)[:, None] + half[:, None] * self._GL_NODES).ravel()]
+        queries = [((t0[off] + half)[:, None] + half[:, None] * self._GAUSS_NODES).ravel()]
         if with_rate:
             queries.append(t)
         if len(off) or with_rate:
             f = np.asarray(self.f(np.concatenate(queries)), dtype=float)
+            m = self._GAUSS_NODES.size
+            tails = f[:m * len(off)].reshape(len(off), m)
             value = value.copy()
-            value[off] += half * np.sum(f[:5 * len(off)].reshape(-1, 5) * self._GL_WEIGHTS,
-                                        axis=1)
-            return value, f[5 * len(off):]
+            # a row sum, unlike a matrix product, does not depend on how many
+            # queries share the call, so a point reads the same in any batch
+            value[off] += half * np.sum(tails * self._GAUSS_WEIGHTS, axis=1)
+            return value, f[tails.size:]
         return value, None
 
     def __call__(self, t):
@@ -606,15 +655,19 @@ class _MonotoneReparamCurve(_BatchedCurve):
         self._metric = PseudoMetric(base.dimension)
         self.origin = float(base.domain[0]) if self._origin_from_domain else 0.0
         a, b = base.domain
-        self._table = CumulativeIntegral(self._rate, a, b, intervals)
+        # the table reaches the rate through a weak reference: a bound method
+        # would close the cycle self -> table -> self, which only the cycle
+        # collector frees, and this curve holds its base's arrays
+        rate = weakref.WeakMethod(self._rate)
+        self._table = CumulativeIntegral(lambda ts: rate()(ts), a, b, intervals)
         self.domain = (self.origin, self.origin + self._table.total)
 
     def _rate(self, ts):
         return self._rate_squares(ts) ** self._rate_power
 
     def _rate_squares(self, ts):
-        """Squared rate at an array of parameters (for a table, its nodes and
-        midpoints), taken in ascending parameter order, so a refusal raised
+        """Squared rate at an array of parameters (for a table, its sample
+        points), taken in ascending parameter order, so a refusal raised
         by ``_rate_square`` names the first refused point."""
         order = np.argsort(ts, kind="stable")
         sq = np.empty(len(ts))
@@ -633,8 +686,7 @@ class _MonotoneReparamCurve(_BatchedCurve):
     def parameter_of(self, s):
         return self._table.solve(np.asarray(s, dtype=float) - self.origin)
 
-    def vec_jets(self, ss, order):
-        ss = np.asarray(ss, dtype=float)
+    def _vec_jets(self, ss, order):
         ts = self.parameter_of(ss)
         g = self._rate_square_jet(ts, order + 1)
         rate = (g.log() * self._rate_power).exp()
@@ -726,8 +778,8 @@ class MappedCurve(_BatchedCurve):
         for s in self.domain:
             _check_in_domain(jet_eval(self.mapping, s, 0).value, base.domain)
 
-    def vec_jets(self, ss, order):
-        g = jet_eval(self.mapping, np.asarray(ss, dtype=float), order)
+    def _vec_jets(self, ss, order):
+        g = jet_eval(self.mapping, ss, order)
         return jet_compose(self.base.vec_jets(g.value, order), g)
 
 

@@ -5,6 +5,9 @@ and a grid with failing points must raise exactly what a loop over the grid
 would raise first.
 """
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
@@ -25,7 +28,7 @@ from nullcartan import (
     jet_eval,
     synthesize,
 )
-from nullcartan.constructions import InvoluteCurve
+from nullcartan.constructions import EvoluteCurve, InvoluteCurve
 from nullcartan.curve import CumulativeIntegral, pointwise_order
 from nullcartan.frame import frame_grid
 
@@ -189,12 +192,14 @@ def test_arc_length_table_reports_the_first_node_that_is_not_spacelike():
 
 
 def test_arc_length_table_reports_a_midpoint_before_a_later_node():
-    # <c', c'> = 1 - 36 s^2 <= 0 for s >= 1/6: on 8 intervals the midpoint
-    # 3/16 is the first refused point, ahead of the node 1/4
+    # <c', c'> = 1 - 36 s^2 <= 0 for s >= 1/6: 8 intervals are one panel on
+    # [0, 1], and its Kronrod-only node 0.5 - 0.5 * 0.5860872... (index 4)
+    # is the first refused point, ahead of the Gauss node at index 5
     curve = Curve.from_strings(["3*s^2", "0", "s", "0", "0"], domain=(0.0, 1.0))
     with pytest.raises(HypothesisError) as exc:
         InvoluteCurve(curve, 0.0, intervals=8)
-    assert exc.value.location == 0.1875
+    points = CumulativeIntegral.sample_points(0.0, 1.0, 8)
+    assert exc.value.location == points[4] == 0.20695638226615443
     assert exc.value.condition == "<c',c'> > 0"
 
 
@@ -247,7 +252,8 @@ def test_rate_is_evaluated_once_per_table_point(golden):
             return super()._rate_square(t)
 
     Counting(golden, intervals=64)
-    assert sum(seen) == 2 * 64 + 1
+    # 64 cells are two panels of 15 Kronrod nodes
+    assert sum(seen) == len(CumulativeIntegral.sample_points(*golden.domain, 64)) == 2 * 15
 
 
 def test_nonpositive_rate_names_the_worst_table_point():
@@ -255,4 +261,92 @@ def test_nonpositive_rate_names_the_worst_table_point():
     with pytest.raises(FamilyError) as exc:
         ReparametrizedCurve(curve, intervals=16)
     # <a''', a'''> = -1 everywhere: the first table point is the worst
-    assert "near t=0.0:" in str(exc.value)
+    first = CumulativeIntegral.sample_points(0.0, 1.0, 16)[0]
+    assert first == 0.5 - 0.5 * 0.991455371120812639
+    assert f"near t={first}:" in str(exc.value)
+
+
+# ---------------------------------------------------------------------------
+# Table accuracy and error estimate
+# ---------------------------------------------------------------------------
+
+def _exp_cos(fixtures, intervals):
+    table = CumulativeIntegral(lambda t: np.exp(t) * np.cos(3.0 * t) + 2.0, 0.0, 2.0,
+                               intervals)
+    return table, table
+
+
+def _warped_quintic(fixtures, intervals):
+    # the quintic is pseudo-arc, so the warp's pseudo-arc is u + c2 u^2 + c3 u^3
+    warped = fixtures["golden"].precompose("u + 0.1*u^2 + 0.05*u^3", parameter="u",
+                                           domain=(0.0, 1.0))
+    rep = ReparametrizedCurve(warped, intervals)
+    return rep.pseudo_arc_of, rep._table
+
+
+def _evolute(fixtures, intervals):
+    arc = ArcLengthCurve(EvoluteCurve(fixtures["synth6_evolute"]), intervals)
+    return arc.arc_length_of, arc._table
+
+
+def _helix(fixtures, intervals):
+    helix = Curve.from_strings(["0", "0", "cos(s)", "sin(s)", "s"], domain=(0.0, 2.0))
+    arc = ArcLengthCurve(helix, intervals)
+    return arc.arc_length_of, arc._table
+
+
+# (table, its closed form or None for the same table on 64x the cells, and
+# the error of the 512-cell composite Simpson table that these tables
+# replaced, measured the same way against the same reference)
+TABLE_CASES = {
+    "exp(t) cos(3t) + 2": (_exp_cos, lambda t: np.exp(t) * (np.cos(3.0 * t) + 3.0 * np.sin(
+        3.0 * t)) / 10.0 - 0.1 + 2.0 * t, 1.582e-11),
+    "warped quintic pseudo-arc": (_warped_quintic,
+                                  lambda u: u + 0.1 * u ** 2 + 0.05 * u ** 3, 1.554e-15),
+    "evolute of k3 = 1/(1 + t)": (_evolute, None, 2.265e-14),
+    "helix": (_helix, lambda t: np.sqrt(2.0) * t, 1.776e-14),
+}
+
+
+@pytest.mark.parametrize("name", TABLE_CASES)
+def test_tables_beat_simpson_and_stay_within_their_estimate(golden, synth6_evolute, name):
+    case, exact, simpson_error = TABLE_CASES[name]
+    fixtures = {"golden": golden, "synth6_evolute": synth6_evolute}
+    read, table = case(fixtures, 512)
+    # every edge of a 512-cell table, panel or Simpson, and 101 points between
+    ts = np.union1d(np.linspace(table.a, table.b, 101), np.linspace(table.a, table.b, 513))
+    want = exact(ts) if exact else case(fixtures, 64 * 512)[0](ts)
+    error = float(np.max(np.abs(read(ts) - want)))
+    assert error <= simpson_error
+    assert error <= table.error_estimate
+
+
+def test_one_panel_is_exact_through_degree_22():
+    # K15 integrates x^d exactly through d = 22 and G7 through d = 13, so up
+    # to 13 the estimate is the roundoff term alone, and from 14 it is larger
+    eps = np.finfo(float).eps
+    for d in range(23):
+        table = CumulativeIntegral(lambda t: t ** d, 0.0, 1.0, 1)
+        assert table.total == pytest.approx(1.0 / (d + 1), rel=4 * eps)
+        roundoff = 50.0 * eps * table.total
+        if d <= 13:
+            assert table.error_estimate == pytest.approx(roundoff, rel=1e-3)
+        else:
+            assert table.error_estimate > 2.0 * roundoff
+
+
+@pytest.mark.parametrize("kind", ["arc length", "involute"])
+def test_a_dropped_table_frees_its_curve_without_the_cycle_collector(kind):
+    # the table reaches its owner's rate through a weak reference: with the
+    # collector off, reference counting alone frees the curve and its base
+    base = synthesize(CurvatureProfile.from_strings(6, ["0.15", "-0.05", "1/(1 + t)"]),
+                      (-0.7, 1.2))
+    ref = weakref.ref(base)
+    evo = EvoluteCurve(base)
+    curve = ArcLengthCurve(evo) if kind == "arc length" else InvoluteCurve(evo, 0.0)
+    gc.disable()
+    try:
+        del base, evo, curve
+        assert ref() is None
+    finally:
+        gc.enable()

@@ -158,7 +158,8 @@ def test_pseudo_arc_rate_fails_a_nan(golden):
 
 def test_arc_length_rate_fails_a_nan():
     helix = Curve.from_strings(["0", "0", "cos(s)", "sin(s)", "s"], domain=(0.0, 2.0))
-    bad = CumulativeIntegral.sample_points(0.0, 2.0, 64)[70]  # a midpoint
+    # a Kronrod node of the second panel that its Gauss rule skips
+    bad = CumulativeIntegral.sample_points(0.0, 2.0, 64)[21]
     with pytest.raises(HypothesisError, match="not spacelike") as exc:
         ArcLengthCurve(Poisoned(helix, bad, [1]), intervals=64)
     assert exc.value.condition == "<c',c'> > 0"

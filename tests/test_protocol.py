@@ -92,6 +92,14 @@ def test_single_points_outside_the_domain_are_refused(protocol_curves, name):
                 query()
 
 
+@pytest.mark.parametrize("name", CLASSES)
+def test_negative_jet_orders_are_refused_on_a_grid(protocol_curves, name):
+    curve = protocol_curves[name]
+    a, b = curve.domain
+    with pytest.raises(InputError, match="jet order -1 is negative"):
+        curve.vec_jets(np.array([a, 0.5 * (a + b)]), -1)
+
+
 def test_derivatives_share_one_jet_budget(protocol_curves):
     for curve in protocol_curves.values():
         a, b = curve.domain
