@@ -6,12 +6,11 @@ order)``: the vector jets (Taylor coefficients of the point and its first
 That is the only contract the library relies on; its points are
 ``vec_jets(ts, 0).value``.  Every curve class here and in ``constructions``
 serves it through :class:`_BatchedCurve`, whose ``vec_jets`` refuses a
-negative order before the class's own ``_vec_jets`` runs.  ``vec_jets`` does
-not check the domain, so a construction may read its base a little outside
-it.  The single-point ``vec_jet(t, order)``,
-``point(t)`` and ``derivatives(t, m)`` are written once, in
-:class:`_BatchedCurve`: the same evaluation on the one-point grid [t], refused
-for a t outside ``domain``.  ``classify`` checks membership in the
+negative order, and a parameter outside ``domain`` or a NaN, before the
+class's own ``_vec_jets`` runs; it is the one place a curve parameter is
+checked.  The single-point ``vec_jet(t, order)``, ``point(t)`` and
+``derivatives(t, m)`` are written once, in :class:`_BatchedCurve`: the same
+evaluation on the one-point grid [t].  ``classify`` checks membership in the
 nullity-sequence family {0,1,2,2,1,0,...,0} on a grid, and
 ``pseudo_arc_reparam`` normalizes the parameter so the third derivative has
 unit self-product.
@@ -147,19 +146,20 @@ class _BatchedCurve:
     """The curve protocol's one checked entry, ``vec_jets``, and the
     single-point surface served from it.
 
-    ``vec_jets`` refuses a negative order and hands a float grid to the
-    class's own ``_vec_jets``.  Each single-point query is the batched
-    evaluation on a one-point grid, and a t outside ``domain`` raises
-    InputError.  :meth:`derivatives` serves orders up to ``JET_BUDGET``;
+    ``vec_jets`` refuses a negative order, and a parameter outside ``domain``
+    or a NaN, with InputError, then hands a float grid to the class's own
+    ``_vec_jets``.  Each single-point query is the batched evaluation on a
+    one-point grid.  :meth:`derivatives` serves orders up to ``JET_BUDGET``;
     consumers that need deeper jets use ``vec_jets``."""
 
     def vec_jets(self, ts, order):
         if order < 0:
             raise InputError(f"jet order {order} is negative")
-        return self._vec_jets(np.asarray(ts, dtype=float), order)
+        ts = np.asarray(ts, dtype=float)
+        _check_in_domain(ts, self.domain)
+        return self._vec_jets(ts, order)
 
     def vec_jet(self, t, order):
-        _check_in_domain(t, self.domain)
         return self.vec_jets(np.array([float(t)]), order).at(0)
 
     def point(self, t):
@@ -196,8 +196,8 @@ class Curve(_BatchedCurve):
         if len(self.components) != self.dimension:
             raise DimensionMismatchError(
                 f"{len(self.components)} components for dimension {self.dimension}")
-        if not self.domain[0] < self.domain[1]:
-            raise InputError("domain must be a nonempty interval [a, b] with a < b")
+        if not -math.inf < self.domain[0] < self.domain[1] < math.inf:
+            raise InputError("domain must be a finite interval [a, b] with a < b")
 
     @classmethod
     def from_strings(cls, components, parameter="s", domain=(0.0, 1.0)):
@@ -215,8 +215,9 @@ class Curve(_BatchedCurve):
         in x = (t - c)/r, c the midpoint and r the half-width of the domain,
         from one run of the program on the series [c, r, 0, ...].  None
         leaves every grid to the interpreter: the program is not such a
-        polynomial, that run raises, or the table is not finite, so
-        evaluation errors and non-finite jets stay the interpreter's own."""
+        polynomial, that run raises, or the table overflows or is not
+        finite, so evaluation errors and non-finite jets stay the
+        interpreter's own."""
         degree = self._program.degree
         if degree is None or degree > FOLD_DEGREE:
             return None
@@ -228,7 +229,7 @@ class Curve(_BatchedCurve):
         try:
             with np.errstate(all="ignore"):
                 table = _shift_table(np.stack(self._program.run(param), axis=-1), r)
-        except ExprEvaluationError:
+        except (ExprEvaluationError, OverflowError):
             return None
         return (c, r, table) if np.isfinite(table).all() else None
 
@@ -366,9 +367,8 @@ class SplineCurve(_BatchedCurve):
     samples, trimmed the same way), so a quintic on 129 samples has 135
     knots.  The coefficients solve the banded collocation system; the k-th
     derivative is the spline of degree ``order - k`` whose coefficients are
-    the k-th differences of these (de Boor, ch. X).  ``vec_jets`` outside
-    the grid extends the end polynomials; the single-point ``vec_jet``,
-    ``point`` and ``derivatives`` refuse a t outside it, as on every curve.
+    the k-th differences of these (de Boor, ch. X).  Its domain is the
+    sample grid: ``vec_jets`` refuses a t outside it, as on every curve.
     """
 
     def __init__(self, sampled, order=5):
@@ -443,7 +443,6 @@ def classify(curve, grid=None, tol=1e-9):
     if grid is None:
         grid = chebyshev_grid(curve.domain[0], curve.domain[1], DEFAULT_CLASSIFY_POINTS)
     grid = [float(t) for t in grid]
-    _check_in_domain(np.array(grid), curve.domain)
 
     def reports_on(ts):
         vj = curve.vec_jets(ts, n)

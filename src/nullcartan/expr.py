@@ -284,6 +284,12 @@ def _same_base(a, b):
     return np.shape(a) == np.shape(b) and bool(np.all(np.equal(a, b)))
 
 
+def _require_same_base(a, b):
+    """Refuse to combine two jets (scalar or vector) on different bases."""
+    if not _same_base(a.base, b.base):
+        raise ValueError("jet bases differ")
+
+
 def _batch_value(c0):
     return float(c0) if c0.ndim == 0 else c0.copy()
 
@@ -363,8 +369,7 @@ class Jet:
 
     def _coerce(self, other):
         if isinstance(other, Jet):
-            if not _same_base(other.base, self.base):
-                raise ValueError("jet bases differ")
+            _require_same_base(self, other)
             return other
         return Jet(self.base, _constant(float(other), self.coeffs))
 
@@ -482,6 +487,7 @@ class VecJet:
 
     ``coeffs[k]`` is the vector ``F^(k)(base)/k!``; row 0 is the value.  The
     shape is ``(K+1, n)`` at one base point and ``(K+1, m, n)`` on a grid.
+    As with :class:`Jet`, arithmetic between two jets requires a common base.
     """
 
     base: float | np.ndarray
@@ -511,6 +517,7 @@ class VecJet:
         return VecJet(self.base, self.coeffs[: order + 1])
 
     def _pair(self, other):
+        _require_same_base(self, other)
         K = min(self.order, other.order)
         return self.coeffs[: K + 1], other.coeffs[: K + 1]
 
@@ -529,10 +536,12 @@ class VecJet:
         """Multiply by a scalar jet (or plain number) coefficientwise."""
         if not isinstance(s, Jet):
             return VecJet(self.base, float(s) * self.coeffs)
+        _require_same_base(self, s)
         return VecJet(self.base, _scale(s.coeffs, self.coeffs))
 
     def weighted_inner(self, other, weights):
         """Jet of ``sum_i weights[i] * self_i(t) * other_i(t)``."""
+        _require_same_base(self, other)
         return Jet(self.base, _weighted_inner(self.coeffs, other.coeffs,
                                               np.asarray(weights)))
 

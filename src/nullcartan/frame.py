@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curve import _check_in_domain, pointwise_order
+from .curve import pointwise_order
 from .errors import (
     DegenerateBasisError,
     FamilyError,
@@ -235,19 +235,13 @@ def frame_jets(curve, t, extra_order=0):
 
 def cartan_frame_at(curve, t):
     """Frame vectors L1, L2, N1, N2, W3..W_{n-2} and curvatures k1..k_{n-3} at t."""
-    _check_in_domain(t, curve.domain)
     return frame_jets(curve, t).to_frame()
 
 
 def cartan_frames(curve, grid):
     """:func:`cartan_frame_at` on a grid as one batched :class:`FrameJets`,
     raising the error a loop over the grid would meet first."""
-
-    def frames(ts):
-        _check_in_domain(ts, curve.domain)
-        return frame_grid(curve, ts)
-
-    return pointwise_order(frames, grid)
+    return pointwise_order(lambda ts: frame_grid(curve, ts), grid)
 
 
 # ---------------------------------------------------------------------------

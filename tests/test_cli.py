@@ -88,6 +88,49 @@ def test_malformed_fields_exit_2_with_diagnostic(tmp_path, capsys, patch):
     assert diag["error"] == "InputError"
 
 
+@pytest.mark.parametrize("command, content", [
+    ("classify", None),
+    ("classify", b"\xff\xfe{}"),
+    ("classify", b'{"dimension": 5,'),
+    ("classify", b"[1, 2]"),
+    ("classify", json.dumps({"dimension": 5, "parameter": "s", "domain": [0, 1]}).encode()),
+    ("synthesize", json.dumps({"dimension": 6, "interval": [0, 1]}).encode()),
+], ids=["missing file", "not utf-8", "invalid json", "top-level array",
+        "no components", "profile without curvatures"])
+def test_malformed_files_exit_2_naming_the_file(tmp_path, capsys, command, content):
+    path = tmp_path / "spec.json"
+    if content is not None:
+        path.write_bytes(content)
+    code, out, err = run(capsys, command, str(path))
+    assert code == 2
+    assert out == ""
+    diag = json.loads(err.splitlines()[-1])
+    assert diag["category"] == "input"
+    assert diag["error"] == "InputError"
+    assert str(path) in diag["message"]
+
+
+@pytest.mark.parametrize("command", ["classify", "frame", "bertrand", "reparam"])
+def test_a_huge_or_non_finite_domain_ends_in_a_diagnostic(quintic_file, tmp_path, capsys,
+                                                          command):
+    spec = json.loads(Path(quintic_file).read_text())
+    f = tmp_path / "domain.json"
+    # [0, 1e62] overflows the fold's Taylor-shift table, so the program runs
+    # on the grid and its far-out jets fail a gate
+    f.write_text(json.dumps(spec | {"domain": [0, 1e62]}))
+    with np.errstate(all="ignore"):
+        code, _, err = run(capsys, command, str(f))
+    assert code in (3, 4)
+    assert json.loads(err.splitlines()[-1])["category"] in ("family", "numerical")
+    # [0, inf] is refused when the curve is built
+    f.write_text(json.dumps(spec | {"domain": [0, float("inf")]}))
+    code, _, err = run(capsys, command, str(f))
+    assert code == 2
+    diag = json.loads(err.splitlines()[-1])
+    assert diag["category"] == "input"
+    assert "domain must be a finite interval" in diag["message"]
+
+
 @pytest.mark.parametrize("patch", [
     {"dimension": 5.9},
     {"dimension": True},
@@ -304,6 +347,19 @@ def test_sphere_dimension_hypothesis_exit_code(quintic_file, capsys):
     code, _, err = run(capsys, "sphere", quintic_file)
     assert code == 3
     assert json.loads(err.splitlines()[-1])["category"] == "hypothesis"
+
+
+def test_bertrand_dimension_hypothesis_exit_code(profile6_file, tmp_path, capsys):
+    # cmd_bertrand reports a curved mate as a verdict, and re-raises every
+    # other hypothesis failure, here the dimension gate, as exit 3
+    synth6 = tmp_path / "synth6.json"
+    assert main(["synthesize", profile6_file, "--output", str(synth6)]) == 0
+    code, out, err = run(capsys, "bertrand", str(synth6))
+    assert code == 3
+    assert out == ""
+    diag = json.loads(err.splitlines()[-1])
+    assert diag["category"] == "hypothesis"
+    assert "dimension 5" in diag["message"]
 
 
 def test_evolute_dimension_hypothesis_exit_code(quintic_file, capsys):

@@ -17,6 +17,7 @@ import sympy
 from nullcartan import (
     Curve,
     CurvatureProfile,
+    DimensionMismatchError,
     EvoluteCurve,
     FrameState,
     HypothesisError,
@@ -360,6 +361,23 @@ def test_evolute_dimension_gate(golden):
     with pytest.raises(HypothesisError) as exc:
         evolute(golden, [0.1, 0.5])
     assert exc.value.condition == "dimension == 6"
+
+
+def test_theorems_refuse_the_wrong_dimension(golden, synth6):
+    with pytest.raises(HypothesisError) as exc:
+        bertrand_check(synth6)
+    assert exc.value.condition == "dimension == 5"
+    with pytest.raises(HypothesisError) as exc:
+        involute_frame_check(golden, [0.1, 0.5])
+    assert exc.value.condition == "dimension == 6"
+
+
+def test_profiles_and_initial_frames_must_fit_the_dimension():
+    with pytest.raises(DimensionMismatchError, match="dimension >= 5"):
+        CurvatureProfile.from_strings(4, ["1"])
+    profile6 = CurvatureProfile.from_strings(6, SYNTH_PROFILES[6])
+    with pytest.raises(DimensionMismatchError, match=r"must be \(7, 6\), got \(6, 5\)"):
+        synthesize(profile6, (0.0, 1.0), initial=standard_initial_frame(5))
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Curve model, classification and reparametrization tests."""
 
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -25,6 +26,8 @@ from nullcartan import (
     bertrand_mate,
     classify,
     evolute,
+    frenet_residuals,
+    involute,
     pseudo_arc_reparam,
     pseudo_spherical_test,
     require_family,
@@ -82,20 +85,63 @@ def test_negative_jet_orders_are_refused(golden):
             call()
 
 
-@pytest.mark.parametrize("check", [
-    lambda quintic, synth6: classify(quintic, grid=[]),
-    lambda quintic, synth6: require_family(quintic, grid=[]),
-    lambda quintic, synth6: bertrand_check(quintic, grid=[]),
-    lambda quintic, synth6: bertrand_mate(quintic, 1.0, grid=[]),
-    lambda quintic, synth6: cartan_frames(quintic, []),
-    lambda quintic, synth6: pseudo_spherical_test(synth6, grid=[]),
-    lambda quintic, synth6: evolute(synth6, grid=[]),
-    lambda quintic, synth6: involute_frame_check(synth6, []),
-], ids=["classify", "require_family", "bertrand_check", "bertrand_mate",
-        "cartan_frames", "pseudo_spherical_test", "evolute", "involute_frame_check"])
-def test_an_empty_grid_is_an_input_error(check, golden, synth6):
-    with pytest.raises(InputError, match="the parameter grid is empty"):
-        check(golden, synth6)
+# every public grid entry: the curve it reads, and the call on a grid
+GRID_ENTRIES = {
+    "classify": ("quintic", lambda c, grid: classify(c, grid=grid)),
+    "require_family": ("quintic", lambda c, grid: require_family(c, grid=grid)),
+    "bertrand_check": ("quintic", lambda c, grid: bertrand_check(c, grid=grid)),
+    "bertrand_mate": ("quintic", lambda c, grid: bertrand_mate(c, 1.0, grid=grid)),
+    "cartan_frames": ("quintic", cartan_frames),
+    "pseudo_spherical_test": ("synth6", lambda c, grid: pseudo_spherical_test(c, grid=grid)),
+    "evolute": ("synth6", lambda c, grid: evolute(c, grid=grid)),
+    "involute_frame_check": ("synth6", involute_frame_check),
+    "involute": ("helix", lambda c, grid: involute(c, 0.0, grid=grid)),
+    "frenet_residuals": ("quintic", frenet_residuals),
+}
+
+
+@pytest.fixture(scope="module")
+def grid_curves(golden, synth6):
+    helix = Curve.from_strings(["0", "0", "cos(s)", "sin(s)", "s"], domain=(0.0, 1.0))
+    return {"quintic": golden, "synth6": synth6, "helix": helix}
+
+
+@pytest.mark.parametrize("entry", list(GRID_ENTRIES))
+def test_an_empty_grid_is_an_input_error(entry, grid_curves):
+    name, call = GRID_ENTRIES[entry]
+    # frenet_residuals counts its grid before it reads a point
+    message = ("residual grid needs at least 7 points" if entry == "frenet_residuals"
+               else "the parameter grid is empty")
+    with pytest.raises(InputError, match=message):
+        call(grid_curves[name], [])
+
+
+@pytest.mark.parametrize("kind", ["outside", "nan"])
+@pytest.mark.parametrize("entry", list(GRID_ENTRIES))
+def test_a_grid_point_outside_the_domain_is_an_input_error(entry, kind, grid_curves):
+    # a uniform grid whose first six points are valid and whose last lies
+    # past the domain; the NaN case puts a NaN at the fourth point
+    name, call = GRID_ENTRIES[entry]
+    curve = grid_curves[name]
+    a, b = curve.domain
+    grid = np.linspace(a, b, 7) + 0.1 * (b - a)
+    if kind == "nan":
+        grid[3] = np.nan
+    message = f"parameter {grid[-1] if kind == 'outside' else 'nan'} outside domain"
+    if entry == "frenet_residuals" and kind == "nan":
+        message = "residual grid must be uniformly spaced"  # read before any point
+    with pytest.raises(InputError, match=re.escape(message)):
+        call(curve, grid)
+
+
+def test_classify_raises_the_first_failing_point_of_a_grid():
+    # the straight null line fails classification at 0.5 before the grid
+    # leaves its domain at 5.0, so that earlier error is the one raised
+    line = Curve.from_strings(["s", "0", "s", "0", "0"], domain=(0.0, 2.0))
+    with pytest.raises(ClassificationError, match="linearly dependent"):
+        classify(line, [0.5, 5.0])
+    with pytest.raises(InputError, match="parameter 5.0 outside domain"):
+        classify(line, [5.0, 0.5])
 
 
 def test_single_points_outside_the_domain_are_refused(golden):
@@ -103,8 +149,9 @@ def test_single_points_outside_the_domain_are_refused(golden):
         golden.point(5.0)
     with pytest.raises(InputError):
         golden.vec_jet(5.0, 0)
-    # a grid is not checked: constructions read their base past the domain
-    assert golden.vec_jets(np.array([5.0]), 0).value.shape == (1, 5)
+    # a grid is checked by the same rule: vec_jets is the one checked entry
+    with pytest.raises(InputError, match="parameter 5.0 outside domain"):
+        golden.vec_jets(np.array([0.5, 5.0]), 0)
 
 
 def test_non_finite_jet_names_its_component_at_the_first_grid_point():
@@ -313,10 +360,12 @@ def test_spline_refuses_single_points_outside_its_grid(golden):
         spline.point(1.15)
     with pytest.raises(InputError):
         spline.vec_jet(-0.15, 1)
-    # vec_jets extends the end polynomials, which reproduce the quintic
-    outside = np.array([-0.15, 1.15])
-    assert np.allclose(spline.vec_jets(outside, 0).value,
-                       golden.vec_jets(outside, 0).value, rtol=0, atol=1e-9)
+    with pytest.raises(InputError, match="parameter 1.15 outside domain"):
+        spline.vec_jets(np.array([-0.1, 1.15]), 0)
+    # the grid ends are served, by the end polynomials that reproduce the quintic
+    ends = np.array([-0.1, 1.1])
+    assert np.allclose(spline.vec_jets(ends, 0).value,
+                       golden.vec_jets(ends, 0).value, rtol=0, atol=1e-9)
 
 
 def test_spline_curve_tracks_samples(golden):

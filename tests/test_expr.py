@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nullcartan import ExprEvaluationError, ExprSyntaxError, Jet, jet_eval, parse
-from nullcartan.expr import jet_compose, jet_invert
+from nullcartan.expr import VecJet, jet_compose, jet_invert
 
 from conftest import (
     eval_longdouble,
@@ -218,6 +218,24 @@ def test_integer_power_matches_repeated_multiplication():
 def test_antiderivative_then_differentiate_round_trip():
     j = jet_eval(parse("sin(s)"), 0.9, 6)
     assert np.allclose(j.antiderivative(5.0).differentiate().coeffs, j.coeffs)
+
+
+def test_jets_on_different_bases_are_not_combined():
+    rng = np.random.default_rng(5)
+    scalar = [Jet(b, rng.normal(size=3)) for b in (0.1, 0.2)]
+    vector = [VecJet(b, rng.normal(size=(3, 5))) for b in (0.1, 0.2)]
+    grids = [VecJet(np.array(b), rng.normal(size=(3, 2, 5))) for b in ([0.1, 0.2], [0.1, 0.3])]
+    weights = np.array([1.0, 1.0, -1.0, -1.0, 1.0])
+    for call in (lambda: scalar[0] + scalar[1], lambda: vector[0] + vector[1],
+                 lambda: vector[0] - vector[1], lambda: vector[0].scale(scalar[1]),
+                 lambda: vector[0].weighted_inner(vector[1], weights),
+                 lambda: grids[0] + grids[1]):
+        with pytest.raises(ValueError, match="jet bases differ"):
+            call()
+    # the same base, as a copy of the same grid, is combined
+    same = VecJet(grids[0].base.copy(), grids[1].coeffs)
+    assert np.array_equal((grids[0] + same).coeffs, grids[0].coeffs + grids[1].coeffs)
+    assert vector[0].scale(scalar[0]).base == 0.1
 
 
 def test_compose_and_invert():

@@ -2,8 +2,8 @@
 
 Every curve class serves its single-point surface (``point``, ``vec_jet``,
 ``derivatives``) as the batched evaluation on a one-point grid, so the three
-must agree at every order, order 0 included, and all three refuse a point
-outside the domain.
+must agree at every order, order 0 included.  ``vec_jets`` refuses a point
+outside the domain, so all four refuse it.
 """
 
 import numpy as np
@@ -87,8 +87,9 @@ def test_single_points_outside_the_domain_are_refused(protocol_curves, name):
     a, b = curve.domain
     for t in (a - 0.25 * (b - a), b + 0.25 * (b - a)):
         for query in (lambda: curve.point(t), lambda: curve.vec_jet(t, 1),
-                      lambda: curve.derivatives(t, 1)):
-            with pytest.raises(InputError):
+                      lambda: curve.derivatives(t, 1),
+                      lambda: curve.vec_jets(np.array([t]), 1)):
+            with pytest.raises(InputError, match="outside domain"):
                 query()
 
 
