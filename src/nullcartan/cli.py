@@ -624,7 +624,10 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        # the grid gates refuse what a silenced overflow or NaN leaves behind,
+        # so stderr carries the JSON diagnostic alone
+        with np.errstate(all="ignore"):
+            return args.func(args)
     except _INPUT_ERRORS as exc:
         _diagnostic("input", exc)
         return 2

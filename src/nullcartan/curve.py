@@ -27,6 +27,7 @@ import numpy as np
 
 from .errors import (
     ClassificationError,
+    DegenerateBasisError,
     DimensionMismatchError,
     ExprEvaluationError,
     FamilyError,
@@ -98,6 +99,21 @@ def _check_in_domain(t, domain):
     ts = np.atleast_1d(t)
     require((a - slack <= ts) & (ts <= b + slack), lambda j: InputError(
         f"parameter {float(ts[j])} outside domain [{a}, {b}]"))
+
+
+def _derivative_rows(vj, n):
+    """alpha', ..., alpha^(n) off a batched jet of order >= n, shape (m, n, dim),
+    and their norms (m, n).  An infinite norm, a derivative that overflows
+    floating point, is a numerical failure at the first t with one; a NaN is
+    left to the gates that read the rows."""
+    factorials = np.array([math.factorial(k) for k in range(1, n + 1)], dtype=float)
+    derivs = (vj.coeffs[1:n + 1] * factorials[:, None, None]).swapaxes(0, 1).copy()
+    norms = np.linalg.norm(derivs, axis=-1)
+    overflow = np.isinf(norms)
+    require(~overflow.any(axis=1), lambda j: DegenerateBasisError(
+        f"|alpha^({int(overflow[j].argmax()) + 1})| overflows at t={vj.base[j]}: "
+        "the derivative system is too large for floating point"))
+    return derivs, norms
 
 
 # what a pointwise evaluation raises for a point: library errors plus the
@@ -445,9 +461,7 @@ def classify(curve, grid=None, tol=1e-9):
     grid = [float(t) for t in grid]
 
     def reports_on(ts):
-        vj = curve.vec_jets(ts, n)
-        derivs = np.stack([vj.derivative_value(k) for k in range(1, n + 1)], axis=1)
-        return metric.sequence_reports(derivs, tol)
+        return metric.sequence_reports(_derivative_rows(curve.vec_jets(ts, n), n)[0], tol)
 
     reports = pointwise_order(reports_on, grid)
     first = reports[0]

@@ -6,12 +6,14 @@ family membership, and numerical breakdowns (degenerate curvatures, step-size
 failures).  :func:`require` is the one rule by which a grid gate raises.
 """
 
+import numpy as np
+
 
 def require(ok, error):
     """Raise ``error(j)`` at the first index j where the bool array ``ok`` is
     False.  Every grid gate raises through here, stating the condition that
     must hold (``np.abs(v) <= limit``, ``sq > 0.0``), so a NaN fails it."""
-    if not ok.all():
+    if np.count_nonzero(ok) < ok.size:
         raise error(int(ok.argmin()))
 
 
@@ -65,7 +67,8 @@ class ClassificationError(NullCartanError):
 
 
 class DegenerateBasisError(NullCartanError):
-    """Determinant-based test was ambiguous or the system rank-deficient."""
+    """Determinant-based test was ambiguous, the system rank-deficient, or a
+    derivative too large for floating point."""
 
 
 class FamilyError(NullCartanError):

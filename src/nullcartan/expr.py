@@ -90,8 +90,9 @@ def _antidiagonal_sum(size):
 
 def _toeplitz(a):
     """``T[k, j] = a[k - j]`` for ``j <= k`` and 0 above; trailing axes kept."""
-    padded = np.concatenate((a, np.zeros((1,) + a.shape[1:])))
-    return padded[_toeplitz_index(len(a))]
+    padded = np.zeros((len(a) + 1,) + a.shape[1:])
+    padded[:-1] = a
+    return padded.take(_toeplitz_index(len(a)), axis=0)
 
 
 def _mul(a, b):
@@ -188,9 +189,17 @@ def _pow(a, p):
     return _constant(1.0, a) if result is None else result
 
 
+@lru_cache(maxsize=256)
+def _orders(size, ndim):
+    """Read-only column 0, 1, ..., size-1 along axis 0 of an ndim-array."""
+    column = np.arange(size, dtype=float).reshape((-1,) + (1,) * (ndim - 1))
+    column.flags.writeable = False
+    return column
+
+
 def _weighted(f):
     """Rows ``j * f_j`` (the series of t f'(t) shifted), for the ODE recurrences."""
-    return f * np.arange(len(f)).reshape((-1,) + (1,) * (f.ndim - 1))
+    return f * _orders(len(f), f.ndim)
 
 
 def _sqrt(f):
@@ -286,7 +295,7 @@ def _same_base(a, b):
 
 def _require_same_base(a, b):
     """Refuse to combine two jets (scalar or vector) on different bases."""
-    if not _same_base(a.base, b.base):
+    if a.base is not b.base and not _same_base(a.base, b.base):
         raise ValueError("jet bases differ")
 
 

@@ -1,27 +1,31 @@
 """Cartan frame extraction and Frenet-system residual verification.
 
 :func:`frenet_system` states the Frenet equations of a pseudo-arc-parametrized
-curve in the family {0,1,2,2,1,0,...,0} once; extraction, the residual report
-and the synthesizer (``constructions``) read them off it.  Extraction walks
-the rows from L1 = alpha': a row's derivative minus its known terms is its new
-vector times its curvature.  The normalizations <L1,N1> = 1, <L2,N2> = -1,
-null N1/N2 and orthonormal W's fix k1 = <W3',W3'>/2, k2 = (<N2',N2'> - k1^2)/2
-and ki = |vi| (i >= 3), vi being what is left of the row.  What is left of the
-last row is the closure residual.  All frame derivatives ride on jets of the
-curve one order higher than the vectors they feed, never on numeric
-differencing.  Normalizer curvatures come out positive, which automatically
-matches the orientation of (L1,L2,W3,N2,N1,W4,...) to that of
-(alpha',...,alpha^(n)); the orientation is still checked and an ambiguous
-determinant fails loudly.
+curve in the family {0,1,2,2,1,0,...,0} once, as a table built once per n;
+extraction, the residual report and the synthesizer (``constructions``) read
+them off it.  Extraction walks the rows from L1 = alpha': a row's derivative
+minus its known terms is its new vector times its curvature.  The
+normalizations <L1,N1> = 1, <L2,N2> = -1, null N1/N2 and orthonormal W's fix
+k1 = <W3',W3'>/2, k2 = (<N2',N2'> - k1^2)/2 and ki = |vi| (i >= 3), vi being
+what is left of the row.  What is left of the last row is the closure
+residual.  All frame derivatives ride on jets of the curve one order higher
+than the vectors they feed, never on numeric differencing.  Normalizer
+curvatures come out positive, which automatically matches the orientation of
+(L1,L2,W3,N2,N1,W4,...) to that of (alpha',...,alpha^(n)); the orientation is
+still checked and an ambiguous determinant fails loudly.
+
+:func:`frame_grid` is the one extraction path.  The single-point
+:func:`cartan_frame_at` reads index 0 of the one-point ``frame_grid``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .curve import pointwise_order
+from .curve import _derivative_rows, pointwise_order
 from .errors import (
     DegenerateBasisError,
     FamilyError,
@@ -50,10 +54,15 @@ __all__ = [
 NULL_CHAIN_GATE = 1e-6
 PSEUDO_ARC_GATE = 1e-6
 CURVATURE_FLOOR = 1e-10
+# the null-chain identities of the family gates and their Gram entries
+_NULL_CHAIN = ("<a',a'>", "<a',a''>", "<a'',a''>", "<a',a'''>", "<a'',a'''>")
+_NULL_CHAIN_ROWS, _NULL_CHAIN_COLS = np.array([0, 0, 1, 0, 1]), np.array([0, 1, 1, 2, 2])
 
 
+@lru_cache(maxsize=32)
 def frenet_system(n):
-    """The Frenet equations in dimension n as ``[(row, terms), ...]``.
+    """The Frenet equations in dimension n as ``((row, terms), ...)``, built
+    once per n.
 
     ``terms`` is ``((target, c, sign), ...)``: row' is the sum of
     sign * k_c * target, where k_0 = 1.  Rows come in the order alpha, L1,
@@ -73,7 +82,7 @@ def frenet_system(n):
     for j, row in enumerate(chain):
         ahead = ((chain[j + 1], j + 3, 1),) if j + 1 < len(chain) else ()
         system.append((row, (back[j],) + ahead))
-    return system
+    return tuple(system)
 
 
 def frame_rows(n):
@@ -140,18 +149,17 @@ class FrameJets:
             self.closure_residual, self.orientation)
 
 
-def _family_gates(metric, D, ts):
+def _family_gates(metric, D, scale, ts):
     """Local evidence that the curve is a pseudo-arc family member on the grid
-    ``ts``, read off the Gram of its first three derivatives ``D`` (m, 3, n)."""
-    scale = 1.0 + np.max(np.linalg.norm(D, axis=-1), axis=1)
+    ``ts``, read off the Gram of its first three derivatives ``D`` (m, 3, n)
+    against ``scale``, one plus their largest norm at each point."""
     gate = scale * scale
     G = metric.gram(D)
     # identity by identity, then point by point, as a loop would check them
-    names = ("<a',a'>", "<a',a''>", "<a'',a''>", "<a',a'''>", "<a'',a'''>")
-    vals = np.stack([G[:, 0, 0], G[:, 0, 1], G[:, 1, 1], G[:, 0, 2], G[:, 1, 2]])
+    vals = G[:, _NULL_CHAIN_ROWS, _NULL_CHAIN_COLS].T
     m = len(ts)
     require((np.abs(vals) <= NULL_CHAIN_GATE * gate).ravel(), lambda j: FamilyError(
-        f"null-chain identity {names[j // m]} = {vals.flat[j]:.3e} violated at "
+        f"null-chain identity {_NULL_CHAIN[j // m]} = {vals.flat[j]:.3e} violated at "
         f"t={ts[j % m]}; curve is not in the supported family"))
     w3 = G[:, 2, 2]
     require(np.abs(w3 - 1.0) <= PSEUDO_ARC_GATE * gate, lambda j: FamilyError(
@@ -171,13 +179,10 @@ def frame_grid(curve, ts, extra_order=0):
     ts = np.asarray(ts, dtype=float)
     n = curve.dimension
     metric = PseudoMetric(n)
-    K = n + 2 + extra_order
-    A = curve.vec_jets(ts, K)
-    derivs = np.stack([A.derivative_value(k) for k in range(1, n + 1)], axis=1)
-    _family_gates(metric, derivs[:, :3], A.base)
-
-    scale = 1.0 + np.max(np.linalg.norm(derivs, axis=-1), axis=1)
-    floor = CURVATURE_FLOOR * scale
+    A = curve.vec_jets(ts, n + 2 + extra_order)
+    derivs, norms = _derivative_rows(A, n)
+    _family_gates(metric, derivs[:, :3], 1.0 + norms[:, :3].max(axis=1), A.base)
+    floor = CURVATURE_FLOOR * (1.0 + norms.max(axis=1))
 
     system = frenet_system(n)
     vectors = {"alpha": A}
@@ -196,7 +201,7 @@ def frame_grid(curve, ts, extra_order=0):
                 term = vectors[target] if c == 0 else vectors[target].scale(k[c])
                 v = v - term if sign > 0 else v + term
         if new is None:  # the last row: what is left is the closure residual
-            closure_residual = np.linalg.norm(v.value, axis=-1)
+            closure_residual = np.linalg.norm(v.coeffs[0], axis=-1)
             break
         target, c = new
         if c:
@@ -210,10 +215,10 @@ def frame_grid(curve, ts, extra_order=0):
             v = v.scale(1.0 / k[c])
         vectors[target] = v
 
-    basis = np.stack([vectors[row].value for row, _ in system[1:]], axis=1)
+    basis = np.stack([vectors[row].coeffs[0] for row, _ in system[1:]], axis=1)
     # one determinant pass; the frame bases come first, as their errors do
-    sign_frame, sign_derivs = np.split(
-        metric.orientation_signs(np.concatenate([basis, derivs])), 2)
+    signs = metric.orientation_signs(np.concatenate([basis, derivs]))
+    sign_frame, sign_derivs = signs[:len(ts)], signs[len(ts):]
     require(sign_frame == sign_derivs, lambda j: DegenerateBasisError(
         f"frame orientation {sign_frame[j]} disagrees with the derivative "
         f"basis orientation {sign_derivs[j]} at t={ts[j]}"))
@@ -234,8 +239,13 @@ def frame_jets(curve, t, extra_order=0):
 
 
 def cartan_frame_at(curve, t):
-    """Frame vectors L1, L2, N1, N2, W3..W_{n-2} and curvatures k1..k_{n-3} at t."""
-    return frame_jets(curve, t).to_frame()
+    """Frame vectors L1, L2, N1, N2, W3..W_{n-2} and curvatures k1..k_{n-3} at
+    t: index 0 of :func:`frame_grid` on the one-point grid [t]."""
+    f = frame_grid(curve, np.array([float(t)]))
+    vectors = [v.coeffs[0, 0].copy() for v in (f.L1, f.L2, f.N1, f.N2, *f.W)]
+    return CartanFrame(float(t), *vectors[:4], tuple(vectors[4:]),
+                       tuple(float(k.coeffs[0, 0]) for k in f.curvatures),
+                       float(f.closure_residual[0]), int(f.orientation[0]))
 
 
 def cartan_frames(curve, grid):

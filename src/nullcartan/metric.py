@@ -196,7 +196,7 @@ class PseudoMetric:
         the first ambiguous basis in the stack, or one whose determinant is
         NaN, raises DegenerateBasisError."""
         M, zero_rows = _unit_rows(np.asarray(bases, dtype=float))
-        zero, det = np.any(zero_rows, axis=-1), np.linalg.det(M)
+        zero, det = zero_rows.any(axis=-1), np.linalg.det(M)
         require(~zero & (np.abs(det) >= 1e-12), lambda j: DegenerateBasisError(
             "zero vector in basis" if zero[j] else
             f"orientation ambiguous: normalized determinant {det[j]:.3e}"))

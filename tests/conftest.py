@@ -14,7 +14,21 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from nullcartan import CurvatureProfile, FrameState, standard_initial_frame, synthesize
+from nullcartan import (
+    ArcLengthCurve,
+    CurvatureProfile,
+    Curve,
+    EvoluteCurve,
+    FrameState,
+    InvoluteCurve,
+    MappedCurve,
+    OffsetCurve,
+    ReparametrizedCurve,
+    SampledCurve,
+    SplineCurve,
+    standard_initial_frame,
+    synthesize,
+)
 from nullcartan.bundled import null_quintic_curve
 from nullcartan.expr import BinOp, Call, IntPow, Neg, Num, Param
 
@@ -100,6 +114,41 @@ def synth6_evolute():
     """n=6 with k3 = 1/(1+t): (1/k3)' = 1, the evolute fixture."""
     profile = CurvatureProfile.from_strings(6, ["0.15", "-0.05", "1/(1 + t)"])
     return synthesize(profile, (-0.7, 1.2))
+
+
+# ---------------------------------------------------------------------------
+# One curve of every class the curve protocol serves
+# ---------------------------------------------------------------------------
+
+# spacelike curves in the positive block (an ellipse and a helix)
+ELLIPSE = ["0", "0", "2*cos(s)", "sin(s)", "0"]
+HELIX = ["0", "0", "cos(s)", "sin(s)", "s"]
+
+PROTOCOL_CLASSES = ["Curve", "SplineCurve", "FrenetCurve", "OffsetCurve", "EvoluteCurve",
+                    "InvoluteCurve", "ReparametrizedCurve", "ArcLengthCurve", "MappedCurve"]
+
+
+def warped_quintic(golden):
+    """The quintic precomposed with u + 0.1 u^2: not pseudo-arc parametrized."""
+    return golden.precompose("u + 0.1*u^2", parameter="u", domain=(0.0, 1.0))
+
+
+@pytest.fixture(scope="session")
+def protocol_curves(golden, synth6, synth6_evolute):
+    """One curve of each of PROTOCOL_CLASSES, by class name."""
+    grid = np.linspace(*golden.domain, 65)
+    curves = [
+        golden,
+        SplineCurve(SampledCurve(grid, golden.vec_jets(grid, 0).value)),
+        synth6,
+        OffsetCurve(golden, 0.7),
+        EvoluteCurve(synth6_evolute),
+        InvoluteCurve(Curve.from_strings(HELIX, domain=(0.0, 2.0)), 0.3),
+        ReparametrizedCurve(warped_quintic(golden)),
+        ArcLengthCurve(Curve.from_strings(ELLIPSE, domain=(0.0, 1.5))),
+        MappedCurve(golden, "2*u", (0.0, 0.6), parameter="u"),
+    ]
+    return {type(c).__name__: c for c in curves}
 
 
 def random_isometry(n, rng):

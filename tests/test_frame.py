@@ -5,6 +5,8 @@ the extracted frame is substituted back into the Frenet equations with jet
 derivatives at random parameters of synthesized curves of three dimensions.
 """
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -15,6 +17,7 @@ from nullcartan import (
     FamilyError,
     FrameDegeneracyError,
     InputError,
+    NullCartanError,
     PseudoMetric,
     cartan_frame_at,
     classify,
@@ -22,9 +25,11 @@ from nullcartan import (
     frenet_residuals,
     synthesize,
 )
-from nullcartan.frame import cartan_frames, frame_grid
+from nullcartan.constructions import _frenet_couplings
+from nullcartan.frame import cartan_frames, frame_grid, frame_rows, frenet_system
 
 from conftest import (
+    PROTOCOL_CLASSES,
     SYNTH_PROFILES,
     golden_L1,
     golden_L2,
@@ -229,6 +234,93 @@ def test_frame_extraction_takes_one_determinant_pass(synth6, monkeypatch):
     frame_grid(synth6, np.linspace(0.1, 0.9, 5))
     # the frame bases and the derivative bases, stacked
     assert shapes == [(10, 6, 6)]
+
+
+# the protocol classes whose curves in ``protocol_curves`` are in the family
+FRAMED = {"Curve", "FrenetCurve", "OffsetCurve", "ReparametrizedCurve"}
+# classes there whose jets on a one-point grid differ in the last bits from
+# their row of a longer grid: the reparametrized warped quintic runs the
+# interpreter, whose Cauchy products (einsum) sum in an order that depends on
+# the length of the grid
+ROUNDOFF_JETS = {"ReparametrizedCurve"}
+
+
+@pytest.mark.parametrize("name", PROTOCOL_CLASSES)
+def test_a_single_frame_is_its_row_of_the_batched_frames(protocol_curves, name):
+    # one extraction path: cartan_frame_at reads index 0 of the one-point
+    # frame_grid, so on the same jets it is the batch's row bit for bit
+    curve = protocol_curves[name]
+    a, b = curve.domain
+    grid = a + (b - a) * np.array([0.1, 0.37, 0.62, 0.9])
+    try:
+        frames = cartan_frames(curve, grid)
+    except NullCartanError as exc:
+        # outside the family every point fails, and the single point meets
+        # the batch's error at its first point
+        assert name not in FRAMED
+        with pytest.raises(type(exc), match=re.escape(str(exc))):
+            cartan_frame_at(curve, grid[0])
+        return
+    assert name in FRAMED
+    order = curve.dimension + 2
+    jets = curve.vec_jets(grid, order).coeffs
+    same_jets = all(np.array_equal(curve.vec_jets(grid[i:i + 1], order).coeffs[:, 0], jets[:, i])
+                    for i in range(len(grid)))
+    assert same_jets or name in ROUNDOFF_JETS
+    if same_jets:
+        equal = np.array_equal
+    else:
+        def equal(x, y):
+            return np.allclose(x, y, rtol=1e-12, atol=1e-12)
+    rows = frames.to_frame()
+    for i, t in enumerate(grid):
+        f = cartan_frame_at(curve, t)
+        assert type(f.t) is float and f.t == t
+        got, want = (f.L1, f.L2, f.N1, f.N2, *f.W), (rows.L1, rows.L2, rows.N1, rows.N2, *rows.W)
+        assert len(got) == len(want)
+        assert all(equal(g, w[i]) for g, w in zip(got, want))
+        assert all(type(k) is float for k in f.curvatures)
+        assert equal(np.array(f.curvatures), np.array([k[i] for k in rows.curvatures]))
+        assert type(f.closure_residual) is float
+        assert type(f.orientation) is int and f.orientation == rows.orientation[i]
+    # a returned vector changed in place does not change the next call
+    first = cartan_frame_at(curve, grid[0])
+    vectors = (first.L1, first.L2, first.N1, first.N2, *first.W)
+    kept = [v.copy() for v in vectors]
+    for v in vectors:
+        v[:] = np.nan
+    again = cartan_frame_at(curve, grid[0])
+    assert all(np.array_equal(g, w)
+               for g, w in zip((again.L1, again.L2, again.N1, again.N2, *again.W), kept))
+
+
+def test_frenet_system_is_built_once_immutable_and_bounded():
+    system = frenet_system(6)
+    assert system is frenet_system(6)
+    # tuples all the way down: no caller can change what the next one reads
+    assert isinstance(system, tuple)
+    for row, terms in system:
+        assert isinstance(terms, tuple) and all(isinstance(term, tuple) for term in terms)
+    with pytest.raises(TypeError):
+        system[0] = ("alpha", ())
+    maxsize = frenet_system.cache_info().maxsize
+    assert maxsize is not None and maxsize > 0
+    # the readers see the rows they read before the cache: extraction, the
+    # report columns (frame_rows), the state layout of the synthesizer and,
+    # in test_residual_labels_per_dimension, the residual labels
+    assert frenet_system(7) == (
+        ("alpha", (("L1", 0, 1),)), ("L1", (("L2", 0, 1),)), ("L2", (("W3", 0, 1),)),
+        ("W3", (("L2", 1, -1), ("N2", 0, 1))),
+        ("N2", (("L1", 2, 1), ("N1", 0, 1), ("W3", 1, -1))),
+        ("N1", (("L2", 2, 1), ("W4", 3, 1))), ("W4", (("L1", 3, -1), ("W5", 4, 1))),
+        ("W5", (("W4", 4, -1),)))
+    assert frame_rows(5) == ["L1", "L2", "W3", "N2", "N1"]
+    assert frame_rows(8) == ["L1", "L2", "W3", "N2", "N1", "W4", "W5", "W6"]
+    P = _frenet_couplings(7)
+    assert [(int(c), int(i), int(j), int(P[c, i, j])) for c, i, j in zip(*np.nonzero(P))] == [
+        (0, 0, 1, 1), (0, 1, 2, 1), (0, 2, 5, 1), (0, 4, 3, 1), (0, 5, 4, 1), (1, 4, 5, -1),
+        (1, 5, 2, -1), (2, 3, 2, 1), (2, 4, 1, 1), (3, 3, 6, 1), (3, 6, 1, -1), (4, 6, 7, 1),
+        (4, 7, 6, -1)]
 
 
 # ---------------------------------------------------------------------------

@@ -13,56 +13,19 @@ from nullcartan import (
     ArcLengthCurve,
     CurvatureProfile,
     Curve,
-    EvoluteCurve,
     InputError,
-    InvoluteCurve,
     MappedCurve,
-    OffsetCurve,
     ReparametrizedCurve,
-    SampledCurve,
-    SplineCurve,
     frenet_residuals,
     pseudo_spherical_test,
     synthesize,
 )
 from nullcartan.curve import JET_BUDGET
 
-# spacelike curves in the positive block (an ellipse and a helix)
-ELLIPSE = ["0", "0", "2*cos(s)", "sin(s)", "0"]
-HELIX = ["0", "0", "cos(s)", "sin(s)", "s"]
-
-
-def _warped(golden):
-    return golden.precompose("u + 0.1*u^2", parameter="u", domain=(0.0, 1.0))
-
-
-def _spline(golden):
-    grid = np.linspace(*golden.domain, 65)
-    return SplineCurve(SampledCurve(grid, golden.vec_jets(grid, 0).value))
-
-
-CLASSES = ["Curve", "SplineCurve", "FrenetCurve", "OffsetCurve", "EvoluteCurve",
-           "InvoluteCurve", "ReparametrizedCurve", "ArcLengthCurve", "MappedCurve"]
-
-
-@pytest.fixture(scope="module")
-def protocol_curves(golden, synth6, synth6_evolute):
-    curves = [
-        golden,
-        _spline(golden),
-        synth6,
-        OffsetCurve(golden, 0.7),
-        EvoluteCurve(synth6_evolute),
-        InvoluteCurve(Curve.from_strings(HELIX, domain=(0.0, 2.0)), 0.3),
-        ReparametrizedCurve(_warped(golden)),
-        ArcLengthCurve(Curve.from_strings(ELLIPSE, domain=(0.0, 1.5))),
-        MappedCurve(golden, "2*u", (0.0, 0.6), parameter="u"),
-    ]
-    return {type(c).__name__: c for c in curves}
-
+from conftest import ELLIPSE, PROTOCOL_CLASSES, warped_quintic
 
 @pytest.mark.parametrize("order", [0, 1, 2, 3])
-@pytest.mark.parametrize("name", CLASSES)
+@pytest.mark.parametrize("name", PROTOCOL_CLASSES)
 def test_single_point_surface_is_the_batched_evaluation(protocol_curves, name, order):
     curve = protocol_curves[name]
     a, b = curve.domain
@@ -81,7 +44,7 @@ def test_single_point_surface_is_the_batched_evaluation(protocol_curves, name, o
         assert np.allclose(d, single.derivative_value(k), rtol=1e-13, atol=1e-15)
 
 
-@pytest.mark.parametrize("name", CLASSES)
+@pytest.mark.parametrize("name", PROTOCOL_CLASSES)
 def test_single_points_outside_the_domain_are_refused(protocol_curves, name):
     curve = protocol_curves[name]
     a, b = curve.domain
@@ -93,7 +56,7 @@ def test_single_points_outside_the_domain_are_refused(protocol_curves, name):
                 query()
 
 
-@pytest.mark.parametrize("name", CLASSES)
+@pytest.mark.parametrize("name", PROTOCOL_CLASSES)
 def test_negative_jet_orders_are_refused_on_a_grid(protocol_curves, name):
     curve = protocol_curves[name]
     a, b = curve.domain
@@ -111,7 +74,7 @@ def test_derivatives_share_one_jet_budget(protocol_curves):
 @pytest.mark.parametrize("kind", ["pseudo-arc", "arc length"])
 def test_monotone_reparametrizations_serve_order_zero(golden, kind):
     if kind == "pseudo-arc":
-        base = _warped(golden)
+        base = warped_quintic(golden)
         curve = ReparametrizedCurve(base)
     else:
         base = Curve.from_strings(ELLIPSE, domain=(0.0, 1.5))
@@ -127,7 +90,7 @@ def test_monotone_reparametrizations_serve_order_zero(golden, kind):
 def test_frenet_residuals_on_a_reparametrized_curve(golden):
     # the quintic is pseudo-arc, so the warped curve's pseudo-arc view is the
     # quintic again: the residuals match the quintic's on the same grid
-    rep = ReparametrizedCurve(_warped(golden))
+    rep = ReparametrizedCurve(warped_quintic(golden))
     grid = np.linspace(0.05, 1.05, 17)
     got = frenet_residuals(rep, grid)
     want = frenet_residuals(golden, grid)
