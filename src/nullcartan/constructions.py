@@ -824,7 +824,7 @@ def involute_frame_check(curve, grid):
     null_defect = float(np.max(np.abs(metric.inner(i1, i1))))
     third_defect = float(np.max(np.abs(metric.inner(i3, i3) - s * s * eta_sq)))
 
-    rep = ReparametrizedCurve(inv, intervals=192)
+    rep = ReparametrizedCurve(inv)
 
     def framed(ts):
         fj = frame_grid(rep, rep.pseudo_arc_of(ts))

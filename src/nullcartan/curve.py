@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 import weakref
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -90,6 +90,11 @@ def chebyshev_grid(a, b, m):
     k = np.arange(m)
     nodes = 0.5 * (a + b) + 0.5 * (b - a) * np.cos(np.pi * (2 * k + 1) / (2 * m))
     return np.sort(nodes)
+
+
+def _check_interval(domain):
+    if not -math.inf < domain[0] < domain[1] < math.inf:
+        raise InputError("domain must be a finite interval [a, b] with a < b")
 
 
 def _check_in_domain(t, domain):
@@ -212,8 +217,7 @@ class Curve(_BatchedCurve):
         if len(self.components) != self.dimension:
             raise DimensionMismatchError(
                 f"{len(self.components)} components for dimension {self.dimension}")
-        if not -math.inf < self.domain[0] < self.domain[1] < math.inf:
-            raise InputError("domain must be a finite interval [a, b] with a < b")
+        _check_interval(self.domain)
 
     @classmethod
     def from_strings(cls, components, parameter="s", domain=(0.0, 1.0)):
@@ -275,12 +279,11 @@ class Curve(_BatchedCurve):
     vec_jet = _BatchedCurve.vec_jet
 
     def precompose(self, inner, parameter="u", domain=None):
-        """The curve t -> alpha(phi(t)) for a reparametrizing expression phi."""
-        if isinstance(inner, str):
-            inner = parse(inner, parameter)
-        comps = tuple(c.substitute(inner) for c in self.components)
-        return replace(self, components=comps, parameter=parameter,
-                       domain=tuple(domain) if domain else self.domain)
+        """The curve u -> alpha(phi(u)) for a reparametrizing expression phi,
+        on ``domain`` (default: this curve's).  It is a :class:`MappedCurve`,
+        so its jets are this curve's composed with phi's, and it refuses a
+        map that leaves this curve's domain."""
+        return MappedCurve(self, inner, domain or self.domain, parameter)
 
 
 def _read_only(values):
@@ -788,6 +791,7 @@ class MappedCurve(_BatchedCurve):
         self.dimension = base.dimension
         self.mapping = parse(mapping, parameter) if isinstance(mapping, str) else mapping
         self.domain = (float(domain[0]), float(domain[1]))
+        _check_interval(self.domain)
         for s in self.domain:
             _check_in_domain(jet_eval(self.mapping, s, 0).value, base.domain)
 

@@ -17,8 +17,10 @@ scalar entry points (``jet_eval`` at a float base, a single-point
 Each parsed expression (or tuple of expressions, e.g. the components of a
 curve) is compiled once into a flat op list: constant subtrees are folded
 to numbers, repeated subtrees are evaluated once, and registers are released
-after their last use.  An evaluation error names the same subexpression the
-tree walk would have reached first.
+after their last use.  A constant subtree folds through the kernel that
+evaluates its op, on one-term series, so it folds to the value a run
+computes.  An evaluation error names the same subexpression the tree walk
+would have reached first.
 
 A program whose ops are all polynomial knows its degree d.  Its jets at any
 point are then a Taylor shift of one coefficient block of length d + 1,
@@ -68,24 +70,27 @@ __all__ = [
 # Series kernels: coefficient arrays of shape (K+1, *batch), order axis first
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def _toeplitz_index(size):
-    """Gather index of the lower-triangular Toeplitz matrix; ``size`` picks
-    the zero row appended by :func:`_toeplitz`."""
+    """Read-only gather index of the lower-triangular Toeplitz matrix;
+    ``size`` picks the zero row appended by :func:`_toeplitz`."""
     idx = np.full((size, size), size)
     for k in range(size):
         idx[k, :k + 1] = np.arange(k, -1, -1)
+    idx.flags.writeable = False
     return idx
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def _antidiagonal_sum(size):
-    """(size*size, size) 0/1 matrix that sums P[j, l] over j + l = k."""
+    """Read-only (size*size, size) 0/1 matrix that sums P[j, l] over j + l = k."""
     T = np.zeros((size, size, size))
     for j in range(size):
         for k in range(j, size):
             T[j, k - j, k] = 1.0
-    return T.reshape(size * size, size)
+    T = T.reshape(size * size, size)
+    T.flags.writeable = False
+    return T
 
 
 def _toeplitz(a):
@@ -562,10 +567,6 @@ class VecJet:
 class Expr:
     """Base class for expression nodes; see module docstring for the grammar."""
 
-    def substitute(self, replacement):
-        """Replace every parameter occurrence with another expression."""
-        raise NotImplementedError
-
     def __str__(self):
         raise NotImplementedError
 
@@ -573,9 +574,6 @@ class Expr:
 @dataclass(frozen=True)
 class Num(Expr):
     value: float
-
-    def substitute(self, replacement):
-        return self
 
     def __str__(self):
         # the shortest text that parses back to this float; 1.0 prints as 1
@@ -587,9 +585,6 @@ class Num(Expr):
 class Param(Expr):
     name: str
 
-    def substitute(self, replacement):
-        return replacement
-
     def __str__(self):
         return self.name
 
@@ -597,9 +592,6 @@ class Param(Expr):
 @dataclass(frozen=True)
 class Neg(Expr):
     arg: Expr
-
-    def substitute(self, replacement):
-        return Neg(self.arg.substitute(replacement))
 
     def __str__(self):
         return f"-({self.arg})"
@@ -611,10 +603,6 @@ class BinOp(Expr):
     left: Expr
     right: Expr
 
-    def substitute(self, replacement):
-        return BinOp(self.op, self.left.substitute(replacement),
-                     self.right.substitute(replacement))
-
     def __str__(self):
         return f"({self.left} {self.op} {self.right})"
 
@@ -623,9 +611,6 @@ class BinOp(Expr):
 class IntPow(Expr):
     arg: Expr
     exponent: int
-
-    def substitute(self, replacement):
-        return IntPow(self.arg.substitute(replacement), self.exponent)
 
     def __str__(self):
         return f"({self.arg})^{self.exponent}"
@@ -636,9 +621,6 @@ class Call(Expr):
     func: str
     arg: Expr
 
-    def substitute(self, replacement):
-        return Call(self.func, self.arg.substitute(replacement))
-
     def __str__(self):
         return f"{self.func}({self.arg})"
 
@@ -646,32 +628,6 @@ class Call(Expr):
 # ---------------------------------------------------------------------------
 # Compilation to a flat op list
 # ---------------------------------------------------------------------------
-
-def _fold_pow(v, p):
-    """Integer power of a number in the order the series kernel multiplies."""
-    if p < 0:
-        v = 1.0 / v
-        p = -p
-    result = None
-    square = v
-    while p:
-        if p & 1:
-            result = square if result is None else result * square
-        p >>= 1
-        if p:
-            square = square * square
-    return 1.0 if result is None else result
-
-
-_FOLD_BINOP = {"+": lambda a, b: a + b, "-": lambda a, b: a - b,
-               "*": lambda a, b: a * b, "/": lambda a, b: a / b}
-
-
-def _fold_call(func, v):
-    if func in ("sqrt", "log") and v <= 0.0:
-        raise ValueError(func)
-    return getattr(math, func)(v)
-
 
 # op kinds whose failures the tree walk reported as evaluation errors:
 # ZeroDivisionError from divisions and powers, ValueError from functions
@@ -760,11 +716,6 @@ class Program:
         self._ops.append((kind, inputs, number, node, output))
         return len(self._ops)  # register index (register 0 is the parameter)
 
-    def _materialize(self, operand, node, output):
-        if isinstance(operand, int):
-            return operand
-        return self._op("const", (), operand, node, output)
-
     def _emit(self, node, output):
         hit = self._memo.get(node)
         if hit is None:
@@ -772,51 +723,47 @@ class Program:
         return hit
 
     def _emit_new(self, node, output):
-        """Register index (int) or folded constant (float) of a subtree."""
+        """Register index (int) or folded constant (float) of a subtree.
+
+        When every operand is a number, the op's kernel runs on one-term
+        series, so the subtree folds to the value a run computes.  If the
+        kernel raises, the numbers become registers and the run reports the
+        error."""
         if isinstance(node, Num):
             return float(node.value)
         if isinstance(node, Param):
             return 0
-        if isinstance(node, Neg):
-            x = self._emit(node.arg, output)
-            return -x if isinstance(x, float) else self._op("neg", (x,), None, node, output)
+        number = None
         if isinstance(node, BinOp):
-            x = self._emit(node.left, output)
-            y = self._emit(node.right, output)
-            xc, yc = isinstance(x, float), isinstance(y, float)
-            if xc and yc:
-                try:
-                    return _FOLD_BINOP[node.op](x, y)
-                except ZeroDivisionError:
-                    x = self._materialize(x, node.left, output)
-                    y = self._materialize(y, node.right, output)
-            elif xc:
-                kind = {"+": "addc", "-": "csub", "*": "mulc", "/": "cdiv"}[node.op]
-                return self._op(kind, (y,), x, node, output)
-            elif yc:
-                if node.op == "-":
-                    return self._op("addc", (x,), -y, node, output)
-                kind = {"+": "addc", "*": "mulc", "/": "divc"}[node.op]
-                return self._op(kind, (x,), y, node, output)
             kind = {"+": "add", "-": "sub", "*": "mul", "/": "div"}[node.op]
-            return self._op(kind, (x, y), None, node, output)
-        if isinstance(node, IntPow):
-            x = self._emit(node.arg, output)
-            if isinstance(x, float):
-                try:
-                    return _fold_pow(x, node.exponent)
-                except ZeroDivisionError:
-                    x = self._materialize(x, node.arg, output)
-            return self._op("pow", (x,), node.exponent, node, output)
-        if isinstance(node, Call):
-            x = self._emit(node.arg, output)
-            if isinstance(x, float):
-                try:
-                    return _fold_call(node.func, x)
-                except (ValueError, OverflowError):
-                    x = self._materialize(x, node.arg, output)
-            return self._op(node.func, (x,), None, node, output)
-        raise TypeError(f"not an expression node: {node!r}")
+            children = (node.left, node.right)
+        elif isinstance(node, IntPow):
+            kind, children, number = "pow", (node.arg,), node.exponent
+        elif isinstance(node, Neg):
+            kind, children = "neg", (node.arg,)
+        elif isinstance(node, Call):
+            kind, children = node.func, (node.arg,)
+        else:
+            raise TypeError(f"not an expression node: {node!r}")
+        args = [self._emit(child, output) for child in children]
+        if all(isinstance(x, float) for x in args):
+            series = [np.array([x]) for x in args] + ([] if number is None else [number])
+            try:
+                with np.errstate(all="ignore"):
+                    return float(_KERNELS[kind](*series)[0])
+            except (ZeroDivisionError, ValueError, OverflowError):
+                args = [self._op("const", (), x, child, output)
+                        for x, child in zip(args, children)]
+        if len(args) == 2 and isinstance(args[0], float):
+            kind = {"add": "addc", "sub": "csub", "mul": "mulc", "div": "cdiv"}[kind]
+            return self._op(kind, (args[1],), args[0], node, output)
+        if len(args) == 2 and isinstance(args[1], float):
+            x, y = args
+            if kind == "sub":
+                return self._op("addc", (x,), -y, node, output)
+            kind = {"add": "addc", "mul": "mulc", "div": "divc"}[kind]
+            return self._op(kind, (x,), y, node, output)
+        return self._op(kind, tuple(args), number, node, output)
 
     def run(self, param):
         """One series per expression for the parameter series ``param``."""

@@ -24,6 +24,7 @@ from nullcartan import (
     InputError,
     MappedCurve,
     PseudoMetric,
+    ReparametrizedCurve,
     SingularRecursionError,
     StepSizeError,
     bertrand_check,
@@ -39,12 +40,14 @@ from nullcartan import (
     standard_initial_frame,
     synthesize,
 )
+from nullcartan import constructions
 from nullcartan.constructions import (
     InvoluteCurve,
     OffsetCurve,
     _frenet_couplings,
     _rk4_increments,
 )
+from nullcartan.curve import PANEL_CELLS
 from nullcartan.frame import frame_grid
 
 from conftest import (
@@ -463,6 +466,28 @@ def test_involute_frame_check_k3_is_reciprocal_arc(unit_speed_evolute):
     assert report.third_norm_defect <= 1e-9
 
 
+def test_the_involute_check_frames_on_a_table_within_its_estimate(unit_speed_evolute,
+                                                                  monkeypatch):
+    # the pseudo-arc table the check frames on, read at 101 seeded points off
+    # its nodes, against the same table on 64x the cells
+    built = []
+
+    class Recorded(ReparametrizedCurve):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append(self)
+
+    monkeypatch.setattr(constructions, "ReparametrizedCurve", Recorded)
+    involute_frame_check(unit_speed_evolute, np.linspace(0.5, 2.0, 7))
+    (rep,) = built
+    table = rep._table
+    cells = (len(table.nodes) - 1) * PANEL_CELLS
+    reference = ReparametrizedCurve(rep.base, intervals=64 * cells)
+    ts = np.random.default_rng(0).uniform(table.a, table.b, 101)
+    error = float(np.max(np.abs(rep.pseudo_arc_of(ts) - reference.pseudo_arc_of(ts))))
+    assert error <= table.error_estimate
+
+
 def test_involute_frame_check_nontrivial_reparametrization():
     # k3 = 1/(1+t)^2 makes the involute's pseudo-arc a genuine 1/3-power law
     profile = CurvatureProfile.from_strings(6, ["0.1", "-0.04", "1/(1 + t)^2"])
@@ -476,7 +501,6 @@ def test_involute_frame_check_nontrivial_reparametrization():
 
 def test_involute_span_matches_tangent_derivatives(unit_speed_evolute):
     # span{L1,L2,W3,N2,N1} of the involute = span{T',...,T^(5)} of c
-    from nullcartan import InvoluteCurve, ReparametrizedCurve
     c = unit_speed_evolute
     inv = InvoluteCurve(c, c.domain[0], arc_offset=c.domain[0], unit_speed=True)
     rep = ReparametrizedCurve(inv, intervals=192)

@@ -32,6 +32,7 @@ from nullcartan import (
     pseudo_spherical_test,
     require_family,
 )
+from nullcartan.bundled import NULL_QUINTIC
 from nullcartan.constructions import involute_frame_check
 from nullcartan.curve import JET_BUDGET, CumulativeIntegral, pointwise_order
 from nullcartan.frame import cartan_frames
@@ -431,14 +432,33 @@ def test_spline_memory_is_linear_in_the_samples():
 
 
 def test_mapped_curve_equals_precompose(golden):
-    mapped = MappedCurve(golden, "2*u", (0.0, 0.6), parameter="u")
-    direct = golden.precompose("2*u", parameter="u", domain=(0.0, 0.6))
+    # the oracle does not compose: the quintic's components with 2u written in
+    mapped = golden.precompose("2*u", parameter="u", domain=(0.0, 0.6))
+    assert isinstance(mapped, MappedCurve)
+    spliced = Curve.from_strings([re.sub(r"\bs\b", "(2*u)", text)
+                                  for text in NULL_QUINTIC["components"]],
+                                 parameter="u", domain=(0.0, 0.6))
     for u in (0.1, 0.33, 0.58):
-        assert np.allclose(mapped.point(u), direct.point(u), atol=1e-14)
+        assert np.allclose(mapped.point(u), spliced.point(u), atol=1e-14)
         got = mapped.derivatives(u, 4)
-        want = direct.derivatives(u, 4)
+        want = spliced.derivatives(u, 4)
         for k in range(4):
             assert np.allclose(got[k], want[k], rtol=1e-10, atol=1e-10)
+
+
+def test_precompose_refuses_a_map_that_leaves_the_domain(golden):
+    with pytest.raises(InputError, match="domain must be a finite interval"):
+        golden.precompose("u", domain=(1.0, 0.0))
+    # the quintic lives on [-0.2, 1.2]: 3u leaves it at the endpoint u = 1
+    with pytest.raises(InputError, match=r"parameter 3.0 outside domain \[-0.2, 1.2\]"):
+        golden.precompose("3*u", domain=(0.0, 1.0))
+    # u + 3u(1 - u) maps both endpoints inside but peaks at 1.25 at u = 1/2
+    bulged = golden.precompose("u + 3*u*(1 - u)", domain=(0.0, 1.0))
+    assert np.allclose(bulged.point(0.1), golden.point(0.1 + 0.3 * 0.9), atol=1e-15)
+    with pytest.raises(InputError, match=r"parameter 1.25 outside domain"):
+        bulged.point(0.5)
+    with pytest.raises(InputError, match=r"parameter 1.25 outside domain"):
+        bulged.vec_jets(np.linspace(0.0, 1.0, 5), 3)
 
 
 def test_arc_length_curve_unit_speed():

@@ -7,8 +7,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from nullcartan import ExprEvaluationError, ExprSyntaxError, Jet, jet_eval, parse
-from nullcartan.expr import VecJet, jet_compose, jet_invert
+from nullcartan import Curve, ExprEvaluationError, ExprSyntaxError, Jet, jet_eval, parse
+from nullcartan.expr import (
+    Program,
+    VecJet,
+    _antidiagonal_sum,
+    _toeplitz_index,
+    jet_compose,
+    jet_invert,
+)
 
 from conftest import (
     eval_longdouble,
@@ -71,11 +78,12 @@ def test_negative_integer_exponent():
     assert jet_eval(e, 2.0, 0).value == pytest.approx(0.25)
 
 
-def test_precompose_style_substitution():
-    outer = parse("s^2 + sin(s)")
-    inner = parse("2*u", parameter="u")
-    composed = outer.substitute(inner)
-    assert jet_eval(composed, 0.3, 0).value == pytest.approx(0.36 + math.sin(0.6))
+def test_precompose_substitutes_the_map():
+    outer = Curve.from_strings(["s^2 + sin(s)", "0", "0", "0"], domain=(0.0, 1.0))
+    composed = outer.precompose("2*u", domain=(0.0, 0.5))
+    assert composed.point(0.3)[0] == pytest.approx(0.36 + math.sin(0.6))
+    # d/du (4u^2 + sin 2u) = 8u + 2 cos 2u
+    assert composed.derivatives(0.3, 1)[0][0] == pytest.approx(2.4 + 2.0 * math.cos(0.6))
 
 
 # parse builds negative numbers as Neg(Num), so number leaves are nonnegative:
@@ -142,6 +150,24 @@ def test_polynomial_jets_match_coefficient_calculus():
         for k in range(len(coeffs) + 2):
             want = polynomial_derivative_oracle(coeffs, base, k)
             assert j.derivative(k) == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+
+@pytest.mark.parametrize("folded, run, s", [
+    ("exp(2.1)", "exp(s)", 2.1),
+    ("exp(5.8)", "exp(s)", 5.8),
+    ("log(2.1)", "log(s)", 2.1),
+    ("sin(2.1)", "sin(s)", 2.1),
+    ("cos(2.1)", "cos(s)", 2.1),
+    ("sqrt(2.1)", "sqrt(s)", 2.1),
+    ("2.1^-3", "s^-3", 2.1),
+    ("1/2.1", "1/s", 2.1),
+    ("0.1*exp(2.1)", "0.1*exp(s)", 2.1),
+])
+def test_a_folded_constant_is_its_run_time_value(folded, run, s):
+    # a constant subtree folds through the kernel a run evaluates it with
+    program = Program((parse(folded),))
+    assert len(program) == 0
+    assert jet_eval(parse(folded), 0.0, 0).value == jet_eval(parse(run), s, 0).value
 
 
 def test_division_by_zero_constant_term_names_subexpression():
@@ -213,6 +239,17 @@ def test_exp_log_inverse():
 def test_integer_power_matches_repeated_multiplication():
     j = jet_eval(parse("1 + s + s^2"), 0.5, 6)
     assert np.allclose((j ** 4).coeffs, (j * j * j * j).coeffs, atol=1e-12)
+
+
+@pytest.mark.parametrize("cache", [_toeplitz_index, _antidiagonal_sum])
+def test_series_kernel_tables_are_built_once_immutable_and_bounded(cache):
+    table = cache(7)
+    assert table is cache(7)
+    # every product of 7-term series reads this array: no caller may change it
+    with pytest.raises(ValueError):
+        table[0, 0] = 1
+    maxsize = cache.cache_info().maxsize
+    assert maxsize is not None and maxsize > 0
 
 
 def test_antiderivative_then_differentiate_round_trip():

@@ -239,9 +239,9 @@ def test_frame_extraction_takes_one_determinant_pass(synth6, monkeypatch):
 # the protocol classes whose curves in ``protocol_curves`` are in the family
 FRAMED = {"Curve", "FrenetCurve", "OffsetCurve", "ReparametrizedCurve"}
 # classes there whose jets on a one-point grid differ in the last bits from
-# their row of a longer grid: the reparametrized warped quintic runs the
-# interpreter, whose Cauchy products (einsum) sum in an order that depends on
-# the length of the grid
+# their row of a longer grid: the reparametrized warped quintic composes and
+# inverts series, whose Cauchy products (einsum) sum in an order that depends
+# on the length of the grid
 ROUNDOFF_JETS = {"ReparametrizedCurve"}
 
 
