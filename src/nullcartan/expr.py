@@ -13,6 +13,8 @@ of ``m`` base points, and a :class:`VecJet` has ``(K+1, n)`` or
 its operands carry, so a whole grid is one numpy pass per operation.  The
 scalar entry points (``jet_eval`` at a float base, a single-point
 ``vec_jet``) are the same code with the batch axis absent or of length one.
+Both classes derive from one series base that holds what they share (order,
+``at``, ``differentiate``, ``truncate``, the same-base check, ``+``, ``-``).
 
 Each parsed expression (or tuple of expressions, e.g. the components of a
 curve) is compiled once into a flat op list: constant subtrees are folded
@@ -20,7 +22,9 @@ to numbers, repeated subtrees are evaluated once, and registers are released
 after their last use.  A constant subtree folds through the kernel that
 evaluates its op, on one-term series, so it folds to the value a run
 computes.  An evaluation error names the same subexpression the tree walk
-would have reached first.
+would have reached first.  A jet operator runs the kernel of its op too, and
+maps a number operand to an op by the rule a compiled program uses
+(``_number_op``), so both give the same jet bit for bit.
 
 A program whose ops are all polynomial knows its degree d.  Its jets at any
 point are then a Taylor shift of one coefficient block of length d + 1,
@@ -100,20 +104,27 @@ def _toeplitz(a):
     return padded.take(_toeplitz_index(len(a)), axis=0)
 
 
+def _toeplitz_product(T, x, vector):
+    """Cauchy product of the series whose :func:`_toeplitz` matrix is ``T``
+    with a series ``x`` of the same length: a vector series (K+1, *b, n) if
+    ``vector``, else a scalar series (K+1, *b)."""
+    if not vector:
+        return np.einsum("j...,kj...->k...", x, T)
+    if x.ndim == 2:
+        return T @ x
+    return np.matmul(T.transpose(2, 0, 1), x.swapaxes(0, 1)).swapaxes(0, 1)
+
+
 def _mul(a, b):
     """Cauchy product along axis 0, truncated to the shorter series."""
     size = min(len(a), len(b))
-    return np.einsum("j...,kj...->k...", a[:size], _toeplitz(b[:size]))
+    return _toeplitz_product(_toeplitz(b[:size]), a[:size], False)
 
 
 def _scale(s, v):
     """Cauchy product of scalar series (K+1, *b) with vector series (K+1, *b, n)."""
     size = min(len(s), len(v))
-    S = _toeplitz(s[:size])
-    v = v[:size]
-    if v.ndim == 2:
-        return S @ v
-    return np.matmul(S.transpose(2, 0, 1), v.swapaxes(0, 1)).swapaxes(0, 1)
+    return _toeplitz_product(_toeplitz(s[:size]), v[:size], True)
 
 
 def _weighted_inner(a, b, weights):
@@ -266,6 +277,41 @@ _CALLS = {
 }
 
 
+def _shift(x, c):
+    out = x.copy()
+    out[0] += c
+    return out
+
+
+# the kernel of each op kind; a kind ending (starting) in c takes a number as
+# its right (left) operand
+_KERNELS = {
+    "neg": lambda x: -x,
+    "add": lambda x, y: x + y,
+    "sub": lambda x, y: x - y,
+    "mul": _mul,
+    "div": _div,
+    "addc": _shift,
+    "csub": lambda x, c: _shift(-x, c),
+    "mulc": lambda x, c: x * c,
+    "divc": _div_number,
+    "cdiv": lambda x, c: _div(_constant(c, x), x),
+    "pow": _pow,
+    **_CALLS,
+}
+
+
+def _number_op(kind, number, reflected):
+    """Kind and number of the op that applies binary ``kind`` to a series and
+    a number, ``reflected`` when the number is the left operand; ``x - c``
+    runs as ``x + (-c)``.  Jet operators and :class:`Program` both use it."""
+    if kind == "sub" and not reflected:
+        kind, number = "add", -number
+    if kind == "div" and not reflected:
+        return "divc", number
+    return {"add": "addc", "sub": "csub", "mul": "mulc", "div": "cdiv"}[kind], number
+
+
 def _compose(outer, inner):
     """Horner evaluation of series ``outer`` at ``inner - inner[0]``.
 
@@ -278,30 +324,11 @@ def _compose(outer, inner):
     result = np.zeros((K + 1,) + np.broadcast_shapes(
         outer.shape[1:], shifted.shape[1:] + ((1,) if vector else ())))
     result[0] = outer[K]
+    T = _toeplitz(shifted)  # every Horner step multiplies by the same series
     for k in range(K - 1, -1, -1):
-        result = _scale(shifted, result) if vector else _mul(result, shifted)
+        result = _toeplitz_product(T, result, vector)
         result[0] += outer[k]
     return result
-
-
-def _same_base(a, b):
-    """Whether two jet bases are the same point or grid.
-
-    The comparison is exact, so jets combined in one operation must be
-    evaluated on the same base array (or bit-identical copies of it); bases
-    that differ by roundoff are refused as different points.
-    """
-    if a is b:
-        return True
-    if np.ndim(a) == 0 and np.ndim(b) == 0:
-        return a == b
-    return np.shape(a) == np.shape(b) and bool(np.all(np.equal(a, b)))
-
-
-def _require_same_base(a, b):
-    """Refuse to combine two jets (scalar or vector) on different bases."""
-    if a.base is not b.base and not _same_base(a.base, b.base):
-        raise ValueError("jet bases differ")
 
 
 def _batch_value(c0):
@@ -312,27 +339,98 @@ def _batch_value(c0):
 # Jets
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, eq=False)
-class Jet:
-    """Truncated Taylor expansion of a scalar function at ``base``.
+def _operator(kind, reflected=False):
+    """The operator method of a binary op kind; see :meth:`_Series._binary`."""
+    return lambda self, other: self._binary(kind, other, reflected)
 
-    ``coeffs[k]`` is ``f^(k)(base)/k!``.  ``base`` is a float with coeffs of
-    shape ``(K+1,)``, or an array of m points with coeffs ``(K+1, m)``.
-    Arithmetic between two jets requires a common base and truncates to the
-    shorter order.
+
+def _function(kind):
+    """The :class:`Jet` method of an elementary function: its kernel."""
+    return lambda self: Jet(self.base, _CALLS[kind](self.coeffs))
+
+
+@dataclass(frozen=True, eq=False)
+class _Series:
+    """What :class:`Jet` and :class:`VecJet` share: a truncated Taylor series
+    with coefficients ``coeffs`` (order axis first) at ``base``.
+
+    Arithmetic between two series of one type requires a common base and
+    truncates to the shorter order; it runs the kernel a compiled
+    :class:`Program` runs for the op.  An operand of another series type, or
+    a number where the class takes none, gives ``NotImplemented``.
     """
 
     base: float | np.ndarray
     coeffs: np.ndarray
 
+    _takes_numbers = False  # whether a number operand follows _number_op
+
+    @property
+    def order(self):
+        return len(self.coeffs) - 1
+
+    def at(self, i):
+        """The jet at the i-th base point of a batch."""
+        return type(self)(float(self.base[i]), self.coeffs[:, i].copy())
+
+    def differentiate(self):
+        """Jet of the derivative at the same base, one order lower."""
+        if self.order < 1:
+            raise ValueError("cannot differentiate an order-0 jet")
+        return type(self)(self.base, _weighted(self.coeffs)[1:])
+
+    def truncate(self, order):
+        if order >= self.order:
+            return self
+        return type(self)(self.base, self.coeffs[: order + 1])
+
+    def _require_same_base(self, other):
+        """Refuse to combine with a jet (scalar or vector) on another base.
+
+        The comparison is exact, so jets combined in one operation must be
+        evaluated on the same base array (or bit-identical copies of it); bases
+        that differ by roundoff are refused as different points.
+        """
+        a, b = self.base, other.base
+        if a is not b and not (np.shape(a) == np.shape(b) and np.all(np.equal(a, b))):
+            raise ValueError("jet bases differ")
+
+    def _binary(self, kind, other, reflected):
+        """``self kind other``, or ``other kind self`` if ``reflected``."""
+        if isinstance(other, type(self)):
+            self._require_same_base(other)
+            size = min(len(self.coeffs), len(other.coeffs))
+            a, b = self.coeffs[:size], other.coeffs[:size]
+            return type(self)(self.base, _KERNELS[kind](*((b, a) if reflected else (a, b))))
+        if isinstance(other, _Series) or not self._takes_numbers:
+            return NotImplemented
+        kind, number = _number_op(kind, float(other), reflected)
+        return type(self)(self.base, _KERNELS[kind](self.coeffs, number))
+
+    __add__ = _operator("add")
+    __sub__ = _operator("sub")
+
+    def __neg__(self):
+        return type(self)(self.base, -self.coeffs)
+
+
+class Jet(_Series):
+    """Truncated Taylor expansion of a scalar function at ``base``.
+
+    ``coeffs[k]`` is ``f^(k)(base)/k!``.  ``base`` is a float with coeffs of
+    shape ``(K+1,)``, or an array of m points with coeffs ``(K+1, m)``.  A
+    number operand on either side of ``+ - * /`` is applied as a compiled
+    program applies it.
+    """
+
+    _takes_numbers = True
+
     @classmethod
     def variable(cls, base, order):
-        base = float(base) if np.ndim(base) == 0 else np.asarray(base, dtype=float)
-        c = np.zeros((order + 1,) + np.shape(base))
-        c[0] = base
+        jet = cls.constant(base, base, order)
         if order >= 1:
-            c[1] = 1.0
-        return cls(base, c)
+            jet.coeffs[1] = 1.0
+        return jet
 
     @classmethod
     def constant(cls, value, base, order):
@@ -342,29 +440,15 @@ class Jet:
         return cls(base, c)
 
     @property
-    def order(self):
-        return len(self.coeffs) - 1
-
-    @property
     def value(self):
         """f(base): a float, or an array over the batch."""
         return _batch_value(self.coeffs[0])
-
-    def at(self, i):
-        """The jet at the i-th base point of a batch."""
-        return Jet(float(self.base[i]), self.coeffs[:, i].copy())
 
     def derivative(self, k):
         """k-th derivative value at the base point, ``k! * coeffs[k]``."""
         if not 0 <= k <= self.order:
             raise ValueError(f"derivative order {k} outside jet order {self.order}")
         return math.factorial(k) * _batch_value(self.coeffs[k])
-
-    def differentiate(self):
-        """Jet of f' at the same base, one order lower."""
-        if self.order < 1:
-            raise ValueError("cannot differentiate an order-0 jet")
-        return Jet(self.base, _weighted(self.coeffs)[1:])
 
     def antiderivative(self, constant):
         """Jet of the antiderivative with value ``constant`` at the base."""
@@ -374,59 +458,14 @@ class Jet:
         c[1:] = self.coeffs / k
         return Jet(self.base, c)
 
-    def truncate(self, order):
-        if order >= self.order:
-            return self
-        return Jet(self.base, self.coeffs[: order + 1])
-
     # -- arithmetic ---------------------------------------------------------
 
-    def _coerce(self, other):
-        if isinstance(other, Jet):
-            _require_same_base(self, other)
-            return other
-        return Jet(self.base, _constant(float(other), self.coeffs))
-
-    def _pair(self, other):
-        other = self._coerce(other)
-        size = min(len(self.coeffs), len(other.coeffs))
-        return self.coeffs[:size], other.coeffs[:size]
-
-    def __add__(self, other):
-        if not isinstance(other, Jet):
-            c = self.coeffs.copy()
-            c[0] += float(other)
-            return Jet(self.base, c)
-        a, b = self._pair(other)
-        return Jet(self.base, a + b)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        a, b = self._pair(other)
-        return Jet(self.base, a - b)
-
-    def __rsub__(self, other):
-        a, b = self._pair(other)
-        return Jet(self.base, b - a)
-
-    def __neg__(self):
-        return Jet(self.base, -self.coeffs)
-
-    def __mul__(self, other):
-        if not isinstance(other, Jet):
-            return Jet(self.base, self.coeffs * float(other))
-        a, b = self._pair(other)
-        return Jet(self.base, _mul(a, b))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        a, b = self._pair(other)
-        return Jet(self.base, _div(a, b))
-
-    def __rtruediv__(self, other):
-        return self._coerce(other).__truediv__(self)
+    __radd__ = _operator("add", reflected=True)
+    __rsub__ = _operator("sub", reflected=True)
+    __mul__ = _operator("mul")
+    __rmul__ = _operator("mul", reflected=True)
+    __truediv__ = _operator("div")
+    __rtruediv__ = _operator("div", reflected=True)
 
     def __pow__(self, p):
         if not isinstance(p, (int, np.integer)):
@@ -435,20 +474,11 @@ class Jet:
 
     # -- elementary functions ------------------------------------------------
 
-    def sqrt(self):
-        return Jet(self.base, _sqrt(self.coeffs))
-
-    def exp(self):
-        return Jet(self.base, _exp(self.coeffs))
-
-    def log(self):
-        return Jet(self.base, _log(self.coeffs))
-
-    def sin(self):
-        return Jet(self.base, _sincos(self.coeffs)[0])
-
-    def cos(self):
-        return Jet(self.base, _sincos(self.coeffs)[1])
+    sqrt = _function("sqrt")
+    exp = _function("exp")
+    log = _function("log")
+    sin = _function("sin")
+    cos = _function("cos")
 
 
 def jet_compose(outer, inner):
@@ -495,67 +525,31 @@ def jet_invert(phi):
 # Vector jets
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, eq=False)
-class VecJet:
+class VecJet(_Series):
     """Truncated Taylor expansion of a vector-valued function.
 
     ``coeffs[k]`` is the vector ``F^(k)(base)/k!``; row 0 is the value.  The
     shape is ``(K+1, n)`` at one base point and ``(K+1, m, n)`` on a grid.
-    As with :class:`Jet`, arithmetic between two jets requires a common base.
+    Only another vector jet on the same base adds to or subtracts from it.
     """
-
-    base: float | np.ndarray
-    coeffs: np.ndarray
-
-    @property
-    def order(self):
-        return self.coeffs.shape[0] - 1
 
     @property
     def value(self):
         return self.coeffs[0].copy()
 
-    def at(self, i):
-        """The vector jet at the i-th base point of a batch."""
-        return VecJet(float(self.base[i]), self.coeffs[:, i].copy())
-
     def derivative_value(self, k):
         return math.factorial(k) * self.coeffs[k]
-
-    def differentiate(self):
-        return VecJet(self.base, _weighted(self.coeffs)[1:])
-
-    def truncate(self, order):
-        if order >= self.order:
-            return self
-        return VecJet(self.base, self.coeffs[: order + 1])
-
-    def _pair(self, other):
-        _require_same_base(self, other)
-        K = min(self.order, other.order)
-        return self.coeffs[: K + 1], other.coeffs[: K + 1]
-
-    def __add__(self, other):
-        a, b = self._pair(other)
-        return VecJet(self.base, a + b)
-
-    def __sub__(self, other):
-        a, b = self._pair(other)
-        return VecJet(self.base, a - b)
-
-    def __neg__(self):
-        return VecJet(self.base, -self.coeffs)
 
     def scale(self, s):
         """Multiply by a scalar jet (or plain number) coefficientwise."""
         if not isinstance(s, Jet):
             return VecJet(self.base, float(s) * self.coeffs)
-        _require_same_base(self, s)
+        self._require_same_base(s)
         return VecJet(self.base, _scale(s.coeffs, self.coeffs))
 
     def weighted_inner(self, other, weights):
         """Jet of ``sum_i weights[i] * self_i(t) * other_i(t)``."""
-        _require_same_base(self, other)
+        self._require_same_base(other)
         return Jet(self.base, _weighted_inner(self.coeffs, other.coeffs,
                                               np.asarray(weights)))
 
@@ -632,28 +626,6 @@ class Call(Expr):
 # op kinds whose failures the tree walk reported as evaluation errors:
 # ZeroDivisionError from divisions and powers, ValueError from functions
 _DIVISION_OPS = ("div", "cdiv", "divc", "pow")
-
-
-def _shift(x, c):
-    out = x.copy()
-    out[0] += c
-    return out
-
-
-_KERNELS = {
-    "neg": lambda x: -x,
-    "add": lambda x, y: x + y,
-    "sub": lambda x, y: x - y,
-    "mul": _mul,
-    "div": _div,
-    "addc": _shift,
-    "csub": lambda x, c: _shift(-x, c),
-    "mulc": lambda x, c: x * c,
-    "divc": lambda x, c: _div_number(x, c),
-    "cdiv": lambda x, c: _div(_constant(c, x), x),
-    "pow": _pow,
-    **_CALLS,
-}
 
 
 class Program:
@@ -754,15 +726,11 @@ class Program:
             except (ZeroDivisionError, ValueError, OverflowError):
                 args = [self._op("const", (), x, child, output)
                         for x, child in zip(args, children)]
-        if len(args) == 2 and isinstance(args[0], float):
-            kind = {"add": "addc", "sub": "csub", "mul": "mulc", "div": "cdiv"}[kind]
-            return self._op(kind, (args[1],), args[0], node, output)
-        if len(args) == 2 and isinstance(args[1], float):
-            x, y = args
-            if kind == "sub":
-                return self._op("addc", (x,), -y, node, output)
-            kind = {"add": "addc", "mul": "mulc", "div": "divc"}[kind]
-            return self._op(kind, (x,), y, node, output)
+        if len(args) == 2 and any(isinstance(x, float) for x in args):
+            reflected = isinstance(args[0], float)
+            number, series = args if reflected else args[::-1]
+            kind, number = _number_op(kind, number, reflected)
+            return self._op(kind, (series,), number, node, output)
         return self._op(kind, tuple(args), number, node, output)
 
     def run(self, param):

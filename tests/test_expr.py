@@ -12,6 +12,10 @@ from nullcartan.expr import (
     Program,
     VecJet,
     _antidiagonal_sum,
+    _compose,
+    _mul,
+    _scale,
+    _toeplitz,
     _toeplitz_index,
     jet_compose,
     jet_invert,
@@ -275,6 +279,51 @@ def test_jets_on_different_bases_are_not_combined():
     assert vector[0].scale(scalar[0]).base == 0.1
 
 
+_MIXED = {
+    "vector + scalar": lambda v, j: v + j,
+    "vector - scalar": lambda v, j: v - j,
+    "scalar + vector": lambda v, j: j + v,
+    "scalar - vector": lambda v, j: j - v,
+    "scalar * vector": lambda v, j: j * v,
+    "vector * scalar": lambda v, j: v * j,
+    "vector + number": lambda v, j: v + 1.0,
+    "number + vector": lambda v, j: 1.0 + v,
+    "vector - number": lambda v, j: v - 1.0,
+}
+
+
+@pytest.mark.parametrize("combine", _MIXED.values(), ids=_MIXED)
+@pytest.mark.parametrize("n", [5, 3])
+def test_scalar_and_vector_jets_do_not_mix(combine, n):
+    # n = K + 1 = 5 is the shape numpy would broadcast without a word
+    j = Jet(0.1, np.arange(5.0))
+    v = VecJet(0.1, np.zeros((5, n)))
+    with pytest.raises(TypeError):
+        combine(v, j)
+
+
+@pytest.mark.parametrize("base", [0.4, np.linspace(0.1, 0.9, 4)])
+def test_a_number_operand_is_applied_as_a_compiled_program_applies_it(base):
+    # both sides of + - * / against the op list that compiles the same text
+    j = jet_eval(parse("1.5 + sin(s)"), base, 6)
+    for text, got in [("f + 2.5", j + 2.5), ("2.5 + f", 2.5 + j),
+                      ("f - 2.5", j - 2.5), ("2.5 - f", 2.5 - j),
+                      ("f * 2.5", j * 2.5), ("2.5 * f", 2.5 * j),
+                      ("f / 2.5", j / 2.5), ("2.5 / f", 2.5 / j)]:
+        want = jet_eval(parse(text.replace("f", "(1.5 + sin(s))")), base, 6)
+        assert isinstance(got, Jet) and np.array_equal(got.coeffs, want.coeffs), text
+    with pytest.raises(ZeroDivisionError):
+        j / 0.0
+
+
+@pytest.mark.parametrize("jet", [Jet(0.1, np.ones(1)), VecJet(0.1, np.ones((1, 3))),
+                                 VecJet(np.array([0.1, 0.2]), np.ones((1, 2, 3)))],
+                         ids=["scalar", "vector", "vector grid"])
+def test_an_order_0_jet_cannot_be_differentiated(jet):
+    with pytest.raises(ValueError, match="cannot differentiate an order-0 jet"):
+        jet.differentiate()
+
+
 def test_compose_and_invert():
     # phi(s) = s + 0.3 s^2 around s0 = 0.5; psi = phi^{-1}
     phi = jet_eval(parse("s + 0.3*s^2"), 0.5, 8)
@@ -284,6 +333,36 @@ def test_compose_and_invert():
     want = np.zeros(9)
     want[0], want[1] = phi.value, 1.0
     assert np.allclose(ident.coeffs, want, atol=1e-12)
+
+
+def _compose_gathering_each_step(outer, inner):
+    """The Horner composition that gathers the Toeplitz matrix of the same
+    shifted inner series again at each of its K steps; the oracle of the one
+    gather :func:`_compose` makes."""
+    K = min(len(outer), len(inner)) - 1
+    shifted = inner[:K + 1].copy()
+    shifted[0] = 0.0
+    vector = outer.ndim > inner.ndim
+    result = np.zeros((K + 1,) + np.broadcast_shapes(
+        outer.shape[1:], shifted.shape[1:] + ((1,) if vector else ())))
+    result[0] = outer[K]
+    for k in range(K - 1, -1, -1):
+        result = _scale(shifted, result) if vector else _mul(result, shifted)
+        result[0] += outer[k]
+    return result
+
+
+@pytest.mark.parametrize("vector", [False, True], ids=["scalar", "vector"])
+@pytest.mark.parametrize("batch", [(), (7,)], ids=["point", "grid"])
+def test_compose_gathers_one_toeplitz_matrix_bit_for_bit(vector, batch, monkeypatch):
+    rng = np.random.default_rng(17)
+    inner = rng.normal(size=(9,) + batch)
+    outer = rng.normal(size=(9,) + batch + ((5,) if vector else ()))
+    want = _compose_gathering_each_step(outer, inner)
+    gathers = []
+    monkeypatch.setattr("nullcartan.expr._toeplitz", lambda a: gathers.append(a) or _toeplitz(a))
+    assert np.array_equal(_compose(outer, inner), want)
+    assert len(gathers) == 1
 
 
 def test_random_expressions_against_richardson():
