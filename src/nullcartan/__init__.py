@@ -9,7 +9,6 @@ from .constructions import (
     CurvatureProfile,
     EvoluteCurve,
     EvoluteResult,
-    FrameState,
     FrenetCurve,
     InvoluteCurve,
     InvoluteFrameReport,
@@ -56,8 +55,7 @@ from .errors import (
 )
 from .expr import Jet, VecJet, jet_eval, parse
 from .frame import (
-    CartanFrame,
-    FrameJets,
+    Frame,
     FrenetResidualReport,
     cartan_frame_at,
     frame_jets,

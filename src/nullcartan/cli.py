@@ -57,10 +57,9 @@ from .frame import (
     CURVATURE_FLOOR,
     NULL_CHAIN_GATE,
     PSEUDO_ARC_GATE,
+    cartan_frame_at,
     cartan_frames,
-    frame_jets,
     frame_rows,
-    frame_vectors,
     stencil_residuals,
 )
 
@@ -169,13 +168,15 @@ def _read_json(path):
             raw = fh.read()
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from None
-    digest = hashlib.sha256(raw).hexdigest()
     try:
         decoded = raw.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise InputError(f"{path} is not UTF-8: {exc}") from None
-    text = "\n".join(line for line in decoded.splitlines()
-                     if not line.lstrip().startswith("#"))
+    # the parser and the digest both skip the "#" lines, such as a report's
+    # timestamped header, and keep every other byte
+    text = "".join(line for line in decoded.splitlines(keepends=True)
+                   if not line.lstrip().startswith("#"))
+    digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -326,16 +327,15 @@ def cmd_classify(args):
     return 0
 
 
-def _frame_table(grid, points, frame, curvatures):
-    """Report table of frame samples: t, the point, every frame row in the
-    orientation order, then the curvatures (shape (m, n-3))."""
-    n = points.shape[1]
-    rows = frame_rows(n)
-    vectors = frame_vectors(frame)
+def _frame_table(frame):
+    """Report table of a frame of values on a grid: t, then its rows (the
+    point and the frame vectors in :func:`frenet_system` order), then the
+    curvatures."""
+    m, _, n = frame.rows.shape
     columns = ["t"] + [f"x{j + 1}" for j in range(n)]
-    columns += [f"{name}_{j + 1}" for name in rows for j in range(n)]
+    columns += [f"{name}_{j + 1}" for name in frame_rows(n) for j in range(n)]
     columns += [f"k{i + 1}" for i in range(n - 3)]
-    data = np.column_stack([grid, points] + [vectors[name] for name in rows] + [curvatures])
+    data = np.column_stack([frame.t, frame.rows.reshape(m, -1), *frame.curvatures])
     return {"columns": columns, "rows": data.tolist()}
 
 
@@ -343,18 +343,15 @@ def cmd_frame(args):
     curve, data, digest = load_curve(args.file)
     grid = _grid_for(args, curve, data, 61, uniform=True)
     n = curve.dimension
-    frames = cartan_frames(curve, grid)
-    points = frames.alpha.value
-    frame = frames.to_frame()
-    table = _frame_table(grid, points, frame, np.column_stack(frame.curvatures))
-    max_closure = float(np.max(frames.closure_residual))
+    frame = cartan_frames(curve, grid).value
+    table = _frame_table(frame)
     body = _base_body("frame", args, digest)
     body["tolerances"] = {"null_chain_gate": NULL_CHAIN_GATE, "pseudo_arc_gate": PSEUDO_ARC_GATE,
                           "curvature_floor": CURVATURE_FLOOR}
     body["summary"] = {"dimension": n, "samples": len(table["rows"]),
-                       "max_closure_residual": max_closure}
+                       "max_closure_residual": float(np.max(frame.closure_residual))}
     if len(grid) >= 7:
-        res = stencil_residuals(grid, frame, points)
+        res = stencil_residuals(frame)
         body["summary"]["frenet_residuals"] = dict(res.per_equation)
         body["summary"]["max_frenet_residual"] = res.overall
     body["table"] = table
@@ -436,8 +433,7 @@ def cmd_evolute(args):
         "min_abs_slope": result.min_abs_slope,
     }
     if args.roundtrip:
-        fj = frame_jets(curve, float(grid[0]), extra_order=1)
-        offset = 1.0 / fj.curvatures[2].value
+        offset = 1.0 / cartan_frame_at(curve, grid[0]).curvatures[2]
         inv = involute(result.curve, float(grid[0]), grid, arc_offset=offset)
         sup = float(np.max(np.abs(inv.sampled.points - curve.vec_jets(grid, 0).value)))
         body["summary"]["roundtrip_arc_offset"] = offset
@@ -473,7 +469,6 @@ def cmd_synthesize(args):
     points = _grid_size(args, data, 129, profile.dimension)
     curve = synthesize(profile, interval, step)
     grid = np.linspace(curve.domain[0], curve.domain[1], points)
-    frame, curvatures = curve.frame_table(grid)
     n = curve.dimension
     body = _base_body("synthesize", args, digest)
     body["kind"] = "synthesized"
@@ -483,7 +478,7 @@ def cmd_synthesize(args):
     body["interval"] = [curve.domain[0], curve.domain[1]]
     body["step"] = step
     body["max_gram_defect"] = curve.max_gram_defect
-    body["table"] = _frame_table(grid, frame.alpha, frame, curvatures)
+    body["table"] = _frame_table(curve.frame_table(grid))
     write_report(body, args)
     return 0
 

@@ -4,7 +4,8 @@ Covers the Bertrand-mate construction and its k1 = k2 = 0 gate, the
 pseudo-spherical test built on the a_i recursion, the evolute/involute
 correspondence in dimension six, and ``synthesize``, which integrates the
 full first-order Frenet system (curve plus frame) with classical RK4 from a
-frame that satisfies the pairing relations exactly.  The system is linear,
+frame that satisfies the pairing relations exactly; a state is the ``rows``
+of a :class:`Frame`, in :func:`frenet_system` order.  The system is linear,
 state' = A(t) state, so each RK4 step is a propagator I + D, and the states
 are prefix products of the propagators applied to the initial state, formed
 by a blocked scan over the increments D.  Synthesized curves are
@@ -43,12 +44,11 @@ from .errors import (
     require,
 )
 from .expr import Expr, Jet, Program, VecJet, parse
-from .frame import frame_grid, frenet_system
+from .frame import Frame, frame_grid, frenet_system
 from .metric import PseudoMetric
 
 __all__ = [
     "CurvatureProfile",
-    "FrameState",
     "standard_initial_frame",
     "FrenetCurve",
     "synthesize",
@@ -120,35 +120,10 @@ class CurvatureProfile:
         return np.stack(self._program.run(param.coeffs), axis=-1)[0]
 
 
-@dataclass(frozen=True)
-class FrameState:
-    """Curve point plus full frame, the integration state of the Frenet system."""
-
-    alpha: np.ndarray
-    L1: np.ndarray
-    L2: np.ndarray
-    N1: np.ndarray
-    N2: np.ndarray
-    W: tuple[np.ndarray, ...]
-
-    def as_matrix(self):
-        return np.stack([self.alpha, self.L1, self.L2, self.N1, self.N2, *self.W])
-
-    @classmethod
-    def from_matrix(cls, M):
-        return cls(M[0], M[1], M[2], M[3], M[4], tuple(M[5:]))
-
-    def gram_defect(self, metric):
-        return float(_gram_defect(self.as_matrix(), metric))
-
-
 def _expected_frame_gram(n):
-    E = np.zeros((n, n))
-    E[0, 2] = E[2, 0] = 1.0   # <L1, N1>
-    E[1, 3] = E[3, 1] = -1.0  # <L2, N2>
-    for j in range(n - 4):
-        E[4 + j, 4 + j] = 1.0
-    return E
+    """<F_i, F_j> of the frame rows: the Gram of the standard initial frame,
+    which meets every pairing relation exactly."""
+    return PseudoMetric(n).gram(standard_initial_frame(n).rows[1:])
 
 
 def _gram_defect(state_matrix, metric):
@@ -160,13 +135,13 @@ def _gram_defect(state_matrix, metric):
 def standard_initial_frame(n, alpha=None):
     """Frame satisfying every pairing relation exactly in the standard metric.
 
-    L1 = e1+e3, N1 = (-e1+e3)/2, L2 = e2+e4, N2 = (e2-e4)/2, W = (e5, e6, ...).
+    L1 = e1+e3, L2 = e2+e4, W3 = e5, N2 = (e2-e4)/2, N1 = (-e1+e3)/2 and
+    W4, W5, ... = e6, e7, ...
     """
     e = np.eye(n)
-    return FrameState(
-        np.zeros(n) if alpha is None else np.asarray(alpha, dtype=float),
-        e[0] + e[2], e[1] + e[3], (-e[0] + e[2]) / 2, (e[1] - e[3]) / 2,
-        tuple(e[4 + j] for j in range(n - 4)))
+    alpha = np.zeros(n) if alpha is None else np.asarray(alpha, dtype=float)
+    return Frame(np.stack([alpha, e[0] + e[2], e[1] + e[3], e[4], (e[1] - e[3]) / 2,
+                           (-e[0] + e[2]) / 2, *e[5:]]))
 
 
 # ---------------------------------------------------------------------------
@@ -174,16 +149,15 @@ def standard_initial_frame(n, alpha=None):
 # ---------------------------------------------------------------------------
 
 def _frenet_couplings(n):
-    """:func:`frenet_system` scattered into the state layout (alpha, L1, L2,
-    N1, N2, W3, ...) of :meth:`FrameState.as_matrix`: P[c, i, j] = sign when
-    row i' has the term sign * k_c * row j, so state' = (sum_c k_c P[c]) state
-    with k_0 = 1."""
-    layout = ["alpha", "L1", "L2", "N1", "N2"] + [f"W{i}" for i in range(3, n - 1)]
-    index = {name: i for i, name in enumerate(layout)}
+    """:func:`frenet_system` as couplings of the state rows, which follow it:
+    P[c, i, j] = sign when row i' has the term sign * k_c * row j, so
+    state' = (sum_c k_c P[c]) state with k_0 = 1."""
+    system = frenet_system(n)
+    index = {row: i for i, (row, _) in enumerate(system)}
     P = np.zeros((n - 2, n + 1, n + 1))
-    for row, terms in frenet_system(n):
+    for i, (row, terms) in enumerate(system):
         for target, c, sign in terms:
-            P[c, index[row], index[target]] = sign
+            P[c, i, index[target]] = sign
     return P
 
 
@@ -257,7 +231,7 @@ class FrenetCurve(_BatchedCurve):
         self.domain = (a, b)
         self.step = float(step)
         self._metric = PseudoMetric(n)
-        state = (initial or standard_initial_frame(n)).as_matrix().astype(float)
+        state = np.array((initial or standard_initial_frame(n)).rows, dtype=float)
         if state.shape != (n + 1, n):
             raise DimensionMismatchError(
                 f"initial state must be ({n + 1}, {n}), got {state.shape}")
@@ -337,8 +311,9 @@ class FrenetCurve(_BatchedCurve):
         return state
 
     def frame_state(self, t):
+        """The synthesized frame at t, read-only."""
         _check_in_domain(t, self.domain)
-        return FrameState.from_matrix(self._state_at(float(t)))
+        return Frame(self._state_at(float(t)), float(t))
 
     # -- curve surface --------------------------------------------------------
 
@@ -379,14 +354,15 @@ class FrenetCurve(_BatchedCurve):
     # -- export ----------------------------------------------------------------
 
     def frame_table(self, grid):
-        """Frame states on a grid, as one :class:`FrameState` whose fields are
-        stacked over the grid, and the curvature values there."""
+        """The synthesized frames on a grid, as one batched :class:`Frame`
+        with the curvature values there."""
         def sample(ts):
             _check_in_domain(ts, self.domain)
             return self._states_at(ts), self.profile.values(ts)
 
+        grid = np.asarray(grid, dtype=float)
         states, curvatures = pointwise_order(sample, grid)
-        return FrameState.from_matrix(states.swapaxes(0, 1)), curvatures
+        return Frame(states, grid, tuple(curvatures.T))
 
 
 def synthesize(profile, interval, step=1e-3, initial=None, defect_limit=1e-4):

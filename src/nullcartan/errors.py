@@ -93,8 +93,8 @@ class HypothesisError(NullCartanError):
 class FrameDegeneracyError(NullCartanError):
     """A frame normalizer curvature fell below tolerance.
 
-    ``index`` is the curvature index that vanished; ``partial`` holds the
-    frame data extracted up to that point, when available.
+    ``index`` is the curvature index that vanished; ``partial``, when given,
+    is the jet frame at that point of the rows found before it.
     """
 
     def __init__(self, message, index=None, partial=None):

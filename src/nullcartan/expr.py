@@ -356,14 +356,18 @@ class _Series:
 
     Arithmetic between two series of one type requires a common base and
     truncates to the shorter order; it runs the kernel a compiled
-    :class:`Program` runs for the op.  An operand of another series type, or
-    a number where the class takes none, gives ``NotImplemented``.
+    :class:`Program` runs for the op.  An operand of another series type, an
+    array that is not 0-d, or a number where the class takes none, gives
+    ``NotImplemented``.
     """
 
     base: float | np.ndarray
     coeffs: np.ndarray
 
     _takes_numbers = False  # whether a number operand follows _number_op
+    # numpy defers to the series operators instead of broadcasting an array
+    # over a series into an object array of series
+    __array_ufunc__ = None
 
     @property
     def order(self):
@@ -402,7 +406,7 @@ class _Series:
             size = min(len(self.coeffs), len(other.coeffs))
             a, b = self.coeffs[:size], other.coeffs[:size]
             return type(self)(self.base, _KERNELS[kind](*((b, a) if reflected else (a, b))))
-        if isinstance(other, _Series) or not self._takes_numbers:
+        if isinstance(other, _Series) or not self._takes_numbers or getattr(other, "ndim", 0):
             return NotImplemented
         kind, number = _number_op(kind, float(other), reflected)
         return type(self)(self.base, _KERNELS[kind](self.coeffs, number))

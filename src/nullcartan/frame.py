@@ -14,8 +14,10 @@ curvatures come out positive, which automatically matches the orientation of
 (L1,L2,W3,N2,N1,W4,...) to that of (alpha',...,alpha^(n)); the orientation is
 still checked and an ambiguous determinant fails loudly.
 
-:func:`frame_grid` is the one extraction path.  The single-point
-:func:`cartan_frame_at` reads index 0 of the one-point ``frame_grid``.
+A :class:`Frame` stacks alpha and the frame vectors in :func:`frenet_system`
+order, as values or jets, with the curvatures.  :func:`frame_grid` is the one
+extraction path; :func:`frame_jets` and :func:`cartan_frame_at` read index 0 of
+the one-point ``frame_grid``.
 """
 
 from __future__ import annotations
@@ -33,19 +35,17 @@ from .errors import (
     InputError,
     require,
 )
-from .expr import Jet, VecJet
+from .expr import VecJet
 from .metric import PseudoMetric
 
 __all__ = [
-    "CartanFrame",
-    "FrameJets",
+    "Frame",
     "FrenetResidualReport",
     "cartan_frame_at",
     "cartan_frames",
     "frame_grid",
     "frame_jets",
     "frame_rows",
-    "frame_vectors",
     "frenet_residuals",
     "frenet_system",
     "stencil_residuals",
@@ -91,62 +91,53 @@ def frame_rows(n):
     return [row for row, _ in frenet_system(n)[1:]]
 
 
-def frame_vectors(frame):
-    """The vectors of a frame (anything with L1, L2, N1, N2 and W fields) by
-    row name, in the layout L1, L2, N1, N2, W3, W4, ..."""
-    named = {"L1": frame.L1, "L2": frame.L2, "N1": frame.N1, "N2": frame.N2}
-    named.update((f"W{j + 3}", w) for j, w in enumerate(frame.W))
-    return named
-
-
-@dataclass(frozen=True)
-class CartanFrame:
-    """Frame vectors and curvature values at one parameter value."""
-
-    t: float
-    L1: np.ndarray
-    L2: np.ndarray
-    N1: np.ndarray
-    N2: np.ndarray
-    W: tuple[np.ndarray, ...]
-    curvatures: tuple[float, ...]
-    closure_residual: float
-    orientation: int
-
-
 @dataclass(frozen=True, eq=False)
-class FrameJets:
-    """Frame vectors and curvatures as jets; feeds the constructions.
+class Frame:
+    """A Cartan frame, or a batch of them over a grid ``t``.
 
-    ``alpha`` is the jet of the curve itself that the frame was extracted
-    from.  On a grid ``t``, ``closure_residual`` and ``orientation`` are
-    arrays and every jet is batched; :meth:`at` picks out one grid point.
+    ``rows`` stacks the curve point alpha and the frame vectors on axis -2
+    in :func:`frenet_system` order (alpha, L1, L2, W3, N2, N1, W4, ...): an
+    array (..., n+1, n), or a :class:`VecJet` with coefficients
+    (K+1, ..., n+1, n) whose ``curvatures`` k1..k_{n-3} are jets too.  An
+    extracted frame also carries its closure residual and orientation sign.
+    The named vectors are views of ``rows``; :meth:`at` picks one grid point
+    of a jet frame and :attr:`value` reads it at order 0.
     """
 
-    t: float | np.ndarray
-    alpha: VecJet
-    L1: VecJet
-    L2: VecJet
-    N1: VecJet
-    N2: VecJet
-    W: tuple[VecJet, ...]
-    curvatures: tuple[Jet, ...]
-    closure_residual: float | np.ndarray
-    orientation: int | np.ndarray
+    rows: np.ndarray | VecJet
+    t: float | np.ndarray | None = None
+    curvatures: tuple = ()
+    closure_residual: float | np.ndarray | None = None
+    orientation: int | np.ndarray | None = None
+
+    def _row(self, i):
+        r = self.rows
+        return VecJet(r.base, r.coeffs[..., i, :]) if isinstance(r, VecJet) else r[..., i, :]
+
+    alpha = property(lambda self: self._row(0))
+    L1 = property(lambda self: self._row(1))
+    L2 = property(lambda self: self._row(2))
+    N2 = property(lambda self: self._row(4))
+    N1 = property(lambda self: self._row(5))
+
+    @property
+    def W(self):
+        """W3, W4, ..., W_{n-2}: row 3, then the rows from 6 on."""
+        rows = self.rows.coeffs if isinstance(self.rows, VecJet) else self.rows
+        return tuple(self._row(i) for i in (3, *range(6, rows.shape[-2])))
 
     def at(self, i):
-        return FrameJets(
-            float(self.t[i]), self.alpha.at(i), self.L1.at(i), self.L2.at(i),
-            self.N1.at(i), self.N2.at(i), tuple(w.at(i) for w in self.W),
-            tuple(k.at(i) for k in self.curvatures),
-            float(self.closure_residual[i]), int(self.orientation[i]))
+        """The jet frame at the i-th point of a batch."""
+        checks = [None if x is None else x[i].item()
+                  for x in (self.closure_residual, self.orientation)]
+        return Frame(self.rows.at(i), float(self.t[i]),
+                     tuple(k.at(i) for k in self.curvatures), *checks)
 
-    def to_frame(self):
-        return CartanFrame(
-            self.t, self.L1.value, self.L2.value, self.N1.value, self.N2.value,
-            tuple(w.value for w in self.W),
-            tuple(k.value for k in self.curvatures),
-            self.closure_residual, self.orientation)
+    @property
+    def value(self):
+        """The frame of values of a jet frame."""
+        return Frame(self.rows.value, self.t, tuple(k.value for k in self.curvatures),
+                     self.closure_residual, self.orientation)
 
 
 def _family_gates(metric, D, scale, ts):
@@ -167,8 +158,8 @@ def _family_gates(metric, D, scale, ts):
 
 
 def frame_grid(curve, ts, extra_order=0):
-    """Cartan frames on a grid of parameters, every vector and curvature a
-    batched jet: one pass over the grid for each step of the extraction.
+    """Cartan frames on a grid of parameters as one jet :class:`Frame`, rows
+    and curvatures batched: one pass over the grid for each extraction step.
 
     ``extra_order`` deepens the jets beyond the n+2 needed for extraction and
     the closure residual (constructions differentiate curvatures further).
@@ -184,10 +175,9 @@ def frame_grid(curve, ts, extra_order=0):
     _family_gates(metric, derivs[:, :3], 1.0 + norms[:, :3].max(axis=1), A.base)
     floor = CURVATURE_FLOOR * (1.0 + norms.max(axis=1))
 
-    system = frenet_system(n)
     vectors = {"alpha": A}
     k = [None]  # k[c] is the jet of k_c; k_0 = 1 scales nothing
-    for row, terms in system:
+    for row, terms in frenet_system(n):
         v = vectors[row].differentiate()
         if row == "W3":    # N2 = W3' + k1 L2 is null
             k.append(metric.inner_jet(v, v) * 0.5)
@@ -209,27 +199,28 @@ def frame_grid(curve, ts, extra_order=0):
             require(vv.value > floor * floor, lambda j: FrameDegeneracyError(
                 f"normalizer <v,v> = {vv.value[j]:.3e} at curvature index {c}: "
                 f"frame continuation aborted at t={ts[j]}", index=c,
-                partial=_assemble(ts, vectors, k, np.full(len(ts), np.nan),
-                                  np.zeros(len(ts), int)).at(j)))
+                partial=Frame(_stack(vectors), ts, tuple(k[1:])).at(j)))
             k.append(vv.sqrt())
             v = v.scale(1.0 / k[c])
         vectors[target] = v
 
-    basis = np.stack([vectors[row].coeffs[0] for row, _ in system[1:]], axis=1)
-    # one determinant pass; the frame bases come first, as their errors do
-    signs = metric.orientation_signs(np.concatenate([basis, derivs]))
+    rows = _stack(vectors)
+    # one determinant pass: the frame bases (rows minus alpha) come first, as their errors do
+    signs = metric.orientation_signs(np.concatenate([rows.coeffs[0, :, 1:], derivs]))
     sign_frame, sign_derivs = signs[:len(ts)], signs[len(ts):]
     require(sign_frame == sign_derivs, lambda j: DegenerateBasisError(
         f"frame orientation {sign_frame[j]} disagrees with the derivative "
         f"basis orientation {sign_derivs[j]} at t={ts[j]}"))
+    return Frame(rows, ts, tuple(k[1:]), closure_residual, sign_frame)
 
-    return _assemble(ts, vectors, k, closure_residual, sign_frame)
 
-
-def _assemble(ts, vectors, k, closure_residual, orientation):
-    W = tuple(v for name, v in vectors.items() if name.startswith("W"))
-    return FrameJets(ts, vectors["alpha"], vectors["L1"], vectors["L2"], vectors["N1"],
-                     vectors["N2"], W, tuple(k[1:]), closure_residual, orientation)
+def _stack(vectors):
+    """The rows found so far, in :func:`frenet_system` order, stacked at the
+    order of the last one."""
+    rows = list(vectors.values())
+    size = len(rows[-1].coeffs)
+    return VecJet(rows[0].base,
+                  np.concatenate([v.coeffs[:size, ..., None, :] for v in rows], axis=-2))
 
 
 def frame_jets(curve, t, extra_order=0):
@@ -239,17 +230,13 @@ def frame_jets(curve, t, extra_order=0):
 
 
 def cartan_frame_at(curve, t):
-    """Frame vectors L1, L2, N1, N2, W3..W_{n-2} and curvatures k1..k_{n-3} at
-    t: index 0 of :func:`frame_grid` on the one-point grid [t]."""
-    f = frame_grid(curve, np.array([float(t)]))
-    vectors = [v.coeffs[0, 0].copy() for v in (f.L1, f.L2, f.N1, f.N2, *f.W)]
-    return CartanFrame(float(t), *vectors[:4], tuple(vectors[4:]),
-                       tuple(float(k.coeffs[0, 0]) for k in f.curvatures),
-                       float(f.closure_residual[0]), int(f.orientation[0]))
+    """Frame vectors and curvature values at t: index 0 of :func:`frame_grid`
+    on the one-point grid [t], read at order 0."""
+    return frame_grid(curve, np.array([float(t)])).at(0).value
 
 
 def cartan_frames(curve, grid):
-    """:func:`cartan_frame_at` on a grid as one batched :class:`FrameJets`,
+    """:func:`frame_grid` on a grid as one batched jet :class:`Frame`,
     raising the error a loop over the grid would meet first."""
     return pointwise_order(lambda ts: frame_grid(curve, ts), grid)
 
@@ -296,26 +283,25 @@ def frenet_residuals(curve, grid):
     require(np.abs(steps - h) <= 1e-9 * abs(h),
             lambda j: InputError("residual grid must be uniformly spaced"))
 
-    frames = cartan_frames(curve, grid)
-    return stencil_residuals(grid, frames.to_frame(), frames.alpha.value)
+    return stencil_residuals(cartan_frames(curve, grid).value)
 
 
-def stencil_residuals(grid, frame, points):
-    """:func:`frenet_residuals` from samples already taken on its grid:
-    ``frame`` is a :class:`CartanFrame` stacked over the uniform ``grid`` (at
-    least 7 points), ``points`` the curve points there."""
-    h = grid[1] - grid[0]
-    fields = {"alpha": points, **frame_vectors(frame)}
+def stencil_residuals(frame):
+    """:func:`frenet_residuals` from a frame of values already sampled on its
+    uniform grid ``frame.t`` of at least 7 points."""
+    grid, rows = frame.t, frame.rows
+    system = frenet_system(rows.shape[-1])
+    index = {row: i for i, (row, _) in enumerate(system)}
+    lhs = _stencil_derivative(rows, grid[1] - grid[0])
     k = [None] + [c[:, None] for c in frame.curvatures]
     per_equation = {}
-    for row, terms in frenet_system(points.shape[1]):
+    for i, (row, terms) in enumerate(system):
         rhs, text = 0.0, []
         for target, c, sign in terms:
-            term = fields[target] if c == 0 else k[c] * fields[target]
+            term = rows[:, index[target]] if c == 0 else k[c] * rows[:, index[target]]
             rhs = rhs + term if sign > 0 else rhs - term
             text += ["+" if sign > 0 else "-", f"k{c} {target}" if c else target]
         label = f"{row}' = " + ("" if text[0] == "+" else "-") + " ".join(text[1:])
-        lhs = _stencil_derivative(fields[row], h)
-        per_equation[label] = float(np.max(np.abs(lhs - rhs)))
+        per_equation[label] = float(np.max(np.abs(lhs[:, i] - rhs)))
     overall = max(per_equation.values())
     return FrenetResidualReport(per_equation, overall, tuple(grid))

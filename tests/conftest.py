@@ -19,7 +19,7 @@ from nullcartan import (
     CurvatureProfile,
     Curve,
     EvoluteCurve,
-    FrameState,
+    Frame,
     InvoluteCurve,
     MappedCurve,
     OffsetCurve,
@@ -169,10 +169,8 @@ def random_isometry_frame(n, rng, alpha=None):
     """Initial frame moved by a random isometry of the index-2 metric."""
     M = random_isometry(n, rng)
     std = standard_initial_frame(n)
-    return FrameState(
-        np.zeros(n) if alpha is None else alpha,
-        M @ std.L1, M @ std.L2, M @ std.N1, M @ std.N2,
-        tuple(M @ w for w in std.W))
+    return Frame(np.stack([np.zeros(n) if alpha is None else alpha,
+                           *(M @ v for v in std.rows[1:])]))
 
 
 # ---------------------------------------------------------------------------

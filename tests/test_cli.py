@@ -2,6 +2,7 @@
 
 import contextlib
 import csv
+import hashlib
 import io
 import json
 import os
@@ -488,6 +489,25 @@ def test_synthesize_frame_round_trip(profile6_file, tmp_path, capsys):
         t = row[cols.index("t")]
         got = [row[cols.index("k1")], row[cols.index("k2")], row[cols.index("k3")]]
         assert np.max(np.abs(np.array(got) - [0.2, -0.1, 1 + t])) <= 1e-6
+
+
+def test_input_digest_skips_the_header_lines(profile6_file, tmp_path, capsys):
+    # two syntheses of one recipe differ in their timestamped headers only,
+    # and the digest hashes every byte but those lines
+    paths = [tmp_path / "first.json", tmp_path / "second.json"]
+    for path in paths:
+        assert run(capsys, "synthesize", profile6_file, "--grid", "9",
+                   "--output", str(path))[0] == 0
+    relabeled = tmp_path / "relabeled.json"
+    relabeled.write_text("# another header\n" + paths[1].read_text().split("\n", 1)[1])
+    digests = []
+    for path in paths + [relabeled]:
+        code, out, _ = run(capsys, "classify", str(path), "--grid", "5")
+        assert code == 0
+        digests.append(body_of(out)["input_digest"])
+    body = "".join(l for l in paths[0].read_text().splitlines(keepends=True)
+                   if not l.startswith("#"))
+    assert digests == [f"sha256:{hashlib.sha256(body.encode()).hexdigest()}"] * 3
 
 
 def test_report_bodies_are_deterministic(quintic_file, capsys):

@@ -19,7 +19,7 @@ from nullcartan import (
     CurvatureProfile,
     DimensionMismatchError,
     EvoluteCurve,
-    FrameState,
+    Frame,
     HypothesisError,
     InputError,
     MappedCurve,
@@ -45,6 +45,7 @@ from nullcartan.constructions import (
     InvoluteCurve,
     OffsetCurve,
     _frenet_couplings,
+    _gram_defect,
     _rk4_increments,
 )
 from nullcartan.curve import PANEL_CELLS
@@ -553,9 +554,8 @@ def test_flat_synthesis_is_polynomial(synth_flat5):
 
 def test_synthesis_reproduces_golden_curve(golden):
     from conftest import golden_L1, golden_L2, golden_W3
-    initial = FrameState(
-        alpha=golden.point(0.0), L1=golden_L1(0.0), L2=golden_L2(0.0),
-        N1=golden_N1(0.0), N2=golden_N2(0.0), W=(golden_W3(0.0),))
+    initial = Frame(np.stack([golden.point(0.0), golden_L1(0.0), golden_L2(0.0),
+                              golden_W3(0.0), golden_N2(0.0), golden_N1(0.0)]))
     curve = synthesize(CurvatureProfile.from_strings(5, ["0", "0"]),
                        (0.0, 1.0), step=1e-3, initial=initial)
     for t in np.linspace(0.0, 1.0, 11):
@@ -604,12 +604,12 @@ def test_synthesis_gate_rejects_a_nan_defect():
     profile = CurvatureProfile.from_strings(6, ["1e300", "1e300", "1e300"])
     with pytest.raises(StepSizeError, match=r"defect nan at t=0\.5 "):
         synthesize(profile, (0.0, 1.0), step=0.5)
-    state = standard_initial_frame(6).as_matrix().copy()
-    state[2, 3] = np.nan
+    state = standard_initial_frame(6).rows.copy()
+    state[2, 3] = np.nan  # a component of L2
     profile = CurvatureProfile.from_strings(6, ["1", "2", "3"])
     with pytest.raises(StepSizeError, match=r"defect nan at t=0 "):
         synthesize(profile, (0.0, 1.0), step=0.5,
-                   initial=FrameState.from_matrix(state))
+                   initial=Frame(state))
 
 
 @pytest.mark.parametrize("limit", [float("nan"), -1.0, 0.0])
@@ -621,20 +621,21 @@ def test_defect_limit_must_be_positive(limit):
 
 def frenet_rhs(k, F):
     """Frenet right-hand side spelled out row by row, the oracle for
-    synthesis: F holds the rows (alpha, L1, L2, N1, N2, W3, ...) and k[i - 1]
-    is k_i."""
+    synthesis: F holds the rows (alpha, L1, L2, W3, N2, N1, W4, ...) and
+    k[i - 1] is k_i."""
     n = F.shape[1]
+    alpha, L1, L2, W3, N2, N1 = range(6)
     d = np.empty_like(F)
-    d[0] = F[1]                                              # alpha' = L1
-    d[1] = F[2]                                              # L1' = L2
-    d[2] = F[5]                                              # L2' = W3
-    d[3] = k[1] * F[2] + (k[2] * F[6] if n >= 6 else 0.0)    # N1' = k2 L2 + k3 W4
-    d[4] = k[1] * F[1] + F[3] - k[0] * F[5]                  # N2' = k2 L1 + N1 - k1 W3
-    d[5] = -k[0] * F[2] + F[4]                               # W3' = -k1 L2 + N2
+    d[alpha] = F[L1]                                         # alpha' = L1
+    d[L1] = F[L2]                                            # L1' = L2
+    d[L2] = F[W3]                                            # L2' = W3
+    d[W3] = -k[0] * F[L2] + F[N2]                            # W3' = -k1 L2 + N2
+    d[N2] = k[1] * F[L1] + F[N1] - k[0] * F[W3]              # N2' = k2 L1 + N1 - k1 W3
+    d[N1] = k[1] * F[L2] + (k[2] * F[6] if n >= 6 else 0.0)  # N1' = k2 L2 + k3 W4
     for i in range(4, n - 1):  # W_i sits in row i + 2
         row = i + 2
         if i == 4:
-            dW = -k[2] * F[1]                                # W4' = -k3 L1 + k4 W5
+            dW = -k[2] * F[L1]                               # W4' = -k3 L1 + k4 W5
             if n >= 7:
                 dW = dW + k[3] * F[7]
         else:
@@ -688,7 +689,7 @@ def oracle_table(profile, a, b, step):
     """Node times a + i*step (the last one b) and the states that stagewise
     RK4 steps reach on them from the standard initial frame."""
     ts = [a + i * step for i in range(int((b - a) / step) + 1)] + [b]
-    states = [standard_initial_frame(profile.dimension).as_matrix()]
+    states = [standard_initial_frame(profile.dimension).rows]
     for t0, t1 in zip(ts, ts[1:]):
         states.append(oracle_rk4_step(profile, t0, states[-1], t1 - t0))
     return ts, np.array(states)
@@ -712,7 +713,7 @@ def test_synthesis_matches_stagewise_rk4_oracle(n, curvatures):
     # the gate's maximum covers every state, across blocks
     metric = PseudoMetric(n)
     assert curve.max_gram_defect == pytest.approx(
-        max(FrameState.from_matrix(s).gram_defect(metric) for s in states), rel=1e-6)
+        float(np.max(_gram_defect(states, metric))), rel=1e-6)
     # off-node queries take one batched step from the node below
     grid = np.linspace(a, b, 23)[1:-1] + 0.0037
     below = np.searchsorted(ts, grid, side="right") - 1
@@ -723,7 +724,7 @@ def test_synthesis_matches_stagewise_rk4_oracle(n, curvatures):
     assert np.max(np.abs(jets.coeffs[1] - want[:, 1])) <= 1e-13
     for t, w in zip(grid, want):
         assert np.max(np.abs(curve.point(t) - w[0])) <= 1e-13
-        assert np.max(np.abs(curve.frame_state(t).as_matrix() - w)) <= 1e-13
+        assert np.max(np.abs(curve.frame_state(t).rows - w)) <= 1e-13
 
 
 @pytest.mark.parametrize("steps", [1, 15, 16, 17, 255, 256, 257, 513])
@@ -741,7 +742,7 @@ def test_synthesis_matches_the_oracle_at_scan_edges(steps):
     assert np.max(np.abs(curve._states - states)) <= 1e-13
     metric = PseudoMetric(6)
     assert curve.max_gram_defect == pytest.approx(
-        max(FrameState.from_matrix(s).gram_defect(metric) for s in states), rel=1e-6)
+        float(np.max(_gram_defect(states, metric))), rel=1e-6)
 
 
 # integrate-shaped curvatures: the n = 8 profile, cut short or extended
@@ -878,9 +879,18 @@ def test_jets_match_the_frame_basis_recursion(n):
 
 
 def test_standard_initial_frame_relations():
+    # every pairing by row name: <L1, N1> = 1, <L2, N2> = -1, unit W's and
+    # every other pair 0; the Gram gate expects the same table
     m = PseudoMetric(7)
     st = standard_initial_frame(7)
-    assert st.gram_defect(m) == 0.0
+    names = ["L1", "L2", "W3", "N2", "N1", "W4", "W5"]
+    pairs = {("L1", "N1"): 1.0, ("L2", "N2"): -1.0, ("W3", "W3"): 1.0, ("W4", "W4"): 1.0,
+             ("W5", "W5"): 1.0}
+    want = [[pairs.get((a, b), pairs.get((b, a), 0.0)) for b in names] for a in names]
+    assert np.array_equal(m.gram(st.rows[1:]), want)
+    named = (st.alpha, st.L1, st.L2, st.W[0], st.N2, st.N1, st.W[1], st.W[2])
+    assert all(np.array_equal(v, row) for v, row in zip(named, st.rows, strict=True))
+    assert _gram_defect(st.rows, m) == 0.0
 
 
 def test_random_frame_synthesis_classifies(synth6):

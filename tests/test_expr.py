@@ -1,6 +1,7 @@
 """Parser and jet-arithmetic tests against independent derivative oracles."""
 
 import math
+import operator
 
 import numpy as np
 import pytest
@@ -314,6 +315,26 @@ def test_a_number_operand_is_applied_as_a_compiled_program_applies_it(base):
         assert isinstance(got, Jet) and np.array_equal(got.coeffs, want.coeffs), text
     with pytest.raises(ZeroDivisionError):
         j / 0.0
+
+
+@pytest.mark.parametrize("array", [np.array([2.0]), np.array([1.0, 2.0])], ids=["(1,)", "(2,)"])
+@pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul, operator.truediv])
+def test_an_array_does_not_broadcast_over_a_jet(array, op):
+    # numpy defers to the jet instead of building an object array of jets,
+    # and the jet takes no array but a 0-d one
+    j = Jet(0.1, np.arange(1.0, 4.0))
+    with pytest.raises(TypeError):
+        op(array, j)
+    with pytest.raises(TypeError):
+        op(j, array)
+
+
+@pytest.mark.parametrize("number", [np.float64(2.0), np.array(2.0)], ids=["float64", "0-d"])
+def test_a_numpy_scalar_operand_is_a_number(number):
+    j = Jet(0.1, np.arange(1.0, 4.0))
+    for got, want in [(number * j, 2.0 * j), (j * number, j * 2.0), (number - j, 2.0 - j),
+                      (j / number, j / 2.0), (number / j, 2.0 / j), (number + j, 2.0 + j)]:
+        assert type(got) is Jet and np.array_equal(got.coeffs, want.coeffs)
 
 
 @pytest.mark.parametrize("jet", [Jet(0.1, np.ones(1)), VecJet(0.1, np.ones((1, 3))),

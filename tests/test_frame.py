@@ -272,17 +272,17 @@ def test_a_single_frame_is_its_row_of_the_batched_frames(protocol_curves, name):
     else:
         def equal(x, y):
             return np.allclose(x, y, rtol=1e-12, atol=1e-12)
-    rows = frames.to_frame()
+    batch = frames.value
     for i, t in enumerate(grid):
         f = cartan_frame_at(curve, t)
         assert type(f.t) is float and f.t == t
-        got, want = (f.L1, f.L2, f.N1, f.N2, *f.W), (rows.L1, rows.L2, rows.N1, rows.N2, *rows.W)
+        got, want = (f.L1, f.L2, f.N1, f.N2, *f.W), (batch.L1, batch.L2, batch.N1, batch.N2, *batch.W)
         assert len(got) == len(want)
         assert all(equal(g, w[i]) for g, w in zip(got, want))
         assert all(type(k) is float for k in f.curvatures)
-        assert equal(np.array(f.curvatures), np.array([k[i] for k in rows.curvatures]))
+        assert equal(np.array(f.curvatures), np.array([k[i] for k in batch.curvatures]))
         assert type(f.closure_residual) is float
-        assert type(f.orientation) is int and f.orientation == rows.orientation[i]
+        assert type(f.orientation) is int and f.orientation == batch.orientation[i]
     # a returned vector changed in place does not change the next call
     first = cartan_frame_at(curve, grid[0])
     vectors = (first.L1, first.L2, first.N1, first.N2, *first.W)
@@ -317,10 +317,11 @@ def test_frenet_system_is_built_once_immutable_and_bounded():
     assert frame_rows(5) == ["L1", "L2", "W3", "N2", "N1"]
     assert frame_rows(8) == ["L1", "L2", "W3", "N2", "N1", "W4", "W5", "W6"]
     P = _frenet_couplings(7)
+    alpha, L1, L2, W3, N2, N1, W4, W5 = range(8)
     assert [(int(c), int(i), int(j), int(P[c, i, j])) for c, i, j in zip(*np.nonzero(P))] == [
-        (0, 0, 1, 1), (0, 1, 2, 1), (0, 2, 5, 1), (0, 4, 3, 1), (0, 5, 4, 1), (1, 4, 5, -1),
-        (1, 5, 2, -1), (2, 3, 2, 1), (2, 4, 1, 1), (3, 3, 6, 1), (3, 6, 1, -1), (4, 6, 7, 1),
-        (4, 7, 6, -1)]
+        (0, alpha, L1, 1), (0, L1, L2, 1), (0, L2, W3, 1), (0, W3, N2, 1), (0, N2, N1, 1),
+        (1, W3, L2, -1), (1, N2, W3, -1), (2, N2, L1, 1), (2, N1, L2, 1), (3, N1, W4, 1),
+        (3, W4, L1, -1), (4, W4, W5, 1), (4, W5, W4, -1)]
 
 
 # ---------------------------------------------------------------------------
@@ -350,6 +351,12 @@ def test_vanishing_k3_aborts_with_partial_frame():
     assert exc.value.index == 3
     partial = exc.value.partial
     assert partial is not None and len(partial.curvatures) == 2
+    # the rows found before the failing normalizer: alpha, L1, L2, W3, N2, N1
+    assert partial.t == 0.5 and partial.rows.coeffs.shape[-2:] == (6, 6)
+    metric = PseudoMetric(6)
+    N1, L1 = partial.N1.value, partial.L1.value
+    assert abs(metric.inner(N1, N1)) <= 1e-9
+    assert metric.inner(L1, N1) == pytest.approx(1.0, abs=1e-9)
     # away from the zero the frame exists, with the positive-gauge curvature
     f = cartan_frame_at(curve, 0.2)
     assert f.curvatures[2] == pytest.approx(0.3, abs=1e-9)
