@@ -4,11 +4,15 @@ Input files are UTF-8 JSON.  A symbolic curve file carries ``dimension``,
 ``parameter``, ``components`` (expression strings) and ``domain``; a
 synthesized curve file (as written by ``synthesize``) carries the curvature
 recipe instead and is re-integrated on ingestion, so frame extraction on it
-is exact rather than spline-limited.  Reports open with one ``#`` header line
-(the only place a timestamp appears); the rest of the body is deterministic,
-with floats printed to 17 significant digits.  Exit codes: 0 verdict computed
-(true or false), 2 input/parse error, 3 hypothesis/family violation,
-4 numerical failure.
+is exact rather than spline-limited.  Every command ends in :func:`_report`,
+the one helper that builds a report body (command, arguments echo, input
+digest, then the command's sections) and writes it.  Reports open with one
+``#`` header line (the only place a timestamp appears); the rest of the body
+is deterministic, with floats printed to 17 significant digits.  Exit codes:
+0 verdict computed (true or false), 2 input/parse error, 3 hypothesis/family
+violation, 4 numerical failure.  A library error's class states its category
+(``category`` in :mod:`nullcartan.errors`); :func:`main` prints it in one JSON
+diagnostic line and exits with its code.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ import numpy as np
 from . import __version__
 from .bundled import NULL_QUINTIC
 from .constructions import (
+    DEFAULT_STEP,
     MAX_TABLE_FLOATS,
     CurvatureProfile,
     bertrand_mate,
@@ -37,22 +42,13 @@ from .constructions import (
     synthesize,
 )
 from .curve import (
+    DEFAULT_CLASSIFY_POINTS,
     Curve,
     chebyshev_grid,
     classify,
     pseudo_arc_reparam,
 )
-from .errors import (
-    DegenerateBasisError,
-    ExprEvaluationError,
-    ExprSyntaxError,
-    FrameDegeneracyError,
-    HypothesisError,
-    InputError,
-    NullCartanError,
-    SingularRecursionError,
-    StepSizeError,
-)
+from .errors import HypothesisError, InputError, NullCartanError
 from .frame import (
     CURVATURE_FLOOR,
     NULL_CHAIN_GATE,
@@ -62,11 +58,10 @@ from .frame import (
     frame_rows,
     stencil_residuals,
 )
+from .metric import DEFAULT_TOL
 
-_INPUT_ERRORS = (InputError, ExprSyntaxError)
-_HYPOTHESIS_ERRORS = (HypothesisError,)
-_NUMERICAL_ERRORS = (FrameDegeneracyError, StepSizeError, SingularRecursionError,
-                     ExprEvaluationError, DegenerateBasisError)
+# exit code of each error category (the ``category`` of an error class)
+_EXIT_CODES = {"input": 2, "hypothesis": 3, "family": 3, "numerical": 4}
 
 
 # ---------------------------------------------------------------------------
@@ -231,22 +226,23 @@ def _interval(data, key, path):
     return a, b
 
 
-def _profile(data, path):
-    """The curvature recipe of a spec; its parameter defaults to ``t``."""
-    return CurvatureProfile.from_strings(
+def _recipe(data, path, step=None):
+    """The synthesis recipe of a spec: its curvature profile (the parameter
+    defaults to ``t``), its interval and, unless ``step`` is given, its step."""
+    profile = CurvatureProfile.from_strings(
         _integer(data, "dimension", path), _expressions(data, "curvatures", path),
         data.get("parameter", "t"))
+    interval = _interval(data, "interval", path)
+    if step is None:
+        step = _number(data.get("step", DEFAULT_STEP), "step", path)
+    return profile, interval, step
 
 
 def load_curve(path):
     """Curve from a curve spec file (symbolic or synthesized)."""
     data, digest = _read_json(path)
     if data.get("kind") == "synthesized" or "curvatures" in data:
-        profile = _profile(data, path)
-        interval = _interval(data, "interval", path)
-        step = _number(data.get("step", 1e-3), "step", path)
-        curve = synthesize(profile, interval, step)
-        return curve, data, digest
+        return synthesize(*_recipe(data, path)), data, digest
     n = _integer(data, "dimension", path)
     components = _expressions(data, "components", path)
     if len(components) != n:
@@ -255,11 +251,6 @@ def load_curve(path):
     domain = _interval(data, "domain", path)
     curve = Curve.from_strings(components, data.get("parameter", "s"), domain)
     return curve, data, digest
-
-
-def load_profile(path):
-    data, digest = _read_json(path)
-    return _profile(data, path), data, digest
 
 
 def _grid_size(args, data, default_points, n):
@@ -293,10 +284,15 @@ def _grid_for(args, curve, data, default_points, uniform=False):
     return chebyshev_grid(a, b, points)
 
 
-def _base_body(command, args, digest):
+def _report(command, args, digest, **sections):
+    """Write the report of ``command`` and return exit code 0.  The body is
+    the command name, the echo of its arguments and the digest of its input,
+    then ``sections`` in the order given."""
     echo = {k: v for k, v in sorted(vars(args).items())
             if k not in ("func", "output") and v is not None}
-    return {"command": command, "arguments": echo, "input_digest": digest}
+    body = {"command": command, "arguments": echo, "input_digest": digest, **sections}
+    write_report(body, args)
+    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -305,26 +301,24 @@ def _base_body(command, args, digest):
 
 def cmd_classify(args):
     curve, data, digest = load_curve(args.file)
-    grid = _grid_for(args, curve, data, 17)
+    grid = _grid_for(args, curve, data, DEFAULT_CLASSIFY_POINTS)
     report = classify(curve, grid, args.tol)
-    n = curve.dimension
-    body = _base_body("classify", args, digest)
-    body["tolerances"] = {"classification": args.tol}
-    body["verdicts"] = {"family": report.family}
-    body["summary"] = {
-        "dimension": n,
-        "nullity_sequence": list(report.report.nullity_sequence),
-        "index_sequence": list(report.report.index_sequence),
-        "degeneration_degree": report.report.degeneration_degree,
-        "grid": list(report.grid),
-    }
-    body["table"] = {
-        "columns": ["i", "r_i", "q_i"],
-        "rows": [[i, r, q] for i, (r, q) in enumerate(
-            zip(report.report.nullity_sequence, report.report.index_sequence))],
-    }
-    write_report(body, args)
-    return 0
+    return _report(
+        "classify", args, digest,
+        tolerances={"classification": args.tol},
+        verdicts={"family": report.family},
+        summary={
+            "dimension": curve.dimension,
+            "nullity_sequence": list(report.report.nullity_sequence),
+            "index_sequence": list(report.report.index_sequence),
+            "degeneration_degree": report.report.degeneration_degree,
+            "grid": list(report.grid),
+        },
+        table={
+            "columns": ["i", "r_i", "q_i"],
+            "rows": [[i, r, q] for i, (r, q) in enumerate(
+                zip(report.report.nullity_sequence, report.report.index_sequence))],
+        })
 
 
 def _frame_table(frame):
@@ -342,93 +336,83 @@ def _frame_table(frame):
 def cmd_frame(args):
     curve, data, digest = load_curve(args.file)
     grid = _grid_for(args, curve, data, 61, uniform=True)
-    n = curve.dimension
     frame = cartan_frames(curve, grid).value
     table = _frame_table(frame)
-    body = _base_body("frame", args, digest)
-    body["tolerances"] = {"null_chain_gate": NULL_CHAIN_GATE, "pseudo_arc_gate": PSEUDO_ARC_GATE,
-                          "curvature_floor": CURVATURE_FLOOR}
-    body["summary"] = {"dimension": n, "samples": len(table["rows"]),
-                       "max_closure_residual": float(np.max(frame.closure_residual))}
+    summary = {"dimension": curve.dimension, "samples": len(table["rows"]),
+               "max_closure_residual": float(np.max(frame.closure_residual))}
     if len(grid) >= 7:
         res = stencil_residuals(frame)
-        body["summary"]["frenet_residuals"] = dict(res.per_equation)
-        body["summary"]["max_frenet_residual"] = res.overall
-    body["table"] = table
-    write_report(body, args)
-    return 0
+        summary["frenet_residuals"] = dict(res.per_equation)
+        summary["max_frenet_residual"] = res.overall
+    return _report(
+        "frame", args, digest,
+        tolerances={"null_chain_gate": NULL_CHAIN_GATE, "pseudo_arc_gate": PSEUDO_ARC_GATE,
+                    "curvature_floor": CURVATURE_FLOOR},
+        summary=summary, table=table)
 
 
 def cmd_bertrand(args):
     curve, data, digest = load_curve(args.file)
-    grid = _grid_for(args, curve, data, 17)
+    grid = _grid_for(args, curve, data, DEFAULT_CLASSIFY_POINTS)
+    tolerances = {"curvature": args.tol}
     try:
         result = bertrand_mate(curve, args.mu, grid, args.tol)
-        report = result.report
-        rows = [[s, sb, *pt] for s, sb, pt in
-                zip(report.grid, report.sbar, result.sampled.points)]
     except HypothesisError as exc:
         if exc.condition != "k1 = k2 = 0":
             raise
         verdict = exc.evidence
-        body = _base_body("bertrand", args, digest)
-        body["tolerances"] = {"curvature": args.tol}
-        body["verdicts"] = {"bertrand": False}
-        body["summary"] = {"max_k1": verdict.max_k1, "max_k2": verdict.max_k2,
-                           "reason": str(exc)}
-        write_report(body, args)
-        return 0
-    n = curve.dimension
-    body = _base_body("bertrand", args, digest)
-    body["tolerances"] = {"curvature": args.tol}
-    body["verdicts"] = {"bertrand": report.verdict}
-    body["summary"] = {
-        "mu": args.mu,
-        "max_k1": report.max_k1,
-        "max_k2": report.max_k2,
-        "alignment_defect": report.alignment_defect,
-        "correspondence_offset": report.correspondence_offset,
-    }
-    body["table"] = {
-        "columns": ["s", "sbar"] + [f"mate_x{j + 1}" for j in range(n)],
-        "rows": rows,
-    }
-    write_report(body, args)
-    return 0
+        return _report("bertrand", args, digest, tolerances=tolerances,
+                       verdicts={"bertrand": False},
+                       summary={"max_k1": verdict.max_k1, "max_k2": verdict.max_k2,
+                                "reason": str(exc)})
+    report = result.report
+    return _report(
+        "bertrand", args, digest, tolerances=tolerances,
+        verdicts={"bertrand": report.verdict},
+        summary={
+            "mu": args.mu,
+            "max_k1": report.max_k1,
+            "max_k2": report.max_k2,
+            "alignment_defect": report.alignment_defect,
+            "correspondence_offset": report.correspondence_offset,
+        },
+        table={
+            "columns": ["s", "sbar"] + [f"mate_x{j + 1}" for j in range(curve.dimension)],
+            "rows": [[s, sb, *pt] for s, sb, pt in
+                     zip(report.grid, report.sbar, result.sampled.points)],
+        })
 
 
 def cmd_sphere(args):
     curve, data, digest = load_curve(args.file)
-    grid = _grid_for(args, curve, data, 17)
+    grid = _grid_for(args, curve, data, DEFAULT_CLASSIFY_POINTS)
     report = pseudo_spherical_test(curve, grid, args.tol)
     n = curve.dimension
-    body = _base_body("sphere", args, digest)
-    body["tolerances"] = {"constancy": args.tol}
-    body["verdicts"] = {"is_spherical": report.is_spherical,
-                        "last_coefficient_nonzero": report.last_coefficient_nonzero}
-    body["summary"] = {
-        "radius": report.radius,
-        "center": None if report.center is None else list(report.center),
-        "max_radius_spread": report.max_radius_spread,
-        "max_center_spread": report.max_center_spread,
-        "sphere_equation_residual": report.sphere_equation_residual,
-    }
     a_cols = [f"a{i + 1}" for i in range(n - 4)]
-    body["table"] = {
-        "columns": ["t"] + a_cols + ["radius_sq"] + [f"center_x{j + 1}" for j in range(n)],
-        "rows": [[t, *a, r, *c] for t, a, r, c in
-                 zip(report.grid, report.a_values, report.radius_sq, report.centers)],
-    }
-    write_report(body, args)
-    return 0
+    return _report(
+        "sphere", args, digest,
+        tolerances={"constancy": args.tol},
+        verdicts={"is_spherical": report.is_spherical,
+                  "last_coefficient_nonzero": report.last_coefficient_nonzero},
+        summary={
+            "radius": report.radius,
+            "center": None if report.center is None else list(report.center),
+            "max_radius_spread": report.max_radius_spread,
+            "max_center_spread": report.max_center_spread,
+            "sphere_equation_residual": report.sphere_equation_residual,
+        },
+        table={
+            "columns": ["t"] + a_cols + ["radius_sq"] + [f"center_x{j + 1}" for j in range(n)],
+            "rows": [[t, *a, r, *c] for t, a, r, c in
+                     zip(report.grid, report.a_values, report.radius_sq, report.centers)],
+        })
 
 
 def cmd_evolute(args):
     curve, data, digest = load_curve(args.file)
     grid = _grid_for(args, curve, data, 33, uniform=True)
     result = evolute(curve, grid)
-    body = _base_body("evolute", args, digest)
-    body["summary"] = {
+    summary = {
         "speed_defect": result.speed_defect,
         "min_abs_slope": result.min_abs_slope,
     }
@@ -436,72 +420,64 @@ def cmd_evolute(args):
         offset = 1.0 / cartan_frame_at(curve, grid[0]).curvatures[2]
         inv = involute(result.curve, float(grid[0]), grid, arc_offset=offset)
         sup = float(np.max(np.abs(inv.sampled.points - curve.vec_jets(grid, 0).value)))
-        body["summary"]["roundtrip_arc_offset"] = offset
-        body["summary"]["roundtrip_sup_distance"] = sup
-    body["table"] = {
-        "columns": ["t"] + [f"E_x{j + 1}" for j in range(curve.dimension)],
-        "rows": [[t, *p] for t, p in zip(result.grid, result.sampled.points)],
-    }
-    write_report(body, args)
-    return 0
+        summary["roundtrip_arc_offset"] = offset
+        summary["roundtrip_sup_distance"] = sup
+    return _report(
+        "evolute", args, digest, summary=summary,
+        table={
+            "columns": ["t"] + [f"E_x{j + 1}" for j in range(curve.dimension)],
+            "rows": [[t, *p] for t, p in zip(result.grid, result.sampled.points)],
+        })
 
 
 def cmd_involute(args):
     curve, data, digest = load_curve(args.file)
     grid = _grid_for(args, curve, data, 33, uniform=True)
     result = involute(curve, args.t0, grid, arc_offset=args.s0)
-    body = _base_body("involute", args, digest)
-    body["summary"] = {"t0": args.t0, "arc_offset": args.s0}
     arc = result.curve.arc_length(np.array(result.grid))
-    body["table"] = {
-        "columns": ["t", "s"] + [f"I_x{j + 1}" for j in range(curve.dimension)],
-        "rows": [[t, s, *p] for t, s, p in zip(result.grid, arc, result.sampled.points)],
-    }
-    write_report(body, args)
-    return 0
+    return _report(
+        "involute", args, digest,
+        summary={"t0": args.t0, "arc_offset": args.s0},
+        table={
+            "columns": ["t", "s"] + [f"I_x{j + 1}" for j in range(curve.dimension)],
+            "rows": [[t, s, *p] for t, s, p in zip(result.grid, arc, result.sampled.points)],
+        })
 
 
 def cmd_synthesize(args):
-    profile, data, digest = load_profile(args.file)
-    interval = _interval(data, "interval", args.file)
-    step = args.step if args.step is not None else _number(data.get("step", 1e-3),
-                                                           "step", args.file)
+    data, digest = _read_json(args.file)
+    profile, interval, step = _recipe(data, args.file, args.step)
     points = _grid_size(args, data, 129, profile.dimension)
     curve = synthesize(profile, interval, step)
     grid = np.linspace(curve.domain[0], curve.domain[1], points)
-    n = curve.dimension
-    body = _base_body("synthesize", args, digest)
-    body["kind"] = "synthesized"
-    body["dimension"] = n
-    body["parameter"] = profile.parameter
-    body["curvatures"] = [str(k) for k in data["curvatures"]]
-    body["interval"] = [curve.domain[0], curve.domain[1]]
-    body["step"] = step
-    body["max_gram_defect"] = curve.max_gram_defect
-    body["table"] = _frame_table(curve.frame_table(grid))
-    write_report(body, args)
-    return 0
+    return _report(
+        "synthesize", args, digest,
+        kind="synthesized",
+        dimension=curve.dimension,
+        parameter=profile.parameter,
+        curvatures=[str(k) for k in data["curvatures"]],
+        interval=[curve.domain[0], curve.domain[1]],
+        step=step,
+        max_gram_defect=curve.max_gram_defect,
+        table=_frame_table(curve.frame_table(grid)))
 
 
 def cmd_reparam(args):
     curve, data, digest = load_curve(args.file)
     points = _grid_size(args, data, 129, curve.dimension)
     result = pseudo_arc_reparam(curve, grid_density=points, tol=args.tol)
-    body = _base_body("reparam", args, digest)
-    body["summary"] = {"unit_speed_defect": result.unit_speed_defect,
-                       "pseudo_arc_span": [result.sampled.grid[0],
-                                           result.sampled.grid[-1]]}
-    body["table"] = {
-        "columns": ["t", "sbar"],
-        "rows": [[t, s] for t, s in zip(result.table_t, result.table_s)],
-    }
-    write_report(body, args)
-    return 0
+    return _report(
+        "reparam", args, digest,
+        summary={"unit_speed_defect": result.unit_speed_defect,
+                 "pseudo_arc_span": [result.sampled.grid[0], result.sampled.grid[-1]]},
+        table={
+            "columns": ["t", "sbar"],
+            "rows": [[t, s] for t, s in zip(result.table_t, result.table_s)],
+        })
 
 
 def cmd_fixture(args):
-    body = dict(NULL_QUINTIC)
-    write_report(body, args, pure_json=True)
+    write_report(dict(NULL_QUINTIC), args, pure_json=True)
     return 0
 
 
@@ -513,8 +489,7 @@ class _Parser(argparse.ArgumentParser):
     """Argument parser whose usage errors end in a JSON input diagnostic."""
 
     def error(self, message):
-        _diagnostic("input", InputError(f"{self.prog}: {message}"))
-        sys.exit(2)
+        sys.exit(_diagnostic(InputError(f"{self.prog}: {message}")))
 
 
 def _finite(text):
@@ -545,7 +520,7 @@ def build_parser():
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, file_help="curve spec file (JSON)", tol=1e-9,
+    def common(p, file_help="curve spec file (JSON)", tol=DEFAULT_TOL,
                tol_help="classification tolerance"):
         p.add_argument("file", help=file_help)
         p.add_argument("--grid", type=int, default=None,
@@ -594,7 +569,7 @@ def build_parser():
                        help="integrate the Frenet system for a curvature profile")
     common(p, file_help="curvature profile file (JSON)", tol=None)
     p.add_argument("--step", type=float, default=None,
-                   help="integration step (default from file or 1e-3)")
+                   help=f"integration step (default from file or {DEFAULT_STEP:g})")
     p.set_defaults(func=cmd_synthesize)
 
     p = sub.add_parser("reparam", help="pseudo-arc reparametrization table")
@@ -602,17 +577,19 @@ def build_parser():
     p.set_defaults(func=cmd_reparam)
 
     p = sub.add_parser("fixture", help="print the bundled demonstration curve")
-    p.add_argument("--format", choices=("csv", "json"), default="json")
     p.add_argument("--output", default=None)
     p.set_defaults(func=cmd_fixture)
 
     return parser
 
 
-def _diagnostic(category, exc):
-    payload = {"category": category, "error": type(exc).__name__,
+def _diagnostic(exc):
+    """Print the JSON diagnostic line of a library error; return the exit
+    code of its category."""
+    payload = {"category": exc.category, "error": type(exc).__name__,
                "message": str(exc)}
     print(json.dumps(payload), file=sys.stderr)
+    return _EXIT_CODES[exc.category]
 
 
 def main(argv=None):
@@ -623,19 +600,8 @@ def main(argv=None):
         # so stderr carries the JSON diagnostic alone
         with np.errstate(all="ignore"):
             return args.func(args)
-    except _INPUT_ERRORS as exc:
-        _diagnostic("input", exc)
-        return 2
-    except _HYPOTHESIS_ERRORS as exc:
-        _diagnostic("hypothesis", exc)
-        return 3
-    except _NUMERICAL_ERRORS as exc:
-        _diagnostic("numerical", exc)
-        return 4
     except NullCartanError as exc:
-        # remaining library errors are family/classification violations
-        _diagnostic("family", exc)
-        return 3
+        return _diagnostic(exc)
 
 
 if __name__ == "__main__":

@@ -23,6 +23,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .curve import (
+    DEFAULT_CLASSIFY_POINTS,
     TABLE_BLOCK,
     ArcLengthCurve,
     ReparametrizedCurve,
@@ -75,6 +76,8 @@ __all__ = [
 MIN_CURVATURE = 1e-8
 # the involute correspondence's gates on |<c',c'> - 1| and |<c'',c''>|
 INVOLUTE_GATE = 1e-6
+# integration step of a synthesis that names none
+DEFAULT_STEP = 1e-3
 # largest synthesis state table, in floats (nodes * (n + 1) * n): 256 MiB
 MAX_TABLE_FLOATS = 2**25
 # steps per chunk of the propagator scan (:func:`_propagate`)
@@ -215,7 +218,7 @@ class FrenetCurve(_BatchedCurve):
     changed through them.
     """
 
-    def __init__(self, profile, interval, step=1e-3, initial=None,
+    def __init__(self, profile, interval, step=DEFAULT_STEP, initial=None,
                  defect_limit=1e-4):
         a, b = float(interval[0]), float(interval[1])
         if not -math.inf < a < b < math.inf:
@@ -365,7 +368,7 @@ class FrenetCurve(_BatchedCurve):
         return Frame(states, grid, tuple(curvatures.T))
 
 
-def synthesize(profile, interval, step=1e-3, initial=None, defect_limit=1e-4):
+def synthesize(profile, interval, step=DEFAULT_STEP, initial=None, defect_limit=1e-4):
     """Integrate the Frenet system; raises StepSizeError past the defect budget."""
     return FrenetCurve(profile, interval, step, initial, defect_limit)
 
@@ -551,7 +554,7 @@ def pseudo_spherical_test(curve, grid=None, tol=1e-5):
         raise HypothesisError("the pseudo-sphere test needs dimension >= 6",
                               condition="dimension >= 6")
     if grid is None:
-        grid = chebyshev_grid(curve.domain[0], curve.domain[1], 17)
+        grid = chebyshev_grid(curve.domain[0], curve.domain[1], DEFAULT_CLASSIFY_POINTS)
     grid = [float(t) for t in grid]
     metric = PseudoMetric(n)
 

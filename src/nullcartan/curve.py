@@ -48,7 +48,7 @@ from .expr import (
     jet_invert,
     parse,
 )
-from .metric import PseudoMetric, family_nullity_sequence
+from .metric import DEFAULT_TOL, PseudoMetric, family_nullity_sequence
 
 __all__ = [
     "Curve",
@@ -449,7 +449,7 @@ class ClassificationReport:
     tolerance: float
 
 
-def classify(curve, grid=None, tol=1e-9):
+def classify(curve, grid=None, tol=DEFAULT_TOL):
     """Sequence report of the curve, constant across the grid, plus family flag.
 
     The nullity and index sequences are computed from {alpha', ..., alpha^(n)}
@@ -479,7 +479,7 @@ def classify(curve, grid=None, tol=1e-9):
     return ClassificationReport(first, family, tuple(grid), tol)
 
 
-def require_family(curve, grid=None, tol=1e-9):
+def require_family(curve, grid=None, tol=DEFAULT_TOL):
     """classify() that raises FamilyError unless the curve is in the family."""
     report = classify(curve, grid, tol)
     if not report.family:
@@ -812,7 +812,7 @@ class ReparamResult:
     unit_speed_defect: float
 
 
-def pseudo_arc_reparam(curve, grid_density=129, tol=1e-9):
+def pseudo_arc_reparam(curve, grid_density=129, tol=DEFAULT_TOL):
     """Resample a family curve at uniform pseudo-arc values.
 
     Returns the monotone table sbar(t), the resampled curve (points are exact

@@ -1,9 +1,12 @@
 """Exception hierarchy.
 
-Grouping mirrors the CLI exit-code contract: input problems (bad files,
-unparsable expressions, wrong dimensions), violated theorem hypotheses or
-family membership, and numerical breakdowns (degenerate curvatures, step-size
-failures).  :func:`require` is the one rule by which a grid gate raises.
+Each class states its CLI exit category in ``category``, and a subclass
+inherits it: ``input`` for problems with files, expressions or dimensions,
+``hypothesis`` for a violated theorem hypothesis, ``numerical`` for a
+numerical breakdown (degenerate curvatures, step-size failures), and
+``family`` for the rest, violations of family membership.  The CLI prints
+the category in its diagnostic and maps it to the exit code.  :func:`require`
+is the one rule by which a grid gate raises.
 """
 
 import numpy as np
@@ -20,9 +23,13 @@ def require(ok, error):
 class NullCartanError(Exception):
     """Base class for all library errors."""
 
+    category = "family"
+
 
 class InputError(NullCartanError, ValueError):
     """Malformed input file or argument."""
+
+    category = "input"
 
 
 class DimensionMismatchError(InputError):
@@ -47,6 +54,8 @@ class ExprEvaluationError(NullCartanError, ArithmeticError):
     adds to it.
     """
 
+    category = "numerical"
+
     def __init__(self, message, subexpression):
         super().__init__(f"{message} in '{subexpression}'")
         self.reason = message
@@ -70,6 +79,8 @@ class DegenerateBasisError(NullCartanError):
     """Determinant-based test was ambiguous, the system rank-deficient, or a
     derivative too large for floating point."""
 
+    category = "numerical"
+
 
 class FamilyError(NullCartanError):
     """Curve is not in the supported nullity-sequence family."""
@@ -82,6 +93,8 @@ class HypothesisError(NullCartanError):
     ``evidence``, when set, is the result the hypothesis was read from, so a
     caller that reports the failure need not compute it again.
     """
+
+    category = "hypothesis"
 
     def __init__(self, message, condition=None, location=None, evidence=None):
         super().__init__(message)
@@ -97,6 +110,8 @@ class FrameDegeneracyError(NullCartanError):
     is the jet frame at that point of the rows found before it.
     """
 
+    category = "numerical"
+
     def __init__(self, message, index=None, partial=None):
         super().__init__(message)
         self.index = index
@@ -106,6 +121,8 @@ class FrameDegeneracyError(NullCartanError):
 class SingularRecursionError(NullCartanError):
     """Division by a vanishing curvature inside the sphere recursion."""
 
+    category = "numerical"
+
     def __init__(self, message, index=None):
         super().__init__(message)
         self.index = index
@@ -113,3 +130,5 @@ class SingularRecursionError(NullCartanError):
 
 class StepSizeError(NullCartanError):
     """Integration step too coarse for the requested frame-defect budget."""
+
+    category = "numerical"

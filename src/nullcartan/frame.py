@@ -101,7 +101,7 @@ class Frame:
     (K+1, ..., n+1, n) whose ``curvatures`` k1..k_{n-3} are jets too.  An
     extracted frame also carries its closure residual and orientation sign.
     The named vectors are views of ``rows``; :meth:`at` picks one grid point
-    of a jet frame and :attr:`value` reads it at order 0.
+    and :attr:`value` reads a jet frame at order 0.
     """
 
     rows: np.ndarray | VecJet
@@ -127,11 +127,15 @@ class Frame:
         return tuple(self._row(i) for i in (3, *range(6, rows.shape[-2])))
 
     def at(self, i):
-        """The jet frame at the i-th point of a batch."""
+        """The frame at the i-th point of a batch: a jet frame, or a copy of
+        row i of a frame of values with its curvatures as Python floats."""
+        if isinstance(self.rows, VecJet):
+            rows, curvatures = self.rows.at(i), tuple(k.at(i) for k in self.curvatures)
+        else:
+            rows, curvatures = self.rows[i].copy(), tuple(float(k[i]) for k in self.curvatures)
         checks = [None if x is None else x[i].item()
                   for x in (self.closure_residual, self.orientation)]
-        return Frame(self.rows.at(i), float(self.t[i]),
-                     tuple(k.at(i) for k in self.curvatures), *checks)
+        return Frame(rows, float(self.t[i]), curvatures, *checks)
 
     @property
     def value(self):
@@ -230,9 +234,9 @@ def frame_jets(curve, t, extra_order=0):
 
 
 def cartan_frame_at(curve, t):
-    """Frame vectors and curvature values at t: index 0 of :func:`frame_grid`
-    on the one-point grid [t], read at order 0."""
-    return frame_grid(curve, np.array([float(t)])).at(0).value
+    """Frame vectors and curvature values at t: :func:`frame_grid` on the
+    one-point grid [t], read at order 0, at index 0."""
+    return frame_grid(curve, np.array([float(t)])).value.at(0)
 
 
 def cartan_frames(curve, grid):

@@ -542,6 +542,64 @@ def test_fixture_output_is_pure_json(capsys):
     assert len(data["components"]) == 5
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_fixture_has_no_format_option(capsys, fmt):
+    # the fixture is always pure JSON, so --format is a usage error
+    with pytest.raises(SystemExit) as exc:
+        main(["fixture", "--format", fmt])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    diag = json.loads(captured.err)
+    assert diag["category"] == "input"
+    assert diag["error"] == "InputError"
+
+
+# every library error class, with the exit category the README gives it and
+# the arguments its constructor needs after the message
+EXIT_CATEGORIES = {
+    "NullCartanError": ("family", ()),
+    "ClassificationError": ("family", ()),
+    "FamilyError": ("family", ()),
+    "InputError": ("input", ()),
+    "DimensionMismatchError": ("input", ()),
+    "ExprSyntaxError": ("input", (3,)),
+    "HypothesisError": ("hypothesis", ()),
+    "FrameDegeneracyError": ("numerical", ()),
+    "StepSizeError": ("numerical", ()),
+    "SingularRecursionError": ("numerical", ()),
+    "ExprEvaluationError": ("numerical", ("sqrt(s)",)),
+    "DegenerateBasisError": ("numerical", ()),
+}
+EXIT_CODES = {"input": 2, "hypothesis": 3, "family": 3, "numerical": 4}
+
+
+def test_every_error_class_has_a_documented_exit_category():
+    from nullcartan import errors
+
+    classes = {name for name, value in vars(errors).items()
+               if isinstance(value, type) and issubclass(value, errors.NullCartanError)}
+    assert classes == set(EXIT_CATEGORIES)
+
+
+@pytest.mark.parametrize("name", EXIT_CATEGORIES)
+def test_each_error_class_exits_with_its_category(name, capsys, monkeypatch):
+    from nullcartan import cli, errors
+
+    category, extra = EXIT_CATEGORIES[name]
+    error = getattr(errors, name)("boom", *extra)
+
+    def command(args):
+        raise error
+
+    monkeypatch.setattr(cli, "cmd_classify", command)
+    code, out, err = run(capsys, "classify", "unread.json")
+    assert code == EXIT_CODES[category]
+    assert out == ""
+    assert err.count("\n") == 1
+    assert json.loads(err) == {"category": category, "error": name, "message": str(error)}
+
+
 def test_reparam_command(quintic_file, capsys):
     code, out, _ = run(capsys, "reparam", quintic_file, "--grid", "17")
     assert code == 0

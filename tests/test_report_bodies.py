@@ -11,6 +11,7 @@ After a change that is meant to move report digits, rewrite the copies with
 """
 
 import contextlib
+import csv
 import io
 import json
 import sys
@@ -53,17 +54,23 @@ def _write_input(name, directory):
     return str(path)
 
 
-def report(name, directory):
-    """Exit code, body (header and ``arguments.file`` dropped) and stderr."""
+def _run(name, directory, *options):
+    """Exit code, stdout and stderr of a run, with ``options`` appended."""
     source, argv = RUNS[name]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main([argv[0], _write_input(source, directory), *argv[1:]])
-    text = "\n".join(l for l in out.getvalue().splitlines() if not l.startswith("#"))
+        code = main([argv[0], _write_input(source, directory), *argv[1:], *options])
+    return code, out.getvalue(), err.getvalue()
+
+
+def report(name, directory):
+    """Exit code, body (header and ``arguments.file`` dropped) and stderr."""
+    code, out, err = _run(name, directory)
+    text = "\n".join(l for l in out.splitlines() if not l.startswith("#"))
     body = json.loads(text) if text else None
     if body is not None:
         del body["arguments"]["file"]
-    return {"exit": code, "body": body, "stderr": err.getvalue()}
+    return {"exit": code, "body": body, "stderr": err}
 
 
 def assert_matches(got, want, path="report"):
@@ -89,6 +96,47 @@ def assert_matches(got, want, path="report"):
 def test_report_body_matches_the_committed_copy(name, tmp_path):
     want = json.loads((BODIES / f"{name}.json").read_text())
     assert_matches(report(name, tmp_path), want)
+
+
+def _text(value):
+    """A JSON value as a CSV report writes it: floats to 17 significant digits."""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if value is None:
+        return "null"
+    if isinstance(value, float):
+        return f"{value:.17g}"
+    return str(value)
+
+
+def _flattened(prefix, value):
+    """``(key, text)`` pairs of a body: nested keys joined by dots, and a
+    list as its items' texts joined by spaces in brackets."""
+    if isinstance(value, dict):
+        return [pair for key, item in value.items()
+                for pair in _flattened(f"{prefix}.{key}" if prefix else key, item)]
+    if isinstance(value, list):
+        return [(prefix, "[" + " ".join(_text(v) for v in value) + "]")]
+    return [(prefix, _text(value))]
+
+
+@pytest.mark.parametrize("name", RUNS)
+def test_csv_report_is_the_json_body(name, tmp_path):
+    # the "#" scalar lines are the JSON body without its table, flattened,
+    # and the CSV table is its table
+    code, out, _ = _run(name, tmp_path)
+    assert code == 0
+    body = json.loads("".join(out.splitlines(keepends=True)[1:]))
+    body["arguments"]["format"] = "csv"
+    table = body.pop("table")
+    code, out, _ = _run(name, tmp_path, "--format", "csv")
+    assert code == 0
+    header, *lines = out.splitlines()
+    assert header.startswith(f"# nullcartan {body['command']} ")
+    scalars = [line for line in lines if line.startswith("# ")]
+    assert scalars == [f"# {key}: {text}" for key, text in _flattened("", body)]
+    rows = list(csv.reader(io.StringIO("\n".join(lines[len(scalars):]))))
+    assert rows == [table["columns"]] + [[_text(v) for v in row] for row in table["rows"]]
 
 
 def test_the_comparison_forgives_roundoff_only():
