@@ -32,6 +32,9 @@ import numpy as np
 from . import __version__
 from .bundled import NULL_QUINTIC
 from .constructions import (
+    DEFAULT_BERTRAND_TOL,
+    DEFAULT_EVOLUTE_POINTS,
+    DEFAULT_SPHERE_TOL,
     DEFAULT_STEP,
     MAX_TABLE_FLOATS,
     CurvatureProfile,
@@ -43,6 +46,7 @@ from .constructions import (
 )
 from .curve import (
     DEFAULT_CLASSIFY_POINTS,
+    DEFAULT_TABLE_ROWS,
     Curve,
     chebyshev_grid,
     classify,
@@ -103,12 +107,17 @@ def _render_json(obj, indent=0):
     return _fmt(obj)
 
 
+def _text(x):
+    """A value as a CSV report writes it: a string as itself, else as JSON."""
+    return x if isinstance(x, str) else _fmt(x)
+
+
 def _table_csv(table):
     buf = io.StringIO()
     writer = csv.writer(buf, quoting=csv.QUOTE_MINIMAL, lineterminator="\r\n")
     writer.writerow(table["columns"])
     for row in table["rows"]:
-        writer.writerow([_fmt(v).strip('"') for v in row])
+        writer.writerow([_text(v) for v in row])
     return buf.getvalue()
 
 
@@ -117,9 +126,9 @@ def _flatten(prefix, obj, out):
         for k, v in obj.items():
             _flatten(f"{prefix}.{k}" if prefix else str(k), v, out)
     elif isinstance(obj, (list, tuple, np.ndarray)):
-        out.append((prefix, "[" + " ".join(_fmt(v).strip('"') for v in obj) + "]"))
+        out.append((prefix, "[" + " ".join(_text(v) for v in obj) + "]"))
     else:
-        out.append((prefix, _fmt(obj).strip('"')))
+        out.append((prefix, _text(obj)))
 
 
 def write_report(body, args, pure_json=False):
@@ -410,7 +419,7 @@ def cmd_sphere(args):
 
 def cmd_evolute(args):
     curve, data, digest = load_curve(args.file)
-    grid = _grid_for(args, curve, data, 33, uniform=True)
+    grid = _grid_for(args, curve, data, DEFAULT_EVOLUTE_POINTS, uniform=True)
     result = evolute(curve, grid)
     summary = {
         "speed_defect": result.speed_defect,
@@ -432,7 +441,7 @@ def cmd_evolute(args):
 
 def cmd_involute(args):
     curve, data, digest = load_curve(args.file)
-    grid = _grid_for(args, curve, data, 33, uniform=True)
+    grid = _grid_for(args, curve, data, DEFAULT_EVOLUTE_POINTS, uniform=True)
     result = involute(curve, args.t0, grid, arc_offset=args.s0)
     arc = result.curve.arc_length(np.array(result.grid))
     return _report(
@@ -447,7 +456,7 @@ def cmd_involute(args):
 def cmd_synthesize(args):
     data, digest = _read_json(args.file)
     profile, interval, step = _recipe(data, args.file, args.step)
-    points = _grid_size(args, data, 129, profile.dimension)
+    points = _grid_size(args, data, DEFAULT_TABLE_ROWS, profile.dimension)
     curve = synthesize(profile, interval, step)
     grid = np.linspace(curve.domain[0], curve.domain[1], points)
     return _report(
@@ -464,7 +473,7 @@ def cmd_synthesize(args):
 
 def cmd_reparam(args):
     curve, data, digest = load_curve(args.file)
-    points = _grid_size(args, data, 129, curve.dimension)
+    points = _grid_size(args, data, DEFAULT_TABLE_ROWS, curve.dimension)
     result = pseudo_arc_reparam(curve, grid_density=points, tol=args.tol)
     return _report(
         "reparam", args, digest,
@@ -542,13 +551,13 @@ def build_parser():
     p.set_defaults(func=cmd_frame)
 
     p = sub.add_parser("bertrand", help="Bertrand verdict and offset mate")
-    common(p, tol=1e-8, tol_help="curvature-vanishing tolerance")
+    common(p, tol=DEFAULT_BERTRAND_TOL, tol_help="curvature-vanishing tolerance")
     p.add_argument("--mu", type=_finite, default=1.0,
                    help="offset along W3 (nonzero, default 1)")
     p.set_defaults(func=cmd_bertrand)
 
     p = sub.add_parser("sphere", help="pseudo-sphere membership test")
-    common(p, tol=1e-5, tol_help="radius/center constancy tolerance")
+    common(p, tol=DEFAULT_SPHERE_TOL, tol_help="radius/center constancy tolerance")
     p.set_defaults(func=cmd_sphere)
 
     p = sub.add_parser("evolute", help="evolute of a dimension-6 family curve")

@@ -31,6 +31,7 @@ from .curve import (
     SplineCurve,
     _BatchedCurve,
     _check_in_domain,
+    _derivative_rows,
     _read_only,
     chebyshev_grid,
     pointwise_order,
@@ -78,6 +79,12 @@ MIN_CURVATURE = 1e-8
 INVOLUTE_GATE = 1e-6
 # integration step of a synthesis that names none
 DEFAULT_STEP = 1e-3
+# defaults of the synthesis Gram-defect gate, the Bertrand curvature gate,
+# the sphere's radius and center constancy, and the evolute and involute grids
+DEFAULT_DEFECT_LIMIT = 1e-4
+DEFAULT_BERTRAND_TOL = 1e-8
+DEFAULT_SPHERE_TOL = 1e-5
+DEFAULT_EVOLUTE_POINTS = 33
 # largest synthesis state table, in floats (nodes * (n + 1) * n): 256 MiB
 MAX_TABLE_FLOATS = 2**25
 # steps per chunk of the propagator scan (:func:`_propagate`)
@@ -219,7 +226,7 @@ class FrenetCurve(_BatchedCurve):
     """
 
     def __init__(self, profile, interval, step=DEFAULT_STEP, initial=None,
-                 defect_limit=1e-4):
+                 defect_limit=DEFAULT_DEFECT_LIMIT):
         a, b = float(interval[0]), float(interval[1])
         if not -math.inf < a < b < math.inf:
             raise InputError("interval must be finite and satisfy a < b")
@@ -368,7 +375,8 @@ class FrenetCurve(_BatchedCurve):
         return Frame(states, grid, tuple(curvatures.T))
 
 
-def synthesize(profile, interval, step=DEFAULT_STEP, initial=None, defect_limit=1e-4):
+def synthesize(profile, interval, step=DEFAULT_STEP, initial=None,
+               defect_limit=DEFAULT_DEFECT_LIMIT):
     """Integrate the Frenet system; raises StepSizeError past the defect budget."""
     return FrenetCurve(profile, interval, step, initial, defect_limit)
 
@@ -435,12 +443,12 @@ def _bertrand_frames(curve, grid, tol):
     return verdict, frames
 
 
-def bertrand_check(curve, grid=None, tol=1e-8):
+def bertrand_check(curve, grid=None, tol=DEFAULT_BERTRAND_TOL):
     """True iff the curvature maxima over the grid stay below ``tol``."""
     return _bertrand_frames(curve, grid, tol)[0]
 
 
-def bertrand_mate(curve, mu, grid=None, tol=1e-8, force=False):
+def bertrand_mate(curve, mu, grid=None, tol=DEFAULT_BERTRAND_TOL, force=False):
     """Offset mate alpha + mu W3 with the W3-alignment report.
 
     Requires k1 = k2 = 0 within ``tol`` on the grid (else HypothesisError,
@@ -540,7 +548,7 @@ class SphereReport:
     tolerance: float
 
 
-def pseudo_spherical_test(curve, grid=None, tol=1e-5):
+def pseudo_spherical_test(curve, grid=None, tol=DEFAULT_SPHERE_TOL):
     """Constancy test of sum a_i^2 and of the center alpha + sum a_i W_{i+2}.
 
     ``is_spherical`` demands both spreads below ``tol``; the sphere equation
@@ -646,7 +654,7 @@ def evolute(curve, grid=None, min_slope=1e-8):
     """
     E = EvoluteCurve(curve)
     if grid is None:
-        grid = np.linspace(curve.domain[0], curve.domain[1], 33)
+        grid = np.linspace(curve.domain[0], curve.domain[1], DEFAULT_EVOLUTE_POINTS)
     grid = [float(t) for t in grid]
     metric = PseudoMetric(6)
 
@@ -724,7 +732,7 @@ def involute(curve, t0, grid=None, arc_offset=0.0):
     """Involute of a spacelike curve from c(t0), sampled on the grid."""
     inv = InvoluteCurve(curve, t0, arc_offset)
     if grid is None:
-        grid = np.linspace(inv.domain[0], inv.domain[1], 33)
+        grid = np.linspace(inv.domain[0], inv.domain[1], DEFAULT_EVOLUTE_POINTS)
     grid = [float(t) for t in grid]
     points = pointwise_order(lambda ts: inv.vec_jets(ts, 0).value, grid)
     return InvoluteResult(inv, SampledCurve(np.asarray(grid), points), tuple(grid))
@@ -768,8 +776,12 @@ def involute_frame_check(curve, grid):
     s = np.asarray(grid)
     if np.any(s <= 0.0):  # a NaN is left to the domain rule of vec_jets
         raise HypothesisError("grid must lie in s > 0", condition="s > 0")
-    cj = pointwise_order(lambda ts: tuple(curve.vec_jets(ts, 6).coeffs), s)
-    d = np.stack([math.factorial(k) * cj[k] for k in range(1, 7)], axis=1)
+
+    def rows(ts):
+        vj = curve.vec_jets(ts, 6)
+        return vj.value, _derivative_rows(vj, 6)[0]
+
+    c0, d = pointwise_order(rows, s)
     eta_sq = metric.inner(d[:, 3], d[:, 3])
     evidence = {
         "min_s": min(grid),
@@ -821,7 +833,7 @@ def involute_frame_check(curve, grid):
     sign_votes = np.where(plus <= minus, 1, -1)
     align_defect = float(np.max(np.minimum(plus, minus)))
     E_I = ij[0] + W4 / k3[:, None]
-    ev_match = float(np.max(np.abs(E_I - cj[0])))
+    ev_match = float(np.max(np.abs(E_I - c0)))
     sign = int(sign_votes[0])
     if np.any(sign_votes != sign):
         raise HypothesisError("W4 alignment sign flips across the grid",

@@ -75,6 +75,8 @@ JET_BUDGET = 8
 # each order (1.4e-14 at degree 5)
 FOLD_DEGREE = 8
 DEFAULT_CLASSIFY_POINTS = 17
+# default rows of a reparametrization or synthesis table
+DEFAULT_TABLE_ROWS = 129
 # grid points per batched pass when a table is built; bounds the size of the
 # intermediate jets, not the result
 TABLE_BLOCK = 256
@@ -654,13 +656,16 @@ class CumulativeIntegral:
 
 
 class _MonotoneReparamCurve(_BatchedCurve):
-    """View of a curve in a new parameter with a positive jet-expressible rate.
+    """View of a curve in a new parameter whose rate is <c^(k), c^(k)>^(1/(2k)).
 
-    The monotone table integrates the subclass rate over the base domain;
-    point and derivative queries invert it, then transplant the jets of the
-    base curve through series reversion of the rate's antiderivative jet.
-    Exact up to table accuracy.  The new parameter starts at ``origin``: 0,
-    or the start of the base domain when ``_origin_from_domain`` is set.
+    ``_order`` is k: 3 for the pseudo-arc parameter, 1 for arc length.  The
+    monotone table integrates the rate over the base domain; point and
+    derivative queries invert it, then transplant the jets of the base curve
+    through series reversion of the rate's antiderivative jet.  Exact up to
+    table accuracy.  A table point whose <c^(k), c^(k)> is not positive (a
+    NaN is not) is refused by the subclass's ``_refusal``, at the first such
+    point in ascending t.  The new parameter starts at ``origin``: 0, or the
+    start of the base domain when ``_origin_from_domain`` is set.
     """
 
     _origin_from_domain = False
@@ -679,22 +684,19 @@ class _MonotoneReparamCurve(_BatchedCurve):
         self.domain = (self.origin, self.origin + self._table.total)
 
     def _rate(self, ts):
-        return self._rate_squares(ts) ** self._rate_power
-
-    def _rate_squares(self, ts):
-        """Squared rate at an array of parameters (for a table, its sample
-        points), taken in ascending parameter order, so a refusal raised
-        by ``_rate_square`` names the first refused point."""
+        """Rate at an array of parameters; the squares are taken in ascending
+        parameter order, so a refusal names the first refused point."""
         order = np.argsort(ts, kind="stable")
         sq = np.empty(len(ts))
         sq[order] = pointwise_order(self._rate_square, ts[order], TABLE_BLOCK)
-        return sq
+        return sq ** (1.0 / (2 * self._order))
 
     def _rate_square(self, t):
-        raise NotImplementedError
-
-    def _rate_square_jet(self, t, order):
-        raise NotImplementedError
+        """<c^(k), c^(k)> at an array of parameters, refused where not positive."""
+        dk = self.base.vec_jets(t, self._order).derivative_value(self._order)
+        sq = self._metric.inner(dk, dk)
+        require(sq > 0.0, lambda j: self._refusal(sq[j], float(t[j])))
+        return sq
 
     def new_parameter_of(self, t):
         return self.origin + self._table(t)
@@ -703,79 +705,54 @@ class _MonotoneReparamCurve(_BatchedCurve):
         return self._table.solve(np.asarray(s, dtype=float) - self.origin)
 
     def _vec_jets(self, ss, order):
+        k = self._order
         ts = self.parameter_of(ss)
-        g = self._rate_square_jet(ts, order + 1)
-        rate = (g.log() * self._rate_power).exp()
-        phi = rate.antiderivative(ss).truncate(order)
-        psi = jet_invert(phi)
-        return jet_compose(self.base.vec_jets(ts, order), psi)
+        # one base evaluation serves the rate jet, to order + 1, and the composition
+        vj = self.base.vec_jets(ts, order + k + 1)
+        dk = vj
+        for _ in range(k):
+            dk = dk.differentiate()
+        rate = (self._metric.inner_jet(dk, dk).log() * (1.0 / (2 * k))).exp()
+        psi = jet_invert(rate.antiderivative(ss).truncate(order))
+        return jet_compose(vj.truncate(order), psi)
 
 
 class ReparametrizedCurve(_MonotoneReparamCurve):
     """Pseudo-arc view: the new parameter integrates <alpha''',alpha'''>^(1/6),
-    normalizing the third derivative to unit self-product.
+    normalizing the third derivative to unit self-product.  A table point
+    where <alpha''', alpha'''> is not positive raises FamilyError.
 
     The new parameter starts at the domain start, so a curve that is already
     pseudo-arc parametrized reparametrizes to the identity map.
     """
 
-    _rate_power = 1.0 / 6.0
+    _order = 3
     _origin_from_domain = True
+    pseudo_arc_of = _MonotoneReparamCurve.new_parameter_of
+    # bound in the class body too: bench/spans.py wraps the rate square here
+    _rate_square = _MonotoneReparamCurve._rate_square
 
-    def pseudo_arc_of(self, t):
-        return self.new_parameter_of(t)
-
-    def _rate(self, ts):
-        """Rate at an array of parameters; a <alpha''', alpha'''> that is not
-        positive is refused at its minimum over ``ts``, where a NaN counts as
-        the minimum."""
-        sq = self._rate_squares(ts)
-
-        def refusal(_):
-            order = np.argsort(ts, kind="stable")
-            worst = order[np.argmin(sq[order])]
-            return FamilyError(
-                f"<alpha''', alpha'''> = {sq[worst]:.3e} <= 0 near t={float(ts[worst])}: "
-                "monotone reparametrization impossible")
-
-        require(sq > 0.0, refusal)
-        return sq ** self._rate_power
-
-    def _rate_square(self, t):
-        a3 = self.base.vec_jets(t, 3).coeffs[3] * 6.0
-        return self._metric.inner(a3, a3)
-
-    def _rate_square_jet(self, t, order):
-        vj = self.base.vec_jets(t, order + 3)
-        a3 = vj.differentiate().differentiate().differentiate()
-        return self._metric.inner_jet(a3, a3)
+    def _refusal(self, sq, t):
+        return FamilyError(f"<alpha''', alpha'''> = {sq:.3e} <= 0 near t={t}: "
+                           "monotone reparametrization impossible")
 
 
 class ArcLengthCurve(_MonotoneReparamCurve):
     """Unit-speed view of a spacelike curve: the new parameter integrates |c'|.
 
     This is the one arc-length table; :class:`InvoluteCurve` reads its s(t)
-    off one.  A table point that fails <c', c'> > 0 (a NaN fails it) raises
-    HypothesisError with that condition, located at the first such point in
-    ascending t.
+    off one.  A table point that fails <c', c'> > 0 raises HypothesisError
+    with that condition, located there.
     """
 
-    _rate_power = 0.5
+    _order = 1
+    arc_length_of = _MonotoneReparamCurve.new_parameter_of
+    # bound in the class body too: bench/spans.py wraps the rate square here
+    _rate_square = _MonotoneReparamCurve._rate_square
 
-    def arc_length_of(self, t):
-        return self.new_parameter_of(t)
-
-    def _rate_square(self, t):
-        d1 = self.base.vec_jets(t, 1).coeffs[1]
-        sq = self._metric.inner(d1, d1)
-        require(sq > 0.0, lambda j: HypothesisError(
-            f"<c',c'> = {sq[j]:.3e} at t={t[j]}: curve is not spacelike",
-            condition="<c',c'> > 0", location=float(t[j])))
-        return sq
-
-    def _rate_square_jet(self, t, order):
-        d1 = self.base.vec_jets(t, order + 1).differentiate()
-        return self._metric.inner_jet(d1, d1)
+    def _refusal(self, sq, t):
+        return HypothesisError(f"<c',c'> = {sq:.3e} at t={t}: curve is not spacelike",
+                               condition="<c',c'> > 0", location=t)
 
 
 class MappedCurve(_BatchedCurve):
@@ -812,7 +789,7 @@ class ReparamResult:
     unit_speed_defect: float
 
 
-def pseudo_arc_reparam(curve, grid_density=129, tol=DEFAULT_TOL):
+def pseudo_arc_reparam(curve, grid_density=DEFAULT_TABLE_ROWS, tol=DEFAULT_TOL):
     """Resample a family curve at uniform pseudo-arc values.
 
     Returns the monotone table sbar(t), the resampled curve (points are exact

@@ -21,6 +21,7 @@ from nullcartan import (
     ExprEvaluationError,
     FamilyError,
     HypothesisError,
+    PseudoMetric,
     ReparametrizedCurve,
     classify,
     evolute,
@@ -264,6 +265,92 @@ def test_nonpositive_rate_names_the_worst_table_point():
     first = CumulativeIntegral.sample_points(0.0, 1.0, 16)[0]
     assert first == 0.5 - 0.5 * 0.991455371120812639
     assert f"near t={first}:" in str(exc.value)
+
+
+def test_pseudo_arc_refusal_names_the_first_refused_node():
+    # <a''', a'''> = 1 - 4 s^2 is refused past s = 1/2 and is least at s = 1:
+    # the refusal names the first refused table point, not the minimum
+    curve = Curve.from_strings(["2*s^4/24", "0", "s^3/6", "0", "0"], domain=(0.0, 1.0))
+    with pytest.raises(FamilyError) as exc:
+        ReparametrizedCurve(curve)
+    points = CumulativeIntegral.sample_points(0.0, 1.0, 512)
+    first = points[points > 0.5][0]
+    assert 0.5 < first < 0.501
+    assert f"= {1.0 - 4.0 * first * first:.3e} <= 0 near t={first}:" in str(exc.value)
+
+
+def test_arc_length_refusal_names_the_first_refused_node():
+    # <c', c'> = 1 - 4 s^2 again, refused with a different value at each node
+    curve = Curve.from_strings(["s^2", "0", "s", "0", "0"], domain=(0.0, 1.0))
+    with pytest.raises(HypothesisError) as exc:
+        ArcLengthCurve(curve)
+    points = CumulativeIntegral.sample_points(0.0, 1.0, 512)
+    first = points[points > 0.5][0]
+    assert exc.value.condition == "<c',c'> > 0"
+    assert exc.value.location == first
+    assert f"<c',c'> = {1.0 - 4.0 * first * first:.3e} at t={first}:" in str(exc.value)
+
+
+class CountingBase:
+    """A curve that counts the ``vec_jets`` calls made on it."""
+
+    def __init__(self, base):
+        self.base = base
+        self.dimension = base.dimension
+        self.domain = base.domain
+        self.calls = 0
+
+    def vec_jets(self, ts, order):
+        self.calls += 1
+        return self.base.vec_jets(ts, order)
+
+
+@pytest.mark.parametrize("order", [0, 2])
+@pytest.mark.parametrize("kind", ["pseudo-arc", "arc length"])
+def test_one_jet_evaluates_the_base_once(golden, kind, order):
+    if kind == "pseudo-arc":
+        base = CountingBase(golden.precompose("u + 0.1*u^2", parameter="u",
+                                              domain=(0.0, 1.0)))
+        curve = ReparametrizedCurve(base, intervals=64)
+    else:
+        base = CountingBase(Curve.from_strings(["0", "0", "cos(s)", "sin(s)", "s"],
+                                               domain=(0.0, 2.0)))
+        curve = ArcLengthCurve(base, intervals=64)
+    ss = np.linspace(*curve.domain, 5)[1:-1]
+    # the Newton inversion reads the rate at order k: counted apart
+    base.calls = 0
+    curve.parameter_of(ss)
+    newton = base.calls
+    base.calls = 0
+    curve.vec_jets(ss, order)
+    assert base.calls - newton == 1
+
+
+def _written_out_rate(base, k):
+    """<c^(k), c^(k)>^(1/(2k)) written out, for k = 1 and k = 3."""
+    metric = PseudoMetric(base.dimension)
+
+    def rate(ts):
+        coeffs = base.vec_jets(ts, k).coeffs
+        dk = 6 * coeffs[3] if k == 3 else coeffs[1]
+        return metric.inner(dk, dk) ** (1 / 6 if k == 3 else 1 / 2)
+
+    return rate
+
+
+@pytest.mark.parametrize("name", ["warped quintic", "evolute", "helix"])
+def test_tables_integrate_the_written_out_rate(golden, synth6_evolute, name):
+    if name == "warped quintic":
+        curve = ReparametrizedCurve(golden.precompose(
+            "u + 0.1*u^2 + 0.05*u^3", parameter="u", domain=(0.0, 1.0)))
+    elif name == "evolute":
+        curve = ArcLengthCurve(EvoluteCurve(synth6_evolute))
+    else:
+        curve = ArcLengthCurve(Curve.from_strings(["0", "0", "cos(s)", "sin(s)", "s"],
+                                                  domain=(0.0, 2.0)))
+    k = 3 if isinstance(curve, ReparametrizedCurve) else 1
+    oracle = CumulativeIntegral(_written_out_rate(curve.base, k), *curve.base.domain)
+    assert np.array_equal(curve._table.cumulative, oracle.cumulative)
 
 
 # ---------------------------------------------------------------------------

@@ -600,6 +600,28 @@ def test_each_error_class_exits_with_its_category(name, capsys, monkeypatch):
     assert json.loads(err) == {"category": category, "error": name, "message": str(error)}
 
 
+def test_cli_defaults_are_the_library_defaults():
+    import inspect
+
+    from nullcartan import constructions, curve
+    from nullcartan.cli import build_parser
+
+    def default(fn, name):
+        return inspect.signature(fn).parameters[name].default
+
+    parser = build_parser()
+    assert (parser.parse_args(["bertrand", "f.json"]).tol == constructions.DEFAULT_BERTRAND_TOL
+            == default(constructions.bertrand_check, "tol")
+            == default(constructions.bertrand_mate, "tol") == 1e-8)
+    assert (parser.parse_args(["sphere", "f.json"]).tol == constructions.DEFAULT_SPHERE_TOL
+            == default(constructions.pseudo_spherical_test, "tol") == 1e-5)
+    assert (default(constructions.synthesize, "defect_limit")
+            == default(constructions.FrenetCurve, "defect_limit")
+            == constructions.DEFAULT_DEFECT_LIMIT == 1e-4)
+    assert default(curve.pseudo_arc_reparam, "grid_density") == curve.DEFAULT_TABLE_ROWS == 129
+    assert constructions.DEFAULT_EVOLUTE_POINTS == 33
+
+
 def test_reparam_command(quintic_file, capsys):
     code, out, _ = run(capsys, "reparam", quintic_file, "--grid", "17")
     assert code == 0

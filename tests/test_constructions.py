@@ -17,6 +17,7 @@ import sympy
 from nullcartan import (
     Curve,
     CurvatureProfile,
+    DegenerateBasisError,
     DimensionMismatchError,
     EvoluteCurve,
     Frame,
@@ -522,6 +523,14 @@ def test_involute_frame_check_gates():
     with pytest.raises(HypothesisError) as exc2:
         involute_frame_check(spacelike, np.linspace(-0.5, 1.0, 4))
     assert exc2.value.condition == "s > 0"
+
+
+def test_involute_frame_check_refuses_an_overflowing_derivative():
+    # the derivative rows come from the reader classify and frame_grid use,
+    # so an overflow is a numerical failure, not a failed hypothesis
+    curve = Curve.from_strings(["s", "0", "0", "0", "0", "1e306*s^6"], domain=(0.0, 2.0))
+    with np.errstate(all="ignore"), pytest.raises(DegenerateBasisError, match="overflows"):
+        involute_frame_check(curve, [0.5, 1.0])
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ After a change that is meant to move report digits, rewrite the copies with
 ``PYTHONPATH=src python tests/test_report_bodies.py`` and review the diff.
 """
 
+import argparse
 import contextlib
 import csv
 import io
@@ -20,7 +21,7 @@ from pathlib import Path
 
 import pytest
 
-from nullcartan.cli import main
+from nullcartan.cli import main, write_report
 
 BODIES = Path(__file__).with_name("report_bodies")
 
@@ -137,6 +138,29 @@ def test_csv_report_is_the_json_body(name, tmp_path):
     assert scalars == [f"# {key}: {text}" for key, text in _flattened("", body)]
     rows = list(csv.reader(io.StringIO("\n".join(lines[len(scalars):]))))
     assert rows == [table["columns"]] + [[_text(v) for v in row] for row in table["rows"]]
+
+
+@pytest.mark.parametrize("name", ["quintic \u00e9.json", 'quintic "q".json'])
+def test_csv_writes_a_path_as_itself(name, tmp_path):
+    # not JSON-escaped: no \u00e9 for a non-ASCII letter, no \" for a quote
+    path = tmp_path / "uni" / name
+    path.parent.mkdir()
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["fixture", "--output", str(path)]) == 0
+        assert main(["classify", str(path), "--grid", "3", "--format", "csv"]) == 0
+    assert f"# arguments.file: {path}" in out.getvalue().splitlines()
+
+
+def test_csv_writes_list_items_and_cells_as_themselves():
+    body = {"command": "x", "names": ["\u00e9", 'a"b'],
+            "table": {"columns": ["name", "v"], "rows": [['\u00e9 "q"', 0.5]]}}
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        write_report(body, argparse.Namespace(format="csv"))
+    _, _, names, *rows = out.getvalue().splitlines()
+    assert names == '# names: [\u00e9 a"b]'
+    assert list(csv.reader(rows)) == [["name", "v"], ['\u00e9 "q"', "0.5"]]
 
 
 def test_the_comparison_forgives_roundoff_only():
