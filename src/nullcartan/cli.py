@@ -66,6 +66,8 @@ from .metric import DEFAULT_TOL
 
 # exit code of each error category (the ``category`` of an error class)
 _EXIT_CODES = {"input": 2, "hypothesis": 3, "family": 3, "numerical": 4}
+# a "#" report line escapes the backslash and each character str.splitlines breaks on
+_LINE_ESCAPES = {ord(c): repr(c)[1:-1] for c in "\\\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"}
 
 
 # ---------------------------------------------------------------------------
@@ -142,7 +144,7 @@ def write_report(body, args, pure_json=False):
         scalars = []
         _flatten("", body, scalars)
         lines = [header.rstrip("\n")]
-        lines += [f"# {k}: {v}" for k, v in scalars]
+        lines += [f"# {k}: {v}".translate(_LINE_ESCAPES) for k, v in scalars]
         text = "\n".join(lines) + "\n"
         if table is not None:
             text += _table_csv(table)

@@ -761,12 +761,13 @@ def involute_frame_check(curve, grid):
     """Frame the involute of a unit-speed spacelike curve and verify it.
 
     The curve parameter must be arc length measured so that s > 0 on the
-    grid; hypotheses (unit speed, null second derivative, nonvanishing
-    <c'''',c''''>, independent {c'',...,c^(6)}) are checked per grid point and
-    reported by condition, the first two against ``INVOLUTE_GATE``.  The
-    involute is reframed after pseudo-arc reparametrization; the report
-    compares k3 with 1/s, W4 with the unit tangent, and the evolute of the
-    involute with the original curve.
+    grid.  The batched pass checks each point for s > 0, unit speed and a
+    null second derivative (against ``INVOLUTE_GATE``), <c'''',c''''> > 0 and
+    independent {c'',...,c^(6)}, in that order; the first point in grid order
+    that fails one raises its HypothesisError, with the point as ``location``.
+    The involute is reframed after pseudo-arc reparametrization; the report
+    compares k3 with 1/s, W4 with the unit tangent (the sign must be the
+    first point's) and the evolute of the involute with the original curve.
     """
     grid = [float(t) for t in grid]
     metric = PseudoMetric(curve.dimension)
@@ -774,39 +775,38 @@ def involute_frame_check(curve, grid):
         raise HypothesisError("the correspondence lives in dimension 6",
                               condition="dimension == 6")
     s = np.asarray(grid)
-    if np.any(s <= 0.0):  # a NaN is left to the domain rule of vec_jets
-        raise HypothesisError("grid must lie in s > 0", condition="s > 0")
+
+    def gate(ok, ts, condition, message):
+        # raise at the first ts[j] where ok is False; message(j, at) gets at = "at s=ts[j]"
+        require(ok, lambda j: HypothesisError(message(j, f"at s={ts[j]}"),
+                                              condition=condition, location=float(ts[j])))
 
     def rows(ts):
+        # a NaN is left to the domain rule of vec_jets
+        gate(~(ts <= 0.0), ts, "s > 0", lambda j, at: f"grid must lie in s > 0, not {at}")
         vj = curve.vec_jets(ts, 6)
-        return vj.value, _derivative_rows(vj, 6)[0]
+        d = _derivative_rows(vj, 6)[0]
+        speed = np.abs(metric.inner(d[:, 0], d[:, 0]) - 1.0)
+        c2 = np.abs(metric.inner(d[:, 1], d[:, 1]))
+        eta_sq = metric.inner(d[:, 3], d[:, 3])
+        # the SVD behind the rank fails on a NaN, so a point with one reads rank 0
+        D = d[:, 1:6]
+        rank = np.linalg.matrix_rank(
+            np.where(np.isfinite(D).all(axis=(1, 2))[:, None, None], D, 0.0), tol=1e-8)
+        gate(speed <= INVOLUTE_GATE, ts, "<c',c'> = 1", lambda j, at:
+             f"|<c',c'> - 1| = {speed[j]:.3e} {at}: parameter is not arc length")
+        gate(c2 <= INVOLUTE_GATE, ts, "<c'',c''> = 0",
+             lambda j, at: f"|<c'',c''>| = {c2[j]:.3e} {at}")
+        gate(eta_sq > 0.0, ts, "<c'''',c''''> > 0",
+             lambda j, at: f"<c'''',c''''> = {eta_sq[j]:.3e} <= 0 {at}")
+        gate(rank >= 5, ts, "independent derivatives",
+             lambda j, at: f"{{c'',...,c^(6)}} is linearly dependent {at}")
+        return vj.value, d, speed, c2, eta_sq, rank
 
-    c0, d = pointwise_order(rows, s)
-    eta_sq = metric.inner(d[:, 3], d[:, 3])
-    evidence = {
-        "min_s": min(grid),
-        "unit_speed": float(np.max(np.abs(metric.inner(d[:, 0], d[:, 0]) - 1.0))),
-        "c2_null": float(np.max(np.abs(metric.inner(d[:, 1], d[:, 1])))),
-        "min_eta_sq": float(np.min(eta_sq)),
-    }
-    # each gate states what must hold, so a NaN fails it
-    if not evidence["unit_speed"] <= INVOLUTE_GATE:
-        raise HypothesisError(
-            f"|<c',c'> - 1| up to {evidence['unit_speed']:.3e}: parameter is "
-            "not arc length", condition="<c',c'> = 1")
-    if not evidence["c2_null"] <= INVOLUTE_GATE:
-        raise HypothesisError(f"|<c'',c''>| up to {evidence['c2_null']:.3e}",
-                              condition="<c'',c''> = 0")
-    if not evidence["min_eta_sq"] > 0.0:
-        raise HypothesisError(
-            f"<c'''',c''''> = {evidence['min_eta_sq']:.3e} <= 0 on the grid",
-            condition="<c'''',c''''> > 0")
-    D = d[:, 1:6]  # the SVD behind the rank fails on a NaN, so a NaN jet reads NaN
-    evidence["min_prefix_rank"] = (float(np.min(np.linalg.matrix_rank(D, tol=1e-8)))
-                                   if np.isfinite(D).all() else float("nan"))
-    if not evidence["min_prefix_rank"] >= 5:
-        raise HypothesisError("{c'',...,c^(6)} is linearly dependent",
-                              condition="independent derivatives")
+    c0, d, speed, c2, eta_sq, rank = pointwise_order(rows, s)
+    evidence = {"min_s": min(grid), "unit_speed": float(np.max(speed)),
+                "c2_null": float(np.max(c2)), "min_eta_sq": float(np.min(eta_sq)),
+                "min_prefix_rank": float(np.min(rank))}
 
     inv = InvoluteCurve(curve, curve.domain[0], arc_offset=curve.domain[0],
                         unit_speed=True)
@@ -820,9 +820,8 @@ def involute_frame_check(curve, grid):
     def framed(ts):
         fj = frame_grid(rep, rep.pseudo_arc_of(ts))
         k3 = fj.curvatures[2].value
-        require(np.abs(k3) >= MIN_CURVATURE, lambda j: HypothesisError(
-            f"extracted k3 = {k3[j]:.3e} at s={ts[j]}", condition="k3 != 0",
-            location=float(ts[j])))
+        gate(np.abs(k3) >= MIN_CURVATURE, ts, "k3 != 0",
+             lambda j, at: f"extracted k3 = {k3[j]:.3e} {at}")
         return k3, fj.W[1].value
 
     k3, W4 = pointwise_order(framed, s)
@@ -835,8 +834,7 @@ def involute_frame_check(curve, grid):
     E_I = ij[0] + W4 / k3[:, None]
     ev_match = float(np.max(np.abs(E_I - c0)))
     sign = int(sign_votes[0])
-    if np.any(sign_votes != sign):
-        raise HypothesisError("W4 alignment sign flips across the grid",
-                              condition="W4 = +/- T consistently")
+    gate(sign_votes == sign, s, "W4 = +/- T consistently",
+         lambda j, at: f"W4 alignment sign flips across the grid {at}")
     return InvoluteFrameReport(tuple(grid), k3_err, sign, align_defect, ev_match,
                                null_defect, third_defect, evidence)

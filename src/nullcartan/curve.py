@@ -206,6 +206,8 @@ class Curve(_BatchedCurve):
     jets on any grid are one Taylor shift of a coefficient block folded once
     per curve; every other curve runs the program on each grid.  The degree
     is capped because rounding in the shifted monomial basis grows with it.
+    A jet that is not finite is refused through ``require`` at the first
+    grid point with one, naming the first such component there.
     """
 
     dimension: int
@@ -257,8 +259,8 @@ class Curve(_BatchedCurve):
 
     def _vec_jets(self, ts, order):
         """Vector jets on a grid, from the fold when there is one; an
-        evaluation error, or a component whose jet is not finite, names its
-        component."""
+        evaluation error names its component, and a non-finite jet its first
+        grid point and the first component whose jet is not finite there."""
         try:
             if self._fold is None:
                 coeffs = np.stack(self._program.run(Jet.variable(ts, order).coeffs), axis=-1)
@@ -268,13 +270,11 @@ class Curve(_BatchedCurve):
         except ExprEvaluationError as exc:
             raise ExprEvaluationError(
                 f"component {exc.output}: {exc.reason}", exc.subexpression) from None
-        bad = ~np.isfinite(coeffs)
-        if bad.any():
-            i = int(np.argmax(bad.reshape(-1, self.dimension).any(axis=0)))
-            at = np.atleast_1d(ts)[np.argmax(np.atleast_1d(bad[..., i].any(axis=0)))]
-            raise ExprEvaluationError(
-                f"component {i}: non-finite jet at {self.parameter}={at}",
-                str(self.components[i]))
+        # finite over the orders, point by point, then component by component
+        finite = np.logical_and.reduce(np.isfinite(coeffs)).ravel()
+        require(finite, lambda j: ExprEvaluationError(
+            f"component {j % self.dimension}: non-finite jet at {self.parameter}="
+            f"{np.atleast_1d(ts)[j // self.dimension]}", str(self.components[j % self.dimension])))
         return VecJet(ts, coeffs)
 
     # bound in the class body too: bench/spans.py wraps Curve.vec_jet there
@@ -455,9 +455,10 @@ def classify(curve, grid=None, tol=DEFAULT_TOL):
     """Sequence report of the curve, constant across the grid, plus family flag.
 
     The nullity and index sequences are computed from {alpha', ..., alpha^(n)}
-    at every grid point and must agree everywhere; two disagreeing points are
-    reported otherwise.  The family flag is True iff the nullity sequence is
-    {0,1,2,2,1,0,...,0}.
+    at every grid point, in one batched pass that raises the first point's
+    ClassificationError in grid order.  After the pass, they must agree with
+    the first point's: the first point that differs is reported with it.  The
+    family flag is True iff the nullity sequence is {0,1,2,2,1,0,...,0}.
     """
     n = curve.dimension
     metric = PseudoMetric(n)
@@ -470,13 +471,11 @@ def classify(curve, grid=None, tol=DEFAULT_TOL):
 
     reports = pointwise_order(reports_on, grid)
     first = reports[0]
-    for t, rep in zip(grid[1:], reports[1:]):
-        if rep != first:
-            raise ClassificationError(
-                f"classification sequences differ between t={grid[0]} and t={t}: "
-                f"nullity {first.nullity_sequence}, index {first.index_sequence} vs "
-                f"nullity {rep.nullity_sequence}, index {rep.index_sequence}",
-                points=(grid[0], t))
+    require(np.array([rep == first for rep in reports]), lambda j: ClassificationError(
+        f"classification sequences differ between t={grid[0]} and t={grid[j]}: "
+        f"nullity {first.nullity_sequence}, index {first.index_sequence} vs "
+        f"nullity {reports[j].nullity_sequence}, index {reports[j].index_sequence}",
+        points=(grid[0], grid[j])))
     family = first.nullity_sequence == family_nullity_sequence(n)
     return ClassificationReport(first, family, tuple(grid), tol)
 
@@ -507,9 +506,9 @@ class CumulativeIntegral:
 
     The table splits [a, b] into ``max(1, intervals // PANEL_CELLS)`` equal
     panels, 16 for the default 512, and integrates each with the 15-point
-    Kronrod rule (QUADPACK's qk15).  ``nodes`` are the panel edges and
-    ``cumulative`` the integral up to each.  The integrand ``f`` maps an
-    array of parameters to an array of values; the table is one call, at
+    Kronrod rule (QUADPACK's qk15).  ``nodes``, the panel edges, and
+    ``cumulative``, the integral up to each, are read-only.  The integrand
+    ``f`` maps an array of t to an array of values; the table is one call, at
     ``sample_points`` (every panel's Kronrod nodes, ascending), which never
     include a panel edge.  ``error_estimate`` bounds the error of every
     table entry: the sum over panels of |K15 - G7|, with G7 the embedded
@@ -553,14 +552,14 @@ class CumulativeIntegral:
         self.f = f
         self.a = float(a)
         self.b = float(b)
-        self.nodes = self._edges(a, b, intervals)
+        self.nodes = _read_only(self._edges(a, b, intervals))
         half = 0.5 * np.diff(self.nodes)[:, None]
         # f at each panel's Kronrod nodes, times the panel's half-width
         values = np.asarray(f(self.sample_points(a, b, intervals)), dtype=float)
         values = half * values.reshape(len(half), -1)
         kronrod = values @ self._KRONROD_WEIGHTS
         gauss = values[:, 1::2] @ self._GAUSS_WEIGHTS
-        self.cumulative = np.concatenate(([0.0], np.cumsum(kronrod)))
+        self.cumulative = _read_only(np.concatenate(([0.0], np.cumsum(kronrod))))
         roundoff = 50.0 * np.finfo(float).eps * np.sum(np.abs(values) @ self._KRONROD_WEIGHTS)
         self.error_estimate = float(np.sum(np.abs(kronrod - gauss)) + roundoff)
 

@@ -101,7 +101,7 @@ def _toeplitz(a):
     """``T[k, j] = a[k - j]`` for ``j <= k`` and 0 above; trailing axes kept."""
     padded = np.zeros((len(a) + 1,) + a.shape[1:])
     padded[:-1] = a
-    return padded.take(_toeplitz_index(len(a)), axis=0)
+    return padded.take(_toeplitz_index(len(a)), axis=0, mode="clip")
 
 
 def _toeplitz_product(T, x, vector):

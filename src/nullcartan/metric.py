@@ -162,19 +162,20 @@ class PseudoMetric:
         dr, dq = np.diff(nullity, prepend=0), np.diff(index, prepend=0)
         step = (np.abs(dr) > 1) | (dq < 0) | (dq > 1)
         bad = dependent | np.any(step, axis=-1) | (nullity[:, -1] != 0) | (index[:, -1] != 2)
-        if np.any(bad):
-            j = int(np.argmax(bad))
+
+        def refusal(j):
             if dependent[j]:
                 i = next(i for i in range(1, n + 1) if ranks(M[j, :i]) < i)
-                raise ClassificationError(f"derivative system is linearly dependent at "
-                                          f"prefix length {i}", prefix_length=i)
+                return ClassificationError(f"derivative system is linearly dependent at "
+                                           f"prefix length {i}", prefix_length=i)
             if np.any(step[j]):
                 i = int(np.argmax(step[j]))
-                raise ClassificationError(
+                return ClassificationError(
                     f"sequence step law violated at i={i + 1}: dr={dr[j, i]}, dq={dq[j, i]} "
                     "(bug or tolerance failure)")
-            raise ClassificationError(
+            return ClassificationError(
                 f"full-space profile inconsistent: r_n={nullity[j, -1]}, q_n={index[j, -1]}")
+        require(~bad, refusal)
         degree = np.sum(np.abs(dr), axis=-1) // 2  # even, as r_0 = r_n = 0
         return [SequenceReport((0, *r), (0, *q), d)
                 for r, q, d in zip(nullity.tolist(), index.tolist(), degree.tolist())]

@@ -26,6 +26,7 @@ from nullcartan import (
     ReparametrizedCurve,
     SampledCurve,
     SplineCurve,
+    evolute,
     standard_initial_frame,
     synthesize,
 )
@@ -114,6 +115,14 @@ def synth6_evolute():
     """n=6 with k3 = 1/(1+t): (1/k3)' = 1, the evolute fixture."""
     profile = CurvatureProfile.from_strings(6, ["0.15", "-0.05", "1/(1 + t)"])
     return synthesize(profile, (-0.7, 1.2))
+
+
+@pytest.fixture(scope="session")
+def unit_speed_evolute(synth6_evolute):
+    """The evolute of synth6_evolute in its arc length, a unit-speed
+    spacelike curve with s > 0: the involute check's fixture."""
+    ev = evolute(synth6_evolute, np.linspace(-0.6, 1.1, 9))
+    return MappedCurve(ev.curve, "s - 1", (0.4, 2.1))
 
 
 # ---------------------------------------------------------------------------

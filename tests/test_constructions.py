@@ -451,12 +451,6 @@ def test_evolute_involute_round_trip(synth6_evolute):
 # Involute frame check (the reverse correspondence)
 # ---------------------------------------------------------------------------
 
-@pytest.fixture(scope="module")
-def unit_speed_evolute(synth6_evolute):
-    ev = evolute(synth6_evolute, np.linspace(-0.6, 1.1, 9))
-    return MappedCurve(ev.curve, "s - 1", (0.4, 2.1))
-
-
 def test_involute_frame_check_k3_is_reciprocal_arc(unit_speed_evolute):
     grid = np.linspace(0.5, 2.0, 7)
     report = involute_frame_check(unit_speed_evolute, grid)
@@ -523,6 +517,16 @@ def test_involute_frame_check_gates():
     with pytest.raises(HypothesisError) as exc2:
         involute_frame_check(spacelike, np.linspace(-0.5, 1.0, 4))
     assert exc2.value.condition == "s > 0"
+
+
+def test_involute_frame_check_refuses_the_first_failing_point():
+    # 0.6 fails <c',c'> = 1 before the grid leaves the domain at 2.5
+    spacelike = Curve.from_strings(["0", "0", "2*cos(s)", "sin(s)", "0", "0"],
+                                   domain=(0.5, 2.0))
+    with pytest.raises(HypothesisError, match=re.escape("at s=0.6: parameter is not arc")) as exc:
+        involute_frame_check(spacelike, [0.6, 1.0, 2.5])
+    assert exc.value.condition == "<c',c'> = 1"
+    assert exc.value.location == 0.6
 
 
 def test_involute_frame_check_refuses_an_overflowing_derivative():

@@ -95,16 +95,19 @@ GRID_ENTRIES = {
     "cartan_frames": ("quintic", cartan_frames),
     "pseudo_spherical_test": ("synth6", lambda c, grid: pseudo_spherical_test(c, grid=grid)),
     "evolute": ("synth6", lambda c, grid: evolute(c, grid=grid)),
-    "involute_frame_check": ("synth6", involute_frame_check),
+    # the unit-speed evolute: the hypotheses hold before the grid leaves
+    # its domain, which they do nowhere on synth6, a null curve
+    "involute_frame_check": ("unit_speed_evolute", involute_frame_check),
     "involute": ("helix", lambda c, grid: involute(c, 0.0, grid=grid)),
     "frenet_residuals": ("quintic", frenet_residuals),
 }
 
 
 @pytest.fixture(scope="module")
-def grid_curves(golden, synth6):
+def grid_curves(golden, synth6, unit_speed_evolute):
     helix = Curve.from_strings(["0", "0", "cos(s)", "sin(s)", "s"], domain=(0.0, 1.0))
-    return {"quintic": golden, "synth6": synth6, "helix": helix}
+    return {"quintic": golden, "synth6": synth6, "helix": helix,
+            "unit_speed_evolute": unit_speed_evolute}
 
 
 @pytest.mark.parametrize("entry", list(GRID_ENTRIES))
@@ -163,6 +166,15 @@ def test_non_finite_jet_names_its_component_at_the_first_grid_point():
     with np.errstate(over="ignore"), pytest.raises(ExprEvaluationError) as exc:
         pointwise_order(lambda ts: curve.vec_jets(ts, 0).value, grid)
     assert str(exc.value).startswith("component 4: non-finite jet at s=0.1 ")
+
+
+def test_a_raw_grid_names_the_first_point_with_a_non_finite_jet():
+    # components 1 and 3 overflow at every s; the first grid point is
+    # refused, naming the first component that is not finite there
+    curve = Curve.from_strings(["s", "1e308*(2*s)", "0", "1e308*(10*s)", "0"])
+    with np.errstate(over="ignore"), pytest.raises(ExprEvaluationError) as exc:
+        curve.vec_jets(np.array([0.2, 0.95]), 0)
+    assert str(exc.value).startswith("component 3: non-finite jet at s=0.2 ")
 
 
 def test_overflowing_function_call_is_an_evaluation_error():
@@ -352,6 +364,13 @@ def test_sampled_curve_holds_read_only_copies():
     for values in (sampled.grid, sampled.points):
         with pytest.raises(ValueError):
             values[0] = 2.0
+
+
+def test_cumulative_integral_tables_are_read_only():
+    table = CumulativeIntegral(lambda t: 1.0 + t * t, 0.0, 1.0)
+    for values in (table.nodes, table.cumulative):
+        with pytest.raises(ValueError):
+            values[3] = 0.0
 
 
 def test_spline_refuses_single_points_outside_its_grid(golden):

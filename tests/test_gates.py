@@ -7,6 +7,7 @@ own error there, with the gate's type and location.
 """
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -22,7 +23,6 @@ from nullcartan import (
     InputError,
     InvoluteCurve,
     Jet,
-    MappedCurve,
     PseudoMetric,
     ReparametrizedCurve,
     SampledCurve,
@@ -80,12 +80,6 @@ def poison_curvature(monkeypatch, index, at, order=0):
         return dataclasses.replace(fj, curvatures=tuple(ks))
 
     monkeypatch.setattr(constructions, "frame_grid", frame_grid)
-
-
-@pytest.fixture(scope="module")
-def unit_speed_evolute(synth6_evolute):
-    ev = evolute(synth6_evolute, np.linspace(-0.6, 1.1, 9))
-    return MappedCurve(ev.curve, "s - 1", (0.4, 2.1))
 
 
 # ---------------------------------------------------------------------------
@@ -228,11 +222,34 @@ def test_involute_k3_gate_fails_a_nan(unit_speed_evolute, monkeypatch):
     assert exc.value.location == s[3]
 
 
+def test_involute_w4_sign_gate_names_the_first_flipped_point(unit_speed_evolute,
+                                                            monkeypatch):
+    c = unit_speed_evolute
+    s = np.linspace(0.5, 2.0, 7)
+    inv = InvoluteCurve(c, c.domain[0], arc_offset=c.domain[0], unit_speed=True)
+    sbar = ReparametrizedCurve(inv).pseudo_arc_of(s[3])
+    real = constructions.frame_grid
+
+    def frame_grid(curve, ts, extra_order=0):  # W4 (row 6) reversed at sbar
+        fj = real(curve, ts, extra_order)
+        coeffs = fj.rows.coeffs.copy()
+        coeffs[:, np.abs(np.asarray(ts) - sbar) < 1e-9, 6] *= -1.0
+        return dataclasses.replace(fj, rows=VecJet(fj.rows.base, coeffs))
+
+    monkeypatch.setattr(constructions, "frame_grid", frame_grid)
+    with pytest.raises(HypothesisError, match="sign flips across the grid at s=1.25") as exc:
+        involute_frame_check(c, s)
+    assert exc.value.condition == "W4 = +/- T consistently"
+    assert exc.value.location == s[3]
+
+
 def test_involute_evidence_gate_fails_a_nan(unit_speed_evolute):
     s = np.linspace(0.5, 2.0, 7)
-    with pytest.raises(HypothesisError, match=r"up to nan") as exc:
+    message = re.escape("|<c',c'> - 1| = nan at s=1.0")
+    with pytest.raises(HypothesisError, match=message) as exc:
         involute_frame_check(Poisoned(unit_speed_evolute, s[2], [1]), s)
     assert exc.value.condition == "<c',c'> = 1"
+    assert exc.value.location == s[2]
 
 
 @pytest.mark.parametrize("order, condition", [
@@ -246,3 +263,4 @@ def test_involute_evidence_gates_fail_a_nan_jet(unit_speed_evolute, order, condi
     with pytest.raises(HypothesisError) as exc:
         involute_frame_check(Poisoned(unit_speed_evolute, s[2], [order]), s)
     assert exc.value.condition == condition
+    assert exc.value.location == s[2]

@@ -163,6 +163,22 @@ def test_csv_writes_list_items_and_cells_as_themselves():
     assert list(csv.reader(rows)) == [["name", "v"], ['\u00e9 "q"', "0.5"]]
 
 
+def test_csv_escapes_line_breaks_in_hash_lines_only():
+    # a "#" line stays one line: each character str.splitlines breaks on,
+    # and the backslash, is written as its escape; a table cell keeps its
+    # line break inside csv quoting
+    body = {"command": "x", "arguments": {"file": "a\nb\\c.json"},
+            "v": ["p\rq", "r\u2028s", "t\x85"],
+            "table": {"columns": ["name"], "rows": [["x\ny"]]}}
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        write_report(body, argparse.Namespace(format="csv"))
+    _, _, file, v, table = out.getvalue().split("\n", 4)
+    assert file == "# arguments.file: a\\nb\\\\c.json"
+    assert v == "# v: [p\\rq r\\u2028s t\\x85]"
+    assert list(csv.reader(io.StringIO(table, newline=""))) == [["name"], ["x\ny"]]
+
+
 def test_the_comparison_forgives_roundoff_only():
     want = {"k": [1.0, 2, "x", True], "r": 0.5}
     assert_matches({"k": [1.0 + 4e-16, 2, "x", True], "r": 0.5 + 1e-17}, want)
