@@ -556,6 +556,8 @@ def pseudo_spherical_test(curve, grid=None, tol=DEFAULT_SPHERE_TOL):
     center and radius.  A vanishing k_{n-3} (below ``MIN_CURVATURE``)
     anywhere on the grid raises HypothesisError (the theorem does not
     apply), which keeps hypothesis failures distinct from negative verdicts.
+    The spreads over one point are 0 whatever the curve, so a grid with
+    fewer than two distinct points is an InputError once its points are read.
     """
     n = curve.dimension
     if n < 6:
@@ -567,7 +569,8 @@ def pseudo_spherical_test(curve, grid=None, tol=DEFAULT_SPHERE_TOL):
     metric = PseudoMetric(n)
 
     def sample(ts):
-        fj = frame_grid(curve, ts, extra_order=n)
+        # k_c comes out at order n - 1 - c; the recursion reads k3 to order n - 6
+        fj = frame_grid(curve, ts)
         k_last = fj.curvatures[-1].value
         require(np.abs(k_last) >= MIN_CURVATURE, lambda j: HypothesisError(
             f"k_{n - 3} = {k_last[j]:.3e} at t={ts[j]}: pseudo-sphere theorem "
@@ -581,6 +584,9 @@ def pseudo_spherical_test(curve, grid=None, tol=DEFAULT_SPHERE_TOL):
         return a_vals, point, center
 
     a_values, points, centers = pointwise_order(sample, grid)
+    if len(set(grid)) < 2:
+        raise InputError("the sphere verdict compares points: the grid needs at "
+                         "least two distinct parameters")
     radius_sq = np.sum(a_values[:, 1:] ** 2, axis=1)
     max_radius_spread = float(radius_sq.max() - radius_sq.min())
     center_mean = centers.mean(axis=0)
@@ -659,7 +665,8 @@ def evolute(curve, grid=None, min_slope=1e-8):
     metric = PseudoMetric(6)
 
     def sample(ts):
-        fj = frame_grid(curve, ts, extra_order=2)
+        # W4 and k3 come out at order 2; the sample reads them to order 1
+        fj = frame_grid(curve, ts)
         k3 = fj.curvatures[2]
         require(np.abs(k3.value) >= MIN_CURVATURE, lambda j: HypothesisError(
             f"k3 = {k3.value[j]:.3e} at t={ts[j]}", condition="k3 != 0",

@@ -551,12 +551,6 @@ class VecJet(_Series):
         self._require_same_base(s)
         return VecJet(self.base, _scale(s.coeffs, self.coeffs))
 
-    def weighted_inner(self, other, weights):
-        """Jet of ``sum_i weights[i] * self_i(t) * other_i(t)``."""
-        self._require_same_base(other)
-        return Jet(self.base, _weighted_inner(self.coeffs, other.coeffs,
-                                              np.asarray(weights)))
-
 
 # ---------------------------------------------------------------------------
 # Expression AST

@@ -35,7 +35,7 @@ from .errors import (
     InputError,
     require,
 )
-from .expr import VecJet
+from .expr import Jet, VecJet, _constant, _div, _mul, _scale, _sqrt, _weighted
 from .metric import PseudoMetric
 
 __all__ = [
@@ -165,8 +165,12 @@ def frame_grid(curve, ts, extra_order=0):
     """Cartan frames on a grid of parameters as one jet :class:`Frame`, rows
     and curvatures batched: one pass over the grid for each extraction step.
 
-    ``extra_order`` deepens the jets beyond the n+2 needed for extraction and
-    the closure residual (constructions differentiate curvatures further).
+    The curve is read to order n + 2 + e, e = ``extra_order``; the rows come
+    out at order 2 + e and k_c at order n - 1 + e - c, so e = 0 serves the
+    closure residual, and a reader that differentiates the frame or the
+    curvatures further asks for more.  The recursion runs on coefficient
+    arrays, calling the series kernels the jet operators call, with each sum
+    truncated to the shorter series; jets are built around the result only.
     A failing gate raises for the first point that fails it; wrap the call
     in :func:`pointwise_order` for the error a loop over the grid would meet
     first.
@@ -179,52 +183,62 @@ def frame_grid(curve, ts, extra_order=0):
     _family_gates(metric, derivs[:, :3], 1.0 + norms[:, :3].max(axis=1), A.base)
     floor = CURVATURE_FLOOR * (1.0 + norms.max(axis=1))
 
-    vectors = {"alpha": A}
-    k = [None]  # k[c] is the jet of k_c; k_0 = 1 scales nothing
+    # rows (K+1, m, n) and curvatures (K+1, m) as coefficient arrays
+    vectors = {"alpha": A.coeffs}
+    k = [None]  # k[c] is the series of k_c; k_0 = 1 scales nothing
     for row, terms in frenet_system(n):
-        v = vectors[row].differentiate()
+        v = _weighted(vectors[row])[1:]  # d/dt
         if row == "W3":    # N2 = W3' + k1 L2 is null
-            k.append(metric.inner_jet(v, v) * 0.5)
+            k.append(metric.inner_series(v, v) * 0.5)
         elif row == "N2":  # N1 = N2' - k2 L1 + k1 W3 is null
-            k.append((metric.inner_jet(v, v) - k[1] * k[1]) * 0.5)
+            vv = metric.inner_series(v, v)
+            k.append(_truncated(np.subtract, vv, _mul(k[1], k[1])) * 0.5)
         new = None
         for target, c, sign in terms:
             if target not in vectors:
                 new = target, c
             else:
-                term = vectors[target] if c == 0 else vectors[target].scale(k[c])
-                v = v - term if sign > 0 else v + term
+                term = vectors[target] if c == 0 else _scale(k[c], vectors[target])
+                v = _truncated(np.subtract if sign > 0 else np.add, v, term)
         if new is None:  # the last row: what is left is the closure residual
-            closure_residual = np.linalg.norm(v.coeffs[0], axis=-1)
+            closure_residual = np.linalg.norm(v[0], axis=-1)
             break
         target, c = new
         if c:
-            vv = metric.inner_jet(v, v)
-            require(vv.value > floor * floor, lambda j: FrameDegeneracyError(
-                f"normalizer <v,v> = {vv.value[j]:.3e} at curvature index {c}: "
+            vv = metric.inner_series(v, v)
+            require(vv[0] > floor * floor, lambda j: FrameDegeneracyError(
+                f"normalizer <v,v> = {vv[0, j]:.3e} at curvature index {c}: "
                 f"frame continuation aborted at t={ts[j]}", index=c,
-                partial=Frame(_stack(vectors), ts, tuple(k[1:])).at(j)))
-            k.append(vv.sqrt())
-            v = v.scale(1.0 / k[c])
+                partial=_jet_frame(A.base, ts, vectors, k).at(j)))
+            k.append(_sqrt(vv))
+            v = _scale(_div(_constant(1.0, k[c]), k[c]), v)
         vectors[target] = v
 
-    rows = _stack(vectors)
+    frame = _jet_frame(A.base, ts, vectors, k)
     # one determinant pass: the frame bases (rows minus alpha) come first, as their errors do
-    signs = metric.orientation_signs(np.concatenate([rows.coeffs[0, :, 1:], derivs]))
+    signs = metric.orientation_signs(np.concatenate([frame.rows.coeffs[0, :, 1:], derivs]))
     sign_frame, sign_derivs = signs[:len(ts)], signs[len(ts):]
     require(sign_frame == sign_derivs, lambda j: DegenerateBasisError(
         f"frame orientation {sign_frame[j]} disagrees with the derivative "
         f"basis orientation {sign_derivs[j]} at t={ts[j]}"))
-    return Frame(rows, ts, tuple(k[1:]), closure_residual, sign_frame)
+    return Frame(frame.rows, ts, frame.curvatures, closure_residual, sign_frame)
 
 
-def _stack(vectors):
-    """The rows found so far, in :func:`frenet_system` order, stacked at the
-    order of the last one."""
+def _truncated(op, a, b):
+    """``op(a, b)`` on two series truncated to the shorter, as jet ``+`` and
+    ``-`` combine them."""
+    size = min(len(a), len(b))
+    return op(a[:size], b[:size])
+
+
+def _jet_frame(base, ts, vectors, k):
+    """The jet :class:`Frame` of the rows found so far, stacked in
+    :func:`frenet_system` order at the order of the last one, and of the
+    curvature series ``k[1:]``."""
     rows = list(vectors.values())
-    size = len(rows[-1].coeffs)
-    return VecJet(rows[0].base,
-                  np.concatenate([v.coeffs[:size, ..., None, :] for v in rows], axis=-2))
+    size = len(rows[-1])
+    stacked = np.concatenate([v[:size, ..., None, :] for v in rows], axis=-2)
+    return Frame(VecJet(base, stacked), ts, tuple(Jet(base, c) for c in k[1:]))
 
 
 def frame_jets(curve, t, extra_order=0):
@@ -274,10 +288,10 @@ def _stencil_derivative(samples, h):
 def frenet_residuals(curve, grid):
     """Residuals of every Frenet equation, frame derivatives by 5-point stencil.
 
-    The grid must be uniform with at least 7 points.  Left sides differentiate
-    the sampled frame fields numerically; right sides combine the sampled
-    frame with the extracted curvature values, so the report is an
-    end-to-end consistency check rather than a jet identity.
+    The grid must be uniform with at least 7 points and a nonzero step.
+    Left sides differentiate the sampled frame fields numerically; right
+    sides combine the sampled frame with the extracted curvature values, so
+    the report is an end-to-end consistency check rather than a jet identity.
     """
     grid = np.asarray([float(t) for t in grid])
     if len(grid) < 7:
@@ -286,6 +300,8 @@ def frenet_residuals(curve, grid):
     h = steps[0]
     require(np.abs(steps - h) <= 1e-9 * abs(h),
             lambda j: InputError("residual grid must be uniformly spaced"))
+    if h == 0.0:
+        raise InputError("residual grid step is zero: its points must be distinct")
 
     return stencil_residuals(cartan_frames(curve, grid).value)
 

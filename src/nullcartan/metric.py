@@ -20,6 +20,7 @@ from .errors import (
     DimensionMismatchError,
     require,
 )
+from .expr import Jet, _weighted_inner
 
 __all__ = [
     "PseudoMetric",
@@ -94,9 +95,16 @@ class PseudoMetric:
         g = ((x * self._signs)[..., None, :] @ y[..., :, None])[..., 0, 0]
         return float(g) if g.ndim == 0 else g
 
+    def inner_series(self, a, b):
+        """Series (K+1, *batch) of <a(t), b(t)> for two vector coefficient
+        arrays (K+1, *batch, n) batched alike, truncated to the shorter."""
+        return _weighted_inner(a, b, self._signs)
+
     def inner_jet(self, a, b):
-        """Jet of <a(t), b(t)> for two vector jets (batched alike)."""
-        return a.weighted_inner(b, self._signs)
+        """Jet of <a(t), b(t)> for two vector jets (batched alike): the
+        :meth:`inner_series` of their coefficients."""
+        a._require_same_base(b)
+        return Jet(a.base, self.inner_series(a.coeffs, b.coeffs))
 
     def _rows(self, vectors):
         """Checked vectors as the rows of a (k, n) array."""

@@ -359,6 +359,15 @@ def test_sphere_on_synthesized_recipe(tmp_path, capsys):
     assert body["summary"]["radius"] == pytest.approx(2.0, rel=1e-6)
 
 
+def test_sphere_on_one_point_is_an_input_error(profile6_file, capsys):
+    # k3 = 1 + t: one point would read as a sphere, with every spread 0
+    code, out, err = run(capsys, "sphere", profile6_file, "--grid", "1")
+    assert code == 2 and out == ""
+    diag = json.loads(err.splitlines()[-1])
+    assert diag["category"] == "input"
+    assert "at least two distinct parameters" in diag["message"]
+
+
 def test_sphere_dimension_hypothesis_exit_code(quintic_file, capsys):
     code, _, err = run(capsys, "sphere", quintic_file)
     assert code == 3

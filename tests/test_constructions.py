@@ -247,6 +247,14 @@ def test_sphere_report_arrays_are_read_only(synth6):
             values[0] = 0.0
 
 
+@pytest.mark.parametrize("grid", [[0.5], [0.5, 0.5]])
+def test_a_sphere_verdict_needs_two_distinct_points(synth6, grid):
+    # k3 = 1 + t is not constant, but over one point every spread is 0
+    with pytest.raises(InputError, match="at least two distinct parameters"):
+        pseudo_spherical_test(synth6, grid)
+    assert not pseudo_spherical_test(synth6, [0.5, 0.6]).is_spherical
+
+
 def test_pseudo_sphere_dimension_gate(golden):
     with pytest.raises(HypothesisError):
         pseudo_spherical_test(golden, [0.1, 0.5])
@@ -327,6 +335,45 @@ def test_evolute_jets_ask_for_no_deeper_frames_than_they_use(synth6_evolute):
         counted.orders.clear()
         assert EvoluteCurve(counted).vec_jets([0.1, 0.4], order).order == order
         assert counted.orders == [8 + max(0, order - 2)]
+
+
+def test_constructions_ask_for_no_deeper_frames_than_they_read(synth6, synth8,
+                                                               synth6_evolute, monkeypatch):
+    # frame_grid reads the curve to order n + 2 + extra_order; the sphere
+    # recursion reads k3 to order n - 6 and the evolute sample W4 and k3 to
+    # order 1, which extra_order = 0 covers (k_c at n - 1 - c, rows at 2)
+    grid = np.linspace(0.1, 0.9, 5)
+    for curve in (synth6, synth8):
+        counted = _CountedCurve(curve)
+        pseudo_spherical_test(counted, grid)
+        assert counted.orders == [curve.dimension + 2]
+    counted = _CountedCurve(synth6_evolute)
+    evolute(counted, grid)
+    assert counted.orders == [8]
+
+    # the extra orders asked for before (n for the sphere, 2 for the
+    # evolute) change no output bit
+    runs = {"sphere6": (6, lambda: pseudo_spherical_test(synth6, grid)),
+            "sphere8": (8, lambda: pseudo_spherical_test(synth8, grid)),
+            "evolute": (2, lambda: evolute(synth6_evolute, grid))}
+    real = constructions.frame_grid
+    for name, (old, run) in runs.items():
+        want = run()
+
+        def deeper(curve, ts, extra_order=0):
+            return real(curve, ts, old)
+
+        monkeypatch.setattr(constructions, "frame_grid", deeper)
+        got = run()
+        monkeypatch.undo()
+        fields = (["sampled", "speed_defect", "min_abs_slope"] if name == "evolute" else
+                  ["a_values", "radius_sq", "centers", "is_spherical", "radius", "center",
+                   "last_coefficient_nonzero", "max_radius_spread", "max_center_spread"])
+        for field in fields:
+            a, b = getattr(got, field), getattr(want, field)
+            if field == "sampled":
+                a, b = a.points, b.points
+            assert np.array_equal(a, b), (name, field)
 
 
 def test_evolute_extracts_frames_once(synth6_evolute, monkeypatch):

@@ -18,7 +18,9 @@ from nullcartan import (
     FrameDegeneracyError,
     InputError,
     NullCartanError,
+    OffsetCurve,
     PseudoMetric,
+    ReparametrizedCurve,
     cartan_frame_at,
     classify,
     frame_jets,
@@ -26,7 +28,14 @@ from nullcartan import (
     synthesize,
 )
 from nullcartan.constructions import _frenet_couplings
-from nullcartan.frame import cartan_frames, frame_grid, frame_rows, frenet_system
+from nullcartan.curve import _derivative_rows
+from nullcartan.frame import (
+    CURVATURE_FLOOR,
+    cartan_frames,
+    frame_grid,
+    frame_rows,
+    frenet_system,
+)
 
 from conftest import (
     PROTOCOL_CLASSES,
@@ -37,6 +46,7 @@ from conftest import (
     golden_N2,
     golden_W3,
     random_isometry_frame,
+    warped_quintic,
 )
 
 
@@ -363,6 +373,102 @@ def test_vanishing_k3_aborts_with_partial_frame():
 
 
 # ---------------------------------------------------------------------------
+# Extraction oracle: the Frenet recursion as a loop of jet operators
+# ---------------------------------------------------------------------------
+
+def operator_frame(curve, ts, extra_order):
+    """The row recursion of :func:`frame_grid` written with ``Jet`` and
+    ``VecJet`` operators: rows (K+1, m, n+1, n), curvature series, closure
+    residual and orientation.  Where a normalizer vanishes at some point it
+    returns the rows and curvatures found before it, with no checks."""
+    ts = np.asarray(ts, dtype=float)
+    n = curve.dimension
+    metric = PseudoMetric(n)
+    A = curve.vec_jets(ts, n + 2 + extra_order)
+    floor = CURVATURE_FLOOR * (1.0 + _derivative_rows(A, n)[1].max(axis=1))
+
+    def stack(vectors):
+        rows = list(vectors.values())
+        size = len(rows[-1].coeffs)
+        return np.concatenate([v.coeffs[:size, ..., None, :] for v in rows], axis=-2)
+
+    vectors = {"alpha": A}
+    k = [None]
+    for row, terms in frenet_system(n):
+        v = vectors[row].differentiate()
+        if row == "W3":
+            k.append(metric.inner_jet(v, v) * 0.5)
+        elif row == "N2":
+            k.append((metric.inner_jet(v, v) - k[1] * k[1]) * 0.5)
+        new = None
+        for target, c, sign in terms:
+            if target not in vectors:
+                new = target, c
+            else:
+                term = vectors[target] if c == 0 else vectors[target].scale(k[c])
+                v = v - term if sign > 0 else v + term
+        if new is None:
+            closure = np.linalg.norm(v.coeffs[0], axis=-1)
+            break
+        target, c = new
+        if c:
+            vv = metric.inner_jet(v, v)
+            if not np.all(vv.value > floor * floor):
+                return stack(vectors), [kc.coeffs for kc in k[1:]], None, None
+            k.append(vv.sqrt())
+            v = v.scale(1.0 / k[c])
+        vectors[target] = v
+    rows = stack(vectors)
+    return (rows, [kc.coeffs for kc in k[1:]], closure,
+            metric.orientation_signs(rows[0, :, 1:]))
+
+
+@pytest.fixture(scope="module")
+def oracle_curves(golden, synth6, synth8):
+    synth5 = synthesize(CurvatureProfile.from_strings(5, ["0.3 + 0.2*t", "-0.4"]), (0.0, 1.0))
+    return {"quintic": golden, "offset": OffsetCurve(golden, 0.7),
+            "reparametrized": ReparametrizedCurve(warped_quintic(golden)),
+            "synth5": synth5, "synth6": synth6, "synth8": synth8}
+
+
+@pytest.mark.parametrize("extra_order", [0, 1, 3])
+@pytest.mark.parametrize("points", [1, 9])
+@pytest.mark.parametrize("name", ["quintic", "offset", "reparametrized",
+                                  "synth5", "synth6", "synth8"])
+def test_extraction_is_the_operator_recursion_bit_for_bit(oracle_curves, name, points,
+                                                          extra_order):
+    curve = oracle_curves[name]
+    a, b = curve.domain
+    ts = a + (b - a) * (np.array([0.37]) if points == 1 else np.linspace(0.05, 0.95, points))
+    rows, curvatures, closure, orientation = operator_frame(curve, ts, extra_order)
+    frame = frame_grid(curve, ts, extra_order)
+    assert np.array_equal(frame.rows.coeffs, rows)
+    assert len(frame.curvatures) == len(curvatures) == curve.dimension - 3
+    for got, want in zip(frame.curvatures, curvatures):
+        assert np.array_equal(got.coeffs, want)
+    assert np.array_equal(frame.closure_residual, closure)
+    assert np.array_equal(frame.orientation, orientation)
+    # the orders each reader can count on: rows 2 + e, k_c n - 1 + e - c
+    assert frame.rows.order == 2 + extra_order
+    assert [k.order for k in frame.curvatures] == [
+        curve.dimension - 1 + extra_order - c for c in range(1, curve.dimension - 2)]
+
+
+def test_partial_frame_is_the_operator_recursion_bit_for_bit():
+    profile = CurvatureProfile.from_strings(6, ["0.1", "0.0", "t - 0.5"])
+    curve = synthesize(profile, (0.0, 1.0))
+    rows, curvatures, closure, _ = operator_frame(curve, [0.5], 0)
+    assert closure is None  # the oracle stopped at the vanishing normalizer
+    with pytest.raises(FrameDegeneracyError) as exc:
+        cartan_frame_at(curve, 0.5)
+    partial = exc.value.partial
+    assert np.array_equal(partial.rows.coeffs, rows[:, 0])
+    assert len(partial.curvatures) == len(curvatures) == 2
+    for got, want in zip(partial.curvatures, curvatures):
+        assert np.array_equal(got.coeffs, want[:, 0])
+
+
+# ---------------------------------------------------------------------------
 # Residual reports
 # ---------------------------------------------------------------------------
 
@@ -404,3 +510,6 @@ def test_residual_grid_validation(golden):
         frenet_residuals(golden, np.linspace(0.1, 1.0, 5))
     with pytest.raises(InputError):
         frenet_residuals(golden, [0.1, 0.2, 0.4, 0.5, 0.7, 0.8, 1.0])
+    # seven copies of one point are evenly spaced, with step 0
+    with pytest.raises(InputError, match="residual grid step is zero"):
+        frenet_residuals(golden, [0.5] * 7)
