@@ -18,13 +18,11 @@ diagnostic line and exits with its code.
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
 import io
 import json
 import os
 import sys
-import tempfile
 from datetime import datetime, timezone
 
 import numpy as np
@@ -115,6 +113,8 @@ def _text(x):
 
 
 def _table_csv(table):
+    import csv  # here, not at the top: only a CSV report needs it on a cold run
+
     buf = io.StringIO()
     writer = csv.writer(buf, quoting=csv.QUOTE_MINIMAL, lineterminator="\r\n")
     writer.writerow(table["columns"])
@@ -150,6 +150,8 @@ def write_report(body, args, pure_json=False):
             text += _table_csv(table)
     out_path = getattr(args, "output", None)
     if out_path:
+        import tempfile  # here, not at the top: only --output needs it on a cold run
+
         directory = os.path.dirname(os.path.abspath(out_path))
         fd, tmp = tempfile.mkstemp(dir=directory, prefix=".nullcartan-")
         try:

@@ -17,7 +17,6 @@ them the test oracle for everything else here.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -48,6 +47,7 @@ from .errors import (
 from .expr import Expr, Jet, Program, VecJet, parse
 from .frame import Frame, frame_grid, frenet_system
 from .metric import PseudoMetric
+from .record import Record
 
 __all__ = [
     "CurvatureProfile",
@@ -95,8 +95,7 @@ SCAN_CHUNK = 16
 # Curvature profiles and initial frames
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, eq=False)
-class CurvatureProfile:
+class CurvatureProfile(Record, eq=False):
     """Prescribed curvature functions k1..k_{n-3} in the pseudo-arc parameter."""
 
     dimension: int
@@ -130,10 +129,14 @@ class CurvatureProfile:
         return np.stack(self._program.run(param.coeffs), axis=-1)[0]
 
 
+@lru_cache(maxsize=32)
 def _expected_frame_gram(n):
     """<F_i, F_j> of the frame rows: the Gram of the standard initial frame,
-    which meets every pairing relation exactly."""
-    return PseudoMetric(n).gram(standard_initial_frame(n).rows[1:])
+    which meets every pairing relation exactly.  Built once per n, read-only:
+    synthesis checks every block of its table against it."""
+    gram = PseudoMetric(n).gram(standard_initial_frame(n).rows[1:])
+    gram.flags.writeable = False
+    return gram
 
 
 def _gram_defect(state_matrix, metric):
@@ -400,8 +403,7 @@ class OffsetCurve(_BatchedCurve):
         return A.truncate(order) + a3.scale(self.mu)
 
 
-@dataclass(frozen=True)
-class BertrandVerdict:
+class BertrandVerdict(Record):
     verdict: bool
     max_k1: float
     max_k2: float
@@ -409,8 +411,7 @@ class BertrandVerdict:
     tolerance: float
 
 
-@dataclass(frozen=True)
-class PairReport:
+class PairReport(Record):
     """Correspondence and W3-line alignment between a curve and its offset."""
 
     grid: tuple[float, ...]
@@ -422,8 +423,7 @@ class PairReport:
     max_k2: float
 
 
-@dataclass(frozen=True)
-class BertrandMateResult:
+class BertrandMateResult(Record):
     mate: OffsetCurve
     sampled: SampledCurve
     report: PairReport
@@ -530,8 +530,7 @@ def sphere_coefficients(profile, t):
     return [a.value for a in _sphere_coefficient_jets(kjets, n)]
 
 
-@dataclass(frozen=True)
-class SphereReport:
+class SphereReport(Record):
     """Per-sample recursion values (read-only arrays) and the constancy verdict."""
 
     grid: tuple[float, ...]
@@ -642,8 +641,7 @@ def _evolute_jets(fj, order):
     return fj.alpha.truncate(order) + fj.W[1].truncate(order).scale(recip)
 
 
-@dataclass(frozen=True)
-class EvoluteResult:
+class EvoluteResult(Record):
     curve: EvoluteCurve
     sampled: SampledCurve
     grid: tuple[float, ...]
@@ -728,8 +726,7 @@ class InvoluteCurve(_BatchedCurve):
         return cj.truncate(order) - T.scale(s_jet).truncate(order)
 
 
-@dataclass(frozen=True)
-class InvoluteResult:
+class InvoluteResult(Record):
     curve: InvoluteCurve
     sampled: SampledCurve
     grid: tuple[float, ...]
@@ -745,8 +742,7 @@ def involute(curve, t0, grid=None, arc_offset=0.0):
     return InvoluteResult(inv, SampledCurve(np.asarray(grid), points), tuple(grid))
 
 
-@dataclass(frozen=True)
-class InvoluteFrameReport:
+class InvoluteFrameReport(Record):
     """Evidence that the involute of a suitable spacelike curve is Cartan.
 
     ``k3_max_rel_error`` compares the extracted third curvature with the

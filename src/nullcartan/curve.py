@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 import weakref
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -49,6 +48,7 @@ from .expr import (
     parse,
 )
 from .metric import DEFAULT_TOL, PseudoMetric, family_nullity_sequence
+from .record import Record
 
 __all__ = [
     "Curve",
@@ -196,8 +196,7 @@ class _BatchedCurve:
         return [vj.derivative_value(k) for k in range(1, m + 1)]
 
 
-@dataclass(frozen=True, eq=False)
-class Curve(_BatchedCurve):
+class Curve(_BatchedCurve, Record, eq=False):
     """Symbolic curve: n component expressions over one parameter.
 
     The components are compiled once into one :class:`Program`.  When they
@@ -295,8 +294,7 @@ def _read_only(values):
     return out
 
 
-@dataclass(frozen=True, eq=False)
-class SampledCurve:
+class SampledCurve(Record, eq=False):
     """Finite curve samples on a strictly increasing parameter grid, held as
     read-only copies, so the validated grid cannot change afterwards."""
 
@@ -443,8 +441,7 @@ class SplineCurve(_BatchedCurve):
 # Classification
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ClassificationReport:
+class ClassificationReport(Record):
     report: "SequenceReport"
     family: bool
     grid: tuple[float, ...]
@@ -776,8 +773,7 @@ class MappedCurve(_BatchedCurve):
         return jet_compose(self.base.vec_jets(g.value, order), g)
 
 
-@dataclass(frozen=True)
-class ReparamResult:
+class ReparamResult(Record):
     """Monotone table, resampled curve and the exact reparametrized view;
     the arrays are read-only."""
 

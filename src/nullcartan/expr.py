@@ -51,12 +51,12 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .errors import ExprEvaluationError, ExprSyntaxError
+from .record import Record
 
 __all__ = [
     "Jet",
@@ -349,8 +349,7 @@ def _function(kind):
     return lambda self: Jet(self.base, _CALLS[kind](self.coeffs))
 
 
-@dataclass(frozen=True, eq=False)
-class _Series:
+class _Series(Record, eq=False):
     """What :class:`Jet` and :class:`VecJet` share: a truncated Taylor series
     with coefficients ``coeffs`` (order axis first) at ``base``.
 
@@ -363,6 +362,10 @@ class _Series:
 
     base: float | np.ndarray
     coeffs: np.ndarray
+
+    def __init__(self, base, coeffs):  # written out: every jet op builds one
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "coeffs", coeffs)
 
     _takes_numbers = False  # whether a number operand follows _number_op
     # numpy defers to the series operators instead of broadcasting an array
@@ -556,14 +559,29 @@ class VecJet(_Series):
 # Expression AST
 # ---------------------------------------------------------------------------
 
-class Expr:
-    """Base class for expression nodes; see module docstring for the grammar."""
+class Expr(Record):
+    """Base class for expression nodes; see module docstring for the grammar.
+
+    A node's hash is taken once, when it is built, from its children's:
+    :class:`Program` looks every subtree up by value, and a hash over the
+    whole subtree on each lookup would make compiling quadratic in depth.
+    """
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", super().__hash__())
+
+    def __hash__(self):
+        return self._hash
+
+    def __reduce__(self):
+        # a copy or unpickled node is built again, never handed a stored
+        # hash: the hash of a string differs from one process to the next
+        return type(self), self._key(self)[1:]
 
     def __str__(self):
         raise NotImplementedError
 
 
-@dataclass(frozen=True)
 class Num(Expr):
     value: float
 
@@ -573,7 +591,6 @@ class Num(Expr):
         return text[:-2] if text.endswith(".0") else text
 
 
-@dataclass(frozen=True)
 class Param(Expr):
     name: str
 
@@ -581,7 +598,6 @@ class Param(Expr):
         return self.name
 
 
-@dataclass(frozen=True)
 class Neg(Expr):
     arg: Expr
 
@@ -589,7 +605,6 @@ class Neg(Expr):
         return f"-({self.arg})"
 
 
-@dataclass(frozen=True)
 class BinOp(Expr):
     op: str
     left: Expr
@@ -599,7 +614,6 @@ class BinOp(Expr):
         return f"({self.left} {self.op} {self.right})"
 
 
-@dataclass(frozen=True)
 class IntPow(Expr):
     arg: Expr
     exponent: int
@@ -608,7 +622,6 @@ class IntPow(Expr):
         return f"({self.arg})^{self.exponent}"
 
 
-@dataclass(frozen=True)
 class Call(Expr):
     func: str
     arg: Expr
@@ -786,8 +799,7 @@ _TOKEN_RE = re.compile(
 )
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(Record):
     kind: str  # "num" | "name" | "op" | "end"
     text: str
     pos: int

@@ -22,7 +22,6 @@ the one-point ``frame_grid``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -37,6 +36,7 @@ from .errors import (
 )
 from .expr import Jet, VecJet, _constant, _div, _mul, _scale, _sqrt, _weighted
 from .metric import PseudoMetric
+from .record import Record
 
 __all__ = [
     "Frame",
@@ -91,8 +91,7 @@ def frame_rows(n):
     return [row for row, _ in frenet_system(n)[1:]]
 
 
-@dataclass(frozen=True, eq=False)
-class Frame:
+class Frame(Record, eq=False):
     """A Cartan frame, or a batch of them over a grid ``t``.
 
     ``rows`` stacks the curve point alpha and the frame vectors on axis -2
@@ -105,10 +104,18 @@ class Frame:
     """
 
     rows: np.ndarray | VecJet
-    t: float | np.ndarray | None = None
-    curvatures: tuple = ()
-    closure_residual: float | np.ndarray | None = None
-    orientation: int | np.ndarray | None = None
+    t: float | np.ndarray | None
+    curvatures: tuple
+    closure_residual: float | np.ndarray | None
+    orientation: int | np.ndarray | None
+
+    def __init__(self, rows, t=None, curvatures=(), closure_residual=None,
+                 orientation=None):  # written out: every extraction builds some
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "t", t)
+        object.__setattr__(self, "curvatures", curvatures)
+        object.__setattr__(self, "closure_residual", closure_residual)
+        object.__setattr__(self, "orientation", orientation)
 
     def _row(self, i):
         r = self.rows
@@ -263,8 +270,7 @@ def cartan_frames(curve, grid):
 # Residual verification
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class FrenetResidualReport:
+class FrenetResidualReport(Record):
     """Max |LHS - RHS| per Frenet equation over a grid."""
 
     per_equation: dict[str, float]

@@ -10,8 +10,6 @@ sequences and the degeneration degree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import (
@@ -21,6 +19,7 @@ from .errors import (
     require,
 )
 from .expr import Jet, _weighted_inner
+from .record import Record
 
 __all__ = [
     "PseudoMetric",
@@ -32,8 +31,7 @@ __all__ = [
 DEFAULT_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class SubspaceProfile:
+class SubspaceProfile(Record):
     """Gram-matrix diagnostics of a spanning system."""
 
     rank: int
@@ -42,8 +40,7 @@ class SubspaceProfile:
     tolerance_used: float
 
 
-@dataclass(frozen=True)
-class SequenceReport:
+class SequenceReport(Record):
     """Nullity-degree sequence, index sequence and degeneration degree."""
 
     nullity_sequence: tuple[int, ...]

@@ -45,11 +45,12 @@ from nullcartan import constructions
 from nullcartan.constructions import (
     InvoluteCurve,
     OffsetCurve,
+    _expected_frame_gram,
     _frenet_couplings,
     _gram_defect,
     _rk4_increments,
 )
-from nullcartan.curve import PANEL_CELLS
+from nullcartan.curve import PANEL_CELLS, TABLE_BLOCK
 from nullcartan.frame import frame_grid
 
 from conftest import (
@@ -832,6 +833,32 @@ def test_scanned_table_matches_the_sequential_loop(n):
     curve = synthesize(profile, (0.0, 1.0), step=1e-3)
     want = sequential_table(curve)
     assert np.max(np.abs(curve._states - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+# the benchmark's synthesis profiles: n = 8 on [0, 1] at step 1e-3, and the
+# n = 6 evolute base on [-0.7, 1.2] at the default step
+@pytest.mark.parametrize("n, curvatures, interval, step", [
+    (8, ["0.1 + 0.05*t", "-0.2", "1.5 + 0.3*sin(t)", "1 + 0.2*t", "2 - 0.3*t"],
+     (0.0, 1.0), 1e-3),
+    (6, ["0.1", "-0.05", "1/(1 + t)"], (-0.7, 1.2), constructions.DEFAULT_STEP),
+])
+def test_the_gram_gate_reads_one_expected_gram(n, curvatures, interval, step):
+    expected = _expected_frame_gram(n)
+    assert _expected_frame_gram(n) is expected and not expected.flags.writeable
+
+    def fresh():
+        return PseudoMetric(n).gram(standard_initial_frame(n).rows[1:])
+
+    assert np.array_equal(expected, fresh())
+    curve = synthesize(CurvatureProfile.from_strings(n, curvatures), interval, step=step)
+    # the gate's maximum over the table's blocks, against a Gram built afresh
+    # for every block, is the one synthesis recorded, to the last bit
+    states, metric = curve._states, PseudoMetric(n)
+    worst = 0.0
+    for i0 in range(0, len(states) - 1, TABLE_BLOCK):
+        G = metric.gram(states[i0:i0 + TABLE_BLOCK + 1, 1:])
+        worst = max(worst, float(np.max(np.abs(G - fresh()))))
+    assert curve.max_gram_defect == worst > 0.0
 
 
 @pytest.mark.parametrize("a, b, step", [(-0.7, 1.2, 1e-3), (0.0, 16.5000000000001, 0.05)])

@@ -18,6 +18,9 @@ from nullcartan import (
     parse,
 )
 from nullcartan.expr import (
+    BinOp,
+    Num,
+    Param,
     Program,
     VecJet,
     _antidiagonal_sum,
@@ -194,6 +197,61 @@ def test_sqrt_log_domain_violations():
         jet_eval(parse("sqrt(s)"), -1.0, 2)
     with pytest.raises(ExprEvaluationError):
         jet_eval(parse("log(s)"), 0.0, 2)
+
+
+class PrintedKeyProgram(Program):
+    """The compiler with subtrees looked up by their printed form, which
+    shows the whole subtree, instead of by node value and hash."""
+
+    def _emit(self, node, output):
+        key = str(node)
+        hit = self._memo.get(key)
+        if hit is None:
+            hit = self._memo[key] = self._emit_new(node, output)
+        return hit
+
+
+def moved_quintic_components(rng):
+    """The bundled quintic's components mixed by a random matrix plus a
+    shift, each written "0 +/- c +/- m*(q_1) ...", so every quintic
+    component is a subtree of all five."""
+    quintic = ["(s - s^5)/(4*sqrt(15))", "(s^2 + s^4)/(4*sqrt(6))", "s^3/6",
+               "(s^2 - s^4)/(4*sqrt(6))", "(s + s^5)/(4*sqrt(15))"]
+    M, shift = rng.normal(size=(5, 5)), rng.normal(size=5)
+
+    def signed(x, factor=""):
+        return f" {'-' if x < 0 else '+'} {float(abs(x))!r}{factor}"
+
+    return ["0" + signed(shift[i]) + "".join(signed(M[i, j], f"*({quintic[j]})")
+                                             for j in range(5)) for i in range(5)]
+
+
+@pytest.mark.parametrize("texts, ops", [
+    (moved_quintic_components(np.random.default_rng(1)), None),
+    (["sin(s^2 + 1)*sin(s^2 + 1) + (s^2 + 1)^3 - cos(sin(s^2 + 1))",
+      "(s^2 + 1)^3", "sin(s^2 + 1)"], 8),
+], ids=["moved quintic", "repeated subtrees"])
+def test_program_op_lists_share_every_repeated_subtree(texts, ops):
+    exprs = tuple(parse(t) for t in texts)
+    program, reference = Program(exprs), PrintedKeyProgram(exprs)
+
+    def listing(p):
+        return ([(kind, inputs, number, str(node), output)
+                 for kind, inputs, number, node, output in p._ops],
+                p._outputs, p._release, p.degree)
+
+    assert listing(program) == listing(reference)
+    if ops is not None:
+        assert len(program) == ops
+
+
+def test_a_node_hash_is_taken_once_when_it_is_built():
+    node = Param("s")
+    for _ in range(5000):
+        node = BinOp("+", node, Num(1.0))
+    # a hash over the whole chain would recurse 5000 levels deep
+    assert hash(node) == hash(BinOp("+", node.left, Num(1.0)))
+    assert hash(parse("s^2 + sin(s)")) == hash(parse("s^2 + sin(s)"))
 
 
 # ---------------------------------------------------------------------------

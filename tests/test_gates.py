@@ -6,7 +6,6 @@ such condition, so a NaN placed at one known grid point must raise the gate's
 own error there, with the gate's type and location.
 """
 
-import dataclasses
 import re
 
 import numpy as np
@@ -18,6 +17,7 @@ from nullcartan import (
     Curve,
     DegenerateBasisError,
     FamilyError,
+    Frame,
     FrameDegeneracyError,
     HypothesisError,
     InputError,
@@ -77,7 +77,7 @@ def poison_curvature(monkeypatch, index, at, order=0):
         coeffs[order, np.abs(np.asarray(ts) - at) < 1e-9] = np.nan
         ks = list(fj.curvatures)
         ks[index] = Jet(k.base, coeffs)
-        return dataclasses.replace(fj, curvatures=tuple(ks))
+        return Frame(fj.rows, fj.t, tuple(ks), fj.closure_residual, fj.orientation)
 
     monkeypatch.setattr(constructions, "frame_grid", frame_grid)
 
@@ -234,7 +234,8 @@ def test_involute_w4_sign_gate_names_the_first_flipped_point(unit_speed_evolute,
         fj = real(curve, ts, extra_order)
         coeffs = fj.rows.coeffs.copy()
         coeffs[:, np.abs(np.asarray(ts) - sbar) < 1e-9, 6] *= -1.0
-        return dataclasses.replace(fj, rows=VecJet(fj.rows.base, coeffs))
+        return Frame(VecJet(fj.rows.base, coeffs), fj.t, fj.curvatures,
+                     fj.closure_residual, fj.orientation)
 
     monkeypatch.setattr(constructions, "frame_grid", frame_grid)
     with pytest.raises(HypothesisError, match="sign flips across the grid at s=1.25") as exc:
