@@ -19,8 +19,7 @@ unit self-product.
 from __future__ import annotations
 
 import math
-import weakref
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -498,6 +497,28 @@ def _mirror(half, sign=1.0):
     return np.concatenate((sign * half[:-1], half[::-1]))
 
 
+def _legendre(x, n):
+    """P_0(x), ..., P_{n-1}(x) at the array x, as the columns of a (len(x), n)
+    array, by the three-term recurrence."""
+    p = np.empty((len(x), n))
+    p[:, 0] = 1.0
+    p[:, 1] = x
+    for k in range(1, n - 1):
+        p[:, k + 1] = ((2 * k + 1) * x * p[:, k] - k * p[:, k - 1]) / (k + 1)
+    return p
+
+
+@lru_cache(maxsize=1)
+def _kronrod_to_legendre():
+    """The 15 x 15 map from values at the Kronrod nodes (a row) to the Legendre
+    coefficients of their degree-14 interpolant (condition number 6.4).
+    Built once, on first use, read-only: every table's panels pass through it."""
+    nodes = CumulativeIntegral._KRONROD_NODES
+    matrix = np.linalg.inv(_legendre(nodes, nodes.size)).T
+    matrix.flags.writeable = False
+    return matrix
+
+
 class CumulativeIntegral:
     """Cumulative integral of a positive integrand on [a, b].
 
@@ -505,15 +526,22 @@ class CumulativeIntegral:
     panels, 16 for the default 512, and integrates each with the 15-point
     Kronrod rule (QUADPACK's qk15).  ``nodes``, the panel edges, and
     ``cumulative``, the integral up to each, are read-only.  The integrand
-    ``f`` maps an array of t to an array of values; the table is one call, at
-    ``sample_points`` (every panel's Kronrod nodes, ascending), which never
-    include a panel edge.  ``error_estimate`` bounds the error of every
-    table entry: the sum over panels of |K15 - G7|, with G7 the embedded
-    7-point Gauss rule, plus a roundoff term 50 eps times the integral of
-    |f|.  An off-node query adds the G7 rule from the panel edge below, so
-    its tail is bounded like the panel's G7 sum.  The primitive is strictly
-    increasing and ``f`` is its exact derivative, so inversion is a Newton
-    iteration safeguarded by the bracketing panel.
+    ``f`` maps an array of t to an array of values; it is called once, by
+    the constructor, at ``sample_points`` (every panel's Kronrod nodes,
+    ascending), which never include a panel edge, and is not kept.
+    ``error_estimate`` bounds the error of every table entry: the sum over
+    panels of |K15 - G7|, with G7 the embedded 7-point Gauss rule, plus a
+    roundoff term 50 eps times the integral of |f|.
+
+    Between its nodes the table reads each panel's interpolant: the degree-14
+    polynomial through the panel's 15 Kronrod values, kept as Legendre
+    coefficients.  Its integral over the whole panel is the K15 sum, so reads
+    are continuous at the edges.  A node, ``b`` included, reads
+    ``cumulative`` exactly; a point past ``b`` within the domain slack reads
+    the last panel's interpolant.  A t outside [a, b] beyond that slack, or
+    a NaN, is refused with InputError.  Inversion is a Newton iteration on
+    the interpolant, whose rate is the interpolated integrand, safeguarded
+    by the bracketing panel.
     """
 
     # the 7/15-point Gauss-Kronrod pair on [-1, 1] (QUADPACK's qk15), in
@@ -533,11 +561,13 @@ class CumulativeIntegral:
                                 0.190350578064785409913256402421014,
                                 0.204432940075298892414161999234649,
                                 0.209482141084727828012999174891714])
-    _GAUSS_NODES = _KRONROD_NODES[1::2]
     _GAUSS_WEIGHTS = _mirror([0.129484966168869693270611432679082,
                               0.279705391489276667901467771423780,
                               0.381830050505118944950369775488975,
                               0.417959183673469387755102040816327])
+    # 2k + 1 for k = 1, ..., 14: the integral of P_k from -1 to x is
+    # (P_{k+1}(x) - P_{k-1}(x)) / (2k + 1)
+    _ODD = np.arange(3, 30, 2)
     # stop when a step is below xtol + rtol |t|, the tolerances brentq used
     _NEWTON_XTOL = 1e-14
     _NEWTON_RTOL = 4 * np.finfo(float).eps
@@ -546,14 +576,16 @@ class CumulativeIntegral:
     def __init__(self, f, a, b, intervals=512):
         if intervals < 1:
             raise InputError("cumulative integral needs at least one interval")
-        self.f = f
         self.a = float(a)
         self.b = float(b)
         self.nodes = _read_only(self._edges(a, b, intervals))
         half = 0.5 * np.diff(self.nodes)[:, None]
-        # f at each panel's Kronrod nodes, times the panel's half-width
-        values = np.asarray(f(self.sample_points(a, b, intervals)), dtype=float)
-        values = half * values.reshape(len(half), -1)
+        # f at each panel's Kronrod nodes, the Legendre coefficients of its
+        # interpolant there, and its values times the panel's half-width
+        f_values = np.asarray(f(self.sample_points(a, b, intervals)), dtype=float)
+        f_values = f_values.reshape(len(half), -1)
+        self._coeffs = f_values @ _kronrod_to_legendre()
+        values = half * f_values
         kronrod = values @ self._KRONROD_WEIGHTS
         gauss = values[:, 1::2] @ self._GAUSS_WEIGHTS
         self.cumulative = _read_only(np.concatenate(([0.0], np.cumsum(kronrod))))
@@ -571,33 +603,29 @@ class CumulativeIntegral:
         half = 0.5 * np.diff(edges)[:, None]
         return (edges[:-1, None] + half + half * cls._KRONROD_NODES).ravel()
 
-    def _integral_and_rate(self, t, with_rate):
-        """Primitive at the array t (and, if asked, the integrand there),
-        from one integrand call; every node, b included, reads the table."""
+    def _integral_and_rate(self, t):
+        """Primitive and interpolated integrand at the array t, off each
+        panel's interpolant; every node, b included, reads the table."""
         i = np.clip(np.searchsorted(self.nodes, t, side="right") - 1,
                     0, len(self.nodes) - 1)
-        t0 = self.nodes[i]
-        value = self.cumulative[i]
-        off = np.flatnonzero(t != t0)
-        half = 0.5 * (t[off] - t0[off])
-        queries = [((t0[off] + half)[:, None] + half[:, None] * self._GAUSS_NODES).ravel()]
-        if with_rate:
-            queries.append(t)
-        if len(off) or with_rate:
-            f = np.asarray(self.f(np.concatenate(queries)), dtype=float)
-            m = self._GAUSS_NODES.size
-            tails = f[:m * len(off)].reshape(len(off), m)
-            value = value.copy()
-            # a row sum, unlike a matrix product, does not depend on how many
-            # queries share the call, so a point reads the same in any batch
-            value[off] += half * np.sum(tails * self._GAUSS_WEIGHTS, axis=1)
-            return value, f[tails.size:]
-        return value, None
+        # a point at or just past b lies in the last panel
+        p = np.minimum(i, len(self._coeffs) - 1)
+        half = 0.5 * (self.nodes[p + 1] - self.nodes[p])
+        u = (t - self.nodes[p]) / half
+        legendre = _legendre(u - 1.0, 16)
+        integrals = np.column_stack((u, (legendre[:, 2:] - legendre[:, :-2]) / self._ODD))
+        c = self._coeffs[p]
+        # a row sum, unlike a matrix product, does not depend on how many
+        # queries share the call, so a point reads the same in any batch
+        value = self.cumulative[p] + half * np.sum(c * integrals, axis=1)
+        value = np.where(t == self.nodes[i], self.cumulative[i], value)
+        return value, np.sum(c * legendre[:, :-1], axis=1)
 
     def __call__(self, t):
         scalar = np.ndim(t) == 0
-        value, _ = self._integral_and_rate(np.atleast_1d(np.asarray(t, dtype=float)),
-                                           with_rate=False)
+        ts = np.atleast_1d(np.asarray(t, dtype=float))
+        _check_in_domain(ts, (self.a, self.b))
+        value, _ = self._integral_and_rate(ts)
         return float(value[0]) if scalar else value
 
     @property
@@ -630,7 +658,7 @@ class CumulativeIntegral:
         out = t.copy()
         active = np.arange(len(t))
         for _ in range(self._NEWTON_MAX_STEPS):
-            value, rate = self._integral_and_rate(t, with_rate=True)
+            value, rate = self._integral_and_rate(t)
             F = value - targets
             below = F < 0.0
             lo = np.where(below, t, lo)
@@ -672,11 +700,7 @@ class _MonotoneReparamCurve(_BatchedCurve):
         self._metric = PseudoMetric(base.dimension)
         self.origin = float(base.domain[0]) if self._origin_from_domain else 0.0
         a, b = base.domain
-        # the table reaches the rate through a weak reference: a bound method
-        # would close the cycle self -> table -> self, which only the cycle
-        # collector frees, and this curve holds its base's arrays
-        rate = weakref.WeakMethod(self._rate)
-        self._table = CumulativeIntegral(lambda ts: rate()(ts), a, b, intervals)
+        self._table = CumulativeIntegral(self._rate, a, b, intervals)
         self.domain = (self.origin, self.origin + self._table.total)
 
     def _rate(self, ts):

@@ -21,6 +21,7 @@ from nullcartan import (
     ExprEvaluationError,
     FamilyError,
     HypothesisError,
+    InputError,
     PseudoMetric,
     ReparametrizedCurve,
     classify,
@@ -29,7 +30,7 @@ from nullcartan import (
     jet_eval,
     synthesize,
 )
-from nullcartan.constructions import EvoluteCurve, InvoluteCurve
+from nullcartan.constructions import EvoluteCurve, InvoluteCurve, involute
 from nullcartan.curve import CumulativeIntegral, pointwise_order
 from nullcartan.frame import frame_grid
 
@@ -424,8 +425,8 @@ def test_one_panel_is_exact_through_degree_22():
 
 @pytest.mark.parametrize("kind", ["arc length", "involute"])
 def test_a_dropped_table_frees_its_curve_without_the_cycle_collector(kind):
-    # the table reaches its owner's rate through a weak reference: with the
-    # collector off, reference counting alone frees the curve and its base
+    # the table keeps no reference to its owner's rate: with the collector
+    # off, reference counting alone frees the curve and its base
     base = synthesize(CurvatureProfile.from_strings(6, ["0.15", "-0.05", "1/(1 + t)"]),
                       (-0.7, 1.2))
     ref = weakref.ref(base)
@@ -437,3 +438,128 @@ def test_a_dropped_table_frees_its_curve_without_the_cycle_collector(kind):
         assert ref() is None
     finally:
         gc.enable()
+
+
+# ---------------------------------------------------------------------------
+# Dense read: each panel's Kronrod interpolant
+# ---------------------------------------------------------------------------
+
+def _g7_tail_read(table, f, t):
+    """The read that the interpolant replaced, kept as an oracle: a node reads
+    the table, any other t adds the 7-point Gauss rule from the edge below."""
+    i = np.clip(np.searchsorted(table.nodes, t, side="right") - 1, 0, len(table.nodes) - 1)
+    t0 = table.nodes[i]
+    value = table.cumulative[i].copy()
+    off = np.flatnonzero(t != t0)
+    half = 0.5 * (t[off] - t0[off])
+    gauss = (t0[off] + half)[:, None] + half[:, None] * CumulativeIntegral._KRONROD_NODES[1::2]
+    value[off] += half * np.sum(f(gauss) * CumulativeIntegral._GAUSS_WEIGHTS, axis=1)
+    return value
+
+
+# integrands on [0, 1] harder than the package's, with their primitives from 0
+HARD_INTEGRANDS = {
+    "1/(1.05 - t)": (lambda t: 1.0 / (1.05 - t), lambda t: np.log(1.05 / (1.05 - t))),
+    "sqrt(t + 0.01)": (lambda t: np.sqrt(t + 0.01),
+                       lambda t: 2.0 / 3.0 * ((t + 0.01) ** 1.5 - 0.01 ** 1.5)),
+    "1/(1.2 - t)": (lambda t: 1.0 / (1.2 - t), lambda t: np.log(1.2 / (1.2 - t))),
+    "1 + 0.3 sin(3t)^2": (lambda t: 1.0 + 0.3 * np.sin(3.0 * t) ** 2,
+                          lambda t: 1.15 * t - 0.025 * np.sin(6.0 * t)),
+    "exp(20t)": (lambda t: np.exp(20.0 * t), lambda t: np.expm1(20.0 * t) / 20.0),
+}
+
+
+@pytest.mark.parametrize("intervals", [64, 512])
+@pytest.mark.parametrize("name", HARD_INTEGRANDS)
+def test_the_interpolant_reads_no_worse_than_the_gauss_tail(name, intervals):
+    f, primitive = HARD_INTEGRANDS[name]
+    table = CumulativeIntegral(f, 0.0, 1.0, intervals)
+    ts = np.linspace(0.0, 1.0, 2001)
+    error = np.max(np.abs(table(ts) - primitive(ts)))
+    assert error <= np.max(np.abs(_g7_tail_read(table, f, ts) - primitive(ts)))
+    assert error <= table.error_estimate
+
+
+def test_no_integrand_call_after_construction(golden, monkeypatch):
+    seen = []
+
+    def counting(f):
+        # the points are the last argument, of a function or of a method
+        def g(*args):
+            seen.append(len(args[-1]))
+            return f(*args)
+        return g
+
+    for cls in (ReparametrizedCurve, ArcLengthCurve):
+        monkeypatch.setattr(cls, "_rate_square", counting(cls._rate_square))
+    table = CumulativeIntegral(counting(HARD_INTEGRANDS["1/(1.2 - t)"][0]), 0.0, 1.0, 64)
+    warped = ReparametrizedCurve(golden.precompose("u + 0.1*u^2", parameter="u",
+                                                   domain=(0.0, 1.0)), intervals=64)
+    helix = Curve.from_strings(["0", "0", "cos(s)", "sin(s)", "s"], domain=(0.0, 2.0))
+    arc = ArcLengthCurve(helix, intervals=64)
+    inv = InvoluteCurve(helix, 0.5, intervals=64)
+    # the build calls each integrand once, at two panels of 15 Kronrod nodes
+    assert seen == [30] * 4
+    seen.clear()
+    ts = np.linspace(0.0, 1.0, 7)
+    table.solve(table(ts))
+    warped.vec_jets(warped.parameter_of(warped.pseudo_arc_of(ts)), 2)
+    arc.vec_jets(arc.parameter_of(arc.arc_length_of(2.0 * ts)), 2)
+    inv.arc_length(2.0 * ts)
+    assert seen == []
+    # involute() builds one table, the default 16 panels, and reads it only
+    involute(helix, 0.5, 2.0 * ts)
+    assert seen == [16 * 15]
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(intervals=st.integers(1, 600), seed=st.integers(0, 2 ** 32 - 1),
+       size=st.integers(1, 300))
+def test_a_point_reads_the_same_in_any_batch(intervals, seed, size):
+    table = CumulativeIntegral(HARD_INTEGRANDS["sqrt(t + 0.01)"][0], 0.0, 1.0, intervals)
+    ts = np.random.default_rng(seed).uniform(0.0, 1.0, size)
+    ts[::3] = table.nodes[np.arange(0, size, 3) % len(table.nodes)]
+    values = table(ts)
+    for j in range(size):
+        assert values[j] == table(ts[j:j + 1])[0]
+
+
+@pytest.mark.parametrize("name", ["1/(1.2 - t)", "1 + 0.3 sin(3t)^2"])
+def test_reads_are_continuous_at_the_panel_edges(name):
+    f = HARD_INTEGRANDS[name][0]
+    table = CumulativeIntegral(f, 0.0, 1.0, 512)
+    edges = table.nodes[1:-1]
+    below = edges - 1e-13
+    # the node value less the rate times the step down from the edge
+    want = table.cumulative[1:-1] - f(edges) * (edges - below)
+    assert np.max(np.abs(table(below) - want)) <= 1e-14 * (1.0 + table.total)
+
+
+def test_a_read_within_the_domain_slack_extrapolates_the_last_panel():
+    f = HARD_INTEGRANDS["1 + 0.3 sin(3t)^2"][0]
+    table = CumulativeIntegral(f, 0.0, 2.0, 512)
+    helix = Curve.from_strings(["0", "0", "cos(s)", "sin(s)", "s"], domain=(0.0, 2.0))
+    arc = ArcLengthCurve(helix)
+    slack = 1e-12 * (1.0 + 0.0 + 2.0)
+    bound = 1e-14 * (1.0 + table.total)
+    # a point just past b reads the last panel from cumulative[-2], not the
+    # table's end plus a further panel
+    assert abs(table(2.0 + slack) - (table.total + f(2.0) * slack)) <= bound
+    assert abs(table(-slack) + f(0.0) * slack) <= bound
+    total = arc.domain[1]
+    bound = 1e-14 * (1.0 + total)
+    assert abs(arc.arc_length_of(2.0 + slack) - (total + np.sqrt(2.0) * slack)) <= bound
+    assert abs(arc.arc_length_of(-slack) + np.sqrt(2.0) * slack) <= bound
+
+
+def test_a_read_outside_the_domain_names_the_query():
+    table = CumulativeIntegral(HARD_INTEGRANDS["1 + 0.3 sin(3t)^2"][0], 0.0, 2.0, 64)
+    helix = Curve.from_strings(["0", "0", "cos(s)", "sin(s)", "s"], domain=(0.0, 2.0))
+    arc = ArcLengthCurve(helix, 64)
+    for read in (table, arc.arc_length_of):
+        for t in (2.5, np.nan, np.array([1.0, 2.5])):
+            with pytest.raises(InputError, match=r"^parameter (2\.5|nan) outside domain "
+                                                 r"\[0\.0, 2\.0\]$"):
+                read(t)
+    with pytest.raises(InputError, match=r"target nan outside the table range"):
+        table.solve(np.nan)
