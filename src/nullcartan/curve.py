@@ -451,9 +451,9 @@ def classify(curve, grid=None, tol=DEFAULT_TOL):
     """Sequence report of the curve, constant across the grid, plus family flag.
 
     The nullity and index sequences are computed from {alpha', ..., alpha^(n)}
-    at every grid point, in one batched pass that raises the first point's
-    ClassificationError in grid order.  After the pass, they must agree with
-    the first point's: the first point that differs is reported with it.  The
+    at every grid point, in one batched pass that raises for the first point
+    whose sequences are refused (ClassificationError) or differ from the
+    first point's, reported with it, as a loop over the grid would.  The
     family flag is True iff the nullity sequence is {0,1,2,2,1,0,...,0}.
     """
     n = curve.dimension
@@ -462,16 +462,21 @@ def classify(curve, grid=None, tol=DEFAULT_TOL):
         grid = chebyshev_grid(curve.domain[0], curve.domain[1], DEFAULT_CLASSIFY_POINTS)
     grid = [float(t) for t in grid]
 
-    def reports_on(ts):
-        return metric.sequence_reports(_derivative_rows(curve.vec_jets(ts, n), n)[0], tol)
+    def report_on(ts):
+        # row 0 is the first point, against which a point rerun alone is checked
+        ts = np.concatenate([grid[:1], ts])
+        reports, bad, refusal = metric._classified(
+            _derivative_rows(curve.vec_jets(ts, n), n)[0], tol)
+        first = reports[0]
+        same = np.array([rep == first for rep in reports])
+        require(~bad & same, lambda j: refusal(j) if bad[j] else ClassificationError(
+            f"classification sequences differ between t={grid[0]} and t={ts[j]}: "
+            f"nullity {first.nullity_sequence}, index {first.index_sequence} vs "
+            f"nullity {reports[j].nullity_sequence}, index {reports[j].index_sequence}",
+            points=(grid[0], float(ts[j]))))
+        return first
 
-    reports = pointwise_order(reports_on, grid)
-    first = reports[0]
-    require(np.array([rep == first for rep in reports]), lambda j: ClassificationError(
-        f"classification sequences differ between t={grid[0]} and t={grid[j]}: "
-        f"nullity {first.nullity_sequence}, index {first.index_sequence} vs "
-        f"nullity {reports[j].nullity_sequence}, index {reports[j].index_sequence}",
-        points=(grid[0], grid[j])))
+    first = pointwise_order(report_on, grid)
     family = first.nullity_sequence == family_nullity_sequence(n)
     return ClassificationReport(first, family, tuple(grid), tol)
 

@@ -76,8 +76,8 @@ class ClassificationError(NullCartanError):
 
 
 class DegenerateBasisError(NullCartanError):
-    """Determinant-based test was ambiguous, the system rank-deficient, or a
-    derivative too large for floating point."""
+    """Orientation ambiguous (a relative QR pivot at roundoff) or against the
+    frame's, or a derivative too large for floating point."""
 
     category = "numerical"
 

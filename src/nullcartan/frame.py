@@ -12,7 +12,7 @@ residual.  All frame derivatives ride on jets of the curve one order higher
 than the vectors they feed, never on numeric differencing.  Normalizer
 curvatures come out positive, which automatically matches the orientation of
 (L1,L2,W3,N2,N1,W4,...) to that of (alpha',...,alpha^(n)); the orientation is
-still checked and an ambiguous determinant fails loudly.
+still checked, and a derivative basis with a QR pivot at roundoff fails loudly.
 
 A :class:`Frame` stacks alpha and the frame vectors in :func:`frenet_system`
 order, as values or jets, with the curvatures.  :func:`frame_grid` is the one
@@ -222,13 +222,13 @@ def frame_grid(curve, ts, extra_order=0):
         vectors[target] = v
 
     frame = _jet_frame(A.base, ts, vectors, k)
-    # one determinant pass: the frame bases (rows minus alpha) come first, as their errors do
-    signs = metric.orientation_signs(np.concatenate([frame.rows.coeffs[0, :, 1:], derivs]))
-    sign_frame, sign_derivs = signs[:len(ts)], signs[len(ts):]
+    # the pairings fix |det| of the frame: its sign suffices (a NaN fails below)
+    sign_frame = np.sign(np.linalg.det(frame.rows.coeffs[0, :, 1:]))
+    sign_derivs = metric.orientation_signs(derivs)
     require(sign_frame == sign_derivs, lambda j: DegenerateBasisError(
-        f"frame orientation {sign_frame[j]} disagrees with the derivative "
+        f"frame orientation {sign_frame[j]:g} disagrees with the derivative "
         f"basis orientation {sign_derivs[j]} at t={ts[j]}"))
-    return Frame(frame.rows, ts, frame.curvatures, closure_residual, sign_frame)
+    return Frame(frame.rows, ts, frame.curvatures, closure_residual, sign_derivs)
 
 
 def _truncated(op, a, b):

@@ -1,11 +1,13 @@
 """Index-2 pseudo-Euclidean bilinear form and classification sequences.
 
 The metric on R^n (n >= 4) weighs the first two coordinates negatively:
-``<x, y> = -x1*y1 - x2*y2 + sum_{i>=3} xi*yi``.  Rank, radical dimension and
-negative index of a spanned subspace are read off the eigenvalues of the Gram
-matrix of the spanning system.  Prefix by prefix on a derivative basis, or on
-a stack of bases of shape (m, n, n), they give the nullity-degree and index
-sequences and the degeneration degree.
+``<x, y> = -x1*y1 - x2*y2 + sum_{i>=3} xi*yi``.  One QR of the spanning rows
+decides a spanned subspace: a row is dependent where its relative pivot
+|R_ii| / |row i| is below the tolerance, and the radical dimension and
+negative index are read off the eigenvalues of QᵀSQ, in [-1, 1] however the
+rows are scaled.  Prefix by prefix on a stack of derivative bases (m, n, n)
+they give the nullity-degree and index sequences and the degeneration
+degree; the orientation of a basis and its ambiguity come from its QR too.
 """
 
 from __future__ import annotations
@@ -53,10 +55,15 @@ def family_nullity_sequence(n):
     return (0, 1, 2, 2, 1) + (0,) * (n - 4)
 
 
-def _unit_rows(M):
-    """Rows scaled to unit length (a positive congruence), and which are zero."""
-    norms = np.linalg.norm(M, axis=-1)
-    return M / np.where(norms > 0.0, norms, 1.0)[..., None], norms == 0.0
+def _span_qr(M, mode):
+    """One batched QR of Mᵀ for a stack M (m, k, n), k <= n: in mode "reduced"
+    its Q (m, n, k), whose first i columns span the first i rows (in mode
+    "raw", numpy's Householder form), and the relative pivots |R_ii| / |row i|
+    (m, k), the sine of the angle of row i to the span of the rows before it
+    (0 for a zero row, NaN for a NaN one)."""
+    a, b = np.linalg.qr(M.swapaxes(-1, -2), mode)
+    r = np.diagonal(a if mode == "raw" else b, axis1=-2, axis2=-1)
+    return a, np.abs(r) / np.maximum(np.linalg.norm(M, axis=-1), np.finfo(float).tiny)
 
 
 class PseudoMetric:
@@ -103,6 +110,14 @@ class PseudoMetric:
         a._require_same_base(b)
         return Jet(a.base, self.inner_series(a.coeffs, b.coeffs))
 
+    def _bases(self, bases):
+        """``bases`` as floats of shape (m, n, n), a stack of bases of R^n."""
+        M = np.asarray(bases, dtype=float)
+        if M.ndim != 3 or M.shape[1:] != (self.dimension,) * 2:
+            raise DimensionMismatchError(
+                f"expected bases of {self.dimension} vectors, got shape {M.shape}")
+        return M
+
     def _rows(self, vectors):
         """Checked vectors as the rows of a (k, n) array."""
         return np.array([self._check(v) for v in vectors]).reshape(-1, self.dimension)
@@ -113,30 +128,31 @@ class PseudoMetric:
         return (M * self._signs) @ M.swapaxes(-1, -2)
 
     def subspace_profile(self, vectors, tol=DEFAULT_TOL):
-        """Rank, radical dimension and negative index of span(vectors)."""
+        """Rank, radical dimension and negative index of span(vectors).  A
+        dependent row counts in the radical, and the others are profiled
+        without it: QR gives its column a direction that later rows may use."""
         M = self._rows(vectors)
-        [[rank]], [[index]] = self._prefix_profiles(M[None], tol, [len(M)])
-        return SubspaceProfile(int(rank), len(M) - int(rank), int(index), tol)
+        pivots, nullity, index = self._prefix_profiles(M[None, :self.dimension], tol)
+        # the first dependent row: row n at the latest, if there are more
+        j = min([*np.flatnonzero(~(pivots[0] >= tol)), self.dimension])
+        if j < len(M):
+            p = self.subspace_profile(np.delete(M, j, axis=0), tol)
+            return SubspaceProfile(p.rank, p.radical_dim + 1, p.index, tol)
+        radical, negative = (int(a[0, -1:].sum()) for a in (nullity, index))  # 0 for no rows
+        return SubspaceProfile(len(M) - radical, radical, negative, tol)
 
-    def _prefix_profiles(self, M, tol, lengths):
-        """Rank and negative index, shape (m, len(lengths)), of the span of
-        the first i rows of each system in a stack (m, k, n), i in ``lengths``.
-
-        Rows are normalized (a positive congruence) and the Gram is built
-        once.  Eigenvalues of its leading i x i block below
-        ``tol * max(|eig|, 1)`` count as zero, the unit floor keeping totally
-        degenerate systems off roundoff; the index counts the negative rest.
-        """
+    def _prefix_profiles(self, M, tol):
+        """Relative pivots, nullity and negative index (m, k) of the span of
+        the first i = 1..k rows of each system in a stack (m, k, n), k <= n,
+        from one eigvalsh of the leading blocks of QᵀSQ padded with 1 to k x k."""
         if tol <= 0:
             raise ValueError("tolerance must be positive")
-        G = self.gram(_unit_rows(M)[0])
-        rank, index = [], []
-        for i in lengths:
-            w = np.linalg.eigvalsh(G[:, :i, :i])
-            threshold = tol * np.maximum(np.max(np.abs(w), axis=-1, initial=0.0), 1.0)
-            rank.append(np.sum(np.abs(w) > threshold[:, None], axis=-1))
-            index.append(np.sum(w < -threshold[:, None], axis=-1))
-        return np.stack(rank, axis=-1), np.stack(index, axis=-1)
+        Q, pivots = _span_qr(M, "reduced")
+        G = np.nan_to_num(self.gram(Q.swapaxes(-1, -2)))  # eigvalsh refuses a NaN
+        i = np.arange(M.shape[-2])
+        leading = np.maximum(i[:, None], i) <= i[:, None, None]
+        w = np.linalg.eigvalsh(np.where(leading, G[:, None], np.eye(len(i))))
+        return pivots, np.sum(np.abs(w) <= tol, axis=-1), np.sum(w < -tol, axis=-1)
 
     def sequence_report(self, derivs, tol=DEFAULT_TOL):
         """:meth:`sequence_reports` of one ordered basis of n derivative vectors."""
@@ -146,31 +162,25 @@ class PseudoMetric:
         """Classification sequences of each basis in a stack of shape (m, n, n).
 
         Entry i comes from the span of the first i rows, alpha' ... alpha^(i).
-        One SVD checks independence and one eigvalsh per prefix length serves
-        the stack.  ClassificationError names the first basis that is
-        dependent (and the prefix length) or breaks the step laws |dr| <= 1,
-        0 <= dq <= 1, r_n = 0, q_n = 2.
+        ClassificationError names the first basis that is dependent (and the
+        prefix length of its first pivot below ``tol``) or breaks the step
+        laws |dr| <= 1, 0 <= dq <= 1, r_n = 0, q_n = 2.
         """
-        n = self.dimension
-        M = np.asarray(derivs, dtype=float)
-        if M.ndim != 3 or M.shape[1:] != (n, n):
-            raise DimensionMismatchError(
-                f"expected bases of {n} derivative vectors, got shape {M.shape}")
+        reports, bad, refusal = self._classified(derivs, tol)
+        require(~bad, refusal)
+        return reports
 
-        def ranks(A):  # relative to the largest singular value
-            sv = np.linalg.svd(A, compute_uv=False)
-            return np.sum(sv > tol * np.where(sv[..., :1] > 0.0, sv[..., :1], 1.0), axis=-1)
-
-        dependent = ranks(M) < n
-        rank, index = self._prefix_profiles(M, tol, range(1, n + 1))
-        nullity = np.arange(1, n + 1) - rank
+    def _classified(self, derivs, tol):
+        """Reports of a stack of bases, which to refuse, and ``refusal(j)``."""
+        pivots, nullity, index = self._prefix_profiles(self._bases(derivs), tol)
+        dependent = ~(pivots >= tol)
         dr, dq = np.diff(nullity, prepend=0), np.diff(index, prepend=0)
         step = (np.abs(dr) > 1) | (dq < 0) | (dq > 1)
-        bad = dependent | np.any(step, axis=-1) | (nullity[:, -1] != 0) | (index[:, -1] != 2)
+        bad = dependent.any(-1) | step.any(-1) | (nullity[:, -1] != 0) | (index[:, -1] != 2)
 
         def refusal(j):
-            if dependent[j]:
-                i = next(i for i in range(1, n + 1) if ranks(M[j, :i]) < i)
+            if dependent[j].any():
+                i = int(dependent[j].argmax()) + 1
                 return ClassificationError(f"derivative system is linearly dependent at "
                                            f"prefix length {i}", prefix_length=i)
             if np.any(step[j]):
@@ -180,30 +190,23 @@ class PseudoMetric:
                     "(bug or tolerance failure)")
             return ClassificationError(
                 f"full-space profile inconsistent: r_n={nullity[j, -1]}, q_n={index[j, -1]}")
-        require(~bad, refusal)
         degree = np.sum(np.abs(dr), axis=-1) // 2  # even, as r_0 = r_n = 0
-        return [SequenceReport((0, *r), (0, *q), d)
-                for r, q, d in zip(nullity.tolist(), index.tolist(), degree.tolist())]
+        return [SequenceReport((0, *r), (0, *q), d) for r, q, d in
+                zip(nullity.tolist(), index.tolist(), degree.tolist())], bad, refusal
 
     def orientation_sign(self, basis):
-        """Sign of det of the coordinate matrix of n basis vectors.
-
-        Rows are normalized first so the ambiguity threshold (1e-12) is
-        scale-free; a determinant below it raises DegenerateBasisError.
-        """
-        M = self._rows(basis)
-        if len(M) != self.dimension:
-            raise DimensionMismatchError(
-                f"expected {self.dimension} basis vectors, got {len(M)}")
-        return int(self.orientation_signs(M[None])[0])
+        """Sign of det of the coordinate matrix of n basis vectors; a basis
+        with a relative QR pivot below 1e-12 is ambiguous and raises
+        DegenerateBasisError."""
+        return int(self.orientation_signs(self._rows(basis)[None])[0])
 
     def orientation_signs(self, bases):
-        """:meth:`orientation_sign` of each basis in a stack of shape (m, n, n);
-        the first ambiguous basis in the stack, or one whose determinant is
-        NaN, raises DegenerateBasisError."""
-        M, zero_rows = _unit_rows(np.asarray(bases, dtype=float))
-        zero, det = zero_rows.any(axis=-1), np.linalg.det(M)
-        require(~zero & (np.abs(det) >= 1e-12), lambda j: DegenerateBasisError(
-            "zero vector in basis" if zero[j] else
-            f"orientation ambiguous: normalized determinant {det[j]:.3e}"))
-        return np.where(det > 0, 1, -1)
+        """:meth:`orientation_sign` of each basis in a stack (m, n, n); the first
+        ambiguous one, or one with a NaN, raises DegenerateBasisError naming
+        its normalized determinant, the product of its pivots."""
+        M = self._bases(bases)
+        pivots = _span_qr(M, "raw")[1]
+        require(pivots.min(axis=-1) >= 1e-12, lambda j: DegenerateBasisError(
+            "zero vector in basis" if (M[j] == 0.0).all(axis=-1).any() else
+            f"orientation ambiguous: normalized determinant {np.prod(pivots[j]):.3e}"))
+        return np.where(np.linalg.slogdet(M)[0] > 0, 1, -1)  # a sign that cannot underflow

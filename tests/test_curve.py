@@ -250,7 +250,7 @@ def test_classify_synth8(synth8):
 
 
 def test_classify_lapack_calls_do_not_grow_with_the_grid(synth8, monkeypatch):
-    calls = {"eigvalsh": 0, "svd": 0}
+    calls = {"eigvalsh": 0, "qr": 0, "svd": 0}
     for name in calls:
         def counted(*args, _name=name, _original=getattr(np.linalg, name), **kwargs):
             calls[_name] += 1
@@ -259,8 +259,8 @@ def test_classify_lapack_calls_do_not_grow_with_the_grid(synth8, monkeypatch):
         monkeypatch.setattr(np.linalg, name, counted)
     rep = classify(synth8, grid=np.linspace(0.02, 0.98, 17))
     assert rep.family
-    # one stacked eigvalsh per prefix length, one stacked rank check
-    assert calls == {"eigvalsh": 8, "svd": 1}
+    # one stacked QR of the bases and one stacked eigvalsh of all their prefixes
+    assert calls == {"eigvalsh": 1, "qr": 1, "svd": 0}
 
 
 def test_null_chain_identities_on_family_curves(golden, synth6):
@@ -511,6 +511,19 @@ def test_classify_reports_disagreeing_points():
     assert exc.value.points is not None
     a, b = exc.value.points
     assert 0.0 <= a < b <= 1.0
+
+
+def test_classify_reports_a_disagreement_before_a_later_refusal():
+    # the index sequences at s = 0.1 and 0.5 differ, and the fourth derivative
+    # vanishes at s = 0.9: a loop over the grid meets the disagreement first
+    curve = Curve.from_strings(["s", "s^2", "s^3", "(s - 0.9)^5"], domain=(0.0, 1.0))
+    for grid in ([0.1, 0.5], [0.1, 0.5, 0.9]):
+        with pytest.raises(ClassificationError, match=r"differ between t=0\.1 and t=0\.5:") as exc:
+            classify(curve, grid)
+        assert exc.value.points == (0.1, 0.5)
+    with pytest.raises(ClassificationError, match="dependent at prefix length 4") as exc:
+        classify(curve, [0.1, 0.9, 0.5])
+    assert exc.value.prefix_length == 4
 
 
 def test_reparam_result_arrays_are_read_only(golden):

@@ -14,7 +14,9 @@ from hypothesis import strategies as st
 
 from nullcartan import (
     CurvatureProfile,
+    DegenerateBasisError,
     FamilyError,
+    Frame,
     FrameDegeneracyError,
     InputError,
     NullCartanError,
@@ -29,6 +31,7 @@ from nullcartan import (
 )
 from nullcartan.constructions import _frenet_couplings
 from nullcartan.curve import _derivative_rows
+from nullcartan.expr import VecJet
 from nullcartan.frame import (
     CURVATURE_FLOOR,
     cartan_frames,
@@ -234,16 +237,16 @@ def test_curvatures_and_sequences_invariant_under_isometries(n, seed, request):
 
 def test_frame_extraction_takes_one_determinant_pass(synth6, monkeypatch):
     shapes = []
-    original = np.linalg.det
+    for name in ("det", "slogdet"):
+        def counted(a, _name=name, _original=getattr(np.linalg, name)):
+            shapes.append((_name, np.shape(a)))
+            return _original(a)
 
-    def counted(a):
-        shapes.append(np.shape(a))
-        return original(a)
-
-    monkeypatch.setattr(np.linalg, "det", counted)
+        monkeypatch.setattr(np.linalg, name, counted)
     frame_grid(synth6, np.linspace(0.1, 0.9, 5))
-    # the frame bases and the derivative bases, stacked
-    assert shapes == [(10, 6, 6)]
+    # one pass over the frame bases and one over the derivative bases, each
+    # stacked over the grid: the sign of det F, and that of orientation_signs
+    assert shapes == [("det", (5, 6, 6)), ("slogdet", (5, 6, 6))]
 
 
 # the protocol classes whose curves in ``protocol_curves`` are in the family
@@ -513,3 +516,49 @@ def test_residual_grid_validation(golden):
     # seven copies of one point are evenly spaced, with step 0
     with pytest.raises(InputError, match="residual grid step is zero"):
         frenet_residuals(golden, [0.5] * 7)
+
+
+# ---------------------------------------------------------------------------
+# Reach: the family in every dimension
+# ---------------------------------------------------------------------------
+
+# (n, c) for the profile k = (1, 0.5, c (1 + 0.1 t), ..., c (1 + 0.1 t)) on
+# [0, 1]: with c < 1 the derivative rows shrink step by step, so the product
+# of the pivot sines (the normalized determinant) falls as low as 1e-53 and
+# the prefix Grams are graded, while the smallest pivot stays above 4.8e-9
+REACH = [(9, 0.1), (9, 0.05), (10, 0.3), (11, 0.5), (12, 0.5), (12, 1.0), (14, 1.0),
+         (16, 1.0), (16, 0.3)]
+
+
+@pytest.mark.parametrize("n, c", REACH)
+def test_small_higher_curvatures_classify_and_frame_as_the_family(n, c):
+    texts = ["1", "0.5"] + [f"{c}*(1 + 0.1*t)"] * (n - 5)
+    curve = synthesize(CurvatureProfile.from_strings(n, texts), (0.0, 1.0))
+    ts = np.linspace(0.0, 1.0, 5)
+    assert classify(curve, ts).family
+    frame = frame_grid(curve, ts)
+    want = [np.ones(5), np.full(5, 0.5)] + [c * (1.0 + 0.1 * ts)] * (n - 5)
+    error = max(np.max(np.abs(k.value - w)) for k, w in zip(frame.curvatures, want))
+    # (16, 0.3) has a pivot of 4.8e-9, and its higher curvatures carry the
+    # roundoff that amplifies: it is framed, not held to the bound
+    assert error <= 1e-12 or (n, c) == (16, 0.3)
+
+
+def test_a_reflected_frame_row_fails_the_orientation_cross_check(synth6, monkeypatch):
+    import nullcartan.frame as frame_module
+
+    extract = frame_module._jet_frame
+
+    def reflected(base, ts, vectors, k):  # W3 -> -W3 flips det of the frame
+        frame = extract(base, ts, vectors, k)
+        rows = frame.rows.coeffs.copy()
+        rows[..., 3, :] *= -1.0
+        return Frame(VecJet(base, rows), ts, frame.curvatures)
+
+    monkeypatch.setattr(frame_module, "_jet_frame", reflected)
+    with pytest.raises(DegenerateBasisError, match=r"frame orientation (-?1) disagrees with the "
+                       r"derivative basis orientation (-?1) at t=0\.3$") as exc:
+        frame_grid(synth6, [0.3, 0.6])
+    frame_sign, basis_sign = re.search(r"orientation (-?1) .* orientation (-?1)",
+                                       str(exc.value)).groups()
+    assert frame_sign != basis_sign

@@ -12,6 +12,7 @@ from nullcartan import (
     DegenerateBasisError,
     DimensionMismatchError,
     PseudoMetric,
+    SequenceReport,
     family_nullity_sequence,
 )
 
@@ -214,8 +215,9 @@ def _outcome(fn):
         return type(exc), str(exc), exc.prefix_length
 
 
-# rows 0-3 pass the coordinate-rank check at tol = 0.1, but the prefix Gram
-# eigenvalues of rows 0-3 fall under the scaled threshold two at a time
+# chosen to break the step laws at tol = 0.1 under a threshold scaled per
+# prefix; against one threshold the nested blocks of QᵀSQ keep them, with
+# eigenvalues -0.44 | -1, 0.11 | -1, -0.53, 1 | -1, -1, 1, 1
 STEP_BREAK = np.array([[3, 2, -2, 1], [0, 2, -2, 1], [2, 3, -2, 0], [-3, -3, -3, 0]], float)
 
 
@@ -249,11 +251,77 @@ def test_stacked_reports_match_pointwise(n, m, seed, defect, where):
             profiles = [metric.subspace_profile(list(b[:i]), tol) for i in range(1, n + 1)]
             assert rep.nullity_sequence == (0, *(p.radical_dim for p in profiles))
             assert rep.index_sequence == (0, *(p.index for p in profiles))
+    elif defect == "step":  # nested blocks against one threshold keep the step laws
+        assert stacked == pointwise
+        assert stacked[j] == SequenceReport((0,) * (n + 1), (0, 1, 1) + (2,) * (n - 2), 0)
     else:
         assert len(pointwise) == j + 1
         assert stacked == pointwise[-1]
-        kind = "dependent at prefix" if defect == "dependent" else "step law violated"
-        assert kind in stacked[1]
+        assert "dependent at prefix" in stacked[1]
+
+
+@pytest.mark.parametrize("broken", [{2}, {0, 3}, {1, 2, 4}])
+def test_step_law_refusal_is_the_first_in_stack_order(monkeypatch, broken):
+    # no real basis breaks the step laws (see STEP_BREAK), so the eigenvalue
+    # array is patched: prefix 2 of each broken basis reads n null eigenvalues
+    rng = np.random.default_rng(7)
+    metric, B = PseudoMetric(5), rng.normal(size=(6, 5, 5))
+    original, first = np.linalg.eigvalsh, [0]
+
+    def patched(blocks):
+        w = original(blocks)
+        for b in range(len(w)):
+            if first[0] + b in broken:
+                w[b, 1] = 0.0
+        return w
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", patched)
+    pointwise = []
+    for i, b in enumerate(B):
+        first[0] = i
+        pointwise.append(_outcome(lambda: metric.sequence_report(list(b))))
+        if isinstance(pointwise[-1], tuple):
+            break
+    first[0] = 0
+    stacked = _outcome(lambda: metric.sequence_reports(B))
+    assert len(pointwise) == min(broken) + 1
+    assert stacked == pointwise[-1]
+    assert stacked[1].startswith("sequence step law violated at i=2: dr=")
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(n=st.integers(4, 12), seed=st.integers(0, 2**32 - 1), golden=st.booleans(),
+       exponents=st.lists(st.floats(-6.0, 6.0), min_size=12, max_size=12))
+def test_step_laws_hold_and_profiles_ignore_row_scaling(n, seed, golden, exponents):
+    # a random basis, or the quintic's derivative rows moved by an isometry
+    rng = np.random.default_rng(seed)
+    if golden:
+        n = 5
+        B = np.stack(golden_derivative_rows(rng.uniform(-1.0, 1.0))) @ random_isometry(5, rng).T
+    else:
+        B = rng.normal(size=(n, n))
+    metric = PseudoMetric(n)
+    rep = metric.sequence_report(list(B))
+    r, q = rep.nullity_sequence, rep.index_sequence
+    assert r[-1] == 0 and q[-1] == 2
+    for i in range(1, n + 1):
+        assert abs(r[i] - r[i - 1]) <= 1 and q[i] - q[i - 1] in (0, 1)
+    if golden:
+        assert r == family_nullity_sequence(5)
+    scaled = B * 10.0 ** np.array(exponents[:n])[:, None]
+    assert metric.sequence_report(list(scaled)) == rep
+    for i in range(1, n + 1):
+        assert metric.subspace_profile(list(scaled[:i])) == metric.subspace_profile(list(B[:i]))
+
+
+def test_profile_counts_a_dependent_row_in_the_radical_before_independent_ones(m5):
+    # Householder QR gives the repeated e0 an arbitrary direction, here e1,
+    # which e1 itself then reads as dependent: the profile drops the repeat
+    e = np.eye(5)
+    p = m5.subspace_profile([e[0], e[0], e[1]])
+    assert (p.rank, p.radical_dim, p.index) == (2, 1, 2)
+    p = m5.subspace_profile([e[2], 2 * e[2], e[3], e[4], e[0], e[1], e[0] + e[3]])
+    assert (p.rank, p.radical_dim, p.index) == (5, 2, 2)
 
 
 def test_family_sequence_shapes():
