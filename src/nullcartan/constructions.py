@@ -46,7 +46,7 @@ from .errors import (
 )
 from .expr import Expr, Jet, Program, VecJet, parse
 from .frame import Frame, frame_grid, frenet_system
-from .metric import PseudoMetric
+from .metric import DEFAULT_TOL, PseudoMetric, _span_qr
 from .record import Record
 
 __all__ = [
@@ -120,8 +120,7 @@ class CurvatureProfile(Record, eq=False):
 
     def jets(self, t, order):
         """Curvature jets at t, a float or an array of points (batched jets)."""
-        param = Jet.variable(t, order)
-        return [Jet(param.base, c) for c in self._program.run(param.coeffs)]
+        return self._program.jets(t, order)
 
     def values(self, t):
         """Curvature values, shape (n-3,) at a float t or (m, n-3) on a grid."""
@@ -768,9 +767,11 @@ def involute_frame_check(curve, grid):
     null second derivative (against ``INVOLUTE_GATE``), <c'''',c''''> > 0 and
     independent {c'',...,c^(6)}, in that order; the first point in grid order
     that fails one raises its HypothesisError, with the point as ``location``.
-    The involute is reframed after pseudo-arc reparametrization; the report
+    Independence is classification's rule: every relative QR pivot reaches
+    ``DEFAULT_TOL``, and the least is the evidence ``min_pivot``.  The
+    involute is reframed after pseudo-arc reparametrization; the report
     compares k3 with 1/s, W4 with the unit tangent (the sign must be the
-    first point's) and the evolute of the involute with the original curve.
+    first point's) and the evolute of that frame with the original curve.
     """
     grid = [float(t) for t in grid]
     metric = PseudoMetric(curve.dimension)
@@ -792,24 +793,21 @@ def involute_frame_check(curve, grid):
         speed = np.abs(metric.inner(d[:, 0], d[:, 0]) - 1.0)
         c2 = np.abs(metric.inner(d[:, 1], d[:, 1]))
         eta_sq = metric.inner(d[:, 3], d[:, 3])
-        # the SVD behind the rank fails on a NaN, so a point with one reads rank 0
-        D = d[:, 1:6]
-        rank = np.linalg.matrix_rank(
-            np.where(np.isfinite(D).all(axis=(1, 2))[:, None, None], D, 0.0), tol=1e-8)
+        pivot = _span_qr(d[:, 1:6], "raw")[1].min(axis=-1)  # NaN where a row has one
         gate(speed <= INVOLUTE_GATE, ts, "<c',c'> = 1", lambda j, at:
              f"|<c',c'> - 1| = {speed[j]:.3e} {at}: parameter is not arc length")
         gate(c2 <= INVOLUTE_GATE, ts, "<c'',c''> = 0",
              lambda j, at: f"|<c'',c''>| = {c2[j]:.3e} {at}")
         gate(eta_sq > 0.0, ts, "<c'''',c''''> > 0",
              lambda j, at: f"<c'''',c''''> = {eta_sq[j]:.3e} <= 0 {at}")
-        gate(rank >= 5, ts, "independent derivatives",
+        gate(pivot >= DEFAULT_TOL, ts, "independent derivatives",
              lambda j, at: f"{{c'',...,c^(6)}} is linearly dependent {at}")
-        return vj.value, d, speed, c2, eta_sq, rank
+        return vj.value, d, speed, c2, eta_sq, pivot
 
-    c0, d, speed, c2, eta_sq, rank = pointwise_order(rows, s)
+    c0, d, speed, c2, eta_sq, pivot = pointwise_order(rows, s)
     evidence = {"min_s": min(grid), "unit_speed": float(np.max(speed)),
                 "c2_null": float(np.max(c2)), "min_eta_sq": float(np.min(eta_sq)),
-                "min_prefix_rank": float(np.min(rank))}
+                "min_pivot": float(np.min(pivot))}
 
     inv = InvoluteCurve(curve, curve.domain[0], arc_offset=curve.domain[0],
                         unit_speed=True)
@@ -825,16 +823,15 @@ def involute_frame_check(curve, grid):
         k3 = fj.curvatures[2].value
         gate(np.abs(k3) >= MIN_CURVATURE, ts, "k3 != 0",
              lambda j, at: f"extracted k3 = {k3[j]:.3e} {at}")
-        return k3, fj.W[1].value
+        return k3, fj.W[1].value, _evolute_jets(fj, 0).value
 
-    k3, W4 = pointwise_order(framed, s)
+    k3, W4, E_I = pointwise_order(framed, s)
     k3_err = float(np.max(np.abs(k3 - 1.0 / s) * s))
     T = d[:, 0]
     plus = np.linalg.norm(W4 - T, axis=1)
     minus = np.linalg.norm(W4 + T, axis=1)
     sign_votes = np.where(plus <= minus, 1, -1)
     align_defect = float(np.max(np.minimum(plus, minus)))
-    E_I = ij[0] + W4 / k3[:, None]
     ev_match = float(np.max(np.abs(E_I - c0)))
     sign = int(sign_votes[0])
     gate(sign_votes == sign, s, "W4 = +/- T consistently",

@@ -42,7 +42,6 @@ from .expr import (
     _shift_jets,
     _shift_table,
     jet_compose,
-    jet_eval,
     jet_invert,
     parse,
 )
@@ -709,12 +708,9 @@ class _MonotoneReparamCurve(_BatchedCurve):
         self.domain = (self.origin, self.origin + self._table.total)
 
     def _rate(self, ts):
-        """Rate at an array of parameters; the squares are taken in ascending
-        parameter order, so a refusal names the first refused point."""
-        order = np.argsort(ts, kind="stable")
-        sq = np.empty(len(ts))
-        sq[order] = pointwise_order(self._rate_square, ts[order], TABLE_BLOCK)
-        return sq ** (1.0 / (2 * self._order))
+        """Rate at the table's sample points, which ascend, so a refusal
+        names the first refused point."""
+        return pointwise_order(self._rate_square, ts, TABLE_BLOCK) ** (1.0 / (2 * self._order))
 
     def _rate_square(self, t):
         """<c^(k), c^(k)> at an array of parameters, refused where not positive."""
@@ -794,11 +790,12 @@ class MappedCurve(_BatchedCurve):
         self.mapping = parse(mapping, parameter) if isinstance(mapping, str) else mapping
         self.domain = (float(domain[0]), float(domain[1]))
         _check_interval(self.domain)
+        self._program = Program((self.mapping,))
         for s in self.domain:
-            _check_in_domain(jet_eval(self.mapping, s, 0).value, base.domain)
+            _check_in_domain(self._program.jets(s, 0)[0].value, base.domain)
 
     def _vec_jets(self, ss, order):
-        g = jet_eval(self.mapping, ss, order)
+        g = self._program.jets(ss, order)[0]
         return jet_compose(self.base.vec_jets(g.value, order), g)
 
 

@@ -77,7 +77,7 @@ class ClassificationError(NullCartanError):
 
 class DegenerateBasisError(NullCartanError):
     """Orientation ambiguous (a relative QR pivot at roundoff) or against the
-    frame's, or a derivative too large for floating point."""
+    frame's, a derivative too large for floating point, or a non-finite basis."""
 
     category = "numerical"
 

@@ -17,7 +17,8 @@ Both classes derive from one series base that holds what they share (order,
 ``at``, ``differentiate``, ``truncate``, the same-base check, ``+``, ``-``).
 
 Each parsed expression (or tuple of expressions, e.g. the components of a
-curve) is compiled once into a flat op list: constant subtrees are folded
+curve) is compiled into a flat op list, a :class:`Program` its owner keeps
+(``jet_eval`` compiles on each call): constant subtrees are folded
 to numbers, repeated subtrees are evaluated once, and registers are released
 after their last use.  A constant subtree folds through the kernel that
 evaluates its op, on one-term series, so it folds to the value a run
@@ -744,6 +745,11 @@ class Program:
             return self._op(kind, (series,), number, node, output)
         return self._op(kind, tuple(args), number, node, output)
 
+    def jets(self, base, order):
+        """One jet per expression at ``base``, a float or an array of points."""
+        param = Jet.variable(base, order)
+        return [Jet(param.base, c) for c in self.run(param.coeffs)]
+
     def run(self, param):
         """One series per expression for the parameter series ``param``."""
         regs = [param]
@@ -775,15 +781,6 @@ def _evaluation_error(exc, node, output):
     err = ExprEvaluationError(str(exc), str(node))
     err.output = output
     return err
-
-
-def _program_of(expr):
-    """The compiled program of one expression, cached on the node."""
-    program = expr.__dict__.get("_program")
-    if program is None:
-        program = Program((expr,))
-        object.__setattr__(expr, "_program", program)
-    return program
 
 
 # ---------------------------------------------------------------------------
@@ -920,5 +917,4 @@ def jet_eval(expr, base, order):
     """
     if order < 0:
         raise ValueError("jet order must be nonnegative")
-    param = Jet.variable(base, order)
-    return Jet(param.base, _program_of(expr).run(param.coeffs)[0])
+    return Program((expr,)).jets(base, order)[0]

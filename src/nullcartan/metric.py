@@ -8,6 +8,7 @@ negative index are read off the eigenvalues of QᵀSQ, in [-1, 1] however the
 rows are scaled.  Prefix by prefix on a stack of derivative bases (m, n, n)
 they give the nullity-degree and index sequences and the degeneration
 degree; the orientation of a basis and its ambiguity come from its QR too.
+A NaN or infinite entry is a numerical failure, DegenerateBasisError.
 """
 
 from __future__ import annotations
@@ -130,8 +131,11 @@ class PseudoMetric:
     def subspace_profile(self, vectors, tol=DEFAULT_TOL):
         """Rank, radical dimension and negative index of span(vectors).  A
         dependent row counts in the radical, and the others are profiled
-        without it: QR gives its column a direction that later rows may use."""
+        without it: QR gives its column a direction that later rows may use.
+        A non-finite vector raises DegenerateBasisError."""
         M = self._rows(vectors)
+        require(np.isfinite(M).all(axis=-1), lambda j: DegenerateBasisError(
+            f"vector {j} is not finite"))
         pivots, nullity, index = self._prefix_profiles(M[None, :self.dimension], tol)
         # the first dependent row: row n at the latest, if there are more
         j = min([*np.flatnonzero(~(pivots[0] >= tol)), self.dimension])
@@ -162,9 +166,10 @@ class PseudoMetric:
         """Classification sequences of each basis in a stack of shape (m, n, n).
 
         Entry i comes from the span of the first i rows, alpha' ... alpha^(i).
-        ClassificationError names the first basis that is dependent (and the
-        prefix length of its first pivot below ``tol``) or breaks the step
-        laws |dr| <= 1, 0 <= dq <= 1, r_n = 0, q_n = 2.
+        The first refused basis raises: DegenerateBasisError if not finite,
+        ClassificationError if dependent (at the prefix length of its first
+        pivot below ``tol``) or off the step laws |dr| <= 1, 0 <= dq <= 1,
+        r_n = 0, q_n = 2.
         """
         reports, bad, refusal = self._classified(derivs, tol)
         require(~bad, refusal)
@@ -172,13 +177,17 @@ class PseudoMetric:
 
     def _classified(self, derivs, tol):
         """Reports of a stack of bases, which to refuse, and ``refusal(j)``."""
-        pivots, nullity, index = self._prefix_profiles(self._bases(derivs), tol)
+        M = self._bases(derivs)
+        pivots, nullity, index = self._prefix_profiles(M, tol)
+        finite = np.isfinite(M).all(axis=-1)
         dependent = ~(pivots >= tol)
         dr, dq = np.diff(nullity, prepend=0), np.diff(index, prepend=0)
         step = (np.abs(dr) > 1) | (dq < 0) | (dq > 1)
-        bad = dependent.any(-1) | step.any(-1) | (nullity[:, -1] != 0) | (index[:, -1] != 2)
+        bad = (~finite | dependent | step).any(-1) | (nullity[:, -1] != 0) | (index[:, -1] != 2)
 
         def refusal(j):
+            if not finite[j].all():
+                return DegenerateBasisError(f"alpha^({finite[j].argmin() + 1}) is not finite")
             if dependent[j].any():
                 i = int(dependent[j].argmax()) + 1
                 return ClassificationError(f"derivative system is linearly dependent at "

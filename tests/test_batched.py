@@ -258,6 +258,24 @@ def test_rate_is_evaluated_once_per_table_point(golden):
     assert sum(seen) == len(CumulativeIntegral.sample_points(*golden.domain, 64)) == 2 * 15
 
 
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(a=st.floats(-100.0, 100.0), length=st.floats(1e-3, 100.0),
+       intervals=st.integers(1, 2048))
+def test_the_table_hands_its_integrand_one_strictly_ascending_array(a, length, intervals):
+    # a table's rate squares its points in the order given, so its refusal
+    # names the first refused point because this array ascends
+    calls = []
+
+    def f(t):
+        calls.append(t.copy())
+        return np.ones_like(t)
+
+    CumulativeIntegral(f, a, a + length, intervals)
+    (points,) = calls
+    assert points.ndim == 1 and np.all(np.diff(points) > 0.0)
+    assert np.array_equal(points, CumulativeIntegral.sample_points(a, a + length, intervals))
+
+
 def test_nonpositive_rate_names_the_worst_table_point():
     curve = Curve.from_strings(["s^3/6", "0", "s", "s^2/2", "0"], domain=(0.0, 1.0))
     with pytest.raises(FamilyError) as exc:

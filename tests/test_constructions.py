@@ -28,6 +28,7 @@ from nullcartan import (
     ReparametrizedCurve,
     SingularRecursionError,
     StepSizeError,
+    VecJet,
     bertrand_check,
     bertrand_mate,
     cartan_frame_at,
@@ -52,6 +53,7 @@ from nullcartan.constructions import (
 )
 from nullcartan.curve import PANEL_CELLS, TABLE_BLOCK
 from nullcartan.frame import frame_grid
+from nullcartan.metric import DEFAULT_TOL
 
 from conftest import (
     SYNTH_PROFILES,
@@ -583,6 +585,47 @@ def test_involute_frame_check_refuses_an_overflowing_derivative():
     curve = Curve.from_strings(["s", "0", "0", "0", "0", "1e306*s^6"], domain=(0.0, 2.0))
     with np.errstate(all="ignore"), pytest.raises(DegenerateBasisError, match="overflows"):
         involute_frame_check(curve, [0.5, 1.0])
+
+
+class DependentSixth:
+    """``base`` whose Taylor coefficient of order 6 at the one parameter
+    ``at`` is a combination of those of orders 2 to 5, so c^(6) lies in
+    span{c'', ..., c^(5)} there and nowhere else."""
+
+    def __init__(self, base, at):
+        self.base, self.at = base, at
+        self.dimension, self.domain = base.dimension, base.domain
+
+    def vec_jets(self, ts, order):
+        vj = self.base.vec_jets(ts, order)
+        coeffs = vj.coeffs.copy()
+        hit = np.asarray(ts) == self.at
+        if order >= 6:
+            coeffs[6, hit] = coeffs[2, hit] - 0.5 * coeffs[3, hit] + 2.0 * coeffs[5, hit]
+        return VecJet(vj.base, coeffs)
+
+
+def test_involute_frame_check_refuses_a_dependent_sixth_derivative(unit_speed_evolute):
+    s = np.linspace(0.5, 2.0, 7)
+    message = re.escape("{c'',...,c^(6)} is linearly dependent at s=1.25")
+    with pytest.raises(HypothesisError, match=message) as exc:
+        involute_frame_check(DependentSixth(unit_speed_evolute, s[3]), s)
+    assert exc.value.condition == "independent derivatives"
+    assert exc.value.location == s[3]
+
+
+def test_involute_min_pivot_is_the_least_relative_qr_pivot(unit_speed_evolute):
+    # recomputed point by point: |R_ii| / |c^(i+1)| of one QR of c'', ..., c^(6)
+    s = np.linspace(0.5, 2.0, 7)
+    evidence = involute_frame_check(unit_speed_evolute, s).hypothesis_evidence
+    pivots = []
+    for t in s:
+        D = np.array(unit_speed_evolute.derivatives(t, 6)[1:])
+        R = np.linalg.qr(D.T, mode="r")
+        pivots.append(np.abs(np.diag(R)) / np.linalg.norm(D, axis=1))
+    assert evidence["min_pivot"] == pytest.approx(np.min(pivots), rel=1e-9)
+    assert evidence["min_pivot"] >= DEFAULT_TOL
+    assert set(evidence) == {"min_s", "unit_speed", "c2_null", "min_eta_sq", "min_pivot"}
 
 
 # ---------------------------------------------------------------------------

@@ -43,7 +43,8 @@ FENCES = {
     "Tables read their interpolant": [
         (["curve.py"], r"self\.f\b|weakref", 0)],
     "One subspace rule": [
-        (["metric.py"], _literal("_unit_rows", "svd(", "for i in lengths"), 0)],
+        (["metric.py"], _literal("_unit_rows", "for i in lengths"), 0),
+        ("*", _literal("svd(", "matrix_rank("), 0)],
 }
 
 

@@ -13,6 +13,7 @@ import pytest
 
 from nullcartan import (
     ArcLengthCurve,
+    ClassificationError,
     CurvatureProfile,
     Curve,
     DegenerateBasisError,
@@ -29,6 +30,7 @@ from nullcartan import (
     SingularRecursionError,
     StepSizeError,
     VecJet,
+    classify,
     evolute,
     frenet_residuals,
     involute_frame_check,
@@ -117,6 +119,48 @@ def test_orientation_signs_fail_a_nan():
     with np.errstate(invalid="ignore"):
         with pytest.raises(DegenerateBasisError, match="normalized determinant nan"):
             PseudoMetric(5).orientation_signs(bases)
+
+
+def test_sequence_reports_refuse_a_nan_basis_as_numerical():
+    # a non-finite basis is a numerical failure, not a dependent prefix
+    # (a family verdict)
+    bases = np.stack([np.eye(5), np.eye(5)])
+    bases[1, 2, 1] = np.nan
+    with pytest.raises(DegenerateBasisError, match=r"alpha\^\(3\) is not finite$") as exc:
+        PseudoMetric(5).sequence_reports(bases)
+    assert exc.value.category == "numerical"
+    bases[1, 4, 0] = np.inf
+    with pytest.raises(DegenerateBasisError, match=r"alpha\^\(3\) is not finite$"):
+        PseudoMetric(5).sequence_report(bases[1])
+
+
+def test_a_dependent_basis_ahead_of_a_nan_one_is_refused_first():
+    bases = np.stack([np.eye(5), np.eye(5)])
+    bases[0, 2] = bases[0, 1]
+    bases[1, 2, 1] = np.nan
+    with pytest.raises(ClassificationError, match="dependent at prefix length 3") as exc:
+        PseudoMetric(5).sequence_reports(bases)
+    assert exc.value.prefix_length == 3
+    with pytest.raises(DegenerateBasisError):
+        PseudoMetric(5).sequence_reports(bases[::-1])
+
+
+def test_profile_refuses_a_non_finite_vector():
+    metric = PseudoMetric(5)
+    with pytest.raises(DegenerateBasisError, match="vector 0 is not finite") as exc:
+        metric.subspace_profile([[np.nan, 0, 0, 0, 0], [0, 0, 1, 0, 0]])
+    assert exc.value.category == "numerical"
+    # past the n rows that the QR reads, too
+    rows = [*np.eye(5), [0, 0, 0, np.inf, 0]]
+    with pytest.raises(DegenerateBasisError, match="vector 5 is not finite"):
+        metric.subspace_profile(rows)
+
+
+def test_classify_refuses_a_nan_jet_as_numerical(golden):
+    # a wrapper passes the NaN on: a Curve refuses its own non-finite jets first
+    with pytest.raises(DegenerateBasisError, match=r"alpha\^\(3\) is not finite$") as exc:
+        classify(Poisoned(golden, BAD, [3]), GRID)
+    assert exc.value.category == "numerical"
 
 
 def test_domain_check_fails_a_nan():
@@ -259,7 +303,7 @@ def test_involute_evidence_gate_fails_a_nan(unit_speed_evolute):
     (6, "independent derivatives"),
 ])
 def test_involute_evidence_gates_fail_a_nan_jet(unit_speed_evolute, order, condition):
-    # c^(6) feeds only the rank of c'', ..., c^(6), whose SVD cannot take a NaN
+    # c^(6) feeds only the QR pivots of c'', ..., c^(6): a NaN pivot fails the gate
     s = np.linspace(0.5, 2.0, 7)
     with pytest.raises(HypothesisError) as exc:
         involute_frame_check(Poisoned(unit_speed_evolute, s[2], [order]), s)
