@@ -141,7 +141,8 @@ def _expected_frame_gram(n):
 def _gram_defect(state_matrix, metric):
     """Max |<F_i, F_j> - E_ij| of one state (n+1, n), or per state of a stack."""
     G = metric.gram(state_matrix[..., 1:, :])
-    return np.max(np.abs(G - _expected_frame_gram(metric.dimension)), axis=(-2, -1))
+    G -= _expected_frame_gram(metric.dimension)
+    return np.max(np.abs(G, out=G), axis=(-2, -1))
 
 
 def standard_initial_frame(n, alpha=None):
@@ -160,67 +161,86 @@ def standard_initial_frame(n, alpha=None):
 # Frenet-system synthesis
 # ---------------------------------------------------------------------------
 
-def _frenet_couplings(n):
+@lru_cache(maxsize=64)
+def _frenet_couplings(n, transposed=False):
     """:func:`frenet_system` as couplings of the state rows, which follow it:
     P[c, i, j] = sign when row i' has the term sign * k_c * row j, so
-    state' = (sum_c k_c P[c]) state with k_0 = 1."""
+    state' = (sum_c k_c P[c]) state with k_0 = 1; each P[c]^T if ``transposed``.
+    Read-only, once per n.  An entry has at most one coupling: GEMMs are exact."""
     system = frenet_system(n)
     index = {row: i for i, (row, _) in enumerate(system)}
     P = np.zeros((n - 2, n + 1, n + 1))
     for i, (row, terms) in enumerate(system):
         for target, c, sign in terms:
-            P[c, i, index[target]] = sign
+            P[(c, index[target], i) if transposed else (c, i, index[target])] = sign
+    P.flags.writeable = False
     return P
 
 
 def _rk4_increments(A0, Am, A1, h):
     """Classical RK4 of the linear system y' = A y as propagators: one step of
     length h maps y to y + D y, from the generators at t, t + h/2 and t + h
-    (stacks of matrices over the steps, h a float or one length per step)."""
+    (stacks of matrices over the steps, h a float or one length per step).
+    q2 = Am + h/2 Am A0, q3 = Am + h/2 Am q2, q4 = A1 + h A1 q3 and
+    D = h/6 (A0 + 2 q2 + 2 q3 + q4) run in that order as in-place ``*=`` and
+    ``+=`` on three matmul results: IEEE + and * commute, so the bits match."""
     h = np.asarray(h)[..., None, None]
-    q2 = Am + h / 2 * (Am @ A0)
-    q3 = Am + h / 2 * (Am @ q2)
-    q4 = A1 + h * (A1 @ q3)
-    return h / 6 * (A0 + 2 * q2 + 2 * q3 + q4)
+    q = [A0]
+    for A, s in ((Am, h / 2), (Am, h / 2), (A1, h)):
+        q.append(A @ q[-1])
+        q[-1] *= s
+        q[-1] += A
+    q2, q3, q4 = q[1:]
+    q2 *= 2
+    q2 += A0
+    q3 *= 2
+    q2 += q3
+    q2 += q4
+    q2 *= h / 6
+    return q2
 
 
-def _propagate(S0, D):
-    """States S_1..S_m of S_{i+1} = S_i + D_i S_i from S_0, for a stack D of
-    m propagator increments, by a blocked prefix scan (Blelloch 1990).
+def _propagate(S0, E, out):
+    """States S_1..S_m of S_{i+1} = S_i + D_i S_i from S_0, written to the
+    first m of the width * chunks rows of ``out``, by a blocked prefix scan
+    (Blelloch 1990) over increments stored position-major: E[j, c] of E
+    (width, chunks, r, r) is D_{c * width + j}, zero past D_{m-1}.
 
     Each propagator is kept as its difference E from the identity, so
     products combine as E_ab = E_b + E_a + E_b E_a and apply as S + E S:
-    adding the small increments to I first would round them off.  The steps
-    are cut into chunks of SCAN_CHUNK; every chunk's local prefix products
-    take one batched matmul per position across all chunks, the chunk totals
-    carry the start state from chunk to chunk, and one batched matmul applies
-    the prefixes to the chunk start states.  Zero increments pad the last
-    chunk, as identity propagators.
+    adding the small increments to I first would round them off.  E is
+    overwritten: each scan position is one ``matmul(out=)`` and two in-place
+    adds on a contiguous (chunks, r, r) slab.  The chunk totals carry the
+    start state from chunk to chunk, and one matmul and add apply the prefixes
+    to the start states in ``out``.  IEEE + commutes, so the bits are those
+    of the formulas written out.
     """
-    m, r = D.shape[:2]
-    width = min(SCAN_CHUNK, m)
-    chunks = -(-m // width)
-    E = np.zeros((chunks * width, r, r))
-    E[:m] = D
-    E = E.reshape(chunks, width, r, r)
+    width, chunks = E.shape[:2]
+    product = np.empty(E.shape[1:])
     for j in range(1, width):
-        E[:, j] += E[:, j - 1] + E[:, j] @ E[:, j - 1]
-    starts = np.empty((chunks, 1) + S0.shape)
-    starts[0, 0] = S0
+        np.matmul(E[j], E[j - 1], out=product)
+        product += E[j - 1]
+        E[j] += product
+    starts = np.repeat(S0[None], chunks, axis=0)
     for c in range(chunks - 1):
-        starts[c + 1, 0] = starts[c, 0] + E[c, -1] @ starts[c, 0]
-    return (starts + E @ starts).reshape((-1,) + S0.shape)[:m]
+        np.matmul(E[-1, c], starts[c], out=starts[c + 1])
+        starts[c + 1] += starts[c]
+    out = out.reshape((chunks, width) + S0.shape).swapaxes(0, 1)
+    np.matmul(E, starts, out=out)
+    out += starts
 
 
 class FrenetCurve(_BatchedCurve):
     """Curve produced by integrating the Frenet system with prescribed curvatures.
 
     Node i of the integration table sits at a + i * step, and the last node
-    is b itself.  The table is built in blocks of TABLE_BLOCK steps: the RK4
-    propagators of a block come from one batched curvature evaluation, a
-    blocked prefix scan (:func:`_propagate`) applies them to the block's
-    start state, and the Gram gate checks the block before the next one is
-    evaluated.  Derivatives of any order are exact given the stored state:
+    is b itself.  The table is built in blocks of TABLE_BLOCK steps: one
+    curvature evaluation and one GEMM give a block's generators, in-place RK4
+    turns them into the propagators of a blocked prefix scan (:func:`_propagate`)
+    that writes the table rows in place, and the Gram gate checks the block
+    before the next one is evaluated.  Every kernel rounds each entry as its
+    formulas written out would, so the states are theirs bit for bit.
+    Derivatives of any order are exact given the stored state:
     the Taylor coefficients of the state follow from S' = A(t) S and the
     curvature jets, so only the RK4 error of the state samples enters.
     States served to callers are read-only; the integration table cannot be
@@ -257,8 +277,9 @@ class FrenetCurve(_BatchedCurve):
         ts = np.append(ts[ts < b], b)
         hs = np.diff(ts)
         steps = len(hs)
-        self._couplings = _frenet_couplings(n)
-        states = np.empty((steps + 1, n + 1, n))
+        self._couplings = _frenet_couplings(n).reshape(n - 2, -1)
+        # the rows past the table take the last block's padding scan slots
+        states = np.empty((steps + SCAN_CHUNK, n + 1, n))
         states[0] = state
         self.max_gram_defect = 0.0
         # blocks of TABLE_BLOCK steps keep the propagator stack small and let
@@ -268,15 +289,21 @@ class FrenetCurve(_BatchedCurve):
         # ``defect <= defect_limit``, so numpy need not warn about it.
         for i0 in range(0, steps, TABLE_BLOCK):
             i1 = min(i0 + TABLE_BLOCK, steps)
-            # curvatures at the block's RK4 stage times (step starts and
-            # midpoints), in time order
-            stage_t = np.empty(2 * (i1 - i0) + 1)
+            m = i1 - i0
+            # the block's RK4 stage times (step starts and midpoints) in time
+            # order; stage s of scan slot (j, c) is stage 2 (c * width + j) + s,
+            # and slots past the last step sit at its end, with h = 0
+            stage_t = np.empty(2 * m + 1)
             stage_t[0::2] = ts[i0:i1 + 1]
             stage_t[1::2] = ts[i0:i1] + hs[i0:i1] / 2
-            A = self._generators(pointwise_order(profile.values, stage_t))
+            width = min(SCAN_CHUNK, m)
+            stage = np.arange(2 * width + 1)[:, None] + np.arange(0, 2 * m, 2 * width)
+            stage = np.minimum(stage, 2 * m)
+            A = self._generators(pointwise_order(profile.values, stage_t)[stage])
+            h = stage_t[stage[2::2]] - stage_t[stage[:-1:2]]
             with np.errstate(over="ignore", invalid="ignore"):
-                D = _rk4_increments(A[0:-1:2], A[1::2], A[2::2], hs[i0:i1])
-                states[i0 + 1:i1 + 1] = _propagate(states[i0], D)
+                D = _rk4_increments(A[:-1:2], A[1::2], A[2::2], h)
+                _propagate(states[i0], D, states[i0 + 1:i0 + 1 + h.size])
                 defects = _gram_defect(states[i0:i1 + 1], self._metric)
             require(defects <= defect_limit, lambda j: StepSizeError(
                 f"frame Gram defect {defects[j]:.3e} at t={ts[i0 + j]:.6g} "
@@ -284,16 +311,17 @@ class FrenetCurve(_BatchedCurve):
             self.max_gram_defect = max(self.max_gram_defect, float(np.max(defects)))
         states.flags.writeable = False
         self._ts = ts
-        self._states = states
+        self._states = states[:steps + 1]
 
     # -- integration ---------------------------------------------------------
 
     def _generators(self, k):
         """Generators A(t) of the linear Frenet system state' = A state, from
-        curvature values ``k`` of shape (..., n-3)."""
+        curvature values ``k`` of shape (..., n-3): one exact GEMM of the
+        values, a 1 prepended, against the flattened couplings."""
         ones = np.ones(k.shape[:-1] + (1,))
-        return np.einsum("...c,cij->...ij", np.concatenate((ones, k), axis=-1),
-                         self._couplings)
+        A = np.concatenate((ones, k), axis=-1).reshape(-1, k.shape[-1] + 1) @ self._couplings
+        return A.reshape(k.shape[:-1] + (self.dimension + 1,) * 2)
 
     def _rk4_step(self, t, state, h):
         """Classical RK4 step of length h from t (floats, or arrays over a
@@ -346,7 +374,7 @@ class FrenetCurve(_BatchedCurve):
         k[:, -1, 0] = 1.0
         for c, jet in enumerate(self.profile.jets(ts, depth), 1):
             k[:, :, c] = jet.coeffs[::-1].T
-        P = self._couplings.swapaxes(1, 2).reshape(k.shape[-1], -1)
+        P = _frenet_couplings(n, transposed=True).reshape(k.shape[-1], -1)
         AT = (k @ P).reshape(m, -1, r)  # A_depth^T, ..., A_0^T
         ST = np.empty((m, n, order, r))
         ST[:, :, 0] = states.swapaxes(1, 2)

@@ -211,11 +211,13 @@ class PseudoMetric:
 
     def orientation_signs(self, bases):
         """:meth:`orientation_sign` of each basis in a stack (m, n, n); the first
-        ambiguous one, or one with a NaN, raises DegenerateBasisError naming
-        its normalized determinant, the product of its pivots."""
+        ambiguous or non-finite one raises DegenerateBasisError naming its
+        first non-finite row, or else its normalized determinant."""
         M = self._bases(bases)
         pivots = _span_qr(M, "raw")[1]
         require(pivots.min(axis=-1) >= 1e-12, lambda j: DegenerateBasisError(
-            "zero vector in basis" if (M[j] == 0.0).all(axis=-1).any() else
+            f"alpha^({np.isfinite(M[j]).all(-1).argmin() + 1}) is not finite"
+            if not np.isfinite(M[j]).all() else "zero vector in basis"
+            if (M[j] == 0.0).all(axis=-1).any() else
             f"orientation ambiguous: normalized determinant {np.prod(pivots[j]):.3e}"))
         return np.where(np.linalg.slogdet(M)[0] > 0, 1, -1)  # a sign that cannot underflow

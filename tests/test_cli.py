@@ -859,3 +859,49 @@ def test_malformed_inputs_never_exit_1(spec_dir, data):
     assert code in (0, 2, 3, 4), (argv, spec, code)
     if code:
         assert json.loads(err.getvalue().splitlines()[-1])["category"]
+
+
+# ---------------------------------------------------------------------------
+# Valid synthesis recipes end in a report or a categorized refusal
+
+_coefficient = st.floats(-20.0, 20.0).map(lambda x: round(x, 3))
+_curvature = st.one_of(
+    _coefficient.map(repr),
+    st.tuples(_coefficient, _coefficient).map(lambda ab: f"{ab[0]} + ({ab[1]})*t"),
+    st.tuples(_coefficient, _coefficient).map(lambda ab: f"{ab[0]} + ({ab[1]})*sin(t)"))
+
+
+@st.composite
+def _recipes(draw):
+    n = draw(st.integers(5, 8))
+    a = draw(st.floats(-1.0, 1.99))
+    return {"dimension": n, "parameter": "t",
+            "curvatures": draw(st.lists(_curvature, min_size=n - 3, max_size=n - 3)),
+            "interval": [a, draw(st.floats(a + 0.01, 2.0))],
+            "step": draw(st.floats(2e-3, 5e-2))}
+
+
+@settings(max_examples=40, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(recipe=_recipes(), grid=st.integers(1, 9))
+def test_synthesize_reports_or_refuses_every_valid_recipe(spec_dir, recipe, grid):
+    # a valid recipe either synthesizes within the Gram gate or is refused
+    # with one JSON line in its error class's category: never exit 1 or 2
+    from nullcartan import errors
+
+    path = spec_dir / "recipe.json"
+    path.write_text(json.dumps(recipe))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["synthesize", str(path), "--grid", str(grid)])
+    assert code in (0, 3, 4), (recipe, grid, code, err.getvalue())
+    if code:
+        (line,) = err.getvalue().splitlines()
+        diagnostic = json.loads(line)
+        assert diagnostic["category"] == getattr(errors, diagnostic["error"]).category
+        assert {"hypothesis": 3, "family": 3, "numerical": 4}[diagnostic["category"]] == code
+    else:
+        assert not err.getvalue()
+        body = body_of(out.getvalue())
+        assert body["max_gram_defect"] <= 1e-4
+        assert len(body["table"]["rows"]) == grid

@@ -904,6 +904,158 @@ def test_the_gram_gate_reads_one_expected_gram(n, curvatures, interval, step):
     assert curve.max_gram_defect == worst > 0.0
 
 
+# The synthesis kernels written out as plain expressions: an einsum for the
+# generators, RK4 as one formula, and the scan over chunk-major increments
+# padded with zeros.  The kernels run as GEMMs and in-place updates in the
+# same operation order, so they must match these bit for bit.
+
+def einsum_generators(k, P):
+    ones = np.ones(k.shape[:-1] + (1,))
+    return np.einsum("...c,cij->...ij", np.concatenate((ones, k), axis=-1), P)
+
+
+def expression_rk4_increments(A0, Am, A1, h):
+    h = np.asarray(h)[..., None, None]
+    q2 = Am + h / 2 * (Am @ A0)
+    q3 = Am + h / 2 * (Am @ q2)
+    q4 = A1 + h * (A1 @ q3)
+    return h / 6 * (A0 + 2 * q2 + 2 * q3 + q4)
+
+
+def chunk_major_propagate(S0, D):
+    m, r = D.shape[:2]
+    width = min(constructions.SCAN_CHUNK, m)
+    chunks = -(-m // width)
+    E = np.zeros((chunks * width, r, r))
+    E[:m] = D
+    E = E.reshape(chunks, width, r, r)
+    for j in range(1, width):
+        E[:, j] += E[:, j - 1] + E[:, j] @ E[:, j - 1]
+    starts = np.empty((chunks, 1) + S0.shape)
+    starts[0, 0] = S0
+    for c in range(chunks - 1):
+        starts[c + 1, 0] = starts[c, 0] + E[c, -1] @ starts[c, 0]
+    return (starts + E @ starts).reshape((-1,) + S0.shape)[:m]
+
+
+def expression_table(curve):
+    """The table and its largest Gram defect, block by block, from the
+    expression kernels."""
+    n, ts = curve.dimension, curve._ts
+    hs = np.diff(ts)
+    P, metric, expected = _frenet_couplings(n), PseudoMetric(n), _expected_frame_gram(n)
+    states = np.empty_like(curve._states)
+    states[0] = standard_initial_frame(n).rows
+    worst = 0.0
+    for i0 in range(0, len(hs), TABLE_BLOCK):
+        i1 = min(i0 + TABLE_BLOCK, len(hs))
+        stage_t = np.empty(2 * (i1 - i0) + 1)
+        stage_t[0::2] = ts[i0:i1 + 1]
+        stage_t[1::2] = ts[i0:i1] + hs[i0:i1] / 2
+        A = einsum_generators(curve.profile.values(stage_t), P)
+        D = expression_rk4_increments(A[0:-1:2], A[1::2], A[2::2], hs[i0:i1])
+        states[i0 + 1:i1 + 1] = chunk_major_propagate(states[i0], D)
+        G = metric.gram(states[i0:i1 + 1, 1:])
+        worst = max(worst, float(np.max(np.abs(G - expected))))
+    return states, worst
+
+
+SCAN_EDGES = [1, 15, 16, 17, 255, 256, 257, 513]
+# the benchmark's two synthesis profiles, then the scan-edge profile of
+# test_synthesis_matches_the_oracle_at_scan_edges at each edge step count
+BIT_PROFILES = [
+    (8, ["0.1 + 0.05*t", "-0.2", "1.5 + 0.3*sin(t)", "1 + 0.2*t", "2 - 0.3*t"],
+     (0.0, 1.0), 1e-3),
+    (6, ["0.1", "-0.05", "1/(1 + t)"], (-0.7, 1.2), constructions.DEFAULT_STEP),
+] + [(6, ["1.5", "-1", "2 + sin(t)"], (-0.2, -0.2 + (steps - 0.63) * 0.01), 0.01)
+     for steps in SCAN_EDGES]
+
+
+@pytest.mark.parametrize("n, curvatures, interval, step", BIT_PROFILES)
+def test_table_is_bit_identical_to_the_expression_kernels(n, curvatures, interval, step):
+    curve = synthesize(CurvatureProfile.from_strings(n, curvatures), interval, step=step)
+    states, worst = expression_table(curve)
+    assert np.array_equal(curve._states, states)
+    assert curve.max_gram_defect == worst
+    # off-node states and jets: one RK4 step from the node below
+    P = _frenet_couplings(n)
+    grid = interval[0] + (interval[1] - interval[0]) * np.linspace(0.013, 0.987, 23)
+    i = np.searchsorted(curve._ts, grid, side="right") - 1
+    t0, h = curve._ts[i], grid - curve._ts[i]
+    stage = np.stack((t0, t0 + h / 2, t0 + h))
+    k = curve.profile.values(stage.ravel()).reshape(stage.shape + (-1,))
+    D = expression_rk4_increments(*einsum_generators(k, P), h)
+    want = states[i] + D @ states[i]
+    assert np.array_equal(curve._states_at(grid), want)
+    assert np.array_equal(curve.vec_jets(grid, 1).coeffs, want[:, :2].swapaxes(0, 1))
+
+
+@pytest.mark.parametrize("n", [5, 8, 11])
+def test_generators_are_the_einsum_bit_for_bit(n):
+    curve = synthesize(CurvatureProfile.from_strings(n, ["0.3"] * (n - 3)), (0.0, 0.1),
+                       step=0.05)
+    rng = np.random.default_rng(n)
+    P = _frenet_couplings(n)
+    for shape in [(n - 3,), (37, n - 3), (3, 11, n - 3)]:
+        k = rng.normal(size=shape) * 10.0 ** rng.integers(-300, 300, size=shape)
+        assert np.array_equal(curve._generators(k), einsum_generators(k, P))
+
+
+@pytest.mark.parametrize("r", [6, 9, 13])
+def test_rk4_increments_are_the_expression_bit_for_bit(r):
+    rng = np.random.default_rng(r)
+    A0, Am, A1 = rng.normal(size=(3, 41, r, r))
+    for h in (0.013, rng.uniform(1e-4, 0.1, size=41)):
+        assert np.array_equal(_rk4_increments(A0, Am, A1, h),
+                              expression_rk4_increments(A0, Am, A1, h))
+    # a stack of stacks, as the table's (positions, chunks) slab has
+    h = rng.uniform(1e-4, 0.1, size=(16, 3))
+    stacks = rng.normal(size=(3, 16, 3, r, r))
+    assert np.array_equal(_rk4_increments(*stacks, h), expression_rk4_increments(*stacks, h))
+
+
+def test_off_node_rk4_step_is_the_expression_bit_for_bit():
+    n = 8
+    curve = synthesize(CurvatureProfile.from_strings(n, BIT_PROFILES[0][1]), (0.0, 1.0),
+                       step=1e-3)
+    P = _frenet_couplings(n)
+    rng = np.random.default_rng(8)
+    i = rng.integers(0, len(curve._ts) - 1, size=29)
+    t, state, h = curve._ts[i], curve._states[i], rng.uniform(0.0, 1e-3, size=29)
+    for args in [(t, state, h), (float(t[0]), state[0], float(h[0]))]:
+        t0, s0, h0 = args
+        stage = np.stack(np.broadcast_arrays(t0, t0 + h0 / 2, t0 + h0))
+        k = curve.profile.values(stage.ravel()).reshape(stage.shape + (-1,))
+        D = expression_rk4_increments(*einsum_generators(k, P), h0)
+        assert np.array_equal(curve._rk4_step(*args), s0 + D @ s0)
+
+
+@pytest.mark.parametrize("steps", SCAN_EDGES)
+def test_scan_is_the_chunk_major_scan_bit_for_bit(steps):
+    rng = np.random.default_rng(steps)
+    r, n = 9, 8
+    D = rng.normal(scale=1e-2, size=(steps, r, r))
+    S0 = rng.normal(size=(r, n))
+    width = min(constructions.SCAN_CHUNK, steps)
+    chunks = -(-steps // width)
+    E = np.zeros((chunks * width, r, r))
+    E[:steps] = D
+    E = np.ascontiguousarray(E.reshape(chunks, width, r, r).swapaxes(0, 1))
+    out = np.empty((chunks * width, r, n))
+    constructions._propagate(S0, E, out)
+    assert np.array_equal(out[:steps], chunk_major_propagate(S0, D))
+
+
+@pytest.mark.parametrize("n", [5, 8, 12])
+def test_couplings_are_built_once_per_n_and_read_only(n):
+    P, PT = _frenet_couplings(n), _frenet_couplings(n, transposed=True)
+    assert _frenet_couplings(n) is P and not P.flags.writeable
+    assert _frenet_couplings(n, transposed=True) is PT and not PT.flags.writeable
+    assert np.array_equal(PT, P.swapaxes(1, 2))
+    # at most one coupling per generator entry: the GEMM sums are exact
+    assert np.max(np.count_nonzero(P, axis=0)) == 1
+
+
 @pytest.mark.parametrize("a, b, step", [(-0.7, 1.2, 1e-3), (0.0, 16.5000000000001, 0.05)])
 def test_node_times_do_not_drift(a, b, step):
     # node i sits at a + i*step, the last node is b itself and no step is

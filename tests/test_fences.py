@@ -45,6 +45,8 @@ FENCES = {
     "One subspace rule": [
         (["metric.py"], _literal("_unit_rows", "for i in lengths"), 0),
         ("*", _literal("svd(", "matrix_rank("), 0)],
+    "Synthesis at matmul cost": [
+        (["constructions.py"], _literal("einsum("), 0)],
 }
 
 

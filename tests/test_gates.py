@@ -117,8 +117,21 @@ def test_orientation_signs_fail_a_nan():
     bases[2, 1, 3] = np.nan
     bases[3, 0] = 0.0
     with np.errstate(invalid="ignore"):
-        with pytest.raises(DegenerateBasisError, match="normalized determinant nan"):
+        with pytest.raises(DegenerateBasisError, match=r"alpha\^\(2\) is not finite$"):
             PseudoMetric(5).orientation_signs(bases)
+
+
+@pytest.mark.parametrize("value", [np.inf, -np.inf])
+def test_orientation_signs_refuse_an_infinite_basis_as_not_finite(value):
+    # the message sequence_reports gives the same basis, not an ambiguous
+    # determinant
+    bases = np.stack([np.eye(5), np.eye(5)])
+    bases[1, 3, 0] = value
+    metric = PseudoMetric(5)
+    with np.errstate(invalid="ignore"):
+        for refuse in (metric.orientation_signs, metric.sequence_reports):
+            with pytest.raises(DegenerateBasisError, match=r"alpha\^\(4\) is not finite$"):
+                refuse(bases)
 
 
 def test_sequence_reports_refuse_a_nan_basis_as_numerical():
