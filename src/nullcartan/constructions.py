@@ -46,7 +46,7 @@ from .errors import (
 )
 from .expr import Expr, Jet, Program, VecJet, parse
 from .frame import Frame, frame_grid, frenet_system
-from .metric import DEFAULT_TOL, PseudoMetric, _span_qr
+from .metric import DEFAULT_TOL, _row_norms, _shared_metric, _span_qr
 from .record import Record
 
 __all__ = [
@@ -133,7 +133,7 @@ def _expected_frame_gram(n):
     """<F_i, F_j> of the frame rows: the Gram of the standard initial frame,
     which meets every pairing relation exactly.  Built once per n, read-only:
     synthesis checks every block of its table against it."""
-    gram = PseudoMetric(n).gram(standard_initial_frame(n).rows[1:])
+    gram = _shared_metric(n).gram(standard_initial_frame(n).rows[1:])
     gram.flags.writeable = False
     return gram
 
@@ -262,7 +262,7 @@ class FrenetCurve(_BatchedCurve):
         self.dimension = n
         self.domain = (a, b)
         self.step = float(step)
-        self._metric = PseudoMetric(n)
+        self._metric = _shared_metric(n)
         state = np.array((initial or standard_initial_frame(n)).rows, dtype=float)
         if state.shape != (n + 1, n):
             raise DimensionMismatchError(
@@ -511,8 +511,7 @@ def bertrand_mate(curve, mu, grid=None, tol=DEFAULT_BERTRAND_TOL, force=False):
 
         sbars, w3bar = pointwise_order(matched, grid)
         offset = None
-    defects = np.minimum(np.linalg.norm(w3bar - w3, axis=1),
-                         np.linalg.norm(w3bar + w3, axis=1))
+    defects = np.minimum(_row_norms(w3bar - w3), _row_norms(w3bar + w3))
     points = pointwise_order(lambda ts: mate.vec_jets(ts, 0).value, grid)
     sampled = SampledCurve(np.asarray(grid), points)
     report = PairReport(tuple(grid), tuple(sbars), offset, float(np.max(defects)),
@@ -592,7 +591,7 @@ def pseudo_spherical_test(curve, grid=None, tol=DEFAULT_SPHERE_TOL):
     if grid is None:
         grid = chebyshev_grid(curve.domain[0], curve.domain[1], DEFAULT_CLASSIFY_POINTS)
     grid = [float(t) for t in grid]
-    metric = PseudoMetric(n)
+    metric = _shared_metric(n)
 
     def sample(ts):
         # k_c comes out at order n - 1 - c; the recursion reads k3 to order n - 6
@@ -687,7 +686,7 @@ def evolute(curve, grid=None, min_slope=1e-8):
     if grid is None:
         grid = np.linspace(curve.domain[0], curve.domain[1], DEFAULT_EVOLUTE_POINTS)
     grid = [float(t) for t in grid]
-    metric = PseudoMetric(6)
+    metric = _shared_metric(6)
 
     def sample(ts):
         # W4 and k3 come out at order 2; the sample reads them to order 1
@@ -733,7 +732,7 @@ class InvoluteCurve(_BatchedCurve):
         if not math.isfinite(self.arc_offset):
             raise InputError(f"arc_offset must be finite, got {self.arc_offset}")
         _check_in_domain(self.t0, base.domain)
-        self._metric = PseudoMetric(base.dimension)
+        self._metric = _shared_metric(base.dimension)
         self._arc = None
         if not unit_speed:
             self._arc = ArcLengthCurve(base, intervals)
@@ -802,7 +801,7 @@ def involute_frame_check(curve, grid):
     first point's) and the evolute of that frame with the original curve.
     """
     grid = [float(t) for t in grid]
-    metric = PseudoMetric(curve.dimension)
+    metric = _shared_metric(curve.dimension)
     if curve.dimension != 6:
         raise HypothesisError("the correspondence lives in dimension 6",
                               condition="dimension == 6")
@@ -856,8 +855,8 @@ def involute_frame_check(curve, grid):
     k3, W4, E_I = pointwise_order(framed, s)
     k3_err = float(np.max(np.abs(k3 - 1.0 / s) * s))
     T = d[:, 0]
-    plus = np.linalg.norm(W4 - T, axis=1)
-    minus = np.linalg.norm(W4 + T, axis=1)
+    plus = _row_norms(W4 - T)
+    minus = _row_norms(W4 + T)
     sign_votes = np.where(plus <= minus, 1, -1)
     align_defect = float(np.max(np.minimum(plus, minus)))
     ev_match = float(np.max(np.abs(E_I - c0)))

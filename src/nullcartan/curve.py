@@ -45,7 +45,7 @@ from .expr import (
     jet_invert,
     parse,
 )
-from .metric import DEFAULT_TOL, PseudoMetric, family_nullity_sequence
+from .metric import DEFAULT_TOL, _row_norms, _shared_metric, family_nullity_sequence
 from .record import Record
 
 __all__ = [
@@ -106,14 +106,21 @@ def _check_in_domain(t, domain):
         f"parameter {float(ts[j])} outside domain [{a}, {b}]"))
 
 
+@lru_cache(maxsize=32)
+def _factorials(n):
+    """Read-only column 1!, ..., n! along axis 0 of an (n, m, dim) array."""
+    column = np.array([math.factorial(k) for k in range(1, n + 1)], dtype=float)[:, None, None]
+    column.flags.writeable = False
+    return column
+
+
 def _derivative_rows(vj, n):
     """alpha', ..., alpha^(n) off a batched jet of order >= n, shape (m, n, dim),
     and their norms (m, n).  An infinite norm, a derivative that overflows
     floating point, is a numerical failure at the first t with one; a NaN is
     left to the gates that read the rows."""
-    factorials = np.array([math.factorial(k) for k in range(1, n + 1)], dtype=float)
-    derivs = (vj.coeffs[1:n + 1] * factorials[:, None, None]).swapaxes(0, 1).copy()
-    norms = np.linalg.norm(derivs, axis=-1)
+    derivs = (vj.coeffs[1:n + 1] * _factorials(n)).swapaxes(0, 1).copy()
+    norms = _row_norms(derivs)
     overflow = np.isinf(norms)
     require(~overflow.any(axis=1), lambda j: DegenerateBasisError(
         f"|alpha^({int(overflow[j].argmax()) + 1})| overflows at t={vj.base[j]}: "
@@ -456,7 +463,7 @@ def classify(curve, grid=None, tol=DEFAULT_TOL):
     family flag is True iff the nullity sequence is {0,1,2,2,1,0,...,0}.
     """
     n = curve.dimension
-    metric = PseudoMetric(n)
+    metric = _shared_metric(n)
     if grid is None:
         grid = chebyshev_grid(curve.domain[0], curve.domain[1], DEFAULT_CLASSIFY_POINTS)
     grid = [float(t) for t in grid]
@@ -701,7 +708,7 @@ class _MonotoneReparamCurve(_BatchedCurve):
     def __init__(self, base, intervals=512):
         self.base = base
         self.dimension = base.dimension
-        self._metric = PseudoMetric(base.dimension)
+        self._metric = _shared_metric(base.dimension)
         self.origin = float(base.domain[0]) if self._origin_from_domain else 0.0
         a, b = base.domain
         self._table = CumulativeIntegral(self._rate, a, b, intervals)
@@ -835,6 +842,6 @@ def pseudo_arc_reparam(curve, grid_density=DEFAULT_TABLE_ROWS, tol=DEFAULT_TOL):
             f"the unit-speed check reads the spline inside the first and last "
             f"three samples: need at least 7, got {grid_density}")
     d3 = spline._derivative_values(interior, 3)[3]
-    defect = np.max(np.abs(PseudoMetric(curve.dimension).inner(d3, d3) - 1.0))
+    defect = np.max(np.abs(_shared_metric(curve.dimension).inner(d3, d3) - 1.0))
     return ReparamResult(_read_only(table_t), _read_only(table_s), sampled, rep,
                          float(defect))

@@ -175,9 +175,9 @@ def _shift_jets(table, x, order):
 def _div(a, b):
     size = min(len(a), len(b))
     b0 = b[0]
-    if np.any(b0 == 0.0):
+    if (b0 == 0.0).any():
         raise ZeroDivisionError("division by a jet with zero constant term")
-    h = np.empty(np.broadcast_shapes(a[:size].shape, b[:size].shape))
+    h = np.empty(np.broadcast(a[:size], b[:size]).shape)
     h[0] = a[0] / b0
     for k in range(1, size):
         h[k] = (a[k] - np.einsum("j...,j...->...", h[:k], b[k:0:-1])) / b0
@@ -220,15 +220,16 @@ def _weighted(f):
 
 
 def _sqrt(f):
-    if np.any(f[0] <= 0.0):
+    if (f[0] <= 0.0).any():
         raise ValueError("sqrt of a jet with nonpositive constant term")
     h = np.empty_like(f)
     h[0] = np.sqrt(f[0])
+    twice = 2.0 * h[0]
     for k in range(1, len(f)):
         acc = f[k]
         if k >= 2:
             acc = acc - np.einsum("j...,j...->...", h[1:k], h[k - 1:0:-1])
-        h[k] = acc / (2.0 * h[0])
+        h[k] = acc / twice
     return h
 
 
@@ -236,7 +237,7 @@ def _exp(f):
     h = np.empty_like(f)
     with np.errstate(over="ignore"):
         h[0] = np.exp(f[0])
-    if np.any(np.isinf(h[0]) & np.isfinite(f[0])):
+    if (np.isinf(h[0]) & np.isfinite(f[0])).any():
         raise OverflowError("math range error")
     jf = _weighted(f)
     for k in range(1, len(f)):
@@ -245,7 +246,7 @@ def _exp(f):
 
 
 def _log(f):
-    if np.any(f[0] <= 0.0):
+    if (f[0] <= 0.0).any():
         raise ValueError("log of a jet with nonpositive constant term")
     h = np.empty_like(f)
     h[0] = np.log(f[0])
@@ -566,6 +567,9 @@ class Expr(Record):
     A node's hash is taken once, when it is built, from its children's:
     :class:`Program` looks every subtree up by value, and a hash over the
     whole subtree on each lookup would make compiling quadratic in depth.
+    The parser builds nodes on its hot path, so each node class writes its
+    own ``__init__``: it sets the fields and ``_hash``, the hash of the class
+    and the field values that the base's ``__post_init__`` would take.
     """
 
     def __post_init__(self):
@@ -586,6 +590,10 @@ class Expr(Record):
 class Num(Expr):
     value: float
 
+    def __init__(self, value):
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "_hash", hash((type(self), value)))
+
     def __str__(self):
         # the shortest text that parses back to this float; 1.0 prints as 1
         text = repr(self.value)
@@ -595,12 +603,20 @@ class Num(Expr):
 class Param(Expr):
     name: str
 
+    def __init__(self, name):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "_hash", hash((type(self), name)))
+
     def __str__(self):
         return self.name
 
 
 class Neg(Expr):
     arg: Expr
+
+    def __init__(self, arg):
+        object.__setattr__(self, "arg", arg)
+        object.__setattr__(self, "_hash", hash((type(self), arg)))
 
     def __str__(self):
         return f"-({self.arg})"
@@ -611,6 +627,12 @@ class BinOp(Expr):
     left: Expr
     right: Expr
 
+    def __init__(self, op, left, right):
+        object.__setattr__(self, "op", op)
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
+        object.__setattr__(self, "_hash", hash((type(self), op, left, right)))
+
     def __str__(self):
         return f"({self.left} {self.op} {self.right})"
 
@@ -619,6 +641,11 @@ class IntPow(Expr):
     arg: Expr
     exponent: int
 
+    def __init__(self, arg, exponent):
+        object.__setattr__(self, "arg", arg)
+        object.__setattr__(self, "exponent", exponent)
+        object.__setattr__(self, "_hash", hash((type(self), arg, exponent)))
+
     def __str__(self):
         return f"({self.arg})^{self.exponent}"
 
@@ -626,6 +653,11 @@ class IntPow(Expr):
 class Call(Expr):
     func: str
     arg: Expr
+
+    def __init__(self, func, arg):
+        object.__setattr__(self, "func", func)
+        object.__setattr__(self, "arg", arg)
+        object.__setattr__(self, "_hash", hash((type(self), func, arg)))
 
     def __str__(self):
         return f"{self.func}({self.arg})"
@@ -800,6 +832,11 @@ class _Token(Record):
     kind: str  # "num" | "name" | "op" | "end"
     text: str
     pos: int
+
+    def __init__(self, kind, text, pos):  # written out: one per token
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "text", text)
+        object.__setattr__(self, "pos", pos)
 
 
 def _tokenize(text):

@@ -12,12 +12,14 @@ residual.  All frame derivatives ride on jets of the curve one order higher
 than the vectors they feed, never on numeric differencing.  Normalizer
 curvatures come out positive, which automatically matches the orientation of
 (L1,L2,W3,N2,N1,W4,...) to that of (alpha',...,alpha^(n)); the orientation is
-still checked, and a derivative basis with a QR pivot at roundoff fails loudly.
+still checked: the sign of det of the frame must equal the slogdet sign of
+the derivative basis, and a derivative basis with a QR pivot at roundoff,
+relative to the derivative norms the family gates read, fails loudly.
 
 A :class:`Frame` stacks alpha and the frame vectors in :func:`frenet_system`
 order, as values or jets, with the curvatures.  :func:`frame_grid` is the one
 extraction path; :func:`frame_jets` and :func:`cartan_frame_at` read index 0 of
-the one-point ``frame_grid``.
+the one-point ``frame_grid``, the latter at order 0.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from .errors import (
     require,
 )
 from .expr import Jet, VecJet, _constant, _div, _mul, _scale, _sqrt, _weighted
-from .metric import PseudoMetric
+from .metric import _row_norms, _shared_metric
 from .record import Record
 
 __all__ = [
@@ -156,7 +158,7 @@ def _family_gates(metric, D, scale, ts):
     ``ts``, read off the Gram of its first three derivatives ``D`` (m, 3, n)
     against ``scale``, one plus their largest norm at each point."""
     gate = scale * scale
-    G = metric.gram(D)
+    G = metric._gram(D)
     # identity by identity, then point by point, as a loop would check them
     vals = G[:, _NULL_CHAIN_ROWS, _NULL_CHAIN_COLS].T
     m = len(ts)
@@ -183,12 +185,14 @@ def frame_grid(curve, ts, extra_order=0):
     first.
     """
     ts = np.asarray(ts, dtype=float)
+    if ts.ndim != 1 or not ts.size:
+        raise InputError(f"a frame grid is a non-empty 1-D array of parameters, "
+                         f"not one of shape {ts.shape}")
     n = curve.dimension
-    metric = PseudoMetric(n)
+    metric = _shared_metric(n)
     A = curve.vec_jets(ts, n + 2 + extra_order)
     derivs, norms = _derivative_rows(A, n)
     _family_gates(metric, derivs[:, :3], 1.0 + norms[:, :3].max(axis=1), A.base)
-    floor = CURVATURE_FLOOR * (1.0 + norms.max(axis=1))
 
     # rows (K+1, m, n) and curvatures (K+1, m) as coefficient arrays
     vectors = {"alpha": A.coeffs}
@@ -198,21 +202,25 @@ def frame_grid(curve, ts, extra_order=0):
         if row == "W3":    # N2 = W3' + k1 L2 is null
             k.append(metric.inner_series(v, v) * 0.5)
         elif row == "N2":  # N1 = N2' - k2 L1 + k1 W3 is null
-            vv = metric.inner_series(v, v)
-            k.append(_truncated(np.subtract, vv, _mul(k[1], k[1])) * 0.5)
+            vv, k11 = metric.inner_series(v, v), _mul(k[1], k[1])
+            size = min(len(vv), len(k11))
+            k.append((vv[:size] - k11[:size]) * 0.5)
         new = None
         for target, c, sign in terms:
             if target not in vectors:
                 new = target, c
             else:
                 term = vectors[target] if c == 0 else _scale(k[c], vectors[target])
-                v = _truncated(np.subtract if sign > 0 else np.add, v, term)
+                # truncated to the shorter series, as jet + and - combine them
+                size = min(len(v), len(term))
+                v = v[:size] - term[:size] if sign > 0 else v[:size] + term[:size]
         if new is None:  # the last row: what is left is the closure residual
-            closure_residual = np.linalg.norm(v[0], axis=-1)
+            closure_residual = _row_norms(v[0])
             break
         target, c = new
         if c:
             vv = metric.inner_series(v, v)
+            floor = CURVATURE_FLOOR * (1.0 + norms.max(axis=1))
             require(vv[0] > floor * floor, lambda j: FrameDegeneracyError(
                 f"normalizer <v,v> = {vv[0, j]:.3e} at curvature index {c}: "
                 f"frame continuation aborted at t={ts[j]}", index=c,
@@ -224,18 +232,11 @@ def frame_grid(curve, ts, extra_order=0):
     frame = _jet_frame(A.base, ts, vectors, k)
     # the pairings fix |det| of the frame: its sign suffices (a NaN fails below)
     sign_frame = np.sign(np.linalg.det(frame.rows.coeffs[0, :, 1:]))
-    sign_derivs = metric.orientation_signs(derivs)
+    sign_derivs = metric._orientations(derivs, norms)
     require(sign_frame == sign_derivs, lambda j: DegenerateBasisError(
         f"frame orientation {sign_frame[j]:g} disagrees with the derivative "
         f"basis orientation {sign_derivs[j]} at t={ts[j]}"))
     return Frame(frame.rows, ts, frame.curvatures, closure_residual, sign_derivs)
-
-
-def _truncated(op, a, b):
-    """``op(a, b)`` on two series truncated to the shorter, as jet ``+`` and
-    ``-`` combine them."""
-    size = min(len(a), len(b))
-    return op(a[:size], b[:size])
 
 
 def _jet_frame(base, ts, vectors, k):
@@ -257,7 +258,10 @@ def frame_jets(curve, t, extra_order=0):
 def cartan_frame_at(curve, t):
     """Frame vectors and curvature values at t: :func:`frame_grid` on the
     one-point grid [t], read at order 0, at index 0."""
-    return frame_grid(curve, np.array([float(t)])).value.at(0)
+    f = frame_grid(curve, np.array([float(t)]))
+    return Frame(f.rows.coeffs[0, 0].copy(), float(f.t[0]),
+                 tuple(float(k.coeffs[0, 0]) for k in f.curvatures),
+                 f.closure_residual[0].item(), f.orientation[0].item())
 
 
 def cartan_frames(curve, grid):
@@ -291,16 +295,11 @@ def _stencil_derivative(samples, h):
     return d
 
 
-def frenet_residuals(curve, grid):
-    """Residuals of every Frenet equation, frame derivatives by 5-point stencil.
-
-    The grid must be uniform with at least 7 points and a nonzero step.
-    Left sides differentiate the sampled frame fields numerically; right
-    sides combine the sampled frame with the extracted curvature values, so
-    the report is an end-to-end consistency check rather than a jet identity.
-    """
-    grid = np.asarray([float(t) for t in grid])
-    if len(grid) < 7:
+def _stencil_grid(grid):
+    """``grid`` as floats, if the residual stencils can run on it: a 1-D grid
+    of at least 7 points, uniformly spaced with a nonzero step."""
+    grid = np.asarray(grid, dtype=float)
+    if grid.ndim != 1 or len(grid) < 7:
         raise InputError("residual grid needs at least 7 points")
     steps = np.diff(grid)
     h = steps[0]
@@ -308,14 +307,27 @@ def frenet_residuals(curve, grid):
             lambda j: InputError("residual grid must be uniformly spaced"))
     if h == 0.0:
         raise InputError("residual grid step is zero: its points must be distinct")
+    return grid
 
+
+def frenet_residuals(curve, grid):
+    """Residuals of every Frenet equation, frame derivatives by 5-point stencil.
+
+    The grid must be uniform with at least 7 points and a nonzero step; it is
+    checked before any frame is extracted.  Left sides differentiate the
+    sampled frame fields numerically; right sides combine the sampled frame
+    with the extracted curvature values, so the report is an end-to-end
+    consistency check rather than a jet identity.
+    """
+    grid = _stencil_grid([float(t) for t in grid])
     return stencil_residuals(cartan_frames(curve, grid).value)
 
 
 def stencil_residuals(frame):
     """:func:`frenet_residuals` from a frame of values already sampled on its
-    uniform grid ``frame.t`` of at least 7 points."""
-    grid, rows = frame.t, frame.rows
+    grid ``frame.t``, which the same rule refuses unless it is uniform with
+    at least 7 points and a nonzero step."""
+    grid, rows = _stencil_grid(frame.t), frame.rows
     system = frenet_system(rows.shape[-1])
     index = {row: i for i, (row, _) in enumerate(system)}
     lhs = _stencil_derivative(rows, grid[1] - grid[0])

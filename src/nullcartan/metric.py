@@ -13,6 +13,8 @@ A NaN or infinite entry is a numerical failure, DegenerateBasisError.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from .errors import (
@@ -56,15 +58,26 @@ def family_nullity_sequence(n):
     return (0, 1, 2, 2, 1) + (0,) * (n - 4)
 
 
-def _span_qr(M, mode):
+def _row_norms(x):
+    """Euclidean norms over the last axis: the formula ``numpy.linalg``'s
+    ``norm(x, axis=-1)`` runs on real floats, bit for bit, without its
+    argument handling.  Every such norm in the package is this one."""
+    return np.sqrt(np.add.reduce(x * x, -1))
+
+
+_TINY = np.finfo(float).tiny
+
+
+def _span_qr(M, mode, norms=None):
     """One batched QR of Mᵀ for a stack M (m, k, n), k <= n: in mode "reduced"
     its Q (m, n, k), whose first i columns span the first i rows (in mode
     "raw", numpy's Householder form), and the relative pivots |R_ii| / |row i|
     (m, k), the sine of the angle of row i to the span of the rows before it
-    (0 for a zero row, NaN for a NaN one)."""
+    (0 for a zero row, NaN for a NaN one).  ``norms`` are the
+    :func:`_row_norms` of M when the caller has them."""
     a, b = np.linalg.qr(M.swapaxes(-1, -2), mode)
-    r = np.diagonal(a if mode == "raw" else b, axis1=-2, axis2=-1)
-    return a, np.abs(r) / np.maximum(np.linalg.norm(M, axis=-1), np.finfo(float).tiny)
+    r = (a if mode == "raw" else b).diagonal(0, -2, -1)
+    return a, np.abs(r) / np.maximum(_row_norms(M) if norms is None else norms, _TINY)
 
 
 class PseudoMetric:
@@ -77,6 +90,7 @@ class PseudoMetric:
         self.index = 2
         signs = np.ones(self.dimension)
         signs[:2] = -1.0
+        signs.flags.writeable = False  # a shared metric's form cannot change
         self._signs = signs
 
     @property
@@ -126,6 +140,10 @@ class PseudoMetric:
     def gram(self, vectors):
         """Gram matrix of k vectors (k, n), or of each system of a stack (..., k, n)."""
         M = self._check(vectors) if getattr(vectors, "ndim", 1) >= 2 else self._rows(vectors)
+        return self._gram(M)
+
+    def _gram(self, M):
+        """:meth:`gram` of a float stack (..., k, n) whose shape is already checked."""
         return (M * self._signs) @ M.swapaxes(-1, -2)
 
     def subspace_profile(self, vectors, tol=DEFAULT_TOL):
@@ -214,10 +232,22 @@ class PseudoMetric:
         ambiguous or non-finite one raises DegenerateBasisError naming its
         first non-finite row, or else its normalized determinant."""
         M = self._bases(bases)
-        pivots = _span_qr(M, "raw")[1]
+        return self._orientations(M, _row_norms(M))
+
+    def _orientations(self, M, norms):
+        """:meth:`orientation_signs` of a float stack (m, n, n) whose shape is
+        already checked, with the :func:`_row_norms` of its rows."""
+        pivots = _span_qr(M, "raw", norms)[1]
         require(pivots.min(axis=-1) >= 1e-12, lambda j: DegenerateBasisError(
             f"alpha^({np.isfinite(M[j]).all(-1).argmin() + 1}) is not finite"
             if not np.isfinite(M[j]).all() else "zero vector in basis"
             if (M[j] == 0.0).all(axis=-1).any() else
             f"orientation ambiguous: normalized determinant {np.prod(pivots[j]):.3e}"))
         return np.where(np.linalg.slogdet(M)[0] > 0, 1, -1)  # a sign that cannot underflow
+
+
+@lru_cache(maxsize=32)
+def _shared_metric(dimension):
+    """The :class:`PseudoMetric` of a dimension, built once and shared by the
+    library's hot paths; its sign vector is read-only."""
+    return PseudoMetric(dimension)

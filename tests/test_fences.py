@@ -47,6 +47,8 @@ FENCES = {
         ("*", _literal("svd(", "matrix_rank("), 0)],
     "Synthesis at matmul cost": [
         (["constructions.py"], _literal("einsum("), 0)],
+    "One norm rule": [
+        ("*", _literal("linalg.norm("), 0)],
 }
 
 

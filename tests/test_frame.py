@@ -5,6 +5,7 @@ the extracted frame is substituted back into the Frenet equations with jet
 derivatives at random parameters of synthesized curves of three dimensions.
 """
 
+import math
 import re
 
 import numpy as np
@@ -31,13 +32,17 @@ from nullcartan import (
 )
 from nullcartan.constructions import _frenet_couplings
 from nullcartan.curve import _derivative_rows
-from nullcartan.expr import VecJet
+from nullcartan.errors import require
+from nullcartan.expr import Jet, VecJet, _constant, _mul, _scale, _weighted
 from nullcartan.frame import (
     CURVATURE_FLOOR,
+    NULL_CHAIN_GATE,
+    PSEUDO_ARC_GATE,
     cartan_frames,
     frame_grid,
     frame_rows,
     frenet_system,
+    stencil_residuals,
 )
 
 from conftest import (
@@ -472,6 +477,231 @@ def test_partial_frame_is_the_operator_recursion_bit_for_bit():
 
 
 # ---------------------------------------------------------------------------
+# Extraction oracle: frame_grid as it was before its fixed cost was cut
+# ---------------------------------------------------------------------------
+
+def reference_sqrt(f):
+    """The series square root as it was: check, then the order recurrence."""
+    if np.any(f[0] <= 0.0):
+        raise ValueError("sqrt of a jet with nonpositive constant term")
+    h = np.empty_like(f)
+    h[0] = np.sqrt(f[0])
+    for k in range(1, len(f)):
+        acc = f[k]
+        if k >= 2:
+            acc = acc - np.einsum("j...,j...->...", h[1:k], h[k - 1:0:-1])
+        h[k] = acc / (2.0 * h[0])
+    return h
+
+
+def reference_div(a, b):
+    """The series quotient as it was: check, then the order recurrence."""
+    size = min(len(a), len(b))
+    b0 = b[0]
+    if np.any(b0 == 0.0):
+        raise ZeroDivisionError("division by a jet with zero constant term")
+    h = np.empty(np.broadcast_shapes(a[:size].shape, b[:size].shape))
+    h[0] = a[0] / b0
+    for k in range(1, size):
+        h[k] = (a[k] - np.einsum("j...,j...->...", h[:k], b[k:0:-1])) / b0
+    return h
+
+
+def reference_derivative_rows(vj, n):
+    factorials = np.array([math.factorial(k) for k in range(1, n + 1)], dtype=float)
+    derivs = (vj.coeffs[1:n + 1] * factorials[:, None, None]).swapaxes(0, 1).copy()
+    norms = np.linalg.norm(derivs, axis=-1)
+    overflow = np.isinf(norms)
+    require(~overflow.any(axis=1), lambda j: DegenerateBasisError(
+        f"|alpha^({int(overflow[j].argmax()) + 1})| overflows at t={vj.base[j]}: "
+        "the derivative system is too large for floating point"))
+    return derivs, norms
+
+
+def reference_orientation_signs(metric, bases):
+    M = metric._bases(bases)
+    a = np.linalg.qr(M.swapaxes(-1, -2), "raw")[0]
+    r = np.diagonal(a, axis1=-2, axis2=-1)
+    pivots = np.abs(r) / np.maximum(np.linalg.norm(M, axis=-1), np.finfo(float).tiny)
+    require(pivots.min(axis=-1) >= 1e-12, lambda j: DegenerateBasisError(
+        f"alpha^({np.isfinite(M[j]).all(-1).argmin() + 1}) is not finite"
+        if not np.isfinite(M[j]).all() else "zero vector in basis"
+        if (M[j] == 0.0).all(axis=-1).any() else
+        f"orientation ambiguous: normalized determinant {np.prod(pivots[j]):.3e}"))
+    return np.where(np.linalg.slogdet(M)[0] > 0, 1, -1)
+
+
+def reference_family_gates(metric, D, scale, ts):
+    gate = scale * scale
+    G = metric.gram(D)
+    vals = G[:, np.array([0, 0, 1, 0, 1]), np.array([0, 1, 1, 2, 2])].T
+    m = len(ts)
+    chain = ("<a',a'>", "<a',a''>", "<a'',a''>", "<a',a'''>", "<a'',a'''>")
+    require((np.abs(vals) <= NULL_CHAIN_GATE * gate).ravel(), lambda j: FamilyError(
+        f"null-chain identity {chain[j // m]} = {vals.flat[j]:.3e} violated at "
+        f"t={ts[j % m]}; curve is not in the supported family"))
+    w3 = G[:, 2, 2]
+    require(np.abs(w3 - 1.0) <= PSEUDO_ARC_GATE * gate, lambda j: FamilyError(
+        f"<a''',a'''> = {w3[j]:.6e} at t={ts[j]}: curve is not pseudo-arc parametrized"))
+
+
+def reference_jet_frame(base, ts, vectors, k):
+    rows = list(vectors.values())
+    size = len(rows[-1])
+    stacked = np.concatenate([v[:size, ..., None, :] for v in rows], axis=-2)
+    return Frame(VecJet(base, stacked), ts, tuple(Jet(base, c) for c in k[1:]))
+
+
+def reference_frame_grid(curve, ts, extra_order=0):
+    """frame_grid with its derivative rows, family gates, orientation and
+    series square root and quotient as they were before the fixed cost of a
+    call was cut; the other series kernels are the library's."""
+    ts = np.asarray(ts, dtype=float)
+    n = curve.dimension
+    metric = PseudoMetric(n)
+    A = curve.vec_jets(ts, n + 2 + extra_order)
+    derivs, norms = reference_derivative_rows(A, n)
+    reference_family_gates(metric, derivs[:, :3], 1.0 + norms[:, :3].max(axis=1), A.base)
+    floor = CURVATURE_FLOOR * (1.0 + norms.max(axis=1))
+
+    def truncated(op, a, b):
+        size = min(len(a), len(b))
+        return op(a[:size], b[:size])
+
+    vectors = {"alpha": A.coeffs}
+    k = [None]
+    for row, terms in frenet_system(n):
+        v = _weighted(vectors[row])[1:]
+        if row == "W3":
+            k.append(metric.inner_series(v, v) * 0.5)
+        elif row == "N2":
+            vv = metric.inner_series(v, v)
+            k.append(truncated(np.subtract, vv, _mul(k[1], k[1])) * 0.5)
+        new = None
+        for target, c, sign in terms:
+            if target not in vectors:
+                new = target, c
+            else:
+                term = vectors[target] if c == 0 else _scale(k[c], vectors[target])
+                v = truncated(np.subtract if sign > 0 else np.add, v, term)
+        if new is None:
+            closure_residual = np.linalg.norm(v[0], axis=-1)
+            break
+        target, c = new
+        if c:
+            vv = metric.inner_series(v, v)
+            require(vv[0] > floor * floor, lambda j: FrameDegeneracyError(
+                f"normalizer <v,v> = {vv[0, j]:.3e} at curvature index {c}: "
+                f"frame continuation aborted at t={ts[j]}", index=c,
+                partial=reference_jet_frame(A.base, ts, vectors, k).at(j)))
+            k.append(reference_sqrt(vv))
+            v = _scale(reference_div(_constant(1.0, k[c]), k[c]), v)
+        vectors[target] = v
+
+    frame = reference_jet_frame(A.base, ts, vectors, k)
+    sign_frame = np.sign(np.linalg.det(frame.rows.coeffs[0, :, 1:]))
+    sign_derivs = reference_orientation_signs(metric, derivs)
+    require(sign_frame == sign_derivs, lambda j: DegenerateBasisError(
+        f"frame orientation {sign_frame[j]:g} disagrees with the derivative "
+        f"basis orientation {sign_derivs[j]} at t={ts[j]}"))
+    return Frame(frame.rows, ts, frame.curvatures, closure_residual, sign_derivs)
+
+
+def assert_same_frame(got, want):
+    for a, b in [(got.rows, want.rows), *zip(got.curvatures, want.curvatures)]:
+        assert type(a) is type(b)
+        assert np.array_equal(a.base, b.base) and np.array_equal(a.coeffs, b.coeffs)
+    assert len(got.curvatures) == len(want.curvatures)
+    for a, b in [(got.closure_residual, want.closure_residual),
+                 (got.orientation, want.orientation)]:
+        assert np.array_equal(a, b) and np.asarray(a).dtype == np.asarray(b).dtype
+    assert np.array_equal(got.t, want.t)
+
+
+@pytest.mark.parametrize("extra_order", [0, 1])
+@pytest.mark.parametrize("points", [1, 7, 61])
+@pytest.mark.parametrize("name", sorted(FRAMED))
+def test_frame_grid_is_the_reference_bit_for_bit(protocol_curves, name, points, extra_order):
+    curve = protocol_curves[name]
+    a, b = curve.domain
+    ts = a + (b - a) * (np.array([0.37]) if points == 1 else np.linspace(0.05, 0.95, points))
+    assert_same_frame(frame_grid(curve, ts, extra_order),
+                      reference_frame_grid(curve, ts, extra_order))
+
+
+class NaNJets:
+    """``base`` with NaN Taylor coefficients of the given ``orders`` at the
+    one parameter ``at``."""
+
+    def __init__(self, base, at, orders):
+        self.base, self.at, self.orders = base, at, orders
+        self.dimension, self.domain = base.dimension, base.domain
+
+    def vec_jets(self, ts, order):
+        vj = self.base.vec_jets(ts, order)
+        coeffs = vj.coeffs.copy()
+        for k in self.orders:
+            if k <= order:
+                coeffs[k, np.asarray(ts) == self.at] = np.nan
+        return VecJet(vj.base, coeffs)
+
+
+REFUSAL_GRID = np.linspace(0.1, 0.9, 9)
+
+
+@pytest.fixture(scope="module")
+def refused_curves(golden, synth6):
+    """Curves that frame_grid refuses, each with a grid it refuses."""
+    from nullcartan import Curve
+    bad = REFUSAL_GRID[4]
+    vanishing_k3 = synthesize(CurvatureProfile.from_strings(6, ["0.1", "0.0", "t - 0.5"]),
+                              (0.0, 1.0))
+    return {
+        # a NaN in alpha' (a family gate), in alpha'''' (the normalizer
+        # floor), and in alpha^(5) of the quintic, which has no normalizer
+        # (the orientation)
+        "nan_first": NaNJets(synth6, bad, [1]),
+        "nan_fourth": NaNJets(synth6, bad, [4]),
+        "nan_fifth": NaNJets(golden, bad, [5]),
+        # degenerate: a vanishing normalizer at t = 0.5, a constant curve
+        "vanishing_k3": vanishing_k3,
+        "constant": Curve.from_strings(["1", "2", "3", "4", "5"], domain=(0.0, 1.0)),
+        # outside the family
+        "out_of_family": Curve.from_strings(["s", "s^2/2", "s^3/6", "s^4/24", "s^5/120"],
+                                            domain=(0.0, 1.0)),
+    }
+
+
+@pytest.mark.parametrize("points", [1, 9])
+@pytest.mark.parametrize("name", ["nan_first", "nan_fourth", "nan_fifth", "vanishing_k3",
+                                  "constant", "out_of_family"])
+def test_frame_grid_refuses_as_the_reference(refused_curves, name, points):
+    curve = refused_curves[name]
+    ts = REFUSAL_GRID[4:5] if points == 1 else REFUSAL_GRID
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(NullCartanError) as want:
+            reference_frame_grid(curve, ts)
+        with pytest.raises(type(want.value)) as got:
+            frame_grid(curve, ts)
+    assert type(got.value) is type(want.value)
+    assert str(got.value) == str(want.value)
+    if isinstance(want.value, FrameDegeneracyError):
+        assert got.value.index == want.value.index
+        got, want = got.value.partial, want.value.partial
+        assert got.t == want.t
+        for a, b in [(got.rows, want.rows), *zip(got.curvatures, want.curvatures)]:
+            assert np.array_equal(a.coeffs, b.coeffs, equal_nan=True)
+
+
+@pytest.mark.parametrize("grid", [0.3, [[0.3, 0.4]], [], np.empty((0, 2))])
+def test_frame_grid_refuses_a_grid_that_is_not_a_non_empty_line(golden, grid):
+    # one check at entry, before any jet is read
+    with pytest.raises(InputError, match=r"non-empty 1-D array of parameters, not one of "
+                                         r"shape \("):
+        frame_grid(golden, grid)
+
+
+# ---------------------------------------------------------------------------
 # Residual reports
 # ---------------------------------------------------------------------------
 
@@ -516,6 +746,21 @@ def test_residual_grid_validation(golden):
     # seven copies of one point are evenly spaced, with step 0
     with pytest.raises(InputError, match="residual grid step is zero"):
         frenet_residuals(golden, [0.5] * 7)
+
+
+def test_stencil_residuals_apply_the_residual_grid_rule(golden):
+    # a frame's own grid is held to the rule frenet_residuals states
+    for frame in (cartan_frames(golden, [0.2, 0.3, 0.4]).value, cartan_frame_at(golden, 0.3)):
+        with pytest.raises(InputError, match="residual grid needs at least 7 points"):
+            stencil_residuals(frame)
+    uneven = cartan_frames(golden, [0.1, 0.2, 0.4, 0.5, 0.7, 0.8, 1.0]).value
+    with pytest.raises(InputError, match="residual grid must be uniformly spaced"):
+        stencil_residuals(uneven)
+    with pytest.raises(InputError, match="residual grid step is zero"):
+        stencil_residuals(cartan_frames(golden, [0.5] * 7).value)
+    # on a uniform grid it is the report of frenet_residuals
+    grid = np.linspace(0.1, 1.1, 61)
+    assert stencil_residuals(cartan_frames(golden, grid).value) == frenet_residuals(golden, grid)
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ from nullcartan import (
     SequenceReport,
     family_nullity_sequence,
 )
+from nullcartan.metric import _row_norms, _shared_metric
 
 from conftest import exact_rank, golden_L1, golden_N1, random_isometry, rational_gram
 
@@ -352,3 +353,34 @@ def test_orientation_rejects_degenerate(m5):
     e = np.eye(5)
     with pytest.raises(DegenerateBasisError):
         m5.orientation_sign([e[0], e[1], e[2], e[3], e[0] + e[1]])
+
+
+# ---------------------------------------------------------------------------
+# Shared per-n constants and the one norm
+# ---------------------------------------------------------------------------
+
+def test_a_shared_metric_is_built_once_per_n_read_only_and_bounded():
+    metric = _shared_metric(6)
+    assert metric is _shared_metric(6) and metric.dimension == 6
+    assert _shared_metric(7) is not metric
+    with pytest.raises(ValueError):
+        metric._signs[0] = 1.0  # no caller can change the form the others read
+    assert np.array_equal(metric._signs, PseudoMetric(6).signs)
+    signs = metric.signs
+    signs[0] = 1.0  # a copy
+    assert metric._signs[0] == -1.0
+    maxsize = _shared_metric.cache_info().maxsize
+    assert maxsize is not None and maxsize > 0
+    with pytest.raises(DimensionMismatchError):
+        _shared_metric(3)
+
+
+@pytest.mark.parametrize("shape", [(5,), (1, 5), (61, 6), (9, 8, 8), (3, 16)])
+def test_row_norms_are_numpys_norm_bit_for_bit(shape):
+    rng = np.random.default_rng(len(shape) + shape[-1])
+    x = rng.normal(size=shape) * 10.0 ** rng.integers(-200, 200, size=shape)
+    x.flat[::7] = [0.0, -0.0, np.inf, -np.inf, np.nan, 1e308, 5e-324][:len(x.flat[::7])]
+    with np.errstate(over="ignore", invalid="ignore"):
+        got, want = _row_norms(x), np.linalg.norm(x, axis=-1)
+    assert got.shape == want.shape
+    assert np.array_equal(got, want, equal_nan=True)

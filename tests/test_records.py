@@ -196,6 +196,33 @@ def test_equality_and_hash(cls, fields, defaults, by_value):
         assert len({a, b}) == 1
 
 
+# the parser builds these on its hot path, each with its own __init__
+HAND_WRITTEN = [(cls, fields) for cls, fields, *_ in RECORDS
+                if cls in (Num, Param, Neg, BinOp, IntPow, Call, _Token)]
+
+
+@pytest.mark.parametrize("cls, fields", HAND_WRITTEN, ids=[c.__name__ for c, _ in HAND_WRITTEN])
+def test_a_hand_written_init_builds_what_the_generic_path_builds(cls, fields):
+    assert cls.__init__ is not Record.__init__
+    fast = cls(*fields.values())
+    generic = object.__new__(cls)
+    Record.__init__(generic, *fields.values())
+    # the same attributes, an expression node's stored hash included
+    assert vars(fast) == vars(generic)
+    assert fast == generic and not fast != generic
+    assert hash(fast) == hash(generic)
+    assert repr(fast) == repr(generic)
+    for record in (fast, generic):
+        for name in fields:
+            with pytest.raises(AttributeError):
+                setattr(record, name, None)
+            with pytest.raises(AttributeError):
+                delattr(record, name)
+        with pytest.raises(AttributeError):
+            record.not_a_field = 1
+    assert vars(fast) == vars(generic)
+
+
 def test_value_records_of_different_classes_differ():
     assert Neg(Param("t")) != IntPow(Param("t"), 1)
     assert SubspaceProfile(1, 0, 0, 1e-9) != SequenceReport(1, 0, 0)
