@@ -31,6 +31,7 @@ from .curve import (
     _BatchedCurve,
     _check_in_domain,
     _derivative_rows,
+    _parameter_grid,
     _read_only,
     chebyshev_grid,
     pointwise_order,
@@ -324,22 +325,25 @@ class FrenetCurve(_BatchedCurve):
         return A.reshape(k.shape[:-1] + (self.dimension + 1,) * 2)
 
     def _rk4_step(self, t, state, h):
-        """Classical RK4 step of length h from t (floats, or arrays over a
-        stack of states), with the curvatures at t, t + h/2 and t + h
-        evaluated in one call."""
-        stage = np.stack(np.broadcast_arrays(t, t + h / 2, t + h))
-        k = self.profile.values(stage.ravel()).reshape(stage.shape + (-1,))
+        """Classical RK4 step of length h from t (floats, or arrays of one
+        shape over a stack of states), with the curvatures at t, t + h/2 and
+        t + h evaluated in one call."""
+        stage = np.concatenate((t, t + h / 2, t + h), axis=None)
+        k = self.profile.values(stage).reshape((3,) + np.shape(t) + (-1,))
         D = _rk4_increments(*self._generators(k), h)
         return state + D @ state
 
     def _states_at(self, ts):
         """States (m, n+1, n) on a grid: table rows, or one RK4 step from the
-        nearest node below, all off-node points in one batched step."""
-        i = np.clip(np.searchsorted(self._ts, ts, side="right") - 1,
-                    0, len(self._ts) - 1)
+        nearest node below, all off-node points in one batched step.  Array
+        methods and ufuncs stand in for ``np.clip`` and ``np.flatnonzero``,
+        whose Python wrappers cost more than a one-point query's arithmetic.
+        The node below is at most the last one, so only a point within the
+        domain slack below the first node needs its index raised to 0."""
+        i = np.maximum(self._ts.searchsorted(ts, "right") - 1, 0)
         t0 = self._ts[i]
         states = self._states[i]
-        off = np.flatnonzero(ts != t0)
+        off = (ts != t0).nonzero()[0]
         if len(off):
             states[off] = self._rk4_step(t0[off], states[off], ts[off] - t0[off])
         return states
@@ -400,7 +404,7 @@ class FrenetCurve(_BatchedCurve):
             _check_in_domain(ts, self.domain)
             return self._states_at(ts), self.profile.values(ts)
 
-        grid = np.asarray(grid, dtype=float)
+        grid = _parameter_grid(grid)
         states, curvatures = pointwise_order(sample, grid)
         return Frame(states, grid, tuple(curvatures.T))
 
@@ -590,7 +594,7 @@ def pseudo_spherical_test(curve, grid=None, tol=DEFAULT_SPHERE_TOL):
                               condition="dimension >= 6")
     if grid is None:
         grid = chebyshev_grid(curve.domain[0], curve.domain[1], DEFAULT_CLASSIFY_POINTS)
-    grid = [float(t) for t in grid]
+    grid = _parameter_grid(grid).tolist()
     metric = _shared_metric(n)
 
     def sample(ts):
@@ -637,7 +641,14 @@ def pseudo_spherical_test(curve, grid=None, tol=DEFAULT_SPHERE_TOL):
 # ---------------------------------------------------------------------------
 
 class EvoluteCurve(_BatchedCurve):
-    """Centers of osculating spheres, alpha + (1/k3) W4, in dimension six."""
+    """Centers of osculating spheres, alpha + (1/k3) W4, in dimension six.
+
+    The curve that :func:`evolute` returns carries the frame pass of the base
+    that it made on its grid, read-only, and answers jets of order <= 2 on
+    that grid (the same floats, bit for bit) from it: the pass a fresh
+    extraction would make there, with ``extra_order`` 0.  Any other query
+    extracts frames.  An ``EvoluteCurve(base)`` built directly carries none.
+    """
 
     def __init__(self, base):
         if base.dimension != 6:
@@ -646,10 +657,22 @@ class EvoluteCurve(_BatchedCurve):
         self.base = base
         self.dimension = 6
         self.domain = base.domain
+        self._frames = None  # (grid, frame pass) set by evolute()
+
+    def _hold_frames(self, ts, fj):
+        """Keep the frame pass ``fj`` of the base on the grid ``ts``, read-only."""
+        for array in (fj.rows.coeffs, fj.closure_residual, fj.orientation,
+                      *(k.coeffs for k in fj.curvatures)):
+            array.flags.writeable = False
+        self._frames = _read_only(ts), fj
 
     def _vec_jets(self, ts, order):
         # W4 and k3 come out of frame_grid at order 2 + extra
         extra = max(0, order - 2)
+        if extra == 0 and self._frames is not None:
+            grid, fj = self._frames
+            if ts.shape == grid.shape and ts.tobytes() == grid.tobytes():
+                return VecJet(ts, _evolute_jets(fj, order).coeffs)
         return _evolute_jets(frame_grid(self.base, ts, extra_order=extra), order)
 
     @lru_cache(maxsize=4096)
@@ -680,17 +703,26 @@ def evolute(curve, grid=None, min_slope=1e-8):
 
     Refuses with the grid location when |k3| drops below ``MIN_CURVATURE``
     or |(1/k3)'| below ``min_slope`` (a constant k3 has no evolute in this
-    sense).
+    sense), and a ``min_slope`` that is not finite and positive, or a grid
+    that is not a non-empty 1-D sequence of numbers, with InputError before
+    any frame is extracted.  The returned curve carries this one frame pass
+    on the grid (see :class:`EvoluteCurve`), so the round trip's involute on
+    the same grid reads the base's frames there without extracting them
+    again.
     """
+    if not 0.0 < min_slope < math.inf:
+        raise InputError(f"min_slope must be finite and positive, got {min_slope}")
     E = EvoluteCurve(curve)
     if grid is None:
         grid = np.linspace(curve.domain[0], curve.domain[1], DEFAULT_EVOLUTE_POINTS)
-    grid = [float(t) for t in grid]
+    grid = _parameter_grid(grid).tolist()
     metric = _shared_metric(6)
+    passes = []
 
     def sample(ts):
         # W4 and k3 come out at order 2; the sample reads them to order 1
         fj = frame_grid(curve, ts)
+        passes.append((ts, fj))
         k3 = fj.curvatures[2]
         require(np.abs(k3.value) >= MIN_CURVATURE, lambda j: HypothesisError(
             f"k3 = {k3.value[j]:.3e} at t={ts[j]}", condition="k3 != 0",
@@ -705,6 +737,8 @@ def evolute(curve, grid=None, min_slope=1e-8):
         return slope, np.abs(speed_sq - slope * slope), vj.value
 
     slopes, speed_defects, points = pointwise_order(sample, grid)
+    # on success the pass of the one call on the whole grid
+    E._hold_frames(*passes[-1])
     sampled = SampledCurve(np.asarray(grid), points)
     return EvoluteResult(E, sampled, tuple(grid), float(np.max(speed_defects)),
                          float(np.min(np.abs(slopes))))
@@ -763,7 +797,7 @@ def involute(curve, t0, grid=None, arc_offset=0.0):
     inv = InvoluteCurve(curve, t0, arc_offset)
     if grid is None:
         grid = np.linspace(inv.domain[0], inv.domain[1], DEFAULT_EVOLUTE_POINTS)
-    grid = [float(t) for t in grid]
+    grid = _parameter_grid(grid).tolist()
     points = pointwise_order(lambda ts: inv.vec_jets(ts, 0).value, grid)
     return InvoluteResult(inv, SampledCurve(np.asarray(grid), points), tuple(grid))
 
@@ -800,7 +834,7 @@ def involute_frame_check(curve, grid):
     compares k3 with 1/s, W4 with the unit tangent (the sign must be the
     first point's) and the evolute of that frame with the original curve.
     """
-    grid = [float(t) for t in grid]
+    grid = _parameter_grid(grid).tolist()
     metric = _shared_metric(curve.dimension)
     if curve.dimension != 6:
         raise HypothesisError("the correspondence lives in dimension 6",
@@ -816,11 +850,12 @@ def involute_frame_check(curve, grid):
         # a NaN is left to the domain rule of vec_jets
         gate(~(ts <= 0.0), ts, "s > 0", lambda j, at: f"grid must lie in s > 0, not {at}")
         vj = curve.vec_jets(ts, 6)
-        d = _derivative_rows(vj, 6)[0]
+        d, norms = _derivative_rows(vj, 6)
         speed = np.abs(metric.inner(d[:, 0], d[:, 0]) - 1.0)
         c2 = np.abs(metric.inner(d[:, 1], d[:, 1]))
         eta_sq = metric.inner(d[:, 3], d[:, 3])
-        pivot = _span_qr(d[:, 1:6], "raw")[1].min(axis=-1)  # NaN where a row has one
+        # NaN where a row has one
+        pivot = _span_qr(d[:, 1:6], "raw", norms[:, 1:6])[1].min(axis=-1)
         gate(speed <= INVOLUTE_GATE, ts, "<c',c'> = 1", lambda j, at:
              f"|<c',c'> - 1| = {speed[j]:.3e} {at}: parameter is not arc length")
         gate(c2 <= INVOLUTE_GATE, ts, "<c'',c''> = 0",

@@ -128,6 +128,23 @@ def _derivative_rows(vj, n):
     return derivs, norms
 
 
+def _parameter_grid(grid):
+    """``grid`` as a float array, if it is a non-empty 1-D sequence of numbers
+    (the rule ``frame_grid`` applies); otherwise InputError, before any point
+    of it is read.  Grid entries that report their grid read it back as
+    ``.tolist()``, a list of Python floats."""
+    try:
+        ts = np.asarray(grid, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"a parameter grid is a 1-D sequence of numbers: {exc}") from None
+    if ts.ndim != 1:
+        raise InputError(f"a parameter grid is a non-empty 1-D sequence of numbers, "
+                         f"not one of shape {ts.shape}")
+    if not ts.size:
+        raise InputError("the parameter grid is empty")
+    return ts
+
+
 # what a pointwise evaluation raises for a point: library errors plus the
 # arithmetic and domain errors of jet operations
 _POINT_ERRORS = (NullCartanError, ArithmeticError, ValueError)
@@ -154,11 +171,10 @@ def pointwise_order(fn, ts, block=None):
     error raised is the one a loop over ``ts`` in order would meet first:
     the shortest failing prefix is found by bisection and its last point is
     rerun alone, so the type, message and location are those of that point.
-    An empty grid is an InputError.
+    A grid that is not a non-empty 1-D sequence of numbers is an InputError
+    (:func:`_parameter_grid`).
     """
-    ts = np.asarray(ts, dtype=float)
-    if not ts.size:
-        raise InputError("the parameter grid is empty")
+    ts = _parameter_grid(ts)
     if block is not None and len(ts) > block:
         parts = np.array_split(ts, -(-len(ts) // block))
         return np.concatenate([pointwise_order(fn, part) for part in parts])
@@ -466,7 +482,7 @@ def classify(curve, grid=None, tol=DEFAULT_TOL):
     metric = _shared_metric(n)
     if grid is None:
         grid = chebyshev_grid(curve.domain[0], curve.domain[1], DEFAULT_CLASSIFY_POINTS)
-    grid = [float(t) for t in grid]
+    grid = _parameter_grid(grid).tolist()
 
     def report_on(ts):
         # row 0 is the first point, against which a point rerun alone is checked
@@ -644,7 +660,12 @@ class CumulativeIntegral:
         return float(self.cumulative[-1])
 
     def solve(self, target):
-        """Parameter t with integral(t) = target; ``target`` may be an array."""
+        """Parameter t with integral(t) = target; ``target`` may be an array.
+
+        The bracketing panel's edges are nodes, so their values are read off
+        ``cumulative``, which is what the interpolant reads there; only the
+        Newton iteration inside a sign-changing bracket reads the interpolant.
+        """
         scalar = np.ndim(target) == 0
         targets = np.atleast_1d(np.asarray(target, dtype=float))
         slack = 1e-12 * (1.0 + self.total)
@@ -654,8 +675,8 @@ class CumulativeIntegral:
         i = np.clip(np.searchsorted(self.cumulative, targets) - 1,
                     0, len(self.nodes) - 2)
         lo, hi = self.nodes[i], self.nodes[i + 1]
-        flo = self(lo) - targets
-        fhi = self(hi) - targets
+        flo = self.cumulative[i] - targets
+        fhi = self.cumulative[i + 1] - targets
         t = np.where(flo >= 0.0, lo, hi)
         active = np.flatnonzero((flo < 0.0) & (fhi > 0.0))
         if len(active):

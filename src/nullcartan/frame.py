@@ -298,7 +298,10 @@ def _stencil_derivative(samples, h):
 def _stencil_grid(grid):
     """``grid`` as floats, if the residual stencils can run on it: a 1-D grid
     of at least 7 points, uniformly spaced with a nonzero step."""
-    grid = np.asarray(grid, dtype=float)
+    try:
+        grid = np.asarray(grid, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"a residual grid is a 1-D sequence of numbers: {exc}") from None
     if grid.ndim != 1 or len(grid) < 7:
         raise InputError("residual grid needs at least 7 points")
     steps = np.diff(grid)
@@ -319,7 +322,7 @@ def frenet_residuals(curve, grid):
     with the extracted curvature values, so the report is an end-to-end
     consistency check rather than a jet identity.
     """
-    grid = _stencil_grid([float(t) for t in grid])
+    grid = _stencil_grid(grid)
     return stencil_residuals(cartan_frames(curve, grid).value)
 
 

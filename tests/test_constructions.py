@@ -404,6 +404,103 @@ def test_cached_evolute_jets_are_read_only(synth6_evolute):
     assert np.array_equal(E.point(0.3), before)
 
 
+def counted_frame_grid(monkeypatch):
+    """Route constructions.frame_grid through a recorder of its grids."""
+    calls = []
+    original = constructions.frame_grid
+
+    def counted(curve, ts, extra_order=0):
+        calls.append((np.array(ts), extra_order))
+        return original(curve, ts, extra_order)
+
+    monkeypatch.setattr(constructions, "frame_grid", counted)
+    return calls
+
+
+EVOLUTE_GRID = np.linspace(-0.5, 1.0, 9)
+
+
+@pytest.mark.parametrize("order", [0, 1, 2])
+def test_an_evolute_answers_its_grid_from_its_frame_pass(synth6_evolute, order, monkeypatch):
+    ev = evolute(synth6_evolute, EVOLUTE_GRID)
+    want = EvoluteCurve(synth6_evolute).vec_jets(EVOLUTE_GRID, order)
+    calls = counted_frame_grid(monkeypatch)
+    # the same floats in another array, as the round trip's involute passes them
+    ts = np.array(EVOLUTE_GRID.tolist())
+    got = ev.curve.vec_jets(ts, order)
+    assert calls == []
+    assert np.array_equal(got.coeffs, want.coeffs)
+    assert got.base is ts
+
+
+@pytest.mark.parametrize("grid, order", [(EVOLUTE_GRID[:-1], 1), (EVOLUTE_GRID + 0.01, 0),
+                                         (EVOLUTE_GRID[::-1], 2), (EVOLUTE_GRID, 3)])
+def test_an_evolute_extracts_frames_off_its_grid(synth6_evolute, grid, order, monkeypatch):
+    ev = evolute(synth6_evolute, EVOLUTE_GRID)
+    want = EvoluteCurve(synth6_evolute).vec_jets(grid, order)
+    calls = counted_frame_grid(monkeypatch)
+    got = ev.curve.vec_jets(grid, order)
+    assert len(calls) == 1
+    assert np.array_equal(calls[0][0], grid) and calls[0][1] == max(0, order - 2)
+    assert np.array_equal(got.coeffs, want.coeffs)
+
+
+def test_a_directly_built_evolute_carries_no_frame_pass(synth6_evolute, monkeypatch):
+    E = EvoluteCurve(synth6_evolute)
+    calls = counted_frame_grid(monkeypatch)
+    for order in (0, 1, 2):
+        E.vec_jets(EVOLUTE_GRID, order)
+    assert len(calls) == 3
+
+
+def test_a_held_frame_pass_is_read_only_and_its_jets_are_fresh(synth6_evolute):
+    ev = evolute(synth6_evolute, EVOLUTE_GRID)
+    grid, fj = ev.curve._frames
+    for array in (grid, fj.rows.coeffs, fj.closure_residual, fj.orientation,
+                  *(k.coeffs for k in fj.curvatures)):
+        assert not array.flags.writeable
+    first = ev.curve.vec_jets(EVOLUTE_GRID, 2)
+    want = first.coeffs.copy()
+    first.coeffs[:] = 99.0
+    assert np.array_equal(ev.curve.vec_jets(EVOLUTE_GRID, 2).coeffs, want)
+
+
+def test_an_evolute_curve_dies_with_its_result(synth6_evolute):
+    # the frame pass belongs to the curve: nothing module-level keeps it
+    ev = evolute(synth6_evolute, EVOLUTE_GRID)
+    ev.curve.vec_jets(EVOLUTE_GRID, 1)
+    ref = weakref.ref(ev.curve)
+    del ev
+    gc.collect()
+    assert ref() is None
+
+
+@pytest.mark.parametrize("min_slope", [math.nan, math.inf, -1.0, 0.0, -math.inf])
+def test_evolute_refuses_a_min_slope_that_is_not_finite_and_positive(
+        synth6_evolute, min_slope, monkeypatch):
+    # nan raised a false HypothesisError; a negative value turned the gate off
+    calls = counted_frame_grid(monkeypatch)
+    with pytest.raises(InputError, match="min_slope must be finite and positive"):
+        evolute(synth6_evolute, EVOLUTE_GRID, min_slope=min_slope)
+    assert calls == []
+
+
+def test_involute_frame_check_pivots_reuse_the_derivative_norms(unit_speed_evolute):
+    # the norms _derivative_rows returns are, bit for bit, those of the slice
+    # the independence gate reads, so its pivots and min_pivot are unchanged
+    from nullcartan.curve import _derivative_rows
+    from nullcartan.metric import _span_qr
+
+    for m in (1, 7, 61, 240):
+        s = np.linspace(0.5, 2.0, m)
+        d, norms = _derivative_rows(unit_speed_evolute.vec_jets(s, 6), 6)
+        want = _span_qr(d[:, 1:6], "raw")[1]
+        assert np.array_equal(_span_qr(d[:, 1:6], "raw", norms[:, 1:6])[1], want)
+        if m <= 61:
+            report = involute_frame_check(unit_speed_evolute, s)
+            assert report.hypothesis_evidence["min_pivot"] == float(np.min(want.min(axis=-1)))
+
+
 def test_evolute_refuses_constant_k3():
     profile = CurvatureProfile.from_strings(6, ["0.1", "0.05", "0.5"])
     curve = synthesize(profile, (0.0, 1.0))

@@ -13,6 +13,7 @@ from nullcartan import (
     ArcLengthCurve,
     ClassificationError,
     Curve,
+    EvoluteCurve,
     ExprEvaluationError,
     FamilyError,
     HypothesisError,
@@ -37,7 +38,7 @@ from nullcartan.constructions import involute_frame_check
 from nullcartan.curve import JET_BUDGET, CumulativeIntegral, pointwise_order
 from nullcartan.frame import cartan_frames
 
-from conftest import golden_L1, polynomial_derivative_oracle
+from conftest import golden_L1, polynomial_derivative_oracle, warped_quintic
 
 
 # ---------------------------------------------------------------------------
@@ -118,6 +119,33 @@ def test_an_empty_grid_is_an_input_error(entry, grid_curves):
                else "the parameter grid is empty")
     with pytest.raises(InputError, match=message):
         call(grid_curves[name], [])
+
+
+@pytest.mark.parametrize("grid", [[[0.1, 0.2]], 0.3, ["x"], [[0.1], [0.2, 0.3]], [0.1, 1j]])
+@pytest.mark.parametrize("entry", list(GRID_ENTRIES))
+def test_a_grid_that_is_not_a_line_of_numbers_is_an_input_error(entry, grid, grid_curves):
+    # float(t) of a row raised TypeError; the refusal comes before any point is read
+    name, call = GRID_ENTRIES[entry]
+    message = "residual grid" if entry == "frenet_residuals" else "a parameter grid is a "
+    with pytest.raises(InputError, match=message):
+        call(grid_curves[name], grid)
+
+
+def test_a_frame_table_grid_that_is_not_a_line_of_numbers_is_an_input_error(synth6):
+    # [[0.1, 0.2]] raised IndexError in the state lookup
+    for grid in ([[0.1, 0.2]], 0.3, ["x"], []):
+        with pytest.raises(InputError, match="a parameter grid is a |grid is empty"):
+            synth6.frame_table(grid)
+    rows = synth6.frame_table([0.1, 0.2]).rows
+    assert np.array_equal(rows, synth6.frame_table(np.array([0.1, 0.2])).rows)
+
+
+def test_grid_entries_report_their_grid_as_python_floats(synth6_evolute):
+    ev = evolute(synth6_evolute, np.linspace(-0.5, 1.0, 5))
+    inv = involute(ev.curve, -0.5, np.linspace(-0.5, 1.0, 5), arc_offset=0.5)
+    for grid in (ev.grid, inv.grid):
+        assert type(grid) is tuple and all(type(t) is float for t in grid)
+        assert grid == tuple(np.linspace(-0.5, 1.0, 5).tolist())
 
 
 @pytest.mark.parametrize("kind", ["outside", "nan"])
@@ -371,6 +399,70 @@ def test_cumulative_integral_tables_are_read_only():
     for values in (table.nodes, table.cumulative):
         with pytest.raises(ValueError):
             values[3] = 0.0
+
+
+def reference_solve(table, target):
+    """CumulativeIntegral.solve with its bracket values read through the
+    interpolant, whose value at a node is the table's: the reference for the
+    node reads."""
+    scalar = np.ndim(target) == 0
+    targets = np.clip(np.atleast_1d(np.asarray(target, dtype=float)), 0.0, table.total)
+    i = np.clip(np.searchsorted(table.cumulative, targets) - 1, 0, len(table.nodes) - 2)
+    lo, hi = table.nodes[i], table.nodes[i + 1]
+    flo = table(lo) - targets
+    fhi = table(hi) - targets
+    t = np.where(flo >= 0.0, lo, hi)
+    active = np.flatnonzero((flo < 0.0) & (fhi > 0.0))
+    if len(active):
+        t[active] = table._newton(targets[active], lo[active], hi[active],
+                                  flo[active], fhi[active])
+    return float(t[0]) if scalar else t
+
+
+def solve_tables(golden, synth6_evolute):
+    return {"polynomial": CumulativeIntegral(lambda t: 1.0 + t * t, 0.0, 1.0),
+            "one panel": CumulativeIntegral(np.cos, -0.3, 0.4, intervals=7),
+            "evolute arc length": ArcLengthCurve(EvoluteCurve(synth6_evolute))._table,
+            "warped pseudo-arc": ReparametrizedCurve(warped_quintic(golden))._table}
+
+
+@pytest.mark.parametrize("name", ["polynomial", "one panel", "evolute arc length",
+                                  "warped pseudo-arc"])
+def test_table_inversion_reads_its_brackets_off_the_nodes(golden, synth6_evolute, name,
+                                                          monkeypatch):
+    table = solve_tables(golden, synth6_evolute)[name]
+    cumulative = table.cumulative
+    inside = (cumulative[:-1] + np.array([0.5, 0.013, 0.97])[:, None] * np.diff(cumulative))
+    targets = np.concatenate(([0.0, table.total], cumulative, inside.ravel(),
+                              np.linspace(0.0, table.total, 21)))
+    want = reference_solve(table, targets)
+    want_one = [reference_solve(table, float(x)) for x in targets[::7]]
+    # every interpolant read is a Newton step inside a sign-changing bracket
+    reads, newton = [], []
+    read, iterate = CumulativeIntegral._integral_and_rate, CumulativeIntegral._newton
+
+    def counted_read(self, t):
+        reads.append(bool(newton))
+        return read(self, t)
+
+    def counted_newton(self, *args):
+        newton.append(True)
+        try:
+            return iterate(self, *args)
+        finally:
+            newton.pop()
+
+    monkeypatch.setattr(CumulativeIntegral, "_integral_and_rate", counted_read)
+    monkeypatch.setattr(CumulativeIntegral, "_newton", counted_newton)
+    monkeypatch.setattr(CumulativeIntegral, "__call__", None)
+    got = table.solve(targets)
+    assert np.array_equal(got, want)
+    assert [table.solve(float(x)) for x in targets[::7]] == want_one
+    assert reads and all(reads)
+    # targets at the nodes, b included, need no read at all
+    reads.clear()
+    assert np.array_equal(table.solve(cumulative), table.nodes)
+    assert reads == []
 
 
 def test_spline_refuses_single_points_outside_its_grid(golden):

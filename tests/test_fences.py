@@ -49,6 +49,8 @@ FENCES = {
         (["constructions.py"], _literal("einsum("), 0)],
     "One norm rule": [
         ("*", _literal("linalg.norm("), 0)],
+    "Caches belong to their instance": [
+        ("*", r"^\s+@(functools\.)?(lru_cache|cache)\b", 2)],
 }
 
 
