@@ -33,7 +33,6 @@ from .curve import (
     Curve,
     ReparametrizedCurve,
     SampledCurve,
-    SplineCurve,
     chebyshev_grid,
     classify,
     pseudo_arc_reparam,

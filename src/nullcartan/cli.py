@@ -4,7 +4,7 @@ Input files are UTF-8 JSON.  A symbolic curve file carries ``dimension``,
 ``parameter``, ``components`` (expression strings) and ``domain``; a
 synthesized curve file (as written by ``synthesize``) carries the curvature
 recipe instead and is re-integrated on ingestion, so frame extraction on it
-is exact rather than spline-limited.  Every command ends in :func:`_report`,
+is exact rather than sample-limited.  Every command ends in :func:`_report`,
 the one helper that builds a report body (command, arguments echo, input
 digest, then the command's sections) and writes it.  Reports open with one
 ``#`` header line (the only place a timestamp appears); the rest of the body

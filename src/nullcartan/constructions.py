@@ -27,7 +27,6 @@ from .curve import (
     ArcLengthCurve,
     ReparametrizedCurve,
     SampledCurve,
-    SplineCurve,
     _BatchedCurve,
     _check_in_domain,
     _derivative_rows,
@@ -747,6 +746,8 @@ def evolute(curve, grid=None, min_slope=1e-8):
 class InvoluteCurve(_BatchedCurve):
     """Unwinding c(t) - s(t) T(t) of a spacelike curve by its arc length.
 
+    The base is a curve, whose jets give T and its derivatives; a
+    :class:`SampledCurve` holds points only and is not one.
     ``s(t) = arc_offset + (arc length from c(t0))``, read off an
     :class:`ArcLengthCurve` of the base, which refuses a base that is not
     spacelike at a table point.  The offset admits base points that lie
@@ -756,8 +757,6 @@ class InvoluteCurve(_BatchedCurve):
     """
 
     def __init__(self, base, t0, arc_offset=0.0, intervals=512, unit_speed=False):
-        if isinstance(base, SampledCurve):
-            base = SplineCurve(base)
         self.base = base
         self.dimension = base.dimension
         self.domain = base.domain

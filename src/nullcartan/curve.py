@@ -51,7 +51,6 @@ from .record import Record
 __all__ = [
     "Curve",
     "SampledCurve",
-    "SplineCurve",
     "ReparametrizedCurve",
     "ArcLengthCurve",
     "MappedCurve",
@@ -342,122 +341,6 @@ class SampledCurve(Record, eq=False):
         return (float(self.grid[0]), float(self.grid[-1]))
 
 
-def _bspline_basis(knots, k, x, left):
-    """Cox-de Boor recursion at the sites x, where knots[left] <= x < knots[left + 1].
-
-    Entry j of the result is the (len(x), j + 1) array of the degree-j
-    B-splines that can be nonzero there, B_{left-j}, ..., B_{left}.  Each
-    degree blends the previous one with the weights (x - t_i)/(t_{i+j} - t_i)
-    (de Boor's BSPLVB); every denominator spans the nonempty interval at x.
-    """
-    levels = [np.ones((len(x), 1))]
-    for j in range(1, k + 1):
-        r = np.arange(j)
-        lo = knots[left[:, None] - j + 1 + r]
-        hi = knots[left[:, None] + 1 + r]
-        term = levels[-1] / (hi - lo)
-        b = np.zeros((len(x), j + 1))
-        b[:, :-1] = (hi - x[:, None]) * term
-        b[:, 1:] += (x[:, None] - lo) * term
-        levels.append(b)
-    return levels
-
-
-def _solve_collocation(basis, first, rhs):
-    """Solve the banded system whose row i holds ``basis[i]`` in the columns
-    ``first[i]``, ``first[i] + 1``, ...; ``rhs`` may have several columns.
-
-    Gaussian elimination without pivoting: a B-spline collocation matrix is
-    totally positive (de Boor, ch. XIII), so no pivot is needed for
-    stability.  Only the band is stored, as ``band[i, j - i + lower]``.  That
-    entry sits at flat offset ``i * (width - 1) + j + lower``, so with a row
-    stride of ``width - 1`` the band reads as the dense matrix (LAPACK's
-    ``LDAB - 1`` view); the elimination touches only entries inside the band.
-    """
-    m, size = basis.shape
-    rows = np.arange(m)
-    lower = int(np.max(rows - first))
-    upper = int(np.max(first + size - 1 - rows))
-    width = lower + upper + 1
-    band = np.zeros((m, width))
-    band[rows[:, None], (first - rows + lower)[:, None] + np.arange(size)] = basis
-    flat = band.reshape(-1)
-    A = np.lib.stride_tricks.as_strided(
-        flat[lower:], shape=(m, m), strides=((width - 1) * flat.itemsize, flat.itemsize))
-    y = np.array(rhs, dtype=float)
-    for i in range(m - 1):
-        below = slice(i + 1, i + 1 + lower)
-        right = slice(i + 1, i + 1 + upper)
-        f = A[below, i] / A[i, i]
-        A[below, right] -= f[:, None] * A[i, right]
-        y[below] -= f[:, None] * y[i]
-    for i in range(m - 1, -1, -1):
-        right = slice(i + 1, i + 1 + upper)
-        y[i] = (y[i] - A[i, right] @ y[right]) / A[i, i]
-    return y
-
-
-class SplineCurve(_BatchedCurve):
-    """Interpolating spline of degree ``order`` through a SampledCurve;
-    derivatives up to that degree.
-
-    The knots are the not-a-knot layout: ``order + 1``-fold end knots and,
-    for an odd degree, interior knots at the samples ``grid[h:-h]`` with
-    h = (order + 1) // 2 (for an even degree, at the midpoints between
-    samples, trimmed the same way), so a quintic on 129 samples has 135
-    knots.  The coefficients solve the banded collocation system; the k-th
-    derivative is the spline of degree ``order - k`` whose coefficients are
-    the k-th differences of these (de Boor, ch. X).  Its domain is the
-    sample grid: ``vec_jets`` refuses a t outside it, as on every curve.
-    """
-
-    def __init__(self, sampled, order=5):
-        grid = sampled.grid
-        if len(grid) <= order:
-            raise InputError(f"need more than {order} samples for a degree-{order} spline")
-        k = order
-        h = (k + 1) // 2
-        sites = grid if k % 2 else 0.5 * (grid[1:] + grid[:-1])
-        self._knots = np.concatenate(
-            (np.full(k + 1, grid[0]), sites[h:len(sites) - h], np.full(k + 1, grid[-1])))
-        self._max_order = order
-        self.dimension = sampled.dimension
-        self.domain = sampled.domain
-        left = self._interval(grid)
-        coeffs = _solve_collocation(_bspline_basis(self._knots, k, grid, left)[k],
-                                    left - k, sampled.points)
-        n = len(grid)
-        self._coeffs = [coeffs]
-        for j in range(1, k + 1):
-            span = self._knots[k + 1:k + 1 + n - j] - self._knots[j:n]
-            self._coeffs.append((k - j + 1) * np.diff(self._coeffs[-1], axis=0)
-                                / span[:, None])
-
-    def _interval(self, x):
-        """Index l of the knot interval [t_l, t_{l+1}) that serves each x."""
-        k = self._max_order
-        return np.clip(np.searchsorted(self._knots, x, side="right") - 1,
-                       k, len(self._knots) - k - 2)
-
-    def _derivative_values(self, x, m):
-        """Derivatives 0..m on the grid x, shape (m + 1, len(x), dimension)."""
-        k = self._max_order
-        if m > k:
-            raise InputError(f"spline-backed curve serves derivatives up to order {k}")
-        left = self._interval(x)
-        levels = _bspline_basis(self._knots, k, x, left)
-        values = np.empty((m + 1, len(x), self.dimension))
-        for j in range(m + 1):
-            cols = (left - k)[:, None] + np.arange(k - j + 1)
-            values[j] = np.einsum("ir,ird->id", levels[k - j], self._coeffs[j][cols])
-        return values
-
-    def _vec_jets(self, ts, order):
-        values = self._derivative_values(ts, order)
-        scale = np.array([1.0 / math.factorial(j) for j in range(order + 1)])
-        return VecJet(ts, values * scale[:, None, None])
-
-
 # ---------------------------------------------------------------------------
 # Classification
 # ---------------------------------------------------------------------------
@@ -606,15 +489,13 @@ class CumulativeIntegral:
         self.a = float(a)
         self.b = float(b)
         self.nodes = _read_only(self._edges(a, b, intervals))
-        half = 0.5 * np.diff(self.nodes)[:, None]
         # f at each panel's Kronrod nodes, the Legendre coefficients of its
         # interpolant there, and its values times the panel's half-width
-        f_values = np.asarray(f(self.sample_points(a, b, intervals)), dtype=float)
-        f_values = f_values.reshape(len(half), -1)
+        half, points = self._panels(self.nodes)
+        f_values = np.asarray(f(points.ravel()), dtype=float).reshape(points.shape)
         self._coeffs = f_values @ _kronrod_to_legendre()
         values = half * f_values
-        kronrod = values @ self._KRONROD_WEIGHTS
-        gauss = values[:, 1::2] @ self._GAUSS_WEIGHTS
+        kronrod, gauss = self._panel_sums(values)
         self.cumulative = _read_only(np.concatenate(([0.0], np.cumsum(kronrod))))
         roundoff = 50.0 * np.finfo(float).eps * np.sum(np.abs(values) @ self._KRONROD_WEIGHTS)
         self.error_estimate = float(np.sum(np.abs(kronrod - gauss)) + roundoff)
@@ -624,11 +505,23 @@ class CumulativeIntegral:
         return np.linspace(a, b, max(1, intervals // PANEL_CELLS) + 1)
 
     @classmethod
+    def _panels(cls, edges):
+        """Half-widths (a column) and Kronrod nodes (one ascending row per
+        panel) of the panels between the ascending ``edges``."""
+        half = 0.5 * np.diff(edges)[:, None]
+        return half, edges[:-1, None] + half + half * cls._KRONROD_NODES
+
+    @classmethod
+    def _panel_sums(cls, values):
+        """The K15 and embedded G7 integrals of each panel, from ``values``:
+        the integrand at the panel's Kronrod nodes times its half-width, one
+        row per panel."""
+        return values @ cls._KRONROD_WEIGHTS, values[:, 1::2] @ cls._GAUSS_WEIGHTS
+
+    @classmethod
     def sample_points(cls, a, b, intervals):
         """The Kronrod nodes of every panel, in ascending order."""
-        edges = cls._edges(a, b, intervals)
-        half = 0.5 * np.diff(edges)[:, None]
-        return (edges[:-1, None] + half + half * cls._KRONROD_NODES).ravel()
+        return cls._panels(cls._edges(a, b, intervals))[1].ravel()
 
     def _integral_and_rate(self, t):
         """Primitive and interpolated integrand at the array t, off each
@@ -697,11 +590,15 @@ class CumulativeIntegral:
             hi = np.where(below, hi, t)
             step = F / rate
             newt = t - step
-            # a step that leaves the bracket is replaced by bisection
-            stray = ~((newt > lo) & (newt < hi)) | ~np.isfinite(newt)
+            # convergence reads the Newton step itself: at a root F may be one
+            # ulp off and move a bracket end onto t, and that step must not
+            # turn into bisection; any other step that leaves the bracket (or
+            # is not finite) does
+            tol = self._NEWTON_XTOL + self._NEWTON_RTOL * np.abs(t)
+            converged = (F == 0.0) | (np.abs(step) <= tol)
+            stray = ~converged & ~((newt > lo) & (newt < hi))
             newt = np.where(stray, 0.5 * (lo + hi), newt)
-            tol = self._NEWTON_XTOL + self._NEWTON_RTOL * np.abs(newt)
-            done = (F == 0.0) | (np.abs(newt - t) <= tol) | (hi - lo <= tol)
+            done = converged | (hi - lo <= tol)
             out[active] = np.where(F == 0.0, t, newt)
             keep = ~done
             active, t, targets = active[keep], newt[keep], targets[keep]
@@ -828,8 +725,9 @@ class MappedCurve(_BatchedCurve):
 
 
 class ReparamResult(Record):
-    """Monotone table, resampled curve and the exact reparametrized view;
-    the arrays are read-only."""
+    """Monotone table, resampled curve, the exact reparametrized view and the
+    samples' unit speed defect, the worst mean pseudo-arc speed minus 1 over
+    one interval (:func:`pseudo_arc_reparam`); the arrays are read-only."""
 
     table_t: np.ndarray
     table_s: np.ndarray
@@ -842,12 +740,16 @@ def pseudo_arc_reparam(curve, grid_density=DEFAULT_TABLE_ROWS, tol=DEFAULT_TOL):
     """Resample a family curve at uniform pseudo-arc values.
 
     Returns the monotone table sbar(t), the resampled curve (points are exact
-    evaluations at the inverted parameters) and the max deviation of
-    <d^3 alpha/ds^3, d^3 alpha/ds^3> from 1.  That deviation is read off the
-    quintic :class:`SplineCurve` through the resampled points, at every
-    sample but the first and last three, not off the reparametrized jets,
-    which are unit-speed by construction.
+    evaluations at the inverted parameters t_0 < ... < t_{m-1}) and its unit
+    speed defect.  The samples lie ds apart in sbar, so the table's rate must
+    integrate to ds over each [t_i, t_{i+1}]; the defect is the largest
+    (|K15 - ds| + |K15 - G7|) / ds, with the table's own rule pair on each
+    interval: the worst mean speed minus 1, plus its quadrature error.  A
+    grid of fewer than 2 samples has no spacing: InputError, before any table.
     """
+    if grid_density < 2:
+        raise InputError(f"the unit-speed check reads the spacing of the samples: "
+                         f"need at least 2, got {grid_density}")
     require_family(curve, tol=tol)
     rep = ReparametrizedCurve(curve, intervals=max(512, 4 * grid_density))
     table_t = np.linspace(curve.domain[0], curve.domain[1], grid_density)
@@ -855,14 +757,10 @@ def pseudo_arc_reparam(curve, grid_density=DEFAULT_TABLE_ROWS, tol=DEFAULT_TOL):
     sbar_grid = np.linspace(rep.domain[0], rep.domain[1], grid_density)
     params = pointwise_order(rep.parameter_of, sbar_grid)
     points = pointwise_order(lambda ts: curve.vec_jets(ts, 0).value, params)
-    sampled = SampledCurve(sbar_grid, points)
-    spline = SplineCurve(sampled)
-    interior = sbar_grid[3:-3]
-    if not len(interior):
-        raise InputError(
-            f"the unit-speed check reads the spline inside the first and last "
-            f"three samples: need at least 7, got {grid_density}")
-    d3 = spline._derivative_values(interior, 3)[3]
-    defect = np.max(np.abs(_shared_metric(curve.dimension).inner(d3, d3) - 1.0))
-    return ReparamResult(_read_only(table_t), _read_only(table_s), sampled, rep,
-                         float(defect))
+    half, nodes = CumulativeIntegral._panels(params)
+    kronrod, gauss = CumulativeIntegral._panel_sums(
+        half * rep._rate(nodes.ravel()).reshape(nodes.shape))
+    spacing = np.diff(sbar_grid)
+    defect = np.max((np.abs(kronrod - spacing) + np.abs(kronrod - gauss)) / spacing)
+    return ReparamResult(_read_only(table_t), _read_only(table_s),
+                         SampledCurve(sbar_grid, points), rep, float(defect))

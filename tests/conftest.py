@@ -24,8 +24,6 @@ from nullcartan import (
     MappedCurve,
     OffsetCurve,
     ReparametrizedCurve,
-    SampledCurve,
-    SplineCurve,
     evolute,
     standard_initial_frame,
     synthesize,
@@ -133,8 +131,8 @@ def unit_speed_evolute(synth6_evolute):
 ELLIPSE = ["0", "0", "2*cos(s)", "sin(s)", "0"]
 HELIX = ["0", "0", "cos(s)", "sin(s)", "s"]
 
-PROTOCOL_CLASSES = ["Curve", "SplineCurve", "FrenetCurve", "OffsetCurve", "EvoluteCurve",
-                    "InvoluteCurve", "ReparametrizedCurve", "ArcLengthCurve", "MappedCurve"]
+PROTOCOL_CLASSES = ["Curve", "FrenetCurve", "OffsetCurve", "EvoluteCurve", "InvoluteCurve",
+                    "ReparametrizedCurve", "ArcLengthCurve", "MappedCurve"]
 
 
 def warped_quintic(golden):
@@ -145,10 +143,8 @@ def warped_quintic(golden):
 @pytest.fixture(scope="session")
 def protocol_curves(golden, synth6, synth6_evolute):
     """One curve of each of PROTOCOL_CLASSES, by class name."""
-    grid = np.linspace(*golden.domain, 65)
     curves = [
         golden,
-        SplineCurve(SampledCurve(grid, golden.vec_jets(grid, 0).value)),
         synth6,
         OffsetCurve(golden, 0.7),
         EvoluteCurve(synth6_evolute),

@@ -653,15 +653,26 @@ def test_reparam_honours_the_grid_density_of_the_file(quintic_file, tmp_path, ca
     assert len(body_of(out)["table"]["rows"]) == 33
 
 
-@pytest.mark.parametrize("grid", ["4", "5", "6"])
-def test_reparam_grid_too_small_for_the_spline_check_exits_2(quintic_file, capsys,
-                                                            grid):
-    code, out, err = run(capsys, "reparam", quintic_file, "--grid", grid)
+@pytest.mark.parametrize("grid", ["2", "3", "4", "5", "6"])
+def test_reparam_checks_the_spacing_of_small_grids(quintic_file, capsys, grid):
+    code, out, _ = run(capsys, "reparam", quintic_file, "--grid", grid)
+    assert code == 0
+    body = body_of(out)
+    assert len(body["table"]["rows"]) == int(grid)
+    assert body["summary"]["unit_speed_defect"] <= 1e-12
+
+
+def test_reparam_grid_of_one_sample_exits_2(quintic_file, capsys, monkeypatch):
+    # one sample has no spacing to check: refused before any table is built
+    import nullcartan.curve
+    monkeypatch.setattr(nullcartan.curve, "CumulativeIntegral", None)
+    code, out, err = run(capsys, "reparam", quintic_file, "--grid", "1")
     assert code == 2
     assert out == ""
     diag = json.loads(err.splitlines()[-1])
     assert diag["category"] == "input"
     assert diag["error"] == "InputError"
+    assert "need at least 2, got 1" in diag["message"]
 
 
 def test_cli_import_leaves_scipy_unloaded():
@@ -702,31 +713,20 @@ def test_traced_benchmark_hooks_resolve():
 
 
 def test_spline_paths_run_without_scipy(quintic_file, tmp_path):
-    # scipy is a test dependency only: reparam and the involute of sampled
-    # points build their splines with scipy unimportable
+    # scipy is a test dependency only: reparam and its unit-speed check run
+    # with scipy unimportable
     report = tmp_path / "reparam.json"
     script = f"""
 import sys
 sys.modules["scipy"] = None
-import numpy as np
-from nullcartan import SampledCurve, involute
 from nullcartan.cli import main
 
 assert main(["reparam", {quintic_file!r}, "--output", {str(report)!r}]) == 0
-s = np.linspace(0.0, 2.0, 41)
-zero = np.zeros_like(s)
-circle = SampledCurve(s, np.stack([zero, zero, 1.5 * np.cos(s), 1.5 * np.sin(s), zero],
-                                  axis=1))
-t = np.linspace(0.2, 1.8, 5)
-inv = involute(circle, 0.0, t)
-want = 1.5 * np.stack([np.cos(t) + t * np.sin(t), np.sin(t) - t * np.cos(t)], axis=1)
-print(float(np.max(np.abs(inv.sampled.points[:, 2:4] - want))))
 """
     done = subprocess.run([sys.executable, "-c", script], env=source_env(),
                           capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
-    assert float(done.stdout) <= 1e-6
-    assert body_of(report.read_text())["summary"]["unit_speed_defect"] <= 1e-6
+    assert body_of(report.read_text())["summary"]["unit_speed_defect"] <= 1e-12
 
 
 @pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf"])

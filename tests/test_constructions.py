@@ -1297,17 +1297,3 @@ def test_sphere_coefficients_dimension_gate():
     profile = CurvatureProfile.from_strings(5, ["0", "0"])
     with pytest.raises(HypothesisError):
         sphere_coefficients(profile, 0.5)
-
-
-def test_involute_accepts_sampled_curve():
-    from nullcartan import SampledCurve
-    R = 1.5
-    circle = Curve.from_strings(
-        ["0", "0", f"{R}*cos(s)", f"{R}*sin(s)", "0"], domain=(0.0, 2.0))
-    grid = np.linspace(0.0, 2.0, 201)
-    sampled = SampledCurve(grid, np.stack([circle.point(float(t)) for t in grid]))
-    out_grid = np.linspace(0.1, 1.9, 7)
-    from_samples = involute(sampled, 0.0, out_grid)
-    from_symbolic = involute(circle, 0.0, out_grid)
-    assert np.max(np.abs(from_samples.sampled.points -
-                         from_symbolic.sampled.points)) <= 1e-7

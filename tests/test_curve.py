@@ -2,16 +2,15 @@
 
 import math
 import re
-import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
-from scipy.interpolate import make_interp_spline
 
 from nullcartan import (
     ArcLengthCurve,
     ClassificationError,
+    CurvatureProfile,
     Curve,
     EvoluteCurve,
     ExprEvaluationError,
@@ -22,7 +21,6 @@ from nullcartan import (
     PseudoMetric,
     ReparametrizedCurve,
     SampledCurve,
-    SplineCurve,
     bertrand_check,
     bertrand_mate,
     classify,
@@ -32,6 +30,7 @@ from nullcartan import (
     pseudo_arc_reparam,
     pseudo_spherical_test,
     require_family,
+    synthesize,
 )
 from nullcartan.bundled import NULL_QUINTIC
 from nullcartan.constructions import involute_frame_check
@@ -370,8 +369,88 @@ def test_reparam_family_gate():
         pseudo_arc_reparam(curve)
 
 
+@pytest.fixture(scope="module")
+def recipe6():
+    """The n = 6 curve of the recipe6 report goldens, k3 = 1/(1 + t): it is
+    pseudo-arc parametrized by construction."""
+    profile = CurvatureProfile.from_strings(6, ["0.15", "-0.05", "1/(1 + t)"])
+    return synthesize(profile, (-0.6, 1.1), step=0.001)
+
+
+@pytest.mark.parametrize("samples", [9, 33, 129])
+@pytest.mark.parametrize("name", ["quintic", "recipe6"])
+def test_reparam_unit_speed_defect_reads_roundoff(golden, recipe6, name, samples):
+    # the check integrates the rate over each sample interval, with no
+    # interpolation error of its own
+    curve = golden if name == "quintic" else recipe6
+    assert pseudo_arc_reparam(curve, samples).unit_speed_defect <= 1e-12
+
+
+@pytest.mark.parametrize("warp", ["u + 0.1*u^2", "u + 0.1*u^2 + 0.05*u^3",
+                                  "u + 0.03*u^2 + 0.02*u^3"])
+def test_reparam_unit_speed_defect_on_warped_quintics(golden, warp):
+    warped = golden.precompose(warp, parameter="u", domain=(0.0, 1.0))
+    assert pseudo_arc_reparam(warped, 33).unit_speed_defect <= 1e-12
+
+
+@pytest.mark.parametrize("samples", [9, 33, 129])
+def test_reparam_unit_speed_defect_sees_a_broken_inversion(golden, monkeypatch, samples):
+    assert pseudo_arc_reparam(golden, samples).unit_speed_defect <= 1e-12
+    parameter_of = ReparametrizedCurve.parameter_of
+
+    def moved(self, s):
+        t = np.array(parameter_of(self, s))
+        t[len(t) // 2] += 1e-8
+        return t
+
+    monkeypatch.setattr(ReparametrizedCurve, "parameter_of", moved)
+    assert pseudo_arc_reparam(golden, samples).unit_speed_defect > 1e-9
+
+
+@pytest.mark.parametrize("samples", [1, 0, -3])
+def test_reparam_refuses_a_grid_without_a_spacing(golden, monkeypatch, samples):
+    # refused before the family check and any table
+    monkeypatch.setattr("nullcartan.curve.require_family", None)
+    monkeypatch.setattr("nullcartan.curve.CumulativeIntegral", None)
+    with pytest.raises(InputError, match=f"need at least 2, got {samples}"):
+        pseudo_arc_reparam(golden, samples)
+
+
+def test_newton_stops_on_its_own_step(golden, synth6_evolute, monkeypatch):
+    # the quintic's pseudo-arc rate is constant, so the secant start lands on
+    # the root, one ulp off, as it does for one target on the evolute's
+    # arc-length table; convergence reads the Newton step there, not a
+    # bisection midpoint
+    read, newton = CumulativeIntegral._integral_and_rate, CumulativeIntegral._newton
+    reads, solved = [], []
+
+    def counted_read(self, t):
+        reads.append(len(t))
+        return read(self, t)
+
+    def recorded_newton(self, targets, lo, hi, flo, fhi):
+        t = newton(self, targets, lo, hi, flo, fhi)
+        solved.append((self, targets, lo, hi, t))
+        return t
+
+    monkeypatch.setattr(CumulativeIntegral, "_integral_and_rate", counted_read)
+    monkeypatch.setattr(CumulativeIntegral, "_newton", recorded_newton)
+    pseudo_arc_reparam(golden, 129)
+    assert len(reads) <= 3
+    table = ArcLengthCurve(EvoluteCurve(synth6_evolute))._table
+    reads.clear()
+    table.solve(np.linspace(0.0, table.total, 21))
+    assert len(reads) <= 3
+    assert len(solved) == 2
+    for table, targets, lo, hi, t in solved:
+        assert np.all((lo <= t) & (t <= hi))
+        value, rate = read(table, t)
+        tol = CumulativeIntegral._NEWTON_XTOL + CumulativeIntegral._NEWTON_RTOL * np.abs(t)
+        assert np.all(np.abs(value - targets) <= rate * tol)
+
+
 # ---------------------------------------------------------------------------
-# sampled curves, splines, parameter maps
+# sampled curves, tables, parameter maps
 # ---------------------------------------------------------------------------
 
 def test_sampled_curve_validation():
@@ -463,83 +542,6 @@ def test_table_inversion_reads_its_brackets_off_the_nodes(golden, synth6_evolute
     reads.clear()
     assert np.array_equal(table.solve(cumulative), table.nodes)
     assert reads == []
-
-
-def test_spline_refuses_single_points_outside_its_grid(golden):
-    grid = np.linspace(-0.1, 1.1, 40)
-    spline = SplineCurve(SampledCurve(grid, golden.vec_jets(grid, 0).value))
-    with pytest.raises(InputError):
-        spline.point(1.15)
-    with pytest.raises(InputError):
-        spline.vec_jet(-0.15, 1)
-    with pytest.raises(InputError, match="parameter 1.15 outside domain"):
-        spline.vec_jets(np.array([-0.1, 1.15]), 0)
-    # the grid ends are served, by the end polynomials that reproduce the quintic
-    ends = np.array([-0.1, 1.1])
-    assert np.allclose(spline.vec_jets(ends, 0).value,
-                       golden.vec_jets(ends, 0).value, rtol=0, atol=1e-9)
-
-
-def test_spline_curve_tracks_samples(golden):
-    grid = np.linspace(-0.1, 1.1, 200)
-    points = np.stack([golden.point(float(t)) for t in grid])
-    spline = SplineCurve(SampledCurve(grid, points))
-    t = 0.493
-    assert np.allclose(spline.point(t), golden.point(t), atol=1e-10)
-    d = spline.derivatives(t, 3)
-    want = golden.derivatives(t, 3)
-    for k in range(3):
-        assert np.allclose(d[k], want[k], atol=1e-5)
-    with pytest.raises(InputError):
-        spline.derivatives(t, 6)
-
-
-def _smooth_samples(grid):
-    return np.stack([np.sin(2 * grid), np.cos(3 * grid), np.exp(grid / 2),
-                     grid ** 3 - grid, np.log(2 + grid)], axis=1)
-
-
-@pytest.mark.parametrize("order", [3, 4, 5])
-@pytest.mark.parametrize("samples", [33, 129])
-def test_spline_matches_the_scipy_interpolant(samples, order):
-    # scipy's not-a-knot spline is the oracle: same knots, same interpolant;
-    # derivatives differ by roundoff that 1/h^k amplifies in both
-    grid = np.linspace(-0.3, 1.2, samples)
-    points = _smooth_samples(grid)
-    spline = SplineCurve(SampledCurve(grid, points), order)
-    oracle = make_interp_spline(grid, points, k=order)
-    ts = np.concatenate((grid, np.random.default_rng(7).uniform(grid[0], grid[-1], 200)))
-    grid_jets = spline.vec_jets(ts, 3)
-    got = [grid_jets.derivative_value(k) for k in range(4)]
-    for k in range(4):
-        want = oracle.derivative(k)(ts) if k else oracle(ts)
-        tol = 1e-12 if k == 0 else 1e-9
-        assert np.max(np.abs(got[k] - want)) <= tol * np.max(np.abs(want))
-    jets = spline.vec_jets(ts, order)
-    for k in range(1, 4):
-        assert np.allclose(jets.derivative_value(k), got[k], rtol=1e-14, atol=0)
-    t = 0.4321
-    assert spline.point(t).shape == (5,)
-    assert np.allclose(spline.point(t), oracle(t), rtol=0, atol=1e-14)
-    assert np.allclose(spline.derivatives(t, 2)[1], oracle.derivative(2)(t), atol=1e-9)
-    with pytest.raises(InputError):
-        spline.vec_jets(ts, order + 1)
-
-
-def test_spline_memory_is_linear_in_the_samples():
-    # the collocation system is solved in its band: a dense matrix on 5000
-    # samples would take 200 MB
-    grid = np.linspace(0.0, 1.0, 5000)
-    sampled = SampledCurve(grid, _smooth_samples(grid))
-    tracemalloc.start()
-    try:
-        spline = SplineCurve(sampled)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 20e6
-    assert np.allclose(spline.vec_jets(grid[::97], 0).value, sampled.points[::97],
-                       rtol=0, atol=1e-12)
 
 
 def test_mapped_curve_equals_precompose(golden):

@@ -51,6 +51,9 @@ FENCES = {
         ("*", _literal("linalg.norm("), 0)],
     "Caches belong to their instance": [
         ("*", r"^\s+@(functools\.)?(lru_cache|cache)\b", 2)],
+    "One quadrature rule": [
+        ("*", r"(?i)spline|collocation", 0),
+        (["curve.py"], _literal("_KRONROD_WEIGHTS ="), 1)],
 }
 
 
