@@ -28,6 +28,7 @@ from .curve import (
     ReparametrizedCurve,
     SampledCurve,
     _BatchedCurve,
+    _check_curve,
     _check_in_domain,
     _derivative_rows,
     _parameter_grid,
@@ -291,18 +292,21 @@ class FrenetCurve(_BatchedCurve):
             i1 = min(i0 + TABLE_BLOCK, steps)
             m = i1 - i0
             # the block's RK4 stage times (step starts and midpoints) in time
-            # order; stage s of scan slot (j, c) is stage 2 (c * width + j) + s,
-            # and slots past the last step sit at its end, with h = 0
+            # order, 2 i for the start of step i and 2 i + 1 for its midpoint.
+            # A chunk's generators are stacked step starts first, its end
+            # included, then midpoints: scan slot (j, c), step c * width + j,
+            # reads rows j, j + 1 and width + 1 + j, so each RK4 operand is a
+            # contiguous slice.  Slots past the last step sit at its end, h = 0
             stage_t = np.empty(2 * m + 1)
             stage_t[0::2] = ts[i0:i1 + 1]
             stage_t[1::2] = ts[i0:i1] + hs[i0:i1] / 2
             width = min(SCAN_CHUNK, m)
-            stage = np.arange(2 * width + 1)[:, None] + np.arange(0, 2 * m, 2 * width)
-            stage = np.minimum(stage, 2 * m)
+            stage = np.concatenate((np.arange(0, 2 * width + 1, 2), np.arange(1, 2 * width, 2)))
+            stage = np.minimum(stage[:, None] + np.arange(0, 2 * m, 2 * width), 2 * m)
             A = self._generators(pointwise_order(profile.values, stage_t)[stage])
-            h = stage_t[stage[2::2]] - stage_t[stage[:-1:2]]
+            h = stage_t[stage[1:width + 1]] - stage_t[stage[:width]]
             with np.errstate(over="ignore", invalid="ignore"):
-                D = _rk4_increments(A[:-1:2], A[1::2], A[2::2], h)
+                D = _rk4_increments(A[:width], A[width + 1:], A[1:width + 1], h)
                 _propagate(states[i0], D, states[i0 + 1:i0 + 1 + h.size])
                 defects = _gram_defect(states[i0:i1 + 1], self._metric)
             require(defects <= defect_limit, lambda j: StepSizeError(
@@ -422,7 +426,7 @@ class OffsetCurve(_BatchedCurve):
     """The normal offset alpha + mu * alpha''' of a pseudo-arc family curve."""
 
     def __init__(self, base, mu):
-        self.base = base
+        self.base = _check_curve(base)
         self.mu = float(mu)
         self.dimension = base.dimension
         self.domain = base.domain
@@ -461,7 +465,7 @@ class BertrandMateResult(Record):
 
 def _bertrand_frames(curve, grid, tol):
     """Verdict of :func:`bertrand_check` plus the frames it was read from."""
-    if curve.dimension != 5:
+    if _check_curve(curve).dimension != 5:
         raise HypothesisError("Bertrand theory here lives in dimension 5",
                               condition="dimension == 5")
     grid = require_family(curve, grid).grid
@@ -587,7 +591,7 @@ def pseudo_spherical_test(curve, grid=None, tol=DEFAULT_SPHERE_TOL):
     The spreads over one point are 0 whatever the curve, so a grid with
     fewer than two distinct points is an InputError once its points are read.
     """
-    n = curve.dimension
+    n = _check_curve(curve).dimension
     if n < 6:
         raise HypothesisError("the pseudo-sphere test needs dimension >= 6",
                               condition="dimension >= 6")
@@ -642,15 +646,18 @@ def pseudo_spherical_test(curve, grid=None, tol=DEFAULT_SPHERE_TOL):
 class EvoluteCurve(_BatchedCurve):
     """Centers of osculating spheres, alpha + (1/k3) W4, in dimension six.
 
-    The curve that :func:`evolute` returns carries the frame pass of the base
-    that it made on its grid, read-only, and answers jets of order <= 2 on
-    that grid (the same floats, bit for bit) from it: the pass a fresh
-    extraction would make there, with ``extra_order`` 0.  Any other query
-    extracts frames.  An ``EvoluteCurve(base)`` built directly carries none.
+    Jets of order k read W4 and k3 to order k, so the base's frames are
+    extracted with ``extra_order = max(-1, k - 2)``, which reads the base to
+    order 7 for k <= 1 (:func:`frame_grid`).  The curve that
+    :func:`evolute` returns carries the frame pass of the base that it made
+    on its grid, read-only, and answers jets of order <= 1 on that grid (the
+    same floats, bit for bit) from it: the pass a fresh extraction would make
+    there, with ``extra_order`` -1.  Any other query extracts frames.  An
+    ``EvoluteCurve(base)`` built directly carries none.
     """
 
     def __init__(self, base):
-        if base.dimension != 6:
+        if _check_curve(base).dimension != 6:
             raise HypothesisError("the evolute construction lives in dimension 6",
                                   condition="dimension == 6")
         self.base = base
@@ -667,8 +674,8 @@ class EvoluteCurve(_BatchedCurve):
 
     def _vec_jets(self, ts, order):
         # W4 and k3 come out of frame_grid at order 2 + extra
-        extra = max(0, order - 2)
-        if extra == 0 and self._frames is not None:
+        extra = max(-1, order - 2)
+        if extra == -1 and self._frames is not None:
             grid, fj = self._frames
             if ts.shape == grid.shape and ts.tobytes() == grid.tobytes():
                 return VecJet(ts, _evolute_jets(fj, order).coeffs)
@@ -719,8 +726,8 @@ def evolute(curve, grid=None, min_slope=1e-8):
     passes = []
 
     def sample(ts):
-        # W4 and k3 come out at order 2; the sample reads them to order 1
-        fj = frame_grid(curve, ts)
+        # W4 and k3 come out at order 1, which is all the sample reads
+        fj = frame_grid(curve, ts, extra_order=-1)
         passes.append((ts, fj))
         k3 = fj.curvatures[2]
         require(np.abs(k3.value) >= MIN_CURVATURE, lambda j: HypothesisError(
@@ -757,7 +764,7 @@ class InvoluteCurve(_BatchedCurve):
     """
 
     def __init__(self, base, t0, arc_offset=0.0, intervals=512, unit_speed=False):
-        self.base = base
+        self.base = _check_curve(base)
         self.dimension = base.dimension
         self.domain = base.domain
         self.t0 = float(t0)
@@ -834,7 +841,7 @@ def involute_frame_check(curve, grid):
     first point's) and the evolute of that frame with the original curve.
     """
     grid = _parameter_grid(grid).tolist()
-    metric = _shared_metric(curve.dimension)
+    metric = _shared_metric(_check_curve(curve).dimension)
     if curve.dimension != 6:
         raise HypothesisError("the correspondence lives in dimension 6",
                               condition="dimension == 6")

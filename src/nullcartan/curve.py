@@ -4,8 +4,9 @@ A curve is anything with ``dimension``, ``domain`` and ``vec_jets(ts,
 order)``: the vector jets (Taylor coefficients of the point and its first
 ``order`` derivatives) on a whole grid of parameters in one batched pass.
 That is the only contract the library relies on; its points are
-``vec_jets(ts, 0).value``.  Every curve class here and in ``constructions``
-serves it through :class:`_BatchedCurve`, whose ``vec_jets`` refuses a
+``vec_jets(ts, 0).value``, and every entry that takes a base curve refuses
+an object without it with InputError.  Every curve class here and in
+``constructions`` serves it through :class:`_BatchedCurve`, whose ``vec_jets`` refuses a
 negative order, and a parameter outside ``domain`` or a NaN, before the
 class's own ``_vec_jets`` runs; it is the one place a curve parameter is
 checked.  The single-point ``vec_jet(t, order)``, ``point(t)`` and
@@ -94,6 +95,16 @@ def chebyshev_grid(a, b, m):
 def _check_interval(domain):
     if not -math.inf < domain[0] < domain[1] < math.inf:
         raise InputError("domain must be a finite interval [a, b] with a < b")
+
+
+def _check_curve(curve):
+    """``curve`` itself, if it has the protocol's ``dimension``, ``domain``
+    and ``vec_jets``; otherwise InputError naming its type and what it
+    lacks.  Every entry that takes a base curve calls it before reading one."""
+    missing = [name for name in ("dimension", "domain", "vec_jets") if not hasattr(curve, name)]
+    if missing:
+        raise InputError(f"{type(curve).__name__} is not a curve: it lacks {', '.join(missing)}")
+    return curve
 
 
 def _check_in_domain(t, domain):
@@ -361,7 +372,7 @@ def classify(curve, grid=None, tol=DEFAULT_TOL):
     first point's, reported with it, as a loop over the grid would.  The
     family flag is True iff the nullity sequence is {0,1,2,2,1,0,...,0}.
     """
-    n = curve.dimension
+    n = _check_curve(curve).dimension
     metric = _shared_metric(n)
     if grid is None:
         grid = chebyshev_grid(curve.domain[0], curve.domain[1], DEFAULT_CLASSIFY_POINTS)
@@ -624,7 +635,7 @@ class _MonotoneReparamCurve(_BatchedCurve):
     _origin_from_domain = False
 
     def __init__(self, base, intervals=512):
-        self.base = base
+        self.base = _check_curve(base)
         self.dimension = base.dimension
         self._metric = _shared_metric(base.dimension)
         self.origin = float(base.domain[0]) if self._origin_from_domain else 0.0
@@ -710,7 +721,7 @@ class MappedCurve(_BatchedCurve):
     """
 
     def __init__(self, base, mapping, domain, parameter="s"):
-        self.base = base
+        self.base = _check_curve(base)
         self.dimension = base.dimension
         self.mapping = parse(mapping, parameter) if isinstance(mapping, str) else mapping
         self.domain = (float(domain[0]), float(domain[1]))

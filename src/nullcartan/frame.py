@@ -28,7 +28,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .curve import _derivative_rows, pointwise_order
+from .curve import _check_curve, _derivative_rows, pointwise_order
 from .errors import (
     DegenerateBasisError,
     FamilyError,
@@ -174,10 +174,16 @@ def frame_grid(curve, ts, extra_order=0):
     """Cartan frames on a grid of parameters as one jet :class:`Frame`, rows
     and curvatures batched: one pass over the grid for each extraction step.
 
-    The curve is read to order n + 2 + e, e = ``extra_order``; the rows come
-    out at order 2 + e and k_c at order n - 1 + e - c, so e = 0 serves the
-    closure residual, and a reader that differentiates the frame or the
-    curvatures further asks for more.  The recursion runs on coefficient
+    The curve is read to order n + 2 + e, e = ``extra_order`` >= -1; the rows
+    come out at order 2 + e and k_c at order n - 1 + e - c, so e = 0 serves
+    rows to order 2, and a reader that differentiates the frame or the
+    curvatures further asks for more.  e = -1 gives rows at order 1 and still
+    the closure residual, from one curve order fewer.  Only the evolute asks
+    for it: in dimension six it reads W4 and k3 to order 1, and there the
+    shorter series change no bit it reads (k1's top coefficient alone moves).
+    In higher dimensions they round the last rows, the higher curvatures and
+    the closure residual differently in their last bits, so other readers
+    keep e >= 0.  The recursion runs on coefficient
     arrays, calling the series kernels the jet operators call, with each sum
     truncated to the shorter series; jets are built around the result only.
     A failing gate raises for the first point that fails it; wrap the call
@@ -188,7 +194,7 @@ def frame_grid(curve, ts, extra_order=0):
     if ts.ndim != 1 or not ts.size:
         raise InputError(f"a frame grid is a non-empty 1-D array of parameters, "
                          f"not one of shape {ts.shape}")
-    n = curve.dimension
+    n = _check_curve(curve).dimension
     metric = _shared_metric(n)
     A = curve.vec_jets(ts, n + 2 + extra_order)
     derivs, norms = _derivative_rows(A, n)

@@ -143,8 +143,11 @@ class PseudoMetric:
         return self._gram(M)
 
     def _gram(self, M):
-        """:meth:`gram` of a float stack (..., k, n) whose shape is already checked."""
-        return (M * self._signs) @ M.swapaxes(-1, -2)
+        """:meth:`gram` of a float stack (..., k, n) whose shape is already checked.
+        The transpose is copied contiguous first: matmul would pack a strided
+        one at a higher cost than the copy on a synthesis block of states,
+        and the product is bit for bit that of the strided operand."""
+        return (M * self._signs) @ np.ascontiguousarray(M.swapaxes(-1, -2))
 
     def subspace_profile(self, vectors, tol=DEFAULT_TOL):
         """Rank, radical dimension and negative index of span(vectors).  A

@@ -15,6 +15,7 @@ import pytest
 import sympy
 
 from nullcartan import (
+    ArcLengthCurve,
     Curve,
     CurvatureProfile,
     DegenerateBasisError,
@@ -26,6 +27,7 @@ from nullcartan import (
     MappedCurve,
     PseudoMetric,
     ReparametrizedCurve,
+    SampledCurve,
     SingularRecursionError,
     StepSizeError,
     VecJet,
@@ -35,9 +37,12 @@ from nullcartan import (
     classify,
     evolute,
     frame_jets,
+    frenet_residuals,
     involute,
     involute_frame_check,
+    pseudo_arc_reparam,
     pseudo_spherical_test,
+    require_family,
     sphere_coefficients,
     standard_initial_frame,
     synthesize,
@@ -337,14 +342,15 @@ def test_evolute_jets_ask_for_no_deeper_frames_than_they_use(synth6_evolute):
     for order in range(6):
         counted.orders.clear()
         assert EvoluteCurve(counted).vec_jets([0.1, 0.4], order).order == order
-        assert counted.orders == [8 + max(0, order - 2)]
+        assert counted.orders == [8 + max(-1, order - 2)]
 
 
 def test_constructions_ask_for_no_deeper_frames_than_they_read(synth6, synth8,
                                                                synth6_evolute, monkeypatch):
     # frame_grid reads the curve to order n + 2 + extra_order; the sphere
-    # recursion reads k3 to order n - 6 and the evolute sample W4 and k3 to
-    # order 1, which extra_order = 0 covers (k_c at n - 1 - c, rows at 2)
+    # recursion reads k3 to order n - 6, which extra_order = 0 covers (k_c at
+    # n - 1 - c), and the evolute sample W4 and k3 to order 1, which
+    # extra_order = -1 covers (rows at 1, k3 at n - 5)
     grid = np.linspace(0.1, 0.9, 5)
     for curve in (synth6, synth8):
         counted = _CountedCurve(curve)
@@ -352,31 +358,94 @@ def test_constructions_ask_for_no_deeper_frames_than_they_read(synth6, synth8,
         assert counted.orders == [curve.dimension + 2]
     counted = _CountedCurve(synth6_evolute)
     evolute(counted, grid)
-    assert counted.orders == [8]
+    assert counted.orders == [7]
 
-    # the extra orders asked for before (n for the sphere, 2 for the
-    # evolute) change no output bit
+    # the extra orders asked for before (n for the sphere; 2, then 0, for
+    # the evolute and the round trip's involute, whose arc table reads the
+    # evolute's jets at order 1) change no output bit
+    def round_trip():
+        ev = evolute(synth6_evolute, grid)
+        return involute(ev.curve, grid[0], grid, arc_offset=1.0 + grid[0])
+
     runs = {"sphere6": (6, lambda: pseudo_spherical_test(synth6, grid)),
             "sphere8": (8, lambda: pseudo_spherical_test(synth8, grid)),
-            "evolute": (2, lambda: evolute(synth6_evolute, grid))}
+            "evolute": (2, lambda: evolute(synth6_evolute, grid)),
+            "evolute0": (0, lambda: evolute(synth6_evolute, grid)),
+            "involute": (0, round_trip)}
     real = constructions.frame_grid
     for name, (old, run) in runs.items():
         want = run()
 
         def deeper(curve, ts, extra_order=0):
-            return real(curve, ts, old)
+            return real(curve, ts, max(old, extra_order))
 
         monkeypatch.setattr(constructions, "frame_grid", deeper)
         got = run()
         monkeypatch.undo()
-        fields = (["sampled", "speed_defect", "min_abs_slope"] if name == "evolute" else
+        fields = (["sampled", "speed_defect", "min_abs_slope"] if name.startswith("evolute")
+                  else ["sampled", "arc_table"] if name == "involute" else
                   ["a_values", "radius_sq", "centers", "is_spherical", "radius", "center",
                    "last_coefficient_nonzero", "max_radius_spread", "max_center_spread"])
         for field in fields:
-            a, b = getattr(got, field), getattr(want, field)
+            if field == "arc_table":
+                a, b = (r.curve._arc._table.cumulative for r in (got, want))
+            else:
+                a, b = getattr(got, field), getattr(want, field)
             if field == "sampled":
                 a, b = a.points, b.points
             assert np.array_equal(a, b), (name, field)
+
+
+GRID7 = np.linspace(0.1, 0.7, 7)
+# every public entry that takes a base curve, called on a non-curve x
+CURVE_ENTRIES = {
+    "classify": lambda x: classify(x, GRID7),
+    "require_family": lambda x: require_family(x, GRID7),
+    "pseudo_arc_reparam": lambda x: pseudo_arc_reparam(x, 9),
+    "frame_grid": lambda x: frame_grid(x, GRID7),
+    "frame_jets": lambda x: frame_jets(x, 0.3),
+    "cartan_frame_at": lambda x: cartan_frame_at(x, 0.3),
+    "frenet_residuals": lambda x: frenet_residuals(x, GRID7),
+    "bertrand_check": lambda x: bertrand_check(x, GRID7),
+    "bertrand_mate": lambda x: bertrand_mate(x, 0.5, GRID7),
+    "pseudo_spherical_test": lambda x: pseudo_spherical_test(x, GRID7),
+    "evolute": lambda x: evolute(x, GRID7),
+    "involute": lambda x: involute(x, 0.1, GRID7),
+    "involute_frame_check": lambda x: involute_frame_check(x, GRID7),
+    "EvoluteCurve": EvoluteCurve,
+    "InvoluteCurve": lambda x: InvoluteCurve(x, 0.1),
+    "OffsetCurve": lambda x: OffsetCurve(x, 0.5),
+    "ReparametrizedCurve": ReparametrizedCurve,
+    "ArcLengthCurve": ArcLengthCurve,
+    "MappedCurve": lambda x: MappedCurve(x, "s", (0.1, 0.7)),
+}
+
+
+@pytest.mark.parametrize("entry", list(CURVE_ENTRIES))
+@pytest.mark.parametrize("kind", ["sampled", "object"])
+def test_a_non_curve_base_is_refused_naming_its_type(entry, kind):
+    # a SampledCurve holds points only: it has dimension and domain, no vec_jets
+    if kind == "sampled":
+        x = SampledCurve(np.linspace(0.0, 1.0, 6), np.ones((6, 6)))
+        name, lacks = "SampledCurve", "vec_jets"
+    else:
+        x, name, lacks = object(), "object", "dimension, domain, vec_jets"
+    with pytest.raises(InputError, match=f"^{name} is not a curve: it lacks {lacks}$"):
+        CURVE_ENTRIES[entry](x)
+
+
+def test_a_duck_typed_curve_is_a_base(synth6, synth6_evolute):
+    # anything with dimension, domain and vec_jets is a curve to every entry
+    grid = np.linspace(0.1, 0.9, 5)
+    assert classify(_CountedCurve(synth6), grid).family
+    assert frame_grid(_CountedCurve(synth6), grid).rows.coeffs.shape[1] == 5
+    E = EvoluteCurve(_CountedCurve(synth6_evolute))
+    bases = [E, InvoluteCurve(_CountedCurve(E), 0.1), OffsetCurve(_CountedCurve(synth6), 0.5),
+             ReparametrizedCurve(_CountedCurve(synth6)), ArcLengthCurve(_CountedCurve(E)),
+             MappedCurve(_CountedCurve(synth6), "s", (0.1, 0.7))]
+    for curve in bases:
+        assert isinstance(curve.base, _CountedCurve)
+        assert curve.vec_jets(grid[:2], 1).order == 1
 
 
 def test_evolute_extracts_frames_once(synth6_evolute, monkeypatch):
@@ -422,13 +491,19 @@ EVOLUTE_GRID = np.linspace(-0.5, 1.0, 9)
 
 @pytest.mark.parametrize("order", [0, 1, 2])
 def test_an_evolute_answers_its_grid_from_its_frame_pass(synth6_evolute, order, monkeypatch):
+    # the held pass has rows at order 1 (extra_order -1): it serves orders 0
+    # and 1, and order 2 is one extraction with extra_order 0
     ev = evolute(synth6_evolute, EVOLUTE_GRID)
     want = EvoluteCurve(synth6_evolute).vec_jets(EVOLUTE_GRID, order)
     calls = counted_frame_grid(monkeypatch)
     # the same floats in another array, as the round trip's involute passes them
     ts = np.array(EVOLUTE_GRID.tolist())
     got = ev.curve.vec_jets(ts, order)
-    assert calls == []
+    if order <= 1:
+        assert calls == []
+    else:
+        assert len(calls) == 1
+        assert np.array_equal(calls[0][0], ts) and calls[0][1] == 0
     assert np.array_equal(got.coeffs, want.coeffs)
     assert got.base is ts
 
@@ -441,7 +516,7 @@ def test_an_evolute_extracts_frames_off_its_grid(synth6_evolute, grid, order, mo
     calls = counted_frame_grid(monkeypatch)
     got = ev.curve.vec_jets(grid, order)
     assert len(calls) == 1
-    assert np.array_equal(calls[0][0], grid) and calls[0][1] == max(0, order - 2)
+    assert np.array_equal(calls[0][0], grid) and calls[0][1] == max(-1, order - 2)
     assert np.array_equal(got.coeffs, want.coeffs)
 
 

@@ -37,6 +37,7 @@ FENCES = {
                        "if not evidence[", "if np.any(sign_votes", "if np.any(s <= 0.0)"), 0)],
     "Frames at the orders they read": [
         (["constructions.py"], _literal("extra_order=n", "extra_order=2"), 0),
+        (["constructions.py"], _literal("frame_grid(curve, ts, extra_order=-1)"), 1),
         (["frame.py"], _literal(".scale(", "inner_jet(", ".differentiate("), 0)],
     "Records without code generation": [
         ("*", r"dataclass|\bexec\(|\beval\(", 0)],
@@ -47,6 +48,8 @@ FENCES = {
         ("*", _literal("svd(", "matrix_rank("), 0)],
     "Synthesis at matmul cost": [
         (["constructions.py"], _literal("einsum("), 0)],
+    "Contiguous synthesis stacks": [
+        (["constructions.py"], _literal("A[:-1:2]", "A[1::2]", "A[2::2]"), 0)],
     "One norm rule": [
         ("*", _literal("linalg.norm("), 0)],
     "Caches belong to their instance": [

@@ -113,6 +113,25 @@ def test_stacked_inner_and_gram_match_single_systems(n, m, k, scale, seed):
     assert np.all(np.abs(moved - gram) <= 1e-12 * norms[..., :, None] * norms[..., None, :])
 
 
+@pytest.mark.parametrize("n", [5, 6, 8, 12])
+@pytest.mark.parametrize("m", [1, 3, 7, 17, 61, 240, 257])
+def test_gram_is_the_strided_product_bit_for_bit(n, m):
+    # the oracle multiplies by the strided transpose, as the Gram did before
+    # it copied the transpose contiguous; stacks of k = 3 derivative rows and
+    # of k = n frame rows, with exact zeros of both signs among the entries
+    rng = np.random.default_rng(1000 * n + m)
+    metric = PseudoMetric(n)
+    for k in (3, n):
+        for scale in (1e-6, 1.0, 1e6):
+            M = scale * rng.normal(size=(m, k, n))
+            M[rng.random(M.shape) < 0.2] = 0.0
+            M[rng.random(M.shape) < 0.05] = -0.0
+            want = (M * metric.signs) @ M.swapaxes(-1, -2)
+            assert metric._gram(M).tobytes() == want.tobytes()
+            assert metric.gram(M).tobytes() == want.tobytes()
+            assert metric.gram(M[0]).tobytes() == want[0].tobytes()
+
+
 # ---------------------------------------------------------------------------
 # subspace_profile
 # ---------------------------------------------------------------------------
